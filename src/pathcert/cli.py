@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit status: 0 ok, 1 verification failed, 2 usage error (argparse default).
+Exit status: 0 ok, 1 verification failed (or an oracle / sampling budget
+gave out), 2 usage error (argparse default), 3 internal error: the program
+crashed (``RecursionError`` included) and says nothing about the input.
 """
 
 from __future__ import annotations
@@ -256,9 +258,18 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError as err:  # a RuntimeError, but a crash, not a verdict
+        return _internal_error(err)
     except RuntimeError as err:  # oracle failures, exhausted budgets
         print(f"failed: {err}", file=sys.stderr)
         return 1
+    except Exception as err:
+        return _internal_error(err)
+
+
+def _internal_error(err: Exception) -> int:
+    print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+    return 3
 
 
 def entry_point() -> None:

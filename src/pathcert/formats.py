@@ -185,7 +185,15 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
-    return witness_from_dict(json.loads(text))
+    """Parse a witness file; a missing or mistyped field is a ValueError, like
+    malformed JSON, because the text comes from outside the program."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("malformed witness: not a JSON object")
+    try:
+        return witness_from_dict(data)
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed witness: {type(err).__name__}: {err}") from err
 
 
 def constants_to_dict(c: PipelineConstants) -> dict:

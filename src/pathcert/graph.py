@@ -4,7 +4,9 @@ Vertices are the ints 0..n-1.  Row ``adj[v]`` is an int whose bit ``u`` is
 set iff ``uv`` is an edge; the diagonal is always zero and rows are
 symmetric.  Set intersections, neighborhoods and component sweeps are all
 single big-int operations, which is what the search-heavy callers need at
-the scales this package targets (n up to a few hundred).
+the scales this package targets (n up to a few thousand).  Per-vertex counts
+can be kept bit-sliced the same way (one int per bit of the count), as the
+greedy peel in :mod:`pathcert.homogeneous` does for degrees.
 
 A graph produced by :func:`induced` keeps an ``origin`` table mapping local
 indices back to the graph the chain of subgraphs started from, so vertex

@@ -6,6 +6,11 @@ offered: a complete subset search for tiny graphs, a greedy peeling heuristic
 that scales, and the single-vertex fallback (a lone vertex is an eps-stable
 set for every eps).
 
+The greedy peel keeps every vertex degree bit-sliced across O(log n) big-int
+planes, so finding and deleting the next vertex costs O(log n) big-int
+operations, and the dense peel runs on the graph's own rows rather than on a
+complement graph.
+
 All thresholds are exact rationals; floats never decide anything here.
 """
 
@@ -17,7 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, VertexSet, bits, complement, mask_of
+from .graph import Graph, VertexSet, bits, mask_of
+# Unused here since the dense peel stopped building a complement graph, but
+# bench/tracing.py binds homogeneous.complement; drop it with that binding.
+from .graph import complement  # noqa: F401
 from .witnesses import HomogeneousSetWitness
 
 STRATEGIES = ("exact", "greedy-peel", "trivial")
@@ -59,41 +67,62 @@ def _exact(g: Graph, epsilon: Fraction, target: int) -> HomogeneousSetWitness | 
     return None
 
 
-def _peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
-    """Delete a maximum-degree vertex (ties: smallest id) until the edge
-    density of the survivors is at most epsilon; returns (mask, edges)."""
+def _peel(adj, n: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
+    """Greedy peel of the graph on rows ``adj``: returns (mask, edges).
+
+    Sparse mode deletes a vertex of maximum degree, dense mode one of maximum
+    co-degree (that is, minimum degree), ties to the smallest id, until the
+    survivors span at most epsilon * C(size, 2) edges (sparse) or miss at
+    most that many (dense).  ``edges`` counts the edges inside ``mask`` in
+    both modes.
+
+    Degrees are bit-sliced: bit v of ``planes[b]`` is bit b of the degree of
+    survivor v.  Narrowing the survivors plane by plane, top down, finds the
+    vertex to delete; deleting it subtracts its surviving neighbours with a
+    ripple borrow.  Each step is O(log n) big-int operations, and the dense
+    mode needs no complement graph.
+    """
+    degrees = [row.bit_count() for row in adj]
+    # Plane b as a binary numeral, vertex n-1 first.
+    planes = [int("".join(["01"[d >> b & 1] for d in reversed(degrees)]), 2)
+              for b in range(max(1, (n - 1).bit_length()))]
     mask = (1 << n) - 1
-    edges = _edges_in(adj, mask)
+    edges = sum(degrees) // 2
+    num, den = epsilon.numerator, epsilon.denominator
     size = n
     while size > 1:
-        if edges <= epsilon * (size * (size - 1) // 2):
+        pairs = size * (size - 1) // 2
+        slack = pairs - edges if dense else edges
+        if slack * den <= num * pairs:
             break
-        worst, worst_deg = -1, -1
-        for v in bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d > worst_deg:
-                worst, worst_deg = v, d
-        mask &= ~(1 << worst)
-        edges -= worst_deg
+        cand = mask
+        for plane in reversed(planes):
+            narrowed = cand & ~plane if dense else cand & plane
+            if narrowed:
+                cand = narrowed
+        w = cand & -cand
+        mask ^= w
+        borrow = adj[w.bit_length() - 1] & mask
+        edges -= borrow.bit_count()
         size -= 1
+        for b, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[b] = plane ^ borrow
+            borrow &= ~plane
     return mask, edges
 
 
 def _greedy(g: Graph, epsilon: Fraction, target: int) -> HomogeneousSetWitness | None:
-    sparse_mask, sparse_edges = _peel(g.adj, g.n, epsilon)
-    co = complement(g)
-    dense_mask, dense_missing = _peel(co.adj, g.n, epsilon)
-    sparse_n = sparse_mask.bit_count()
-    dense_n = dense_mask.bit_count()
-    if sparse_n >= dense_n:
-        best_kind, best_mask, best_n = "stable", sparse_mask, sparse_n
-        best_edges = sparse_edges
+    sparse_mask, sparse_edges = _peel(g.adj, g.n, epsilon, dense=False)
+    dense_mask, dense_edges = _peel(g.adj, g.n, epsilon, dense=True)
+    if sparse_mask.bit_count() >= dense_mask.bit_count():
+        kind, mask, edges = "stable", sparse_mask, sparse_edges
     else:
-        best_kind, best_mask, best_n = "clique", dense_mask, dense_n
-        best_edges = dense_n * (dense_n - 1) // 2 - dense_missing
-    if best_n < target:
+        kind, mask, edges = "clique", dense_mask, dense_edges
+    if mask.bit_count() < target:
         return None
-    return _witness(g, best_kind, bits(best_mask), epsilon, best_edges)
+    return _witness(g, kind, bits(mask), epsilon, edges)
 
 
 def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
@@ -102,8 +131,10 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
 
     exact       complete enumeration (n <= 20); None means no such set of
                 either kind exists at any size >= target.
-    greedy-peel peel by maximum degree on the graph and on its complement,
-                keep the larger survivor if it reaches target.
+    greedy-peel peel by maximum degree (sparse) and by minimum degree, that
+                is maximum co-degree (dense), keep the larger survivor if it
+                reaches target; O(log n) big-int operations per deleted
+                vertex, no complement graph.
     trivial     a single vertex (meets target only when target <= 1).
     """
     epsilon = Fraction(epsilon)

@@ -128,6 +128,28 @@ def best_homogeneous_sizes(g: Graph, epsilon: Fraction) -> tuple[int, int]:
     return best_stable, best_clique
 
 
+def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
+    """The plain greedy peel (oracle for the bit-sliced one): rescan every
+    survivor's degree, delete a maximum-degree vertex (ties: smallest id)
+    until the survivors span at most epsilon * C(size, 2) edges; returns
+    (mask, edges).  Run it on complement rows for the dense peel."""
+    mask = (1 << n) - 1
+    edges = sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
+    size = n
+    while size > 1:
+        if edges <= epsilon * (size * (size - 1) // 2):
+            break
+        worst, worst_deg = -1, -1
+        for v in bits(mask):
+            d = (adj[v] & mask).bit_count()
+            if d > worst_deg:
+                worst, worst_deg = v, d
+        mask &= ~(1 << worst)
+        edges -= worst_deg
+        size -= 1
+    return mask, edges
+
+
 def planted_sparse_graph(s: int, epsilon: Fraction, rng: SplitMix64) -> Graph:
     """A graph on s vertices with at most epsilon * C(s, 2) edges, placed at
     seeded random positions."""

@@ -176,3 +176,26 @@ def test_budget_failure_exit_code(tmp_path, capsys):
                  "--seed", "1", "--budget", "1"])
     assert code == 1
     assert "draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("crash", [RecursionError("maximum recursion depth exceeded"),
+                                   KeyError(7)])
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
+    def producer(*args, **kwargs):
+        raise crash
+
+    monkeypatch.setattr("pathcert.cli.extract_linear_bipartite", producer)
+    path = write_g6(tmp_path, cycle_graph(6))
+    assert main(["pipeline", "--input", path, "--k", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(crash).__name__}")
+
+
+@pytest.mark.parametrize("text", ['{"type": "homogeneous", "kind": "stable", "epsilon": "0"}',
+                                  '{"type": "path", "vertices": 5}', '[1, 2]'])
+def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed witness")

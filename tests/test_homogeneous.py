@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph
-from pathcert.generators import gnp
-from pathcert.homogeneous import (find_epsilon_homogeneous, fox_sudakov_delta,
+from itertools import combinations
+
+from pathcert.graph import (build_graph, complement, complete_bipartite_graph, complete_graph,
+                            cycle_graph, empty_graph, mask_of, path_graph)
+from pathcert.generators import gnp, random_cograph
+from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
                                   prune_high_degree)
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
 
-from pathcert.graph import mask_of
-
-from conftest import best_homogeneous_sizes, planted_sparse_graph
+from conftest import best_homogeneous_sizes, brute_peel, planted_sparse_graph
 
 
 def test_exact_empty_graph_full_stable():
@@ -62,6 +63,71 @@ def test_greedy_peel_is_deterministic():
     a = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy")
     b = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy-peel")
     assert a == b
+
+
+PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), Fraction(1))
+
+
+def assert_peel_matches_brute(g):
+    co = complement(g)
+    for eps in PEEL_EPSILONS:
+        assert _peel(g.adj, g.n, eps, dense=False) == brute_peel(g.adj, g.n, eps)
+        mask, missing = brute_peel(co.adj, g.n, eps)
+        size = mask.bit_count()
+        assert _peel(g.adj, g.n, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
+
+
+def test_peel_matches_brute_on_every_graph_up_to_5_vertices():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            assert_peel_matches_brute(build_graph(n, [e for i, e in enumerate(pairs) if code >> i & 1]))
+
+
+def test_peel_matches_brute_on_seeded_gnp_and_cographs():
+    for seed in range(40):
+        rng = stream(0x9EE1, seed)
+        n = rng.randint(6, 60)
+        assert_peel_matches_brute(gnp(n, Fraction(rng.randint(0, 10), 10), rng))
+        assert_peel_matches_brute(random_cograph(n, rng))
+
+
+def test_peel_matches_brute_on_all_ties_inputs():
+    graphs = [empty_graph(1), empty_graph(2), complete_graph(2), path_graph(2)]
+    for n in (3, 7, 16, 40):
+        graphs += [empty_graph(n), complete_graph(n), cycle_graph(n)]
+    graphs += [complete_bipartite_graph(a, a) for a in (1, 2, 5, 12)]
+    for g in graphs:
+        assert_peel_matches_brute(g)
+
+
+# greedy-peel witnesses as the plain rescanning peel produced them; the
+# bit-sliced peel must reproduce them byte for byte.  S is pinned as its mask.
+PINNED_GREEDY_WITNESSES = [
+    pytest.param(lambda: gnp(300, Fraction(9, 10), stream(0x91E, 0)), Fraction(1, 30),
+                 "clique", 3452,
+                 0x2010471003c400023020d44862084609a983223541ab81150f0152b241630099200143a0000,
+                 id="gnp-9/10"),
+    pytest.param(lambda: gnp(300, Fraction(1, 2), stream(0x91E, 0)), Fraction(1, 30),
+                 "stable", 1,
+                 0x81002080000000000008000009000100000000010000000000000000000000000000000000,
+                 id="gnp-1/2"),
+    pytest.param(lambda: random_cograph(300, stream(0x91E, 1)), Fraction(1, 30),
+                 "stable", 914,
+                 0xfffffe03fffffffffffffffffffc0000000000007ffffffffffffffefffffffff3d8fffffff,
+                 id="cograph"),
+    pytest.param(lambda: cycle_graph(150), Fraction(1, 100),
+                 "stable", 48, 0x3fffffffffffeaaaaaaaaaaaaaaaaaaaaaaaaa,
+                 id="cycle"),
+]
+
+
+@pytest.mark.parametrize("build, eps, kind, edge_count, mask", PINNED_GREEDY_WITNESSES)
+def test_greedy_peel_pinned_witnesses(build, eps, kind, edge_count, mask):
+    g = build()
+    w = find_epsilon_homogeneous(g, eps, 1, "greedy-peel")
+    assert (w.kind, w.edge_count, mask_of(w.S)) == (kind, edge_count, mask)
+    assert verify_homogeneous(g, w)
 
 
 def test_trivial_strategy():
