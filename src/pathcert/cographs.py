@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graph import Graph, VertexSet, bits, component_masks, induced
+from .graph import Graph, VertexSet, bits, complement, component_masks, induced, mask_of
 from .patterns import find_induced_path
 from .witnesses import BipartitePairWitness, PatternEmbedding, verify_bipartite_pair
 
@@ -46,17 +46,19 @@ class _Obstruction(Exception):
         self.embedding = embedding
 
 
-def cotree(g: Graph):
-    """CographDecomposition of g, or a PatternEmbedding of an induced P4.
+def cotree(g: Graph, mask: int | None = None):
+    """CographDecomposition of the subgraph on ``mask`` (default: all of g),
+    or a PatternEmbedding of an induced P4, both in g's vertex ids.
 
     A graph is a cograph iff every induced subgraph on >= 2 vertices is
     disconnected or has a disconnected complement, so whenever the recursion
     finds neither split an induced P4 must exist; the first one found (it may
     sit inside a nested part) is returned as the obstruction.
     """
+    if mask is None:
+        mask = g.full_mask
     adj = g.adj
-    full = g.full_mask
-    co_adj = tuple((~adj[v]) & full & ~(1 << v) for v in range(g.n))
+    co_adj = complement(g, mask).adj
 
     def build(mask: int) -> CographDecomposition:
         if mask & (mask - 1) == 0:
@@ -67,12 +69,15 @@ def cotree(g: Graph):
         co_comps = component_masks(co_adj, mask)
         if len(co_comps) > 1:
             return CographDecomposition("join", tuple(build(c) for c in co_comps))
-        res = find_induced_path(induced(g, bits(mask)), 4)
+        members = list(bits(mask))
+        res = find_induced_path(induced(g, members), 4)
         assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
-        raise _Obstruction(res.embedding)
+        emb = res.embedding
+        raise _Obstruction(PatternEmbedding(emb.pattern_name, emb.pattern,
+                                            tuple(members[v] for v in emb.mapping)))
 
     try:
-        return build(full)
+        return build(mask)
     except _Obstruction as found:
         return found.embedding
 
@@ -81,14 +86,15 @@ def _set_key(vs: frozenset) -> tuple:
     return (-len(vs), tuple(sorted(vs)))
 
 
-def cograph_alpha_omega(g: Graph):
-    """(maximum stable set, maximum clique) of a cograph, else the P4
-    obstruction as a PatternEmbedding.
+def cograph_alpha_omega(g: Graph, mask: int | None = None):
+    """(maximum stable set, maximum clique) of the subgraph on ``mask``
+    (default: all of g) when it is a cograph, else the P4 obstruction as a
+    PatternEmbedding.
 
     Both sets are exact maxima; ties are broken toward the lexicographically
-    smallest vertex list.  Returned sets use root ids.
+    smallest vertex list.  Returned sets use g's vertex ids.
     """
-    tree = cotree(g)
+    tree = cotree(g, mask)
     if isinstance(tree, PatternEmbedding):
         return tree
 
@@ -105,8 +111,7 @@ def cograph_alpha_omega(g: Graph):
             clique = frozenset().union(*(p[1] for p in parts))
         return stable, clique
 
-    stable, clique = fold(tree)
-    return g.root_ids(stable), g.root_ids(clique)
+    return fold(tree)
 
 
 class OracleError(RuntimeError):
@@ -120,8 +125,9 @@ class OracleError(RuntimeError):
 
 @dataclass
 class BipartiteOracle:
-    """Produces, for any graph it is handed, an empty or complete bipartite
-    pair with both sides >= ceil(c * n), expressed in root ids.
+    """Produces, for the subgraph of g on the vertex mask it is handed, an
+    empty or complete bipartite pair with both sides >= ceil(c * n), where n
+    is the mask's size, in g's vertex ids.
 
     ``cutoff`` is the smallest subgraph the extraction recursion still hands
     to the oracle; below it a single vertex is taken.  By default it is
@@ -131,7 +137,7 @@ class BipartiteOracle:
     """
 
     c: Fraction
-    fn: Callable[[Graph], BipartitePairWitness]
+    fn: Callable[[Graph, int], BipartitePairWitness]
     cutoff: int | None = None
 
     def __post_init__(self):
@@ -152,18 +158,17 @@ class BipartiteOracle:
 EXACT_ORACLE_MAX_N = 32
 
 
-def _find_pair_masks(g: Graph, side: int, kind: str) -> tuple[int, int] | None:
-    """First (X, Y) with |X| = |Y| = side and the cross relation all-edges
-    (complete) or no-edges (empty); complete backtracking over vertex
-    assignments in id order, so absence of a result is a proof."""
-    n, adj = g.n, g.adj
-    full = g.full_mask
-    if 2 * side > n:
+def _find_pair_masks(g: Graph, side: int, kind: str,
+                     mask: int | None = None) -> tuple[int, int] | None:
+    """First (X, Y) inside ``mask`` (default: all of g) with |X| = |Y| = side
+    and the cross relation all-edges (complete) or no-edges (empty); complete
+    backtracking over vertex assignments in id order, so absence of a result
+    is a proof."""
+    if mask is None:
+        mask = g.full_mask
+    if 2 * side > mask.bit_count():
         return None
-    if kind == "empty":
-        compat = tuple((~adj[v]) & full & ~(1 << v) for v in range(n))
-    else:
-        compat = adj
+    compat = complement(g, mask).adj if kind == "empty" else g.adj
 
     def dfs(x: int, y: int, avail_x: int, avail_y: int):
         nx, ny = x.bit_count(), y.bit_count()
@@ -188,7 +193,7 @@ def _find_pair_masks(g: Graph, side: int, kind: str) -> tuple[int, int] | None:
                 return hit
         return dfs(x, y, avail_x & ~vb, avail_y & ~vb)
 
-    return dfs(0, 0, full, full)
+    return dfs(0, 0, mask, mask)
 
 
 def exact_bipartite_oracle(c: Fraction, cutoff: int | None = None) -> BipartiteOracle:
@@ -196,16 +201,19 @@ def exact_bipartite_oracle(c: Fraction, cutoff: int | None = None) -> BipartiteO
     then a complete, pair with sides exactly ceil(c * n)."""
     c = Fraction(c)
 
-    def fn(g: Graph) -> BipartitePairWitness:
-        if g.n > EXACT_ORACLE_MAX_N:
-            raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}, got {g.n}")
-        side = max(1, math.ceil(c * g.n))
+    def fn(g: Graph, mask: int | None = None) -> BipartitePairWitness:
+        if mask is None:
+            mask = g.full_mask
+        n = mask.bit_count()
+        if n > EXACT_ORACLE_MAX_N:
+            raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}, got {n}")
+        side = max(1, math.ceil(c * n))
         for kind in ("empty", "complete"):
-            hit = _find_pair_masks(g, side, kind)
+            hit = _find_pair_masks(g, side, kind, mask)
             if hit:
                 xs, ys = hit
-                return BipartitePairWitness(kind, g.root_ids(bits(xs)), g.root_ids(bits(ys)))
-        raise OracleError(f"no empty or complete pair with sides {side} exists (n={g.n})")
+                return BipartitePairWitness(kind, frozenset(bits(xs)), frozenset(bits(ys)))
+        raise OracleError(f"no empty or complete pair with sides {side} exists (n={n})")
 
     return BipartiteOracle(c, fn, cutoff)
 
@@ -217,31 +225,30 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     With an oracle honoring its side guarantee all the way down, |S| is at
     least n^c' / 2 for c' = log 2 / log(1/c).  Every oracle answer is
     re-verified against g; a bad one raises OracleError with the witness
-    attached.  ``g`` must be a root graph (no origin).
+    attached.  The oracle is called as ``oracle.fn(g, mask)`` on the members
+    of the current part.
     """
-    if g.origin is not None:
-        raise ValueError("pass the root graph; oracle witnesses use root ids")
     cutoff = oracle.effective_cutoff
 
-    def recurse(members: frozenset) -> frozenset:
-        if len(members) < cutoff:
-            return frozenset([min(members)])
-        sub = induced(g, members)
-        w = oracle.fn(sub)
+    def recurse(mask: int) -> frozenset:
+        size = mask.bit_count()
+        if size < cutoff:
+            return frozenset([(mask & -mask).bit_length() - 1])
+        w = oracle.fn(g, mask)
         if not isinstance(w, BipartitePairWitness):
             raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
         verdict = verify_bipartite_pair(g, w)
         if not verdict:
             raise OracleError(f"oracle witness rejected: {verdict.reason}", witness=w)
-        if not (w.X | w.Y) <= members:
+        if mask_of(w.X | w.Y) & ~mask:
             raise OracleError("oracle witness leaves the current subgraph", witness=w)
-        need = oracle.required_side(len(members))
+        need = oracle.required_side(size)
         if min(len(w.X), len(w.Y)) < need:
             raise OracleError(
                 f"oracle sides {len(w.X)},{len(w.Y)} below the promised {need}", witness=w)
-        return recurse(w.X) | recurse(w.Y)
+        return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
 
-    return recurse(frozenset(range(g.n)))
+    return recurse(g.full_mask)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ either an induced path starting at the requested vertex with at least
 ceil(n / (2 (T + D))) vertices, or two disjoint vertex sets of size >= T each
 with no edges between them.  The construction grows the path into the
 largest component that survives deleting the start's closed neighborhood;
-when that component is not large enough to recurse into, the leftover
-components themselves form the empty pair.
+when that component is not large enough to continue into, the leftover
+components themselves form the empty pair.  The walk is a loop over
+(vertex mask, start) in the input graph's own ids, so its depth is not
+bounded by the interpreter's recursion limit.
 
-Thresholds are absolute counts, so they pass through the recursion
+Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
 specializes to 1 / (2 (eps + c)).
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, VertexSet, bits, component_masks
+from .graph import Graph, bits, component_masks
 from .witnesses import BipartitePairWitness, InducedPathWitness
 
 
@@ -41,9 +43,9 @@ def path_guarantee(n: int, params: ExtractorParams) -> int:
     return -(-n // denom)
 
 
-def split_small_components(comps: Sequence[VertexSet], target: int) -> tuple[VertexSet, VertexSet]:
-    """Greedily pack whole components, in the given order, into side A until
-    |A| >= target; the rest is side B.
+def split_small_components(comps: Sequence[int], target: int) -> tuple[int, int]:
+    """Greedily pack whole components (bit masks), in the given order, into
+    side A until |A| >= target; the rest is side B.  Returns (A, B) as masks.
 
     Raises when the packing cannot give both sides >= target (e.g. the total
     is below 3 * target, or one component dominates).  Under the intended
@@ -52,27 +54,6 @@ def split_small_components(comps: Sequence[VertexSet], target: int) -> tuple[Ver
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    a: set[int] = set()
-    cut = 0
-    for comp in comps:
-        if len(a) >= target:
-            break
-        a |= comp
-        cut += 1
-    b: set[int] = set()
-    for comp in comps[cut:]:
-        b |= comp
-    if len(a) < target or len(b) < target:
-        raise ValueError(
-            f"cannot split component sizes {[len(c) for c in comps]} into two sides of {target}")
-    return frozenset(a), frozenset(b)
-
-
-def _is_connected_mask(adj, mask: int) -> bool:
-    return len(component_masks(adj, mask)) == 1
-
-
-def _greedy_split_masks(comps: list[int], target: int) -> tuple[int, int]:
     a = 0
     cut = 0
     for comp in comps:
@@ -83,46 +64,61 @@ def _greedy_split_masks(comps: list[int], target: int) -> tuple[int, int]:
     b = 0
     for comp in comps[cut:]:
         b |= comp
+    if a.bit_count() < target or b.bit_count() < target:
+        raise ValueError(f"cannot split component sizes {[c.bit_count() for c in comps]}"
+                         f" into two sides of {target}")
     return a, b
 
 
-def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
-                            trace: list | None = None):
-    """Either an induced path starting at x with >= ceil(n / (2(T+D)))
-    vertices, or an empty bipartite pair with both sides >= T.
+def _is_connected_mask(adj, mask: int) -> bool:
+    return len(component_masks(adj, mask)) == 1
 
-    Preconditions: g connected, 0 <= x < n, and every closed degree <= D.
-    The witness is expressed in root ids (via g.origin).  ``trace``, if
-    given, collects one dict per recursion level.
+
+def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
+                            trace: list | None = None, mask: int | None = None):
+    """Either an induced path starting at x with >= ceil(n / (2(T+D)))
+    vertices, or an empty bipartite pair with both sides >= T, in the
+    subgraph on ``mask`` (default: all of g; n is its size).
+
+    Preconditions: the subgraph is connected, x is in it, and every closed
+    degree inside it is <= D.  The witness uses g's vertex ids.  ``trace``,
+    if given, collects one dict per level; its ``via`` is the position of
+    the next start among the input set's vertices in ascending order.
     """
-    if not 0 <= x < g.n:
-        raise ValueError(f"start vertex {x} not in 0..{g.n - 1}")
-    for v in range(g.n):
-        cd = g.closed_degree(v)
+    if mask is None:
+        mask = g.full_mask
+    if not (0 <= x < g.n and mask >> x & 1):
+        raise ValueError(f"start vertex {x} is not in the vertex set")
+    adj = g.adj
+    for v in bits(mask):
+        cd = (adj[v] & mask).bit_count() + 1
         if cd > params.D:
             raise ValueError(
                 f"closed degree of vertex {v} is {cd}, above the bound D={params.D}")
-    if not _is_connected_mask(g.adj, g.full_mask):
+    if not _is_connected_mask(adj, mask):
         raise ValueError("input graph is disconnected")
 
     T, D = params.T, params.D
-    adj = g.adj
+    input_mask = mask
 
     def note(**fields):
         if trace is not None:
             trace.append(fields)
 
-    def recurse(mask: int, start: int):
+    # Each grow level moves the start one step along the path and shrinks the
+    # mask to the start plus the largest component beyond it; any other case
+    # ends the walk.
+    path: list[int] = []
+    start = x
+    while True:
         m = mask.bit_count()
         if 3 * T + D >= m:
+            note(n=m, case="base")
             if m == 1:
-                note(n=m, case="base")
-                return ("path", [start])
+                return InducedPathWitness(tuple(path + [start]))
             nb = adj[start] & mask
             assert nb, "connected subgraph of size >= 2 must give the start a neighbor"
-            y = (nb & -nb).bit_length() - 1
-            note(n=m, case="base")
-            return ("path", [start, y])
+            return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
         closed = (adj[start] | (1 << start)) & mask
         u = mask & ~closed
         comps = component_masks(adj, u)
@@ -137,22 +133,14 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             assert y >= 0, "some neighbor of the start must reach the largest component"
             sub = c1 | (1 << y)
             assert _is_connected_mask(adj, sub)
-            note(n=m, case="grow", c1=c1_size, via=y)
-            result = recurse(sub, y)
-            if result[0] == "path":
-                return ("path", [start] + result[1])
-            return result
+            note(n=m, case="grow", c1=c1_size, via=(input_mask & ((1 << y) - 1)).bit_count())
+            path.append(start)
+            mask, start = sub, y
+            continue
         if c1_size >= T:
             note(n=m, case="middle-split", c1=c1_size)
-            return ("pair", c1, u & ~c1)
-        a, b = _greedy_split_masks(comps, T)
-        assert a.bit_count() >= T and b.bit_count() >= T, \
-            "small components must pack into two sides of size >= T"
+            return BipartitePairWitness("empty", frozenset(bits(c1)),
+                                        frozenset(bits(u & ~c1)))
+        a, b = split_small_components(comps, T)
         note(n=m, case="small-split", c1=c1_size)
-        return ("pair", a, b)
-
-    result = recurse(g.full_mask, x)
-    if result[0] == "path":
-        return InducedPathWitness(tuple(g.root_id(v) for v in result[1]))
-    _, amask, bmask = result
-    return BipartitePairWitness("empty", g.root_ids(bits(amask)), g.root_ids(bits(bmask)))
+        return BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))

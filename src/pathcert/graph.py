@@ -8,10 +8,11 @@ the scales this package targets (n up to a few thousand).  Per-vertex counts
 can be kept bit-sliced the same way (one int per bit of the count), as the
 greedy peel in :mod:`pathcert.homogeneous` does for degrees.
 
-A graph produced by :func:`induced` keeps an ``origin`` table mapping local
-indices back to the graph the chain of subgraphs started from, so vertex
-sets found deep inside nested views can be reported in the caller's ids.
-``origin`` composes: it always points at the outermost ancestor.
+An induced subgraph is a vertex bit mask over the same rows: the producers
+take ``(g, mask)`` and report vertex sets in g's own ids, so nothing is
+relabelled or translated back.  :func:`complement` restricted to a mask
+fills rows for the mask's members only, and :func:`induced` builds a
+relabelled copy for callers that need a standalone graph.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     n: int
     adj: tuple[int, ...]
-    origin: tuple[int, ...] | None = None
 
     @property
     def full_mask(self) -> int:
@@ -69,23 +69,6 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 
-    def root_id(self, v: int) -> int:
-        return v if self.origin is None else self.origin[v]
-
-    def root_ids(self, vs: Iterable[int]) -> VertexSet:
-        return frozenset(self.root_id(v) for v in vs)
-
-    def local_ids(self, root_vs: Iterable[int]) -> VertexSet:
-        """Inverse of root_ids; raises KeyError for ids not in this view."""
-        if self.origin is None:
-            out = frozenset(root_vs)
-            for v in out:
-                if not 0 <= v < self.n:
-                    raise KeyError(v)
-            return out
-        back = {r: i for i, r in enumerate(self.origin)}
-        return frozenset(back[r] for r in root_vs)
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Simple undirected graph on n >= 1 vertices.
@@ -106,18 +89,22 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    rows = tuple((~g.adj[v]) & full & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, rows, g.origin)
+def complement(g: Graph, mask: int | None = None) -> Graph:
+    """The complement of g[mask] (default: all of g) in g's vertex ids.
+
+    Row v holds v's non-neighbours inside ``mask`` when v is in ``mask``
+    and is 0 otherwise; only the members' rows are computed.
+    """
+    if mask is None:
+        mask = g.full_mask
+    rows = [0] * g.n
+    for v in bits(mask):
+        rows[v] = mask & ~(g.adj[v] | 1 << v)
+    return Graph(g.n, tuple(rows))
 
 
 def induced(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on s, vertices relabelled 0..|s|-1 in ascending order.
-
-    The new graph's origin points at the outermost ancestor of g, so
-    translation through nested views composes automatically.
-    """
+    """Induced subgraph on s, vertices relabelled 0..|s|-1 in ascending order."""
     vs = sorted(set(s))
     if not vs:
         raise ValueError("induced subgraph needs a nonempty vertex set")
@@ -131,8 +118,7 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
         for u in bits(g.adj[v] & keep):
             row |= 1 << index[u]
         rows.append(row)
-    origin = tuple(g.root_id(v) for v in vs)
-    return Graph(len(vs), tuple(rows), origin)
+    return Graph(len(vs), tuple(rows))
 
 
 def component_masks(adj: Sequence[int], mask: int) -> list[int]:
@@ -158,10 +144,6 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
 
 def components(g: Graph) -> list[VertexSet]:
     return [frozenset(bits(m)) for m in component_masks(g.adj, g.full_mask)]
-
-
-def is_connected(g: Graph) -> bool:
-    return len(component_masks(g.adj, g.full_mask)) == 1
 
 
 # Named families.

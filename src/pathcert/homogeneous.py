@@ -40,41 +40,39 @@ def _normalize_strategy(strategy: str) -> str:
     return strategy
 
 
-def _witness(g: Graph, kind: str, local: Iterable[int], epsilon: Fraction,
-             edge_count: int) -> HomogeneousSetWitness:
-    return HomogeneousSetWitness(kind, g.root_ids(local), epsilon, edge_count)
-
-
 def _edges_in(adj, mask: int) -> int:
     return sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
-def _exact(g: Graph, epsilon: Fraction, target: int) -> HomogeneousSetWitness | None:
+def _exact(g: Graph, mask: int, epsilon: Fraction,
+           target: int) -> HomogeneousSetWitness | None:
     # Complete search, largest subsets first; within a size, one sparse pass
     # then one dense pass, subsets in lexicographic order each time.
-    if g.n > EXACT_MAX_N:
-        raise ValueError(f"exact strategy limited to n <= {EXACT_MAX_N}, got n = {g.n}")
-    for size in range(g.n, target - 1, -1):
+    members = list(bits(mask))
+    if len(members) > EXACT_MAX_N:
+        raise ValueError(
+            f"exact strategy limited to n <= {EXACT_MAX_N}, got n = {len(members)}")
+    for size in range(len(members), target - 1, -1):
         pairs = size * (size - 1) // 2
         budget = epsilon * pairs
         for kind in ("stable", "clique"):
-            for combo in combinations(range(g.n), size):
-                mask = mask_of(combo)
-                edges = _edges_in(g.adj, mask)
+            for combo in combinations(members, size):
+                edges = _edges_in(g.adj, mask_of(combo))
                 slack = edges if kind == "stable" else pairs - edges
                 if slack <= budget:
-                    return _witness(g, kind, combo, epsilon, edges)
+                    return HomogeneousSetWitness(kind, frozenset(combo), epsilon, edges)
     return None
 
 
-def _peel(adj, n: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
-    """Greedy peel of the graph on rows ``adj``: returns (mask, edges).
+def _peel(adj, mask: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
+    """Greedy peel of the subgraph on ``mask`` of rows ``adj``: returns
+    (mask, edges) for the survivors.
 
     Sparse mode deletes a vertex of maximum degree, dense mode one of maximum
     co-degree (that is, minimum degree), ties to the smallest id, until the
     survivors span at most epsilon * C(size, 2) edges (sparse) or miss at
-    most that many (dense).  ``edges`` counts the edges inside ``mask`` in
-    both modes.
+    most that many (dense).  ``edges`` counts the edges inside the returned
+    mask in both modes.
 
     Degrees are bit-sliced: bit v of ``planes[b]`` is bit b of the degree of
     survivor v.  Narrowing the survivors plane by plane, top down, finds the
@@ -82,14 +80,20 @@ def _peel(adj, n: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
     ripple borrow.  Each step is O(log n) big-int operations, and the dense
     mode needs no complement graph.
     """
-    degrees = [row.bit_count() for row in adj]
-    # Plane b as a binary numeral, vertex n-1 first.
-    planes = [int("".join(["01"[d >> b & 1] for d in reversed(degrees)]), 2)
-              for b in range(max(1, (n - 1).bit_length()))]
-    mask = (1 << n) - 1
-    edges = sum(degrees) // 2
+    size = mask.bit_count()
+    planes = [0] * max(1, (size - 1).bit_length())
+    edges = 0
+    for v in bits(mask):
+        d = (adj[v] & mask).bit_count()
+        edges += d
+        b = 0
+        while d:
+            if d & 1:
+                planes[b] |= 1 << v
+            d >>= 1
+            b += 1
+    edges //= 2
     num, den = epsilon.numerator, epsilon.denominator
-    size = n
     while size > 1:
         pairs = size * (size - 1) // 2
         slack = pairs - edges if dense else edges
@@ -113,43 +117,48 @@ def _peel(adj, n: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
     return mask, edges
 
 
-def _greedy(g: Graph, epsilon: Fraction, target: int) -> HomogeneousSetWitness | None:
-    sparse_mask, sparse_edges = _peel(g.adj, g.n, epsilon, dense=False)
-    dense_mask, dense_edges = _peel(g.adj, g.n, epsilon, dense=True)
+def _greedy(g: Graph, mask: int, epsilon: Fraction,
+            target: int) -> HomogeneousSetWitness | None:
+    sparse_mask, sparse_edges = _peel(g.adj, mask, epsilon, dense=False)
+    dense_mask, dense_edges = _peel(g.adj, mask, epsilon, dense=True)
     if sparse_mask.bit_count() >= dense_mask.bit_count():
         kind, mask, edges = "stable", sparse_mask, sparse_edges
     else:
         kind, mask, edges = "clique", dense_mask, dense_edges
     if mask.bit_count() < target:
         return None
-    return _witness(g, kind, bits(mask), epsilon, edges)
+    return HomogeneousSetWitness(kind, frozenset(bits(mask)), epsilon, edges)
 
 
-def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
-                             strategy: str) -> HomogeneousSetWitness | None:
-    """A sparse or dense set of at least ``target`` vertices, or None.
+def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int, strategy: str,
+                             mask: int | None = None) -> HomogeneousSetWitness | None:
+    """A sparse or dense set of at least ``target`` vertices inside ``mask``
+    (default: all of g), or None.
 
-    exact       complete enumeration (n <= 20); None means no such set of
-                either kind exists at any size >= target.
+    exact       complete enumeration (at most 20 vertices); None means no
+                such set of either kind exists at any size >= target.
     greedy-peel peel by maximum degree (sparse) and by minimum degree, that
                 is maximum co-degree (dense), keep the larger survivor if it
                 reaches target; O(log n) big-int operations per deleted
                 vertex, no complement graph.
-    trivial     a single vertex (meets target only when target <= 1).
+    trivial     the smallest vertex (meets target only when target <= 1).
     """
+    if mask is None:
+        mask = g.full_mask
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must be in [0, 1]")
-    if not 1 <= target <= g.n:
-        raise ValueError(f"target must be in 1..{g.n}")
+    if not 1 <= target <= mask.bit_count():
+        raise ValueError(f"target must be in 1..{mask.bit_count()}")
     strategy = _normalize_strategy(strategy)
     if strategy == "exact":
-        return _exact(g, epsilon, target)
+        return _exact(g, mask, epsilon, target)
     if strategy == "greedy-peel":
-        return _greedy(g, epsilon, target)
+        return _greedy(g, mask, epsilon, target)
     if target > 1:
         return None
-    return _witness(g, "stable", [0], epsilon, 0)
+    return HomogeneousSetWitness("stable", frozenset([(mask & -mask).bit_length() - 1]),
+                                 epsilon, 0)
 
 
 def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSet:
@@ -202,13 +211,6 @@ class DeltaBound:
         if self.exponent >= 0:
             return Fraction(2 ** self.exponent)
         return Fraction(1, 2 ** (-self.exponent))
-
-    @property
-    def delta_float(self) -> float:
-        try:
-            return 2.0 ** self.exponent_float
-        except OverflowError:
-            return 0.0
 
     def describe(self) -> str:
         if self.exponent is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, path_graph
+from .graph import Graph, bits, build_graph, complement, path_graph
 from .witnesses import PatternEmbedding
 
 MAX_PATTERN_SIZE = 10
@@ -62,7 +62,7 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
 
     if found is None:
         return PatternQueryResult(False, None, explored)
-    emb = PatternEmbedding("P%d" % k, path_graph(k), tuple(g.root_id(v) for v in found))
+    emb = PatternEmbedding("P%d" % k, path_graph(k), tuple(found))
     return PatternQueryResult(True, emb, explored)
 
 
@@ -108,7 +108,7 @@ def contains_induced(g: Graph, h: Graph, pattern_name: str = "pattern") -> Patte
     place(0, 0)
     if found is None:
         return PatternQueryResult(False, None, explored)
-    emb = PatternEmbedding(pattern_name, h, tuple(g.root_id(v) for v in found))
+    emb = PatternEmbedding(pattern_name, h, found)
     return PatternQueryResult(True, emb, explored)
 
 
@@ -140,15 +140,7 @@ def labeled_graph(k: int, code: int) -> Graph:
             if (code >> bit) & 1:
                 edges.append((i, j))
             bit += 1
-    return Graph(k, tuple(_rows(k, edges)))
-
-
-def _rows(k: int, edges) -> list[int]:
-    rows = [0] * k
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+    return build_graph(k, edges)
 
 
 def universality_check(g: Graph, k: int) -> Graph | None:

@@ -30,7 +30,10 @@ from fractions import Fraction
 
 from .cographs import BipartiteOracle, cograph_alpha_omega, p4free_extract
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
-from .graph import Graph, complement, components, induced, path_graph
+from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
+# Unused here since the producers run on vertex masks, but bench/tracing.py
+# binds pipeline.components and pipeline.induced; drop them with those bindings.
+from .graph import components, induced  # noqa: F401
 from .homogeneous import (DeltaBound, find_epsilon_homogeneous, fox_sudakov_delta,
                           log2_upper_bound, prune_high_degree)
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
@@ -118,19 +121,18 @@ class ExtractionReport:
     complemented: bool
 
 
-def _trivial_pair(g: Graph) -> BipartitePairWitness:
-    """Lexicographically first non-adjacent pair as an empty 1-pair, else the
-    first edge as a complete 1-pair."""
-    full = g.full_mask
-    for u in range(g.n - 1):
-        higher = full & ~((1 << (u + 1)) - 1)
-        non = higher & ~g.adj[u]
+def _trivial_pair(g: Graph, mask: int) -> BipartitePairWitness:
+    """Lexicographically first non-adjacent pair inside ``mask`` as an empty
+    1-pair, else its first edge as a complete 1-pair."""
+    for u in bits(mask):
+        non = mask & ~g.adj[u] & -(1 << (u + 1))
         if non:
             v = (non & -non).bit_length() - 1
-            return BipartitePairWitness("empty", frozenset([g.root_id(u)]),
-                                        frozenset([g.root_id(v)]))
-    return BipartitePairWitness("complete", frozenset([g.root_id(0)]),
-                                frozenset([g.root_id(1)]))
+            return BipartitePairWitness("empty", frozenset([u]), frozenset([v]))
+    first = mask & -mask
+    second = mask ^ first
+    return BipartitePairWitness("complete", frozenset([first.bit_length() - 1]),
+                                frozenset([(second & -second).bit_length() - 1]))
 
 
 def _flip_kind(w: BipartitePairWitness) -> BipartitePairWitness:
@@ -138,60 +140,64 @@ def _flip_kind(w: BipartitePairWitness) -> BipartitePairWitness:
     return BipartitePairWitness(kind, w.X, w.Y)
 
 
-def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy-peel") -> ExtractionReport:
-    """Run the full extraction on g for forbidden-path length k.
+def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy-peel",
+                             mask: int | None = None) -> ExtractionReport:
+    """Run the full extraction for forbidden-path length k on the subgraph
+    of g on ``mask`` (default: all of g; n is its size).
 
-    Requires n >= 2.  The returned witness uses root ids (via g.origin) and,
-    unless the outcome is a pattern certificate, refers to the graph as
-    given: complement kinds are flipped back before reporting.
+    Requires n >= 2.  The returned witness uses g's vertex ids and, unless
+    the outcome is a pattern certificate, refers to the graph as given:
+    complement kinds are flipped back before reporting.
     """
-    if g.n < 2:
+    if mask is None:
+        mask = g.full_mask
+    n = mask.bit_count()
+    if n < 2:
         raise ValueError("need at least two vertices")
     consts = choose_constants(k)
     eps, c = consts.epsilon, consts.c
-    n = g.n
     target = stage1_target(consts, n)
     trace: dict = {"n": n, "strategy": strategy, "stage1_target": target}
 
-    w1 = find_epsilon_homogeneous(g, eps, target, strategy)
+    w1 = find_epsilon_homogeneous(g, eps, target, strategy, mask)
     if w1 is None:
         trace["stage1"] = {"found": False}
         trace["guarantee_tier"] = "trivial"
         trace["outcome_reason"] = "no-homogeneous-set"
-        return ExtractionReport("trivial-witness", _trivial_pair(g), consts, trace, False)
+        return ExtractionReport("trivial-witness", _trivial_pair(g, mask), consts, trace, False)
     trace["stage1"] = {"found": True, "kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
-    work = complement(g) if complemented else g
-    s_local = work.local_ids(w1.S)
-    s = len(s_local)
-    pruned = prune_high_degree(work, s_local, eps)
+    work = complement(g, mask_of(w1.S)) if complemented else g
+    s = w1.size
+    pruned = prune_high_degree(work, w1.S, eps)
     s2 = len(pruned)
     big_d = math.floor(2 * eps * s) + 1
     big_t = math.ceil(c * s2)
     consts = dataclasses.replace(consts, T=big_t, D=big_d)
     trace.update(s=s, s_prime=s2, T=big_t, D=big_d, complemented=complemented)
 
-    sub = induced(work, pruned)
-    comp_sets = components(sub)
-    trace["component_sizes"] = [len(cc) for cc in comp_sets]
+    sub = mask_of(pruned)
+    comps = component_masks(work.adj, sub)
+    trace["component_sizes"] = [cc.bit_count() for cc in comps]
 
     pair: BipartitePairWitness | None = None
     path: InducedPathWitness | None = None
-    if len(comp_sets) > 1:
+    if len(comps) > 1:
         try:
-            a_loc, b_loc = split_small_components(comp_sets, big_t)
-            pair = BipartitePairWitness("empty", sub.root_ids(a_loc), sub.root_ids(b_loc))
+            a, b = split_small_components(comps, big_t)
+            pair = BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))
             trace["stage3"] = "component-split"
         except ValueError:
-            sub = induced(sub, comp_sets[0])
-            trace["stage3"] = f"recurse-largest({sub.n})"
+            sub = comps[0]
+            trace["stage3"] = f"recurse-largest({sub.bit_count()})"
     else:
         trace["stage3"] = "connected"
 
     if pair is None:
         levels: list = []
-        result = path_or_empty_bipartite(sub, 0, ExtractorParams(big_t, big_d), trace=levels)
+        result = path_or_empty_bipartite(work, (sub & -sub).bit_length() - 1,
+                                         ExtractorParams(big_t, big_d), trace=levels, mask=sub)
         trace["extractor"] = levels
         if isinstance(result, InducedPathWitness):
             path = result
@@ -208,7 +214,8 @@ def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy-peel") ->
             return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
         trace["guarantee_tier"] = "trivial"
         trace["outcome_reason"] = "path-below-k"
-        return ExtractionReport("trivial-witness", _trivial_pair(g), consts, trace, complemented)
+        return ExtractionReport("trivial-witness", _trivial_pair(g, mask), consts, trace,
+                                complemented)
 
     assert pair is not None
     if complemented:
@@ -247,8 +254,6 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
     ``details``, if provided, is filled with the achieved size, the size of
     the extracted P4-free set, and the asymptotic n^(c'/2) reference bound.
     """
-    if g.origin is not None:
-        raise ValueError("pass the root graph")
     consts = choose_constants(k)
     if g.n == 1:
         witness = HomogeneousSetWitness("stable", frozenset([0]), Fraction(0), 0)
@@ -256,8 +261,8 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
             details.update(achieved=1, extracted_size=1, theoretical_bound=1.0)
         return witness
 
-    def fn(sub: Graph) -> BipartitePairWitness:
-        report = extract_linear_bipartite(sub, k, strategy)
+    def fn(g: Graph, mask: int) -> BipartitePairWitness:
+        report = extract_linear_bipartite(g, k, strategy, mask)
         if report.outcome == "pattern-certificate":
             raise _PatternAbort(report.witness)  # type: ignore[arg-type]
         return report.witness  # type: ignore[return-value]
@@ -271,8 +276,7 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
     except _PatternAbort as abort:
         return abort.embedding
 
-    sub = induced(g, extracted)
-    folded = cograph_alpha_omega(sub)
+    folded = cograph_alpha_omega(g, mask_of(extracted))
     assert not isinstance(folded, PatternEmbedding), "extracted set must be P4-free"
     stable, clique = folded
     if len(stable) >= len(clique):

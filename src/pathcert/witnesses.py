@@ -8,10 +8,9 @@ thresholds are compared in exact rational arithmetic, and the first violated
 condition is named in a fixed order (range, distinctness, adjacency, count)
 so failures are deterministic.
 
-Vertex ids inside witnesses always refer to the outermost ancestor of the
-graph the producer was handed ("root ids"); producers translate through
-``Graph.origin`` before returning.  Callers therefore verify witnesses
-against the graph they started from.
+Vertex ids inside witnesses are the ids of the graph the producer was
+handed: producers run on that graph plus a vertex mask and never relabel,
+so callers verify witnesses against the graph they started from.
 """
 
 from __future__ import annotations

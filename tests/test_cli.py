@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +201,41 @@ def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: malformed witness")
+
+
+def load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_bindings_and_probes(tmp_path):
+    """The benchmark's traced run rebinds every layer by module attribute
+    and reads report fields in its probes; a binding or field the library
+    lost fails here, not only in a traced benchmark run."""
+    import pathcert.cli
+    from pathcert.formats import write_edge_list
+    from pathcert.generators import GeneratorSpec, generate
+
+    tracing = load_bench_tracing()
+    tracer = tracing.Tracer()  # resolves every binding
+    traced_main = tracer.wrap(tracing.ROOT_SPAN, pathcert.cli.main)
+    src = tmp_path / "g.edges"
+    src.write_text(write_edge_list(generate(GeneratorSpec("cograph", 60, seed=3))))
+    for request, (command, k) in enumerate((("pipeline", "5"), ("eh", "4"))):
+        with tracer.installed(request):
+            assert traced_main([command, "--input", str(src), "--format", "edges",
+                                "--k", k, "--out", str(tmp_path / f"{command}.json")]) == 0
+    for module, attr, original, _ in tracer._bindings:
+        assert getattr(module, attr) is original
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "formats.read_graph", "homogeneous.find_epsilon_homogeneous",
+            "pipeline.extract_linear_bipartite", "pipeline.eh_homogeneous",
+            "cographs.p4free_extract", "cographs.cograph_alpha_omega", "cographs.cotree",
+            "witnesses.verify_bipartite_pair"} <= names
+    end = max(span[2] for span in tracer.spans)
+    start = min(span[1] for span in tracer.spans)
+    metrics = tracer.layer_metrics(2, end - start)
+    assert metrics["cographs.oracle_calls"] > 0

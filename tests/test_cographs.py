@@ -128,7 +128,7 @@ def test_p4free_extract_output_p4_free_and_sized():
 
 def test_p4free_rejects_bad_oracle_witness():
     lying = BipartiteOracle(Fraction(1, 2),
-                            lambda g: BipartitePairWitness("empty",
+                            lambda g, mask: BipartitePairWitness("empty",
                                                            frozenset({0}),
                                                            frozenset({1})))
     with pytest.raises(OracleError):
@@ -136,7 +136,7 @@ def test_p4free_rejects_bad_oracle_witness():
 
 
 def test_p4free_rejects_undersized_sides():
-    def tiny_pair(g):
+    def tiny_pair(g, mask):
         return BipartitePairWitness("empty", frozenset({0}), frozenset({1}))
 
     lying = BipartiteOracle(Fraction(1, 2), tiny_pair)

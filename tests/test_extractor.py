@@ -4,7 +4,7 @@ import pytest
 
 from pathcert.extractor import (ExtractorParams, path_guarantee,
                                 path_or_empty_bipartite, split_small_components)
-from pathcert.graph import build_graph, empty_graph, friendship_graph, path_graph
+from pathcert.graph import build_graph, empty_graph, friendship_graph, mask_of, path_graph
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, verify)
 
@@ -75,22 +75,22 @@ def test_small_split_case():
 
 
 def test_split_small_components_examples():
-    comps = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
+    comps = [mask_of({0, 1}), mask_of({2, 3}), mask_of({4, 5})]
     a, b = split_small_components(comps, 2)
-    assert a == frozenset({0, 1}) and b == frozenset({2, 3, 4, 5})
-    a, b = split_small_components([frozenset({0}), frozenset({1}), frozenset({2})], 1)
-    assert a == frozenset({0}) and b == frozenset({1, 2})
+    assert a == mask_of({0, 1}) and b == mask_of({2, 3, 4, 5})
+    a, b = split_small_components([mask_of({0}), mask_of({1}), mask_of({2})], 1)
+    assert a == mask_of({0}) and b == mask_of({1, 2})
     with pytest.raises(ValueError, match="cannot split"):
-        split_small_components([frozenset({0, 1, 2})], 2)
+        split_small_components([mask_of({0, 1, 2})], 2)
 
 
 def test_split_respects_given_order_and_bounds():
-    comps = [frozenset({6, 7}), frozenset({0, 1}), frozenset({2}), frozenset({3}),
-             frozenset({4, 8}), frozenset({5, 9, 10})]
+    comps = [mask_of({6, 7}), mask_of({0, 1}), mask_of({2}), mask_of({3}),
+             mask_of({4, 8}), mask_of({5, 9, 10})]
     a, b = split_small_components(comps, 3)
-    assert a == frozenset({6, 7, 0, 1})
-    assert b == frozenset({2, 3, 4, 8, 5, 9, 10})
-    assert len(a) < 2 * 3 and len(b) >= 3
+    assert a == mask_of({6, 7, 0, 1})
+    assert b == mask_of({2, 3, 4, 8, 5, 9, 10})
+    assert a.bit_count() < 2 * 3 and b.bit_count() >= 3
 
 
 def _witness_is_sound(g, x, params, w):

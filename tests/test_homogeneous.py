@@ -71,10 +71,10 @@ PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), 
 def assert_peel_matches_brute(g):
     co = complement(g)
     for eps in PEEL_EPSILONS:
-        assert _peel(g.adj, g.n, eps, dense=False) == brute_peel(g.adj, g.n, eps)
+        assert _peel(g.adj, g.full_mask, eps, dense=False) == brute_peel(g.adj, g.n, eps)
         mask, missing = brute_peel(co.adj, g.n, eps)
         size = mask.bit_count()
-        assert _peel(g.adj, g.n, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
+        assert _peel(g.adj, g.full_mask, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
 
 
 def test_peel_matches_brute_on_every_graph_up_to_5_vertices():

@@ -1,10 +1,11 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
-from pathcert.graph import complete_graph, empty_graph, path_graph
+from pathcert.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from pathcert.patterns import is_pk_copk_free
 from pathcert.pipeline import (choose_constants, eh_homogeneous,
                                extract_linear_bipartite, stage1_target)
@@ -196,3 +197,25 @@ def test_eh_cograph_64_reaches_sqrt_n():
 def test_eh_single_vertex():
     w = eh_homogeneous(empty_graph(1), 4)
     assert w.S == frozenset({0})
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("g", [path_graph(400), cycle_graph(400)], ids=["path", "cycle"])
+def test_deep_extractor_walk_needs_no_recursion(g):
+    # The path/pair walk takes over 300 grow steps here; with the stack
+    # capped 150 frames above this one, one frame per step would overflow.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        report = extract_linear_bipartite(g, 5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(report.trace["extractor"]) > 300
+    assert report.outcome == "pattern-certificate"
+    assert verify(g, report.witness)
