@@ -20,7 +20,7 @@ from .homogeneous import (DeltaBound, find_epsilon_homogeneous,
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
 from .cographs import (BipartiteOracle, CographDecomposition, OracleError,
                        cograph_alpha_omega, cotree, exact_bipartite_oracle,
-                       exponent_for, p4free_extract)
+                       p4free_extract)
 from .pipeline import (ExtractionReport, PipelineConstants, choose_constants,
                        eh_homogeneous, extract_linear_bipartite)
 from .generators import (CertifiedSample, GeneratorSpec, generate, gnp,

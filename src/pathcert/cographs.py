@@ -249,43 +249,3 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
         return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
 
     return recurse(g.full_mask)
-
-
-@dataclass(frozen=True)
-class ExponentBound:
-    """c' with c^(c') >= 1/2, i.e. c' = log 2 / log(1/c).
-
-    Exact (a Fraction) when 1/c is a power of two, in which case the
-    defining inequality is certified in integer arithmetic and holds with
-    equality.  Otherwise the value is a float and ``check_ok`` certifies the
-    inequality at a rational lower bound of it (c^x decreases in x, so any
-    exponent below the true c' satisfies it).
-    """
-
-    c: Fraction
-    value: Fraction | float
-    exact: bool
-    check_ok: bool
-
-
-def _rational_power_check(c: Fraction, p: int, q: int) -> bool:
-    """c^(p/q) >= 1/2 for positive p, q, decided exactly: equivalent to
-    c^p * 2^q >= 1."""
-    return c ** p * 2 ** q >= 1
-
-
-def exponent_for(c: Fraction) -> ExponentBound:
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise ValueError("c must be in (0, 1)")
-    inv = 1 / c
-    if inv.denominator == 1 and inv.numerator & (inv.numerator - 1) == 0:
-        m = inv.numerator.bit_length() - 1
-        value = Fraction(1, m)
-        ok = _rational_power_check(c, value.numerator, value.denominator)
-        return ExponentBound(c, value, True, ok)
-    value = 1.0 / (math.log2(inv.numerator) - math.log2(inv.denominator))
-    q = 64
-    p = max(1, math.floor(value * q) - 1)  # strictly below the true exponent
-    ok = _rational_power_check(c, p, q)
-    return ExponentBound(c, value, False, ok)

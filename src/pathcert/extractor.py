@@ -11,6 +11,18 @@ components themselves form the empty pair.  The walk is a loop over
 (vertex mask, start) in the input graph's own ids, so its depth is not
 bounded by the interpreter's recursion limit.
 
+Each level finds the components beyond the start without sweeping all of
+them, after the search of Even and Shiloach ("An on-line edge-deletion
+problem", J. ACM 1981).  Every component holds a seed, a neighbour of one of
+the start's neighbours.  One breadth-first search per seed advances a layer
+per round, searches that meet fuse, and the level stops as soon as at most
+one search is still open: that one is whatever the closed ones leave.  A
+level thus takes as many rounds as the parts other than the largest need to
+close, and the largest part is not swept to its end.  On a path (one seed)
+no level sweeps anything; on a cycle only the first level does, by two
+searches that meet halfway.  A full sweep per level would make a walk of L
+levels cost L sweeps of the graph.
+
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
 specializes to 1 / (2 (eps + c)).
@@ -70,8 +82,49 @@ def split_small_components(comps: Sequence[int], target: int) -> tuple[int, int]
     return a, b
 
 
-def _is_connected_mask(adj, mask: int) -> bool:
-    return len(component_masks(adj, mask)) == 1
+def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
+    """``component_masks(adj, u)`` (same masks, same order) when every
+    component of the subgraph on ``u`` contains a vertex of ``seeds``.
+
+    One breadth-first search per seed advances a layer per round; searches
+    whose discovered sets meet are in one component and fuse.  A search
+    whose frontier runs dry is a whole component.  Once at most one search
+    is open, the rest of ``u`` is a single component and is never swept.
+    """
+    searches = [(bit, bit) for bit in (1 << v for v in bits(seeds))]  # (seen, frontier)
+    parts = []
+    while len(searches) > 1:
+        fused: list[tuple[int, int]] = []  # (seen, expanded) per fused search
+        touched = 0
+        for seen, frontier in searches:
+            grown = 0
+            for v in bits(frontier):
+                grown |= adj[v]
+            reach, done = seen | grown & u, seen
+            if reach & touched:
+                rest = []
+                for other_reach, other_done in fused:
+                    if other_reach & reach:
+                        reach |= other_reach
+                        done |= other_done
+                    else:
+                        rest.append((other_reach, other_done))
+                fused = rest
+            fused.append((reach, done))
+            touched |= reach
+        searches = []
+        for reach, done in fused:
+            if reach == done:
+                parts.append(reach)
+            else:
+                searches.append((reach, reach & ~done))
+    closed = 0
+    for part in parts:
+        closed |= part
+    if u & ~closed:
+        parts.append(u & ~closed)
+    parts.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    return parts
 
 
 def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
@@ -95,7 +148,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
         if cd > params.D:
             raise ValueError(
                 f"closed degree of vertex {v} is {cd}, above the bound D={params.D}")
-    if not _is_connected_mask(adj, mask):
+    if len(component_masks(adj, mask)) != 1:
         raise ValueError("input graph is disconnected")
 
     T, D = params.T, params.D
@@ -121,7 +174,10 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
         closed = (adj[start] | (1 << start)) & mask
         u = mask & ~closed
-        comps = component_masks(adj, u)
+        seeds = 0
+        for w in bits(closed & ~(1 << start)):
+            seeds |= adj[w]
+        comps = _components_from_seeds(adj, u, seeds & u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
@@ -132,7 +188,6 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
                     break
             assert y >= 0, "some neighbor of the start must reach the largest component"
             sub = c1 | (1 << y)
-            assert _is_connected_mask(adj, sub)
             note(n=m, case="grow", c1=c1_size, via=(input_mask & ((1 << y) - 1)).bit_count())
             path.append(start)
             mask, start = sub, y

@@ -1,10 +1,12 @@
 """Serialization: graph6, edge-list text, and witness/report JSON.
 
-graph6 follows the published format for the short (single size byte) form,
-n <= 62: byte 63+n, then the upper-triangle bits column-major ((0,1), (0,2),
-(1,2), (0,3), ...), packed big-endian six to a byte, each byte offset by 63.
-Larger graphs use the edge-list text format: a header line "n m" followed by
-m lines "u v" with 0-based endpoints.
+graph6 follows the published format for n <= 258047: the size is byte 63+n
+for n <= 62, else "~" and three bytes holding n in 18 bits, six to a byte,
+most significant first, each offset by 63; then come the upper-triangle bits
+column-major ((0,1), (0,2), (1,2), (0,3), ...), packed big-endian six to a
+byte, each byte offset by 63.  The 8-byte size form (n > 258047) is
+rejected.  The edge-list text format is a header line "n m" followed by m
+lines "u v" with 0-based endpoints.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ import json
 import re
 from fractions import Fraction
 
-from .graph import Graph, build_graph, complement, path_graph
+from .graph import Graph, bits, build_graph, complement, path_graph
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
 
-GRAPH6_MAX_N = 62
+GRAPH6_MAX_N = 258047  # the largest n of the 4-byte size form
+
+# graph6 data byte -> its six bits, most significant first.
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -27,22 +32,40 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _graph6_size(n: int) -> str:
+    if n <= 62:
+        return chr(63 + n)
+    if n <= GRAPH6_MAX_N:
+        return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    raise ValueError(f"graph6 covers n <= {GRAPH6_MAX_N}, got {n}")
+
+
 def encode_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"short graph6 form covers n <= {GRAPH6_MAX_N}, got {g.n}")
-    out = [chr(63 + g.n)]
-    bit_buffer = 0
-    bit_count = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bit_buffer = (bit_buffer << 1) | (1 if g.has_edge(i, j) else 0)
-            bit_count += 1
-            if bit_count == 6:
-                out.append(chr(63 + bit_buffer))
-                bit_buffer, bit_count = 0, 0
-    if bit_count:
-        out.append(chr(63 + (bit_buffer << (6 - bit_count))))
-    return "".join(out)
+    size = _graph6_size(g.n)
+    # column j lists rows 0..j-1, row 0 first: the low j bits of adj[j], reversed
+    bitstr = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                     for j in range(1, g.n))
+    bitstr += "0" * (-len(bitstr) % 6)
+    return size + "".join(chr(63 + int(bitstr[i:i + 6], 2)) for i in range(0, len(bitstr), 6))
+
+
+def _decode_graph6_size(s: str) -> tuple[int, int]:
+    """(n, length of the size field) of graph6 text ``s``."""
+    if s[0] != "~":
+        if not 63 <= ord(s[0]) < 126:
+            raise Graph6Error(f"invalid size byte {s[0]!r}", 0)
+        return ord(s[0]) - 63, 1
+    if s[1:2] == "~":
+        raise Graph6Error(f"the 8-byte size form (n > {GRAPH6_MAX_N}) is not supported", 0)
+    if len(s) < 4:
+        raise Graph6Error("truncated size field", len(s))
+    n = 0
+    for offset in (1, 2, 3):
+        val = ord(s[offset]) - 63
+        if not 0 <= val < 64:
+            raise Graph6Error(f"invalid size byte {s[offset]!r}", offset)
+        n = n << 6 | val
+    return n, 4
 
 
 def decode_graph6(text: str) -> Graph:
@@ -51,42 +74,28 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty input", 0)
-    first = ord(s[0])
-    if first == 126:
-        raise Graph6Error("multi-byte size forms are not supported", 0)
-    if not 63 <= first <= 63 + GRAPH6_MAX_N:
-        raise Graph6Error(f"invalid size byte {s[0]!r}", 0)
-    n = first - 63
+    n, head = _decode_graph6_size(s)
     if n < 1:
         raise Graph6Error("graphs have at least one vertex", 0)
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(s) - 1 != need:
-        raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(s) - 1}",
-                          min(len(s), need + 1))
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(s) - head != need:
+        raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(s) - head}",
+                          min(len(s), need + head))
+    bad = re.search(r"[^?-~]", s[head:])
+    if bad:
+        raise Graph6Error(f"invalid data byte {bad.group()!r}", head + bad.start())
+    bitstr = s[head:].translate(_SIX_BITS)
+    if "1" in bitstr[total:]:
+        raise Graph6Error("nonzero padding bits", len(s) - 1)
     edges = []
-    bit_index = 0
-    for offset, ch in enumerate(s[1:], start=1):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise Graph6Error(f"invalid data byte {ch!r}", offset)
-        for b in range(5, -1, -1):
-            if bit_index >= n * (n - 1) // 2:
-                if (val >> b) & 1:
-                    raise Graph6Error("nonzero padding bits", offset)
-                continue
-            if (val >> b) & 1:
-                edges.append(_pair_at(bit_index))
-            bit_index += 1
+    start = 0
+    for j in range(1, n):
+        column = bitstr[start:start + j]
+        start += j
+        if "1" in column:
+            edges.extend((i, j) for i in bits(int(column[::-1], 2)))
     return build_graph(n, edges)
-
-
-def _pair_at(bit_index: int) -> tuple[int, int]:
-    # column-major upper triangle: column j holds bits for rows 0..j-1
-    j = 1
-    while j * (j - 1) // 2 + j <= bit_index:
-        j += 1
-    i = bit_index - j * (j - 1) // 2
-    return i, j
 
 
 def write_edge_list(g: Graph) -> str:
@@ -213,13 +222,27 @@ def constants_to_dict(c: PipelineConstants) -> dict:
     }
 
 
+def _extractor_summary(levels: list[dict]) -> dict:
+    """The extractor's per-level trace in a fixed size: the level count, the
+    count of each case in first-seen order, and the last level's dict."""
+    cases: dict[str, int] = {}
+    for level in levels:
+        cases[level["case"]] = cases.get(level["case"], 0) + 1
+    return {"levels": len(levels), "cases": cases, "last": levels[-1]}
+
+
 def report_to_dict(r: ExtractionReport) -> dict:
+    """JSON-safe report.  The extractor's per-level list (one dict per walk
+    level, thousands on long paths) is written as ``_extractor_summary``."""
+    trace = dict(r.trace)
+    if "extractor" in trace:
+        trace["extractor"] = _extractor_summary(trace["extractor"])
     return {
         "outcome": r.outcome,
         "witness": witness_to_dict(r.witness),
         "complemented": r.complemented,
         "constants": constants_to_dict(r.constants),
-        "trace": r.trace,
+        "trace": trace,
     }
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from pathcert.graph import Graph, bits, build_graph, mask_of
+from pathcert.extractor import ExtractorParams, split_small_components
+from pathcert.graph import Graph, bits, build_graph, component_masks, mask_of
 from pathcert.generators import gnp
 from pathcert.rng import SplitMix64, stream
+from pathcert.witnesses import BipartitePairWitness, InducedPathWitness
 
 
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
@@ -148,6 +150,47 @@ def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
         edges -= worst_deg
         size -= 1
     return mask, edges
+
+
+def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
+    """The path/pair walk with a full component sweep per level (oracle for
+    the seeded search in the extractor): returns (witness, per-level trace)
+    on a valid input, asserting at each grow level that the next mask is
+    connected."""
+    adj = g.adj
+    T, D = params.T, params.D
+    input_mask = mask
+    trace: list = []
+    path: list[int] = []
+    start = x
+    while True:
+        m = mask.bit_count()
+        if 3 * T + D >= m:
+            trace.append({"n": m, "case": "base"})
+            if m == 1:
+                return InducedPathWitness(tuple(path + [start])), trace
+            nb = adj[start] & mask
+            return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1])), trace
+        u = mask & ~(adj[start] | 1 << start)
+        comps = component_masks(adj, u)
+        c1 = comps[0]
+        c1_size = c1.bit_count()
+        if c1_size >= m - D - T:
+            y = min(v for v in bits(adj[start] & mask) if adj[v] & c1)
+            sub = c1 | 1 << y
+            assert len(component_masks(adj, sub)) == 1
+            trace.append({"n": m, "case": "grow", "c1": c1_size,
+                          "via": (input_mask & ((1 << y) - 1)).bit_count()})
+            path.append(start)
+            mask, start = sub, y
+            continue
+        if c1_size >= T:
+            trace.append({"n": m, "case": "middle-split", "c1": c1_size})
+            return BipartitePairWitness("empty", frozenset(bits(c1)),
+                                        frozenset(bits(u & ~c1))), trace
+        a, b = split_small_components(comps, T)
+        trace.append({"n": m, "case": "small-split", "c1": c1_size})
+        return BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b))), trace
 
 
 def planted_sparse_graph(s: int, epsilon: Fraction, rng: SplitMix64) -> Graph:

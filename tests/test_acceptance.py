@@ -25,7 +25,6 @@ from pathcert.pipeline import choose_constants, extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (InducedPathWitness, PatternEmbedding, verify,
                                 verify_embedding)
-from pathcert.cographs import exponent_for
 
 from conftest import (brute_max_clique_size, brute_max_stable_size,
                       planted_sparse_graph, seeded_connected_graph)
@@ -118,9 +117,9 @@ def test_doubling_recursion():
     extraction yields brute-force-P4-free sets of size >= n^c' / 2."""
     t0 = time.perf_counter()
     checked = 0
-    for c, corpus in ((Fraction(1, 2), _doubling_corpus_half()),
-                      (Fraction(1, 4), _doubling_corpus_quarter())):
-        c_prime = exponent_for(c).value  # exact: 1 and 1/2
+    # c' solves c^(c') = 1/2: 1 at c = 1/2 and 1/2 at c = 1/4
+    for c, c_prime, corpus in ((Fraction(1, 2), 1, _doubling_corpus_half()),
+                               (Fraction(1, 4), Fraction(1, 2), _doubling_corpus_quarter())):
         oracle = exact_bipartite_oracle(c)
         for g in corpus:
             s = p4free_extract(g, oracle)
@@ -215,9 +214,9 @@ def test_constants():
     d = fox_sudakov_delta(5, Fraction(1, 2))
     assert d.exponent == -75
     assert d.delta == Fraction(1, 2 ** 75)
-    e = exponent_for(Fraction(1, 4))
-    assert e.exact and e.value == Fraction(1, 2)
-    assert Fraction(1, 4) ** e.value.numerator * 2 ** e.value.denominator >= 1  # c^(1/2) >= 1/2
+    # c^(p/q) >= 1/2 iff c^p * 2^q >= 1: the exponent 1/2 holds at c = 1/4
+    # with equality, so no larger one does
+    assert Fraction(1, 4) ** 1 * 2 ** 2 == 1
     print("PASS constants: epsilon=c=1/30, path bound 5, delta(5,1/2)=2^-75, "
           "exponent(1/4)=1/2")
 

@@ -5,7 +5,7 @@ import pytest
 
 from pathcert.cographs import (BipartiteOracle, CographDecomposition, OracleError,
                                cograph_alpha_omega, cotree, exact_bipartite_oracle,
-                               exponent_for, p4free_extract)
+                               p4free_extract)
 from pathcert.graph import (build_graph, complement, complete_bipartite_graph,
                             complete_graph, cycle_graph, empty_graph, induced,
                             path_graph)
@@ -181,25 +181,6 @@ def test_exact_oracle_guard():
     oracle = exact_bipartite_oracle(Fraction(1, 2))
     with pytest.raises(ValueError, match="n <= 32"):
         oracle.fn(empty_graph(33))
-
-
-def test_exponent_for_values():
-    res = exponent_for(Fraction(1, 4))
-    assert res.exact and res.value == Fraction(1, 2) and res.check_ok
-    res = exponent_for(Fraction(1, 2))
-    assert res.exact and res.value == 1 and res.check_ok
-
-
-def test_exponent_for_monotone_toward_one():
-    values = [exponent_for(Fraction(num, 10)).value for num in (2, 5, 8, 9)]
-    assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_exponent_for_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        exponent_for(Fraction(1))
-    with pytest.raises(ValueError):
-        exponent_for(Fraction(0))
 
 
 def test_oracle_cutoff_default():

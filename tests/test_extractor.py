@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from pathcert.extractor import (ExtractorParams, path_guarantee,
+from pathcert.extractor import (ExtractorParams, _components_from_seeds, path_guarantee,
                                 path_or_empty_bipartite, split_small_components)
-from pathcert.graph import build_graph, empty_graph, friendship_graph, mask_of, path_graph
+from pathcert.generators import gnp, random_cograph
+from pathcert.graph import (bits, build_graph, component_masks, cycle_graph, empty_graph,
+                            friendship_graph, mask_of, path_graph)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, verify)
 
-from conftest import seeded_connected_graph
+from conftest import seeded_connected_graph, sweep_walk
 
 
 def spider():
@@ -144,3 +146,78 @@ def test_rational_threshold_instantiation():
                              D=-(-eps.numerator * n // eps.denominator))
     w = path_or_empty_bipartite(g, 0, params)
     _witness_is_sound(g, 0, params, w)
+
+
+def hub():
+    # hub 0 over seven pendant edges (the small-split case at T = 2)
+    return build_graph(15, [(0, i) for i in range(1, 8)] + [(i, i + 7) for i in range(1, 8)])
+
+
+def masked_corpus(tag: int, count: int, max_n: int):
+    """(graph, mask) pairs: seeded gnp graphs and cographs, each with a random
+    mask keeping about three vertices in four.  Odd seeds draw sparse gnp
+    graphs (average degree about 1.5 to 4), whose long walks reach many grow
+    levels; even seeds draw p up to 3/5."""
+    for seed in range(count):
+        rng = stream(tag, seed)
+        n = rng.randint(2, max_n)
+        if seed % 2:
+            p = min(Fraction(1), Fraction(rng.randint(15, 40), 10 * n))
+        else:
+            p = Fraction(rng.randint(1, 60), 100)
+        for g in (gnp(n, p, rng), random_cograph(n, rng)):
+            yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
+
+
+def walk_cases():
+    """(graph, connected mask, start) over the corpus, paths, cycles and the
+    hand-made cases, with seeded random starts."""
+    rng = stream(0xE5EE)
+    for g, mask in masked_corpus(0xE5E0, 80, 120):
+        for part in component_masks(g.adj, mask)[:2]:
+            members = list(bits(part))
+            yield g, part, members[rng.below(len(members))]
+    for n in (1, 2, 5, 40, 131):
+        g = path_graph(n)
+        yield g, g.full_mask, rng.below(n)
+        lo = rng.below(n)
+        yield g, mask_of(range(lo, n)), lo + rng.below(n - lo)
+    for n in (3, 7, 40, 130):
+        g = cycle_graph(n)
+        yield g, g.full_mask, rng.below(n)
+    legs = build_graph(25, [(0, i) for i in range(1, 9)]
+                       + [(i, i + 8) for i in range(1, 9)] + [(i, i + 8) for i in range(9, 17)])
+    for g in (spider(), hub(), legs, friendship_graph(6), bridged_triangles()):
+        for x in range(g.n):
+            yield g, g.full_mask, x
+
+
+def test_walk_matches_full_sweep_oracle():
+    rng = stream(0xE5EF)
+    checked = 0
+    for g, mask, x in walk_cases():
+        dmax = max((g.adj[v] & mask).bit_count() for v in bits(mask)) + 1
+        for big_t in (1, 2, 3, 5):
+            params = ExtractorParams(big_t, dmax + rng.below(3))
+            trace: list = []
+            w = path_or_empty_bipartite(g, x, params, trace, mask)
+            assert (w, trace) == sweep_walk(g, x, params, mask), (g.n, mask, x, params)
+            checked += 1
+    assert checked > 1000
+
+
+def test_seeded_components_equal_full_sweep_at_every_start():
+    # Seeds as the walk forms them: the neighbours of the start's neighbours
+    # beyond its closed neighbourhood, inside a connected mask.
+    checked = 0
+    for g, mask in masked_corpus(0xE5E1, 80, 50):
+        for part in component_masks(g.adj, mask):
+            for x in bits(part):
+                closed = (g.adj[x] | 1 << x) & part
+                u = part & ~closed
+                seeds = 0
+                for w in bits(closed & ~(1 << x)):
+                    seeds |= g.adj[w]
+                assert _components_from_seeds(g.adj, u, seeds & u) == component_masks(g.adj, u)
+                checked += 1
+    assert checked > 3000

@@ -9,6 +9,7 @@ lexicographic search maps one to one.  The CLI digests at the end pin whole
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -167,50 +168,76 @@ def test_exact_oracle_on_mask_equals_induced():
                 assert oracle.fn(g, mask) == direct
 
 
-# (command, family, n, p, seed, k, strategy, SHA-256 of the output file).
+# (command, family, n, p, seed, k, strategy, SHA-256 of the witness, SHA-256
+# of the output file).  The witness digest hashes output["witness"] as
+# canonical JSON (sorted keys, no spaces), as bench/run.py does; the witness
+# digests were captured before the extractor's seeded component search.  The
+# six pipeline runs that reach the extractor got new file digests when report
+# JSON began to write ``trace.extractor`` as a fixed-size summary; nothing
+# else in those files changed.
 # Between them the pipeline cases reach stage 3's component split and
 # recurse-largest branches, the complemented side, the extractor's grow and
 # middle-split cases, a co-P4 certificate and the exact and trivial strategies.
 CLI_PINS = [
     ("pipeline", "gnp", 60, "1/2", 1, 5, "greedy",
+     "aa608825d80641579c1b7a495a5da20424ec482ba4e6ff4e39e1cb77db5aa7c2",
      "c77d93fb369359564df41dc248dcb0fb6dc53af00d0b5c885609918eb89afd63"),
     ("pipeline", "gnp", 40, "1/2", 2, 4, "greedy",
+     "4d4e5ce1e293924f3dc96f72ee400bbbe1c67667a3498a5981c921dcf3c9d94d",
      "4df8152cb714a69802bda673169189c665884dc6166939a9d1bfac6b423d9650"),
     ("pipeline", "gnp", 150, "1/10", 2, 4, "greedy",
-     "beba7b0ccc7b72ff68003a70da37a2f0dd7096c46ecf3098b35557b58b00ab7c"),
+     "8488cc4766059ee640f4ea67e96ba58704e3a3f7d7c708f806b978bf0550da7e",
+     "c59e1f17b2c382eb56b51951db9d8fc329ddeff113009009886449c5dc838169"),
     ("pipeline", "gnp", 250, "1/10", 0, 5, "greedy",
-     "37a6372c5f98ff89d0537fd708e7d010b0fba527a0a6d79ffe03e79c14172177"),
+     "0cd46fc2cd0560633ec7e36b9dddff4662204f983ceb36c93310223c53ebea25",
+     "ca32fa8f20d2eb1a61fc73fbb56c6051851dcd4788920356271a55a8a849fb30"),
     ("pipeline", "gnp", 150, "9/10", 1, 4, "greedy",
-     "97b7d3ce8f16d0e4de6303fed97e64423c931ea449f6d0507a20ad4959ec25ae"),
+     "ec8c994e4304d7982a0f41428d0cee2780aef9d0ef77a82e51d5764f5f2b87a4",
+     "0c4bbfb71dd421a6bfcb4672004b4e1e3cff14b07d9ca418c06da5779c12045a"),
     ("pipeline", "gnp", 150, "9/10", 3, 4, "greedy",
-     "070ab42607264becfcf081676b37f35a86e87f5fdeebd6132f6686272a17def8"),
+     "b5fb40ced2de235c96a8546c8ad72ec0c20d41c640c10c9e81abf55b4c3923fb",
+     "a7564b21f61bb8066c07e797780e7e9479214f2c724b73ac65801a7359565d7a"),
     ("pipeline", "gnp", 14, "1/2", 4, 3, "exact",
+     "ac7571c2a92ed0e21b87053e71227ee058d2fdbc70edcf4ab80085162f7b02c9",
      "83e35b0883f39ce3dbf9ccc1d56df82c02b164f14d1e2e4c8abff216755adfff"),
     ("pipeline", "gnp", 20, "1/2", 5, 5, "trivial",
-     "5227b374d4c566ec2bc61fe4087b95dda2ef6d0cdeddeaaae9596213546d8c06"),
+     "cd51bcaeff00b912cb420b49782b06110cf4494ada95afd812f774e1ac09afc7",
+     "eae45b8f6edf5eda87544d7b7f94ffb3391964faffacc57a101f464c5c519e23"),
     ("pipeline", "cograph", 150, None, 6, 5, "greedy",
+     "ed7275f9dbb028f385c022b6a449328a307588561b0d95074e15cacfc113f59c",
      "510aa39cb1166d3b5210755124fc594f25dfa265267cda863fb109638bf4b38a"),
     ("pipeline", "path", 90, None, 0, 5, "greedy",
-     "935ed52805d6eae9a1baab41ccd89971f1506340c7b7f40c79aa73c722181ef1"),
+     "3a97b85840d03f1fc9084745ef061c408a7ed7aa87d057d39230e4e0cd5b5997",
+     "74b81e6e646103b281222c2adcb9e561755c4da4c54340eacded7f2ef2e20019"),
     ("eh", "cograph", 120, None, 7, 4, "greedy",
+     "be5472749783e75b11ce1aa4e1f7eab56088e053bf6ab2b97e02a640c65948f9",
      "75926fbed34e044277918ea7563e8405eb8c7557305032e69972691007d6de18"),
     ("eh", "cograph", 260, None, 8, 4, "greedy",
+     "8a7f1fb40fa648297e01152962213486fa69084b0360c94f58ab6580edee4359",
      "45a7e70045ee72cd15e39127fde857461be731b46b2ba2d752c29085ef805084"),
     ("eh", "gnp", 40, "1/2", 9, 4, "greedy",
+     "1e2d813e102a8ede6c20d3a9aa8715e10c9022351539ad4f9de51c515865fcbe",
      "8fc4f3bafe510da4b180532bd1456909f555b2f0d53e56e49bbf9d44f69dccd4"),
     ("eh", "gnp", 14, "1/2", 10, 3, "exact",
+     "906f0690a0130aaa09b511fed32db532d5e831ccf2dc9aacd574d967a73ef7e5",
      "5ea6ee559120355847227267356fd99beabfbaa9f0bf6b83cb5f50520ecc7c83"),
     ("eh", "complete-bipartite", 30, None, 0, 4, "greedy",
+     "30610951bd75c518ea3f2163a18143c8465f4a547614b01ab2bc18997e4c4d7f",
      "60819f855f6e7451a85e7b4ff556f3a61d035f6ee6698e5c8dd55cc48ab631f6"),
 ]
 
 
-@pytest.mark.parametrize("command, family, n, p, seed, k, strategy, digest", CLI_PINS,
+@pytest.mark.parametrize("command, family, n, p, seed, k, strategy, witness_digest, digest",
+                         CLI_PINS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[4]}-{c[6]}" for c in CLI_PINS])
-def test_cli_output_pinned(tmp_path, command, family, n, p, seed, k, strategy, digest):
+def test_cli_output_pinned(tmp_path, command, family, n, p, seed, k, strategy,
+                           witness_digest, digest):
     g = generate(GeneratorSpec(family, n, p=Fraction(p) if p else None, seed=seed))
     src, out = tmp_path / "g.edges", tmp_path / "out.json"
     src.write_text(formats.write_edge_list(g))
     assert main([command, "--input", str(src), "--format", "edges", "--k", str(k),
                  "--strategy", strategy, "--out", str(out)]) == 0
+    witness = json.dumps(json.loads(out.read_bytes())["witness"], sort_keys=True,
+                         separators=(",", ":"))
+    assert hashlib.sha256(witness.encode()).hexdigest() == witness_digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from pathcert import extractor
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
-from pathcert.graph import complete_graph, cycle_graph, empty_graph, path_graph
+from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
+                            path_graph)
 from pathcert.patterns import is_pk_copk_free
 from pathcert.pipeline import (choose_constants, eh_homogeneous,
                                extract_linear_bipartite, stage1_target)
@@ -219,3 +221,17 @@ def test_deep_extractor_walk_needs_no_recursion(g):
     assert len(report.trace["extractor"]) > 300
     assert report.outcome == "pattern-certificate"
     assert verify(g, report.witness)
+
+
+@pytest.mark.parametrize("g", [path_graph(5000), cycle_graph(5000)], ids=["path", "cycle"])
+def test_deep_extractor_walk_at_n5000(g, monkeypatch):
+    # Over 4000 grow levels; the walk's only full component sweep is its
+    # entry-time connectivity check, so the run stays linear in the levels.
+    sweeps = []
+    monkeypatch.setattr(extractor, "component_masks",
+                        lambda adj, mask: sweeps.append(mask) or component_masks(adj, mask))
+    report = extract_linear_bipartite(g, 5)
+    assert report.outcome == "pattern-certificate"
+    assert verify(g, report.witness)
+    assert len(report.trace["extractor"]) > 4000
+    assert len(sweeps) == 1
