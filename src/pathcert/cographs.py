@@ -33,17 +33,16 @@ class CographDecomposition:
     vertex: int | None = None
 
     def leaves(self) -> list[int]:
-        if self.kind == "leaf":
-            return [self.vertex]  # type: ignore[list-item]
+        """The leaf vertices, left to right."""
         out: list[int] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == "leaf":
+                out.append(node.vertex)  # type: ignore[arg-type]
+            else:
+                stack.extend(reversed(node.children))
         return out
-
-
-class _Obstruction(Exception):
-    def __init__(self, embedding: PatternEmbedding):
-        self.embedding = embedding
 
 
 def cotree(g: Graph, mask: int | None = None):
@@ -51,35 +50,48 @@ def cotree(g: Graph, mask: int | None = None):
     or a PatternEmbedding of an induced P4, both in g's vertex ids.
 
     A graph is a cograph iff every induced subgraph on >= 2 vertices is
-    disconnected or has a disconnected complement, so whenever the recursion
-    finds neither split an induced P4 must exist; the first one found (it may
-    sit inside a nested part) is returned as the obstruction.
+    disconnected or has a disconnected complement, so whenever a part has
+    neither split an induced P4 must exist; the first such part in pre-order
+    (it may be nested) gives the obstruction.  The parts are walked with an
+    explicit stack, so a deep cotree (a threshold graph has depth n - 1)
+    needs no recursion.
     """
     if mask is None:
         mask = g.full_mask
     adj = g.adj
     co_adj = complement(g, mask).adj
 
-    def build(mask: int) -> CographDecomposition:
-        if mask & (mask - 1) == 0:
-            return CographDecomposition("leaf", vertex=mask.bit_length() - 1)
-        comps = component_masks(adj, mask)
-        if len(comps) > 1:
-            return CographDecomposition("union", tuple(build(c) for c in comps))
-        co_comps = component_masks(co_adj, mask)
-        if len(co_comps) > 1:
-            return CographDecomposition("join", tuple(build(c) for c in co_comps))
-        members = list(bits(mask))
-        res = find_induced_path(induced(g, members), 4)
-        assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
-        emb = res.embedding
-        raise _Obstruction(PatternEmbedding(emb.pattern_name, emb.pattern,
-                                            tuple(members[v] for v in emb.mapping)))
-
-    try:
-        return build(mask)
-    except _Obstruction as found:
-        return found.embedding
+    # Pre-order over the parts, children left to right, so the first
+    # connected and co-connected part found is the one a depth-first
+    # recursion would meet first; then the nodes are assembled bottom-up.
+    order: list[tuple[str, int]] = []  # (kind, vertex for a leaf / child count)
+    stack = [mask]
+    while stack:
+        part = stack.pop()
+        if part & (part - 1) == 0:
+            order.append(("leaf", part.bit_length() - 1))
+            continue
+        kind, parts = "union", component_masks(adj, part)
+        if len(parts) == 1:
+            kind, parts = "join", component_masks(co_adj, part)
+        if len(parts) == 1:
+            members = list(bits(part))
+            res = find_induced_path(induced(g, members), 4)
+            assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
+            emb = res.embedding
+            return PatternEmbedding(emb.pattern_name, emb.pattern,
+                                    tuple(members[v] for v in emb.mapping))
+        order.append((kind, len(parts)))
+        stack.extend(reversed(parts))
+    built: list[CographDecomposition] = []  # finished subtrees, the leftmost on top
+    for kind, value in reversed(order):
+        if kind == "leaf":
+            built.append(CographDecomposition("leaf", vertex=value))
+        else:
+            children = tuple(built[:-value - 1:-1])
+            del built[-value:]
+            built.append(CographDecomposition(kind, children))
+    return built[0]
 
 
 def _set_key(vs: frozenset) -> tuple:
@@ -98,20 +110,30 @@ def cograph_alpha_omega(g: Graph, mask: int | None = None):
     if isinstance(tree, PatternEmbedding):
         return tree
 
-    def fold(node: CographDecomposition) -> tuple[frozenset, frozenset]:
+    # Post-order: a node's (stable, clique) pair is made once every child's
+    # pair is on ``done``, the leftmost child's on top.
+    done: list[tuple[frozenset, frozenset]] = []
+    stack: list[tuple[CographDecomposition, bool]] = [(tree, False)]
+    while stack:
+        node, ready = stack.pop()
         if node.kind == "leaf":
             single = frozenset([node.vertex])
-            return single, single
-        parts = [fold(child) for child in node.children]
+            done.append((single, single))
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+            continue
+        parts = done[:-len(node.children) - 1:-1]
+        del done[-len(node.children):]
         if node.kind == "union":
             stable = frozenset().union(*(p[0] for p in parts))
             clique = min((p[1] for p in parts), key=_set_key)
         else:
             stable = min((p[0] for p in parts), key=_set_key)
             clique = frozenset().union(*(p[1] for p in parts))
-        return stable, clique
-
-    return fold(tree)
+        done.append((stable, clique))
+    return done[0]
 
 
 class OracleError(RuntimeError):

@@ -5,8 +5,29 @@ for n <= 62, else "~" and three bytes holding n in 18 bits, six to a byte,
 most significant first, each offset by 63; then come the upper-triangle bits
 column-major ((0,1), (0,2), (1,2), (0,3), ...), packed big-endian six to a
 byte, each byte offset by 63.  The 8-byte size form (n > 258047) is
-rejected.  The edge-list text format is a header line "n m" followed by m
-lines "u v" with 0-based endpoints.
+rejected.  Decoding lays the columns out n characters apart and reads each
+adjacency row as one column plus one strided slice: O(n) string operations
+of O(n) characters each, and no Python work per edge.
+
+The edge-list text format is a header line "n m" followed by m lines "u v"
+with 0-based endpoints.  Blank lines and lines whose first non-blank
+character is "#" are skipped, any whitespace separates the two tokens of a
+line, and any ``str.splitlines`` boundary ends a line; a repeated edge
+counts once in the graph.  Parsing reads the text in chunks of about
+16 Ki characters, each cut just after a "\\n" (a text with no "\\n" is one
+chunk).  Per chunk, a few C-level passes check every line's token count
+and split the tokens, and one dict lookup per token gives the vertex id (a
+spelling such as "+1" or "007" goes through ``int()``); ``graph.build_graph``
+then ORs each edge into two rows.  Nothing but the graph outlives its
+chunk, so the memory parsing needs beyond the text and the graph is
+bounded by the chunk.
+
+An edge-list input with one fault is rejected with the same message
+whatever its layout.  With several faults the first one met is reported,
+in this order for each chunk in turn: the lines' token counts, then (in
+the header's chunk) the header's integers and n >= 1, then the chunk's
+tokens as integers, then each edge's range and self-loop; the edge count
+against the header comes last.
 """
 
 from __future__ import annotations
@@ -14,16 +35,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, compress
+from typing import Iterator
 
-from .graph import Graph, bits, build_graph, complement, path_graph
+from .graph import Graph, build_graph, complement, path_graph
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
 
 GRAPH6_MAX_N = 258047  # the largest n of the 4-byte size form
 
-# graph6 data byte -> its six bits, most significant first.
-_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+# graph6 data byte (63 + v) -> the high and the low octal digit of v.
+_HIGH_OCTAL = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (v >> 3) for v in range(64)))
+_LOW_OCTAL = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (v & 7) for v in range(64)))
 
 
 class Graph6Error(ValueError):
@@ -85,43 +109,132 @@ def decode_graph6(text: str) -> Graph:
     bad = re.search(r"[^?-~]", s[head:])
     if bad:
         raise Graph6Error(f"invalid data byte {bad.group()!r}", head + bad.start())
-    bitstr = s[head:].translate(_SIX_BITS)
+    # A data byte 63 + v carries v's six bits, which are two octal digits, so
+    # the data bytes read as one base-8 numeral of the bit string.
+    data = s[head:].encode("ascii")
+    octal = bytearray(2 * len(data))
+    octal[0::2] = data.translate(_HIGH_OCTAL)
+    octal[1::2] = data.translate(_LOW_OCTAL)
+    bitstr = format(int(octal, 8) if data else 0, f"0{6 * len(data)}b")
     if "1" in bitstr[total:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    edges = []
-    start = 0
-    for j in range(1, n):
-        column = bitstr[start:start + j]
-        start += j
-        if "1" in column:
-            edges.extend((i, j) for i in bits(int(column[::-1], 2)))
-    return build_graph(n, edges)
+    # Column j (pairs (0, j) .. (j - 1, j)) padded with zeros to n characters,
+    # so pad[j*n + i] is pair (i, j) for i < j.  Row v, indexed by vertex, is
+    # column v, then 0 for v itself, then pad[u*n + v] for u > v: the
+    # strided slice pad[v + n*(v + 1)::n].
+    pad = "".join(bitstr[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    return Graph(n, tuple(int((pad[v * n:v * n + v] + "0" + pad[v + n * (v + 1)::n])[::-1], 2)
+                          for v in range(n)))
+
+
+# '0'/'1' -> the bytes 0/1, selectors for compress.
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Header "n m", then one line "u v" per edge, u < v, lexicographic."""
+    names = [str(v) for v in range(g.n)]
+    out = [f"{g.n} {g.edge_count()}"]
+    for u, row in enumerate(g.adj):
+        upper = row >> (u + 1)  # bit i: the edge (u, u + 1 + i)
+        if not upper:
+            continue
+        head = f"\n{u} "
+        if upper & (upper - 1) == 0:
+            out.append(head + names[u + upper.bit_length()])
+        else:
+            chosen = bin(upper)[:1:-1].encode().translate(_SELECTORS)
+            out.append(head + head.join(compress(names[u + 1:u + 1 + len(chosen)], chosen)))
+    out.append("\n")
+    return "".join(out)
+
+
+# Characters per tokenizing step: beyond the graph itself, parsing holds one
+# chunk's text, tokens and ids, whatever the size of the input.
+_CHUNK = 1 << 14
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` in slices of about _CHUNK characters, each cut just after a
+    "\\n" (always a line boundary) or at the end."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _two_per_line(chunk: str, tokens: list[str]) -> bool:
+    """Whether every line of ``chunk`` holds no token or exactly two."""
+    pairs = iter(tokens)
+    # the layout write_edge_list emits ("u v\n" lines) is checked by one
+    # comparison; any other layout line by line
+    return ("\n".join(map(" ".join, zip(pairs, pairs))) + "\n" == chunk
+            or set(map(len, map(str.split, chunk.splitlines()))) <= {0, 2})
+
+
+def _shape_error(chunk: str, header: bool) -> ValueError:
+    """The error for the first line of ``chunk`` holding neither zero nor
+    two tokens; ``header``: no content line came before the chunk."""
+    for line in chunk.splitlines():
+        count = len(line.split())
+        if count not in (0, 2):
+            break
+        header = header and count == 0
+    return ValueError('edge-list header must be "n m"' if header
+                      else f"bad edge line {line.strip()!r}")
+
+
+def _line_tokens(text: str) -> Iterator[list[str]]:
+    """The tokens of each chunk's content lines (neither blank nor a "#"
+    comment), header first; a content line without exactly two tokens
+    raises when its chunk is reached."""
+    header = True
+    for chunk in _chunks(text):
+        if "#" in chunk:
+            chunk = "\n".join(line for line in chunk.splitlines()
+                              if not line.lstrip().startswith("#"))
+        tokens = chunk.split()
+        if not tokens:
+            continue
+        if not _two_per_line(chunk, tokens):
+            raise _shape_error(chunk, header)
+        header = False
+        yield tokens
+
+
+def _vertex_ids(tokens: list[str], ids: dict[str, int]) -> list[int]:
+    """``tokens`` as ints: the usual spelling of a vertex id by one dict
+    lookup, anything else ("+1", "007", "1_0", out of range) through int()."""
+    try:
+        return list(map(ids.__getitem__, tokens))
+    except KeyError:
+        return [ids[t] if t in ids else int(t) for t in tokens]
 
 
 def parse_edge_list(text: str) -> Graph:
-    rows = [ln for ln in (line.strip() for line in text.splitlines())
-            if ln and not ln.startswith("#")]
-    if not rows:
+    """Graph of edge-list text (see the module docstring)."""
+    chunks = _line_tokens(text)
+    head = next(chunks, None)
+    if head is None:
         raise ValueError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError('edge-list header must be "n m"')
     n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
+    # One entry per vertex, but no more than the text has characters, so an
+    # absurd n in a short header costs nothing here.
+    ids = {str(v): v for v in range(min(n, len(text)))}
+    found = 0
+
+    def ends() -> Iterator[list[int]]:
+        nonlocal found
+        for tokens in chain((head[2:],), chunks):
+            found += len(tokens) // 2
+            yield _vertex_ids(tokens, ids)
+
+    flat = chain.from_iterable(ends())
+    g = build_graph(n, zip(flat, flat))
+    if found != m:
+        raise ValueError(f"header promises {m} edges, found {found}")
+    return g
 
 
 def read_graph(text: str, fmt: str) -> Graph:

@@ -18,6 +18,7 @@ relabelled copy for callers that need a standalone graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -70,23 +71,44 @@ class Graph:
                 yield u, u + 1 + v
 
 
+# The largest n for which build_graph keeps a table of 1 << v: it holds
+# n * n / 16 bytes (1 MiB here).
+_BIT_TABLE_MAX_N = 4096
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Simple undirected graph on n >= 1 vertices.
 
     Self-loops are rejected, duplicate edges collapse, endpoints must be
-    valid vertex ids.
+    valid vertex ids; ``edges`` is consumed once, in order, and the first
+    bad edge raises.
     """
     if n < 1:
         raise ValueError("graphs have at least one vertex")
     rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop ({u},{u}) is not allowed")
+    edges = iter(edges)
+    # The first n edges (all of them when n is past the table's limit) shift
+    # 1 << v; only a graph with more edges than vertices pays for the table.
+    for u, v in islice(edges, n if n <= _BIT_TABLE_MAX_N else None):
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise _edge_error(u, v, n)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
+    more = next(edges, None)
+    if more is not None:
+        bit = [1 << v for v in range(n)]
+        for u, v in chain((more,), edges):
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise _edge_error(u, v, n)
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
     return Graph(n, tuple(rows))
+
+
+def _edge_error(u: int, v: int, n: int) -> ValueError:
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    return ValueError(f"self-loop ({u},{u}) is not allowed")
 
 
 def complement(g: Graph, mask: int | None = None) -> Graph:

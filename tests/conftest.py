@@ -7,10 +7,13 @@ always checked against a second, dumber route.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 from pathcert.extractor import ExtractorParams, split_small_components
+from pathcert.formats import Graph6Error, _decode_graph6_size
 from pathcert.graph import Graph, bits, build_graph, component_masks, mask_of
 from pathcert.generators import gnp
 from pathcert.rng import SplitMix64, stream
@@ -206,3 +209,106 @@ def planted_sparse_graph(s: int, epsilon: Fraction, rng: SplitMix64) -> Graph:
             continue
         chosen.add((min(u, v), max(u, v)))
     return build_graph(s, sorted(chosen))
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, this call included."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def threshold_graph(n: int) -> Graph:
+    """Vertex i is joined to every earlier vertex when i is odd: a cograph
+    whose cotree is a chain of depth n - 1.  Its maximum stable set is the
+    even vertices (n // 2 + n % 2 of them, lexicographically first) and its
+    maximum clique is 0 plus the odd vertices."""
+    return Graph(n, tuple(((1 << v) - 1 if v % 2 else 0) | mask_of(range(v + 1 + v % 2, n, 2))
+                          for v in range(n)))
+
+
+def half_density_graph(n: int, seed: int) -> Graph:
+    """A G(n, 1/2) sample drawn 64 pairs per random word (quicker than
+    generators.gnp's one draw per pair; a different graph for the same seed)."""
+    rng = stream(0xD1, seed)
+    words = (n + 63) // 64
+    edges = []
+    for u in range(n):
+        word = 0
+        for _ in range(words):
+            word = word << 64 | rng.next_u64()
+        edges.extend((u, v) for v in bits(word & ((1 << n) - 1) >> (u + 1) << (u + 1)))
+    return build_graph(n, edges)
+
+
+# The edge-list and graph6 code as it was before chunked tokenizing and
+# strided graph6 rows: one split and one (u, v) tuple per edge line, one bit
+# string per graph6 column.  Oracles for the faster versions in formats.
+
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+def oracle_parse_edge_list(text: str) -> Graph:
+    rows = [ln for ln in (line.strip() for line in text.splitlines())
+            if ln and not ln.startswith("#")]
+    if not rows:
+        raise ValueError("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise ValueError('edge-list header must be "n m"')
+    n, m = int(head[0]), int(head[1])
+    if len(rows) - 1 != m:
+        raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
+    edges = []
+    for ln in rows[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge line {ln!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    if n < 1:
+        raise ValueError("graphs have at least one vertex")
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop ({u},{u}) is not allowed")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def oracle_write_edge_list(g: Graph) -> str:
+    lines = [f"{g.n} {g.edge_count()}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def oracle_decode_graph6(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty input", 0)
+    n, head = _decode_graph6_size(s)
+    if n < 1:
+        raise Graph6Error("graphs have at least one vertex", 0)
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(s) - head != need:
+        raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(s) - head}",
+                          min(len(s), need + head))
+    bad = re.search(r"[^?-~]", s[head:])
+    if bad:
+        raise Graph6Error(f"invalid data byte {bad.group()!r}", head + bad.start())
+    bitstr = s[head:].translate(_SIX_BITS)
+    if "1" in bitstr[total:]:
+        raise Graph6Error("nonzero padding bits", len(s) - 1)
+    edges = []
+    start = 0
+    for j in range(1, n):
+        column = bitstr[start:start + j]
+        start += j
+        if "1" in column:
+            edges.extend((i, j) for i in bits(int(column[::-1], 2)))
+    return build_graph(n, edges)

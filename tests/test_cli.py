@@ -10,6 +10,8 @@ from pathcert.formats import encode_graph6, witness_to_json
 from pathcert.graph import complete_graph, cycle_graph, path_graph
 from pathcert.witnesses import InducedPathWitness
 
+from conftest import threshold_graph
+
 
 def write_g6(tmp_path, g, name="g.g6"):
     p = tmp_path / name
@@ -96,6 +98,20 @@ def test_extract_p4free_and_cograph(tmp_path, capsys):
     assert main(["extract", "cograph-ramsey", "--input", path]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["alpha"] == 4 and data["omega"] == 2
+
+
+def test_extract_cograph_ramsey_on_deep_cotree(tmp_path, capsys):
+    # A threshold graph's cotree has depth n - 1 = 1999; the command used to
+    # crash with RecursionError (exit 3) from about n = 500.
+    from pathcert.formats import write_edge_list
+    path = tmp_path / "threshold.edges"
+    path.write_text(write_edge_list(threshold_graph(2000)))
+    assert main(["extract", "cograph-ramsey", "--input", str(path), "--format", "edges"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["cograph"] is True
+    assert (data["alpha"], data["omega"]) == (1000, 1001)
+    assert data["stable"] == list(range(0, 2000, 2))
+    assert data["clique"] == [0, *range(1, 2000, 2)]
 
 
 def test_pipeline_command(tmp_path, capsys):

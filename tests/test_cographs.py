@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from pathcert.cographs import (BipartiteOracle, CographDecomposition, OracleErro
                                p4free_extract)
 from pathcert.graph import (build_graph, complement, complete_bipartite_graph,
                             complete_graph, cycle_graph, empty_graph, induced,
-                            path_graph)
+                            mask_of, path_graph)
 from pathcert.generators import random_cograph
 from pathcert.patterns import contains_induced
 from pathcert.rng import stream
 from pathcert.witnesses import BipartitePairWitness, PatternEmbedding
 
-from conftest import brute_max_clique_size, brute_max_stable_size, brute_has_induced_p4
+from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
+                      stack_depth, threshold_graph)
 
 
 def is_p4_free(g) -> bool:
@@ -187,3 +189,50 @@ def test_oracle_cutoff_default():
     assert exact_bipartite_oracle(Fraction(1, 4)).effective_cutoff == 4
     assert exact_bipartite_oracle(Fraction(1, 2)).effective_cutoff == 2
     assert exact_bipartite_oracle(Fraction(2, 5)).effective_cutoff == 3
+
+
+def _assert_threshold_answer(g, stable, clique):
+    n = g.n
+    assert stable == frozenset(range(0, n, 2))
+    assert clique == frozenset([0, *range(1, n, 2)])
+    assert all(g.adj[v] & mask_of(stable) == 0 for v in stable)
+    assert all(mask_of(clique) & ~g.adj[v] == 1 << v for v in clique)
+
+
+def test_threshold_graph_exact_alpha_omega_at_n2000():
+    # The cotree is a chain of 1999 joins and unions; recursing on it
+    # overflowed the default stack from about n = 500.
+    g = threshold_graph(2000)
+    tree = cotree(g)
+    depth, node = 0, tree
+    while node.kind != "leaf":
+        assert [child.kind for child in node.children][1:] == ["leaf"]
+        depth, node = depth + 1, node.children[0]
+    assert depth == 1999
+    assert tree.leaves() == list(range(2000))
+    stable, clique = cograph_alpha_omega(g)
+    _assert_threshold_answer(g, stable, clique)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_threshold_graph_answer_matches_brute_force(n):
+    g = threshold_graph(n)
+    stable, clique = cograph_alpha_omega(g)
+    _assert_threshold_answer(g, stable, clique)
+    assert len(stable) == brute_max_stable_size(g) and len(clique) == brute_max_clique_size(g)
+
+
+def test_cograph_layer_needs_no_recursion():
+    # With the stack capped 150 frames above this one, one frame per cotree
+    # level (399 here) would overflow in cotree, fold or leaves.
+    g = threshold_graph(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 150)
+    try:
+        tree = cotree(g)
+        leaves = tree.leaves()
+        stable, clique = cograph_alpha_omega(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(leaves) == list(range(400))
+    _assert_threshold_answer(g, stable, clique)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -5,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcert import formats
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               parse_edge_list, parse_fraction, pattern_by_name,
                               report_to_dict, witness_from_dict, witness_from_json,
                               witness_to_dict, witness_to_json, write_edge_list)
-from pathcert.generators import gnp
-from pathcert.graph import build_graph, complete_graph, empty_graph, path_graph
+from pathcert.generators import gnp, random_cograph
+from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
 from pathcert.pipeline import extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness, PatternEmbedding)
+
+from conftest import (half_density_graph, oracle_decode_graph6, oracle_parse_edge_list,
+                      oracle_write_edge_list, threshold_graph)
 
 
 def test_known_strings():
@@ -150,6 +155,237 @@ def test_edge_list_lenient_layout():
     # counts edge lines, and a repeated edge collapses into one.
     text = "# triangle minus an edge\r\n3 3\r\n\r\n0\t1\r\n# again\n1 0\n  1   2  \n"
     assert parse_edge_list(text) == path_graph(3)
+
+
+# Inputs with several faults.  The parser reads the text in chunks, and in
+# each chunk checks every line's token count before it reads the tokens:
+# the header's integers and n >= 1 come next, then each edge in order (its
+# integers, range and self-loop), and the edge count against the header
+# last.  (input, message before chunked parsing, message now)
+EDGE_LIST_PRECEDENCE = [
+    ("3 5\n0 1\n1 1\n", "header promises 5 edges, found 2", "self-loop (1,1) is not allowed"),
+    ("3 2\n0 1 2\n", "header promises 2 edges, found 1", "bad edge line '0 1 2'"),
+    ("x 1\n0 1 2\n", "invalid literal for int() with base 10: 'x'", "bad edge line '0 1 2'"),
+    ("0 1\n0 x\n", "invalid literal for int() with base 10: 'x'",
+     "graphs have at least one vertex"),
+    ("3 2\n0 3\n0 x\n", "invalid literal for int() with base 10: 'x'",
+     "invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, before, now", EDGE_LIST_PRECEDENCE)
+def test_edge_list_error_precedence(text, before, now):
+    with pytest.raises(ValueError) as err:
+        oracle_parse_edge_list(text)
+    assert str(err.value) == before
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == now
+
+
+def test_edge_list_error_precedence_follows_chunks(monkeypatch):
+    # One chunk: the three-token line is found before any edge is read.
+    # One line per chunk: edge (0,3) is read before that line is reached.
+    text = "3 2\n0 3\n0 1 2\n"
+    with pytest.raises(ValueError, match="bad edge line '0 1 2'"):
+        parse_edge_list(text)
+    monkeypatch.setattr(formats, "_CHUNK", 1)
+    with pytest.raises(ValueError, match=r"edge \(0,3\) has an endpoint outside 0\.\.2"):
+        parse_edge_list(text)
+
+
+# Layout pieces: every splitlines() boundary, and whitespace that only
+# str.split() treats as a separator.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\xa0", "\x1f", "\u3000"]
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                          "\uff15\uff16\uff17\uff18\uff19")
+
+
+def _spelling(v: int, rng) -> str:
+    """v as int() reads it: plain, "+v", zero-padded, with an underscore
+    or in full-width digits."""
+    pick = rng.below(8)
+    if pick == 0:
+        return f"+{v}"
+    if pick == 1:
+        return "0" * (1 + rng.below(2)) + str(v)
+    if pick == 2 and v >= 10:
+        return f"{str(v)[0]}_{str(v)[1:]}"
+    if pick == 3:
+        return str(v).translate(FULLWIDTH)
+    return str(v)
+
+
+def _pad(rng) -> str:
+    return rng.below(3) * SEPARATORS[rng.below(len(SEPARATORS))]
+
+
+def _layout(rng, header: list[str], edges: list[list[str]]) -> str:
+    """Header and edge lines (token lists) in a random layout: padding,
+    mixed separators and line breaks, blank and comment lines."""
+    lines = []
+    for tokens in [header] + edges:
+        while rng.below(4) == 0:
+            lines.append(_pad(rng) if rng.below(2) else _pad(rng) + "# note 0 1 2")
+        sep = SEPARATORS[rng.below(len(SEPARATORS))]
+        lines.append(_pad(rng) + sep.join(tokens) + _pad(rng))
+    ends = [LINE_BREAKS[rng.below(len(LINE_BREAKS))] for _ in lines]
+    if rng.below(3) == 0:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _random_input(seed: int):
+    """(graph, header tokens, edge-line tokens): each edge once or twice,
+    either way round, in a shuffled order."""
+    rng = stream(0xE10, seed)
+    n = 1 + rng.below(30)
+    g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+    pairs = [(v, u) if rng.below(2) else (u, v) for u, v in g.edges()]
+    pairs += [pairs[rng.below(len(pairs))] for _ in range(rng.below(3))] if pairs else []
+    for i in range(len(pairs) - 1, 0, -1):
+        j = rng.below(i + 1)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    edges = [[_spelling(u, rng), _spelling(v, rng)] for u, v in pairs]
+    return g, rng, [str(n), str(len(edges))], edges
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5, 40])
+def test_edge_list_matches_oracle_on_random_layouts(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+    for seed in range(150):
+        g, rng, header, edges = _random_input(seed)
+        text = _layout(rng, header, edges)
+        assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
+
+
+def _faulty(seed: int):
+    """(rng, header tokens, edge-line tokens) of a random input with
+    exactly one fault."""
+    g, rng, header, edges = _random_input(seed)
+    n = g.n
+    fault = rng.below(8) if edges else rng.below(3)
+    if fault == 0:
+        header[rng.below(2)] = "x"
+    elif fault == 1:
+        header[1] = str(len(edges) + (1 if rng.below(2) else -1))
+    elif fault == 2:
+        header[1:] = ["9", "9"] if rng.below(2) else []
+    else:
+        i = rng.below(len(edges))
+        if fault == 3:
+            edges[i][rng.below(2)] = ["x", "1.5", "0x1", "--1"][rng.below(4)]
+        elif fault == 4:
+            edges[i][rng.below(2)] = str([n, -1, n + 7][rng.below(3)])
+        elif fault == 5:
+            edges[i][1] = edges[i][0]
+        elif fault == 6:
+            edges[i] = edges[i][:1]
+        else:
+            edges[i].append("0")
+    return rng, header, edges
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_edge_list_single_fault_messages_match_oracle(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+    for seed in range(200):
+        rng, header, edges = _faulty(seed)
+        text = _layout(rng, header, edges)
+        with pytest.raises(ValueError) as expected:
+            oracle_parse_edge_list(text)
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert type(err.value) is ValueError
+        assert str(err.value) == str(expected.value), repr(text)
+
+
+def test_edge_list_spans_many_chunks():
+    g = half_density_graph(300, 1)
+    text = write_edge_list(g)
+    assert len(text) > 8 * formats._CHUNK
+    lines = text.splitlines()
+    variants = [
+        text,
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "\t"),
+        "\n".join(line if i % 500 else "# comment\n" + line for i, line in enumerate(lines)),
+        "\n" * (3 * formats._CHUNK) + text,
+        "# " + "c" * (3 * formats._CHUNK) + "\n" + text,
+    ]
+    for variant in variants:
+        assert parse_edge_list(variant) == oracle_parse_edge_list(variant) == g
+    last = text.rindex("\n", 0, -1) + 1
+    faults = [text[:-1] + " 2\n", text[:last] + "7 7\n", text[:last] + "0 x\n", text[:-1] + "0\n",
+              "\n" * (3 * formats._CHUNK) + "300\n" + text[text.index("\n"):],
+              text[:last] + "\n"]
+    for fault in faults:
+        with pytest.raises(ValueError) as expected:
+            oracle_parse_edge_list(fault)
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(fault)
+        assert str(err.value) == str(expected.value)
+
+
+def test_every_small_graph_matches_the_oracles():
+    # All 2^15 + 2^10 + ... graphs on n <= 6 vertices; bit i of code is the
+    # i-th pair in graph6 (column-major) order.
+    for n in range(1, 7):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for code in range(1 << len(pairs)):
+            g = build_graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+            text = write_edge_list(g)
+            assert text == oracle_write_edge_list(g)
+            assert parse_edge_list(text) == g
+            assert decode_graph6(encode_graph6(g)) == g
+
+
+@pytest.mark.parametrize("n", [62, 63, 200, 1500])
+def test_graph6_rows_match_oracle(n):
+    for g in (half_density_graph(n, n), threshold_graph(n)):
+        text = encode_graph6(g)
+        assert decode_graph6(text) == oracle_decode_graph6(text) == g
+    rng = stream(0xE11, n)
+    pairs = ((rng.below(n), rng.below(n)) for _ in range(2 * n))
+    sparse = build_graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    text = encode_graph6(sparse)
+    assert text == _reference_graph6(sparse)
+    assert decode_graph6(text) == oracle_decode_graph6(text) == sparse
+
+
+def test_write_edge_list_matches_oracle():
+    graphs = [empty_graph(1), empty_graph(9), path_graph(2), complete_graph(40), cycle_graph(300),
+              path_graph(5000), threshold_graph(301), half_density_graph(200, 3)]
+    graphs += [gnp(1 + stream(0xE12, s).below(80), Fraction(s % 11, 10), stream(0xE13, s))
+               for s in range(40)]
+    graphs += [random_cograph(1 + stream(0xE14, s).below(120), stream(0xE15, s))
+               for s in range(20)]
+    for g in graphs:
+        assert write_edge_list(g) == oracle_write_edge_list(g)
+
+
+def test_edge_list_parse_memory_is_bounded():
+    # Parsing holds one chunk of tokens at a time, not a tuple per edge:
+    # about 1.5 MiB traced for this 4.8 MB input (the per-line parser
+    # peaked near 98 MiB).
+    g = half_density_graph(1500, 0)
+    text = write_edge_list(g)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        parsed = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert parsed == g
+    assert peak <= 6 * 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)

@@ -45,6 +45,39 @@ def test_build_collapses_duplicates():
     assert g.edge_count() == 1
 
 
+@pytest.mark.parametrize("n", [5, 5000])
+def test_build_reports_the_first_bad_edge(n):
+    # Past its first n edges build_graph reads 1 << v from a table, except
+    # when n is above the table's limit (n = 5000 here): a bad edge is found
+    # the same way early, late, and on either side of that limit.
+    good = [(v, v + 1) for v in range(n - 1)] * 3
+    bad = [((0, n), f"edge (0,{n}) has an endpoint outside 0..{n - 1}"),
+           ((-1, 2), f"edge (-1,2) has an endpoint outside 0..{n - 1}"),
+           ((n, n), f"edge ({n},{n}) has an endpoint outside 0..{n - 1}"),
+           ((2, 2), "self-loop (2,2) is not allowed")]
+    for edge, message in bad:
+        for at in (0, n - 1, n, len(good)):
+            with pytest.raises(ValueError) as err:
+                build_graph(n, good[:at] + [edge, (3, 3)] + good[at:])
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n, m", [(7, 6), (7, 7), (7, 8), (60, 900), (4097, 5000), (5000, 9000)])
+def test_build_matches_plain_shifts(n, m):
+    rng = stream(0xB1, n + m)
+    edges = []
+    while len(edges) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            edges.append((u, v))
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert build_graph(n, edges).adj == tuple(rows)
+    assert build_graph(n, iter(edges)).adj == tuple(rows)
+
+
 def test_complement_k3_is_empty():
     assert edge_set(complement(complete_graph(3))) == set()
 

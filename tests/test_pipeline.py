@@ -15,6 +15,8 @@ from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 PatternEmbedding, verify, verify_embedding)
 
+from conftest import stack_depth
+
 
 def test_choose_constants_k5():
     c = choose_constants(5)
@@ -201,19 +203,12 @@ def test_eh_single_vertex():
     assert w.S == frozenset({0})
 
 
-def _stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 @pytest.mark.parametrize("g", [path_graph(400), cycle_graph(400)], ids=["path", "cycle"])
 def test_deep_extractor_walk_needs_no_recursion(g):
     # The path/pair walk takes over 300 grow steps here; with the stack
     # capped 150 frames above this one, one frame per step would overflow.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 150)
+    sys.setrecursionlimit(stack_depth() + 150)
     try:
         report = extract_linear_bipartite(g, 5)
     finally:
