@@ -9,6 +9,16 @@ P4-free graphs (cographs) decompose recursively into disjoint unions and
 joins; that cotree yields exact maximum stable sets and cliques by a linear
 fold, and since cographs are perfect, alpha * omega >= n, so the larger of
 the two has at least ceil(sqrt(n)) vertices.
+
+``cotree`` splits a part's isolated or universal vertices off with two
+lookups in a table of degrees, so a chain-shaped cotree (a threshold
+graph's has depth n - 1) costs O(1) big-int operations per level rather
+than a component sweep.  When a part is connected and co-connected,
+``find_p4`` returns an induced P4 in it from O(|part|) big-int operations
+(Seinsche 1974 guarantees one exists; Corneil, Perl and Stewart, SIAM J.
+Comput. 1985, give a linear-time certifying recognizer).  That makes the
+cotree a cheap first attempt for ``pipeline.eh_homogeneous``: on a cograph
+the fold is the exact answer and no doubling runs.
 """
 
 from __future__ import annotations
@@ -16,10 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import reduce
+from operator import or_
+from typing import Callable, Sequence
 
-from .graph import Graph, VertexSet, bits, complement, component_masks, induced, mask_of
-from .patterns import find_induced_path
+from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, complement,
+                    component_masks, mask_of, path_graph)
+# Unused here since the obstruction search runs on vertex masks, but
+# bench/tracing.py binds cographs.induced; drop it with that binding.
+from .graph import induced  # noqa: F401
 from .witnesses import BipartitePairWitness, PatternEmbedding, verify_bipartite_pair
 
 
@@ -45,6 +60,74 @@ class CographDecomposition:
         return out
 
 
+def find_p4(g: Graph, part: int) -> tuple[int, int, int, int]:
+    """An induced P4 of the subgraph on ``part``, as its four vertices in
+    path order, when that subgraph is connected and co-connected (on at
+    least two vertices it then induces a P4, Seinsche 1974).
+
+    With v the smallest vertex of the part, N its neighbours there and M
+    its non-neighbours:
+
+    1. if some x in N sees some but not all of a component C of G[M],
+       then v-x-y-z is a P4 for an edge y-z of C with y seen by x, z not;
+    2. else if some y in M sees some but not all of a component D of the
+       complement of G[N], then a-v-b-y is a P4 for a non-edge a-b of D
+       with a missed by y, b seen;
+    3. else every C and every D is a module, so the graph with one vertex
+       per C and per D, plus v, is a split graph that is connected and
+       co-connected: two of the C's have incomparable neighbourhoods in
+       N, and c-x-x'-c' is a P4 for x seen by c only and x' by c' only.
+
+    The cost is O(|part|) big-int operations plus one sort.  The answer
+    need not be the lexicographically first P4.  Raises ValueError when the
+    part is not connected and co-connected.
+    """
+    adj = g.adj
+    v = (part & -part).bit_length() - 1
+    near = adj[v] & part
+    far = part & ~near & ~(1 << v)
+    firsts = []  # the smallest vertex of each component of G[M]
+    for comp in component_masks(adj, far):
+        x = _splitter(adj, comp, near)
+        if x is not None:
+            row = adj[x]
+            for y in bits(comp & row):
+                z = adj[y] & comp & ~row
+                if z:
+                    return v, x, y, (z & -z).bit_length() - 1
+        firsts.append((comp & -comp).bit_length() - 1)
+    for co in co_component_masks(adj, near):
+        y = _splitter(adj, co, far)
+        if y is not None:
+            row = adj[y]
+            for a in bits(co & ~row):
+                b = co & row & ~adj[a]
+                if b:
+                    return a, v, (b & -b).bit_length() - 1, y
+    seen = sorted(((adj[c] & near, c) for c in firsts), key=lambda rc: rc[0].bit_count())
+    for (row, c), (row2, c2) in zip(seen, seen[1:]):
+        only = row & ~row2
+        if only:
+            only2 = row2 & ~row
+            return (c, (only & -only).bit_length() - 1,
+                    (only2 & -only2).bit_length() - 1, c2)
+    raise ValueError("the part is not connected and co-connected")
+
+
+def _splitter(adj: Sequence[int], comp: int, side: int) -> int | None:
+    """A vertex of ``side`` that sees some but not all of ``comp``, or None:
+    the smallest one shown by the shortest ascending prefix of ``comp``."""
+    some, every = 0, -1
+    for c in bits(comp):
+        row = adj[c]
+        some |= row
+        every &= row
+        split = side & some & ~every
+        if split:
+            return (split & -split).bit_length() - 1
+    return None
+
+
 def cotree(g: Graph, mask: int | None = None):
     """CographDecomposition of the subgraph on ``mask`` (default: all of g),
     or a PatternEmbedding of an induced P4, both in g's vertex ids.
@@ -52,37 +135,78 @@ def cotree(g: Graph, mask: int | None = None):
     A graph is a cograph iff every induced subgraph on >= 2 vertices is
     disconnected or has a disconnected complement, so whenever a part has
     neither split an induced P4 must exist; the first such part in pre-order
-    (it may be nested) gives the obstruction.  The parts are walked with an
-    explicit stack, so a deep cotree (a threshold graph has depth n - 1)
-    needs no recursion.
+    (it may be nested) gives the obstruction, found by :func:`find_p4`.
+    The parts are walked with an explicit stack, so a deep cotree (a
+    threshold graph has depth n - 1) needs no recursion.
+
+    A part's isolated vertices (a union) or universal vertices (a join) are
+    split off without a component sweep: the vertices are grouped once by
+    their degree inside ``mask``, and a part carries the offset that turns
+    those degrees into degrees inside the part.  What remains is swept only
+    when none of its vertices sees all of it (after a union) or none of it
+    (after a join), so a chain-shaped cotree costs O(1) big-int operations
+    per level.
     """
     if mask is None:
         mask = g.full_mask
     adj = g.adj
-    co_adj = complement(g, mask).adj
+    # A vertex's degree inside a part is its degree inside ``mask`` less the
+    # part's offset: a union keeps the offset, a join adds the size of the
+    # siblings, which every member of the child sees.  The vertices are
+    # grouped by degree only when a part needs it, so an input that is
+    # connected and co-connected as a whole skips the grouping.
+    members = range(g.n) if mask == g.full_mask else list(bits(mask))
+    degrees = [(adj[v] & mask).bit_count() for v in members]
+    by_degree: dict[int, int] | None = None
 
     # Pre-order over the parts, children left to right, so the first
     # connected and co-connected part found is the one a depth-first
     # recursion would meet first; then the nodes are assembled bottom-up.
     order: list[tuple[str, int]] = []  # (kind, vertex for a leaf / child count)
-    stack = [mask]
+    stack = [(mask, 0)]
     while stack:
-        part = stack.pop()
+        part, offset = stack.pop()
         if part & (part - 1) == 0:
             order.append(("leaf", part.bit_length() - 1))
             continue
-        kind, parts = "union", component_masks(adj, part)
-        if len(parts) == 1:
-            kind, parts = "join", component_masks(co_adj, part)
-        if len(parts) == 1:
-            members = list(bits(part))
-            res = find_induced_path(induced(g, members), 4)
-            assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
-            emb = res.embedding
-            return PatternEmbedding(emb.pattern_name, emb.pattern,
-                                    tuple(members[v] for v in emb.mapping))
+        size = part.bit_count()
+        if by_degree is None and (part != mask or 0 in degrees or size - 1 in degrees):
+            groups: dict[int, list[int]] = {}
+            for v, d in zip(members, degrees):
+                groups.setdefault(d, []).append(v)
+            by_degree = {d: mask_of(vs) for d, vs in groups.items()}
+        lonely = hubs = 0
+        if by_degree is not None:
+            lonely = by_degree.get(offset, 0) & part
+            hubs = 0 if lonely else by_degree.get(offset + size - 1, 0) & part
+        if lonely or hubs:
+            kind, single = ("union", lonely) if lonely else ("join", hubs)
+            rest = part ^ single
+            # After a union, a vertex seeing all of the rest keeps it
+            # connected; after a join, one seeing none of it keeps it
+            # co-connected.
+            keeper = (offset + rest.bit_count() - 1 if lonely
+                      else offset + single.bit_count())
+            if by_degree.get(keeper, 0) & rest:
+                parts = [rest]
+            elif kind == "union":
+                parts = component_masks(adj, rest)
+            else:
+                parts = co_component_masks(adj, rest)
+            parts += [1 << u for u in bits(single)]
+            parts.sort(key=by_size)
+        else:
+            kind, parts = "union", component_masks(adj, part)
+            if len(parts) == 1:
+                kind, parts = "join", co_component_masks(adj, part)
+            if len(parts) == 1:
+                return PatternEmbedding("P4", path_graph(4), find_p4(g, part))
         order.append((kind, len(parts)))
-        stack.extend(reversed(parts))
+        if kind == "union":
+            stack.extend((child, offset) for child in reversed(parts))
+        else:
+            stack.extend((child, offset + size - child.bit_count())
+                         for child in reversed(parts))
     built: list[CographDecomposition] = []  # finished subtrees, the leftmost on top
     for kind, value in reversed(order):
         if kind == "leaf":
@@ -94,8 +218,15 @@ def cotree(g: Graph, mask: int | None = None):
     return built[0]
 
 
-def _set_key(vs: frozenset) -> tuple:
-    return (-len(vs), tuple(sorted(vs)))
+def _larger(a: int, b: int) -> int:
+    """The larger of two vertex masks; between equal sizes the one holding
+    the smallest vertex of a ^ b, i.e. the lexicographically smaller
+    vertex list."""
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return a if size_a > size_b else b
+    diff = a ^ b
+    return a if a & diff & -diff else b
 
 
 def cograph_alpha_omega(g: Graph, mask: int | None = None):
@@ -104,36 +235,37 @@ def cograph_alpha_omega(g: Graph, mask: int | None = None):
     PatternEmbedding.
 
     Both sets are exact maxima; ties are broken toward the lexicographically
-    smallest vertex list.  Returned sets use g's vertex ids.
+    smallest vertex list.  Returned sets use g's vertex ids.  The fold runs
+    on vertex masks (a union of sets is one OR), so a chain-shaped cotree
+    folds in O(n) big-int operations.
     """
     tree = cotree(g, mask)
     if isinstance(tree, PatternEmbedding):
         return tree
 
-    # Post-order: a node's (stable, clique) pair is made once every child's
-    # pair is on ``done``, the leftmost child's on top.
-    done: list[tuple[frozenset, frozenset]] = []
+    # Post-order: a node's (stable, clique) masks are made once every
+    # child's are on ``done``.
+    done: list[tuple[int, int]] = []
     stack: list[tuple[CographDecomposition, bool]] = [(tree, False)]
     while stack:
         node, ready = stack.pop()
         if node.kind == "leaf":
-            single = frozenset([node.vertex])
+            single = 1 << node.vertex  # type: ignore[operator]
             done.append((single, single))
             continue
         if not ready:
             stack.append((node, True))
             stack.extend((child, False) for child in node.children)
             continue
-        parts = done[:-len(node.children) - 1:-1]
+        parts = done[-len(node.children):]
         del done[-len(node.children):]
+        stables, cliques = zip(*parts)
         if node.kind == "union":
-            stable = frozenset().union(*(p[0] for p in parts))
-            clique = min((p[1] for p in parts), key=_set_key)
+            done.append((reduce(or_, stables), reduce(_larger, cliques)))
         else:
-            stable = min((p[0] for p in parts), key=_set_key)
-            clique = frozenset().union(*(p[1] for p in parts))
-        done.append((stable, clique))
-    return done[0]
+            done.append((reduce(_larger, stables), reduce(or_, cliques)))
+    stable, clique = done[0]
+    return frozenset(bits(stable)), frozenset(bits(clique))
 
 
 class OracleError(RuntimeError):
@@ -251,11 +383,17 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     of the current part.
     """
     cutoff = oracle.effective_cutoff
-
-    def recurse(mask: int) -> frozenset:
+    # Depth-first with an explicit stack, X before Y: the oracle sees the
+    # parts in the order a recursion would hand them over, so the same set
+    # comes out and the same first OracleError is raised, at any depth.
+    kept = 0
+    stack = [g.full_mask]
+    while stack:
+        mask = stack.pop()
         size = mask.bit_count()
         if size < cutoff:
-            return frozenset([(mask & -mask).bit_length() - 1])
+            kept |= mask & -mask
+            continue
         w = oracle.fn(g, mask)
         if not isinstance(w, BipartitePairWitness):
             raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
@@ -268,6 +406,5 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
         if min(len(w.X), len(w.Y)) < need:
             raise OracleError(
                 f"oracle sides {len(w.X)},{len(w.Y)} below the promised {need}", witness=w)
-        return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
-
-    return recurse(g.full_mask)
+        stack += (mask_of(w.Y), mask_of(w.X))
+    return frozenset(bits(kept))

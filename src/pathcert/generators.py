@@ -40,14 +40,12 @@ class GeneratorSpec:
 
 def gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
     """G(n, p): one exact Bernoulli(p) draw per pair (u, v), u < v, in
-    lexicographic order."""
+    lexicographic order.  The edges stream into ``build_graph`` as they are
+    drawn, so no edge list is held."""
     p = Fraction(p)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bernoulli(p.numerator, p.denominator):
-                edges.append((u, v))
-    return build_graph(n, edges)
+    num, den = p.numerator, p.denominator
+    return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.bernoulli(num, den)))
 
 
 def random_cograph(n: int, rng: SplitMix64, balanced: bool = False) -> Graph:

@@ -160,8 +160,40 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
-    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    comps.sort(key=by_size)
     return comps
+
+
+def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the complement of the subgraph on ``mask``,
+    as bit masks, in the order of :func:`component_masks`.
+
+    No complement rows are built: the vertices a frontier misses are those
+    outside the AND of its rows, and the AND stops once it has emptied
+    what is left to reach (on a dense graph, after a few rows)."""
+    comps = []
+    rest = mask
+    while rest:
+        comp = rest & -rest
+        frontier = comp
+        while frontier:
+            todo = rest & ~comp
+            common = todo
+            for v in bits(frontier):
+                common &= adj[v]
+                if not common:
+                    break
+            frontier = todo & ~common
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    comps.sort(key=by_size)
+    return comps
+
+
+def by_size(part: int) -> tuple[int, int]:
+    """Sort key for vertex masks: larger first, then smallest member first."""
+    return -part.bit_count(), (part & -part).bit_length()
 
 
 def components(g: Graph) -> list[VertexSet]:

@@ -17,8 +17,9 @@ Every report records per-stage sizes and which guarantee tier applies:
 "run-derived" (sides >= the run's own threshold T, or a path of >= k
 vertices), or "trivial".
 
-``eh_homogeneous`` composes the extraction with the P4-free doubling
-recursion and the cograph fold to produce an exact clique or stable set.
+``eh_homogeneous`` returns an exact clique or stable set: the cotree fold
+when the input is already P4-free, else the extraction composed with the
+P4-free doubling recursion and the fold of the set it doubles down to.
 """
 
 from __future__ import annotations
@@ -246,20 +247,48 @@ def _oracle_constant(consts: PipelineConstants) -> Fraction:
 
 def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
                    details: dict | None = None):
-    """An exact stable set or clique (epsilon = 0 witness) via bipartite
-    extraction + P4-free doubling + the cograph fold; if any stage turns up
-    an induced k-path or its complement, that PatternEmbedding is returned
+    """An exact stable set or clique (epsilon = 0 witness).
+
+    A cograph is folded over its cotree at once: the larger of the maximum
+    stable set and the maximum clique, stable on a tie; ``strategy`` is not
+    used.  Otherwise the input goes through bipartite extraction, P4-free
+    doubling and the fold of the doubled set; if any stage turns up an
+    induced k-path or its complement, that PatternEmbedding is returned
     instead.
 
-    ``details``, if provided, is filled with the achieved size, the size of
-    the extracted P4-free set, and the asymptotic n^(c'/2) reference bound.
+    ``details``, if provided, is filled with the route taken ("cotree" or
+    "doubling"), and, for a set, the achieved size, the size of the P4-free
+    set that was folded (n on the cotree route) and the asymptotic
+    n^(c'/2) reference bound.
     """
     consts = choose_constants(k)
-    if g.n == 1:
-        witness = HomogeneousSetWitness("stable", frozenset([0]), Fraction(0), 0)
-        if details is not None:
-            details.update(achieved=1, extracted_size=1, theoretical_bound=1.0)
-        return witness
+    folded = cograph_alpha_omega(g)
+    route = "doubling" if isinstance(folded, PatternEmbedding) else "cotree"
+    if details is not None:
+        details["route"] = route
+    extracted_size = g.n
+    if route == "doubling":
+        extracted = _doubling(g, k, strategy, consts)
+        if isinstance(extracted, PatternEmbedding):
+            return extracted
+        folded = cograph_alpha_omega(g, mask_of(extracted))
+        assert not isinstance(folded, PatternEmbedding), "extracted set must be P4-free"
+        extracted_size = len(extracted)
+    stable, clique = folded
+    if len(stable) >= len(clique):
+        kind, chosen = "stable", stable
+    else:
+        kind, chosen = "clique", clique
+    witness = HomogeneousSetWitness(kind, chosen, Fraction(0), count_edges_within(g, chosen))
+    if details is not None:
+        details.update(achieved=len(chosen), extracted_size=extracted_size,
+                       theoretical_bound=g.n ** (consts.c_prime_theory / 2))
+    return witness
+
+
+def _doubling(g: Graph, k: int, strategy: str, consts: PipelineConstants):
+    """A P4-free vertex set from the doubling recursion over extraction
+    runs, or the first pattern certificate a run returns."""
 
     def fn(g: Graph, mask: int) -> BipartitePairWitness:
         report = extract_linear_bipartite(g, k, strategy, mask)
@@ -272,19 +301,6 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
     # desk scale would mean stopping immediately.
     oracle = BipartiteOracle(_oracle_constant(consts), fn, cutoff=2)
     try:
-        extracted = p4free_extract(g, oracle)
+        return p4free_extract(g, oracle)
     except _PatternAbort as abort:
         return abort.embedding
-
-    folded = cograph_alpha_omega(g, mask_of(extracted))
-    assert not isinstance(folded, PatternEmbedding), "extracted set must be P4-free"
-    stable, clique = folded
-    if len(stable) >= len(clique):
-        kind, chosen = "stable", stable
-    else:
-        kind, chosen = "clique", clique
-    witness = HomogeneousSetWitness(kind, chosen, Fraction(0), count_edges_within(g, chosen))
-    if details is not None:
-        details.update(achieved=len(chosen), extracted_size=len(extracted),
-                       theoretical_bound=g.n ** (consts.c_prime_theory / 2))
-    return witness

@@ -12,12 +12,15 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+from pathcert.cographs import CographDecomposition, OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
-from pathcert.graph import Graph, bits, build_graph, component_masks, mask_of
+from pathcert.graph import Graph, bits, build_graph, complement, component_masks, induced, mask_of
 from pathcert.generators import gnp
+from pathcert.patterns import find_induced_path
 from pathcert.rng import SplitMix64, stream
-from pathcert.witnesses import BipartitePairWitness, InducedPathWitness
+from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, PatternEmbedding,
+                                verify_bipartite_pair)
 
 
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
@@ -224,8 +227,40 @@ def threshold_graph(n: int) -> Graph:
     whose cotree is a chain of depth n - 1.  Its maximum stable set is the
     even vertices (n // 2 + n % 2 of them, lexicographically first) and its
     maximum clique is 0 plus the odd vertices."""
-    return Graph(n, tuple(((1 << v) - 1 if v % 2 else 0) | mask_of(range(v + 1 + v % 2, n, 2))
+    odd = mask_of(range(1, n, 2))
+    return Graph(n, tuple(((1 << v) - 1 if v % 2 else 0) | odd >> (v + 1 + v % 2) << (v + 1 + v % 2)
                           for v in range(n)))
+
+
+def small_graphs(max_n: int):
+    """Every graph on 1..max_n vertices (2^15 of them on 6), each once."""
+    for n in range(1, max_n + 1):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for code in range(1 << len(pairs)):
+            yield build_graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+
+
+def caterpillar_graph(n: int, seed: int) -> Graph:
+    """A threshold graph on shuffled vertex ids: the vertices are added in a
+    seeded random order, each one isolated from or joined to all earlier
+    ones, alternately (the first kind is a coin flip), so the cotree is a
+    caterpillar of depth n - 1."""
+    rng = stream(0xCA7, seed)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    rows = [0] * n
+    earlier = 0
+    join = rng.below(2) == 1
+    for v in order:
+        if join:
+            rows[v] = earlier
+            for u in bits(earlier):
+                rows[u] |= 1 << v
+        earlier |= 1 << v
+        join = not join
+    return Graph(n, tuple(rows))
 
 
 def half_density_graph(n: int, seed: int) -> Graph:
@@ -312,3 +347,102 @@ def oracle_decode_graph6(text: str) -> Graph:
         if "1" in column:
             edges.extend((i, j) for i in bits(int(column[::-1], 2)))
     return build_graph(n, edges)
+
+
+# The cograph layer as it was before the P4 search on masks and the degree
+# buckets: a component sweep of the part and of its complement at every
+# level, brute-force P4 search in the first connected, co-connected part,
+# and a fold over frozensets.  Oracles for cographs.cotree and
+# cographs.cograph_alpha_omega.
+
+def oracle_cotree(g: Graph, mask: int | None = None):
+    if mask is None:
+        mask = g.full_mask
+    adj = g.adj
+    co_adj = complement(g, mask).adj
+    order: list[tuple[str, int]] = []
+    stack = [mask]
+    while stack:
+        part = stack.pop()
+        if part & (part - 1) == 0:
+            order.append(("leaf", part.bit_length() - 1))
+            continue
+        kind, parts = "union", component_masks(adj, part)
+        if len(parts) == 1:
+            kind, parts = "join", component_masks(co_adj, part)
+        if len(parts) == 1:
+            members = list(bits(part))
+            res = find_induced_path(induced(g, members), 4)
+            assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
+            emb = res.embedding
+            return PatternEmbedding(emb.pattern_name, emb.pattern,
+                                    tuple(members[v] for v in emb.mapping))
+        order.append((kind, len(parts)))
+        stack.extend(reversed(parts))
+    built: list[CographDecomposition] = []
+    for kind, value in reversed(order):
+        if kind == "leaf":
+            built.append(CographDecomposition("leaf", vertex=value))
+        else:
+            children = tuple(built[:-value - 1:-1])
+            del built[-value:]
+            built.append(CographDecomposition(kind, children))
+    return built[0]
+
+
+def _set_key(vs: frozenset) -> tuple:
+    return (-len(vs), tuple(sorted(vs)))
+
+
+def oracle_cograph_alpha_omega(g: Graph, mask: int | None = None):
+    tree = oracle_cotree(g, mask)
+    if isinstance(tree, PatternEmbedding):
+        return tree
+    done: list[tuple[frozenset, frozenset]] = []
+    stack: list[tuple[CographDecomposition, bool]] = [(tree, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node.kind == "leaf":
+            single = frozenset([node.vertex])
+            done.append((single, single))
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+            continue
+        parts = done[:-len(node.children) - 1:-1]
+        del done[-len(node.children):]
+        if node.kind == "union":
+            stable = frozenset().union(*(p[0] for p in parts))
+            clique = min((p[1] for p in parts), key=_set_key)
+        else:
+            stable = min((p[0] for p in parts), key=_set_key)
+            clique = frozenset().union(*(p[1] for p in parts))
+        done.append((stable, clique))
+    return done[0]
+
+
+def oracle_p4free_extract(g: Graph, oracle) -> frozenset:
+    """The doubling as a recursion (X before Y), as it was before the loop:
+    oracle for cographs.p4free_extract at shallow depth."""
+    cutoff = oracle.effective_cutoff
+
+    def recurse(mask: int) -> frozenset:
+        size = mask.bit_count()
+        if size < cutoff:
+            return frozenset([(mask & -mask).bit_length() - 1])
+        w = oracle.fn(g, mask)
+        if not isinstance(w, BipartitePairWitness):
+            raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
+        verdict = verify_bipartite_pair(g, w)
+        if not verdict:
+            raise OracleError(f"oracle witness rejected: {verdict.reason}", witness=w)
+        if mask_of(w.X | w.Y) & ~mask:
+            raise OracleError("oracle witness leaves the current subgraph", witness=w)
+        need = oracle.required_side(size)
+        if min(len(w.X), len(w.Y)) < need:
+            raise OracleError(
+                f"oracle sides {len(w.X)},{len(w.Y)} below the promised {need}", witness=w)
+        return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
+
+    return recurse(g.full_mask)

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,30 @@ def test_extract_cograph_ramsey_on_deep_cotree(tmp_path, capsys):
     assert (data["alpha"], data["omega"]) == (1000, 1001)
     assert data["stable"] == list(range(0, 2000, 2))
     assert data["clique"] == [0, *range(1, 2000, 2)]
+
+
+def test_extract_cograph_ramsey_on_deep_cotree_at_n5000(tmp_path, capsys):
+    # Depth 4999; sweeping the remaining part at every level made this take
+    # about 16 s, splitting the chain from the degree table takes well
+    # under one.  graph6 keeps the 6.2M-edge input quick to read.
+    path = write_g6(tmp_path, threshold_graph(5000))
+    assert main(["extract", "cograph-ramsey", "--input", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["cograph"] is True
+    assert (data["alpha"], data["omega"]) == (2500, 2501)
+    assert data["stable"] == list(range(0, 5000, 2))
+    assert data["clique"] == [0, *range(1, 5000, 2)]
+
+
+def test_eh_command_reports_its_route(tmp_path, capsys):
+    for g, route in ((threshold_graph(30), "cotree"), (cycle_graph(9), "doubling")):
+        assert main(["eh", "--input", write_g6(tmp_path, g), "--k", "6"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["route"] == route and data["verified"] is True
+        if route == "cotree":
+            assert data["extracted_size"] == g.n
+        else:
+            assert g.n > data["extracted_size"] >= data["achieved"]
 
 
 def test_pipeline_command(tmp_path, capsys):
@@ -238,12 +263,17 @@ def test_bench_tracer_bindings_and_probes(tmp_path):
     tracing = load_bench_tracing()
     tracer = tracing.Tracer()  # resolves every binding
     traced_main = tracer.wrap(tracing.ROOT_SPAN, pathcert.cli.main)
-    src = tmp_path / "g.edges"
-    src.write_text(write_edge_list(generate(GeneratorSpec("cograph", 60, seed=3))))
+    # eh folds a cograph over its cotree at once, so its request gets a
+    # G(60, 1/2) graph, which is not one and runs the doubling.
+    inputs = {"pipeline": GeneratorSpec("cograph", 60, seed=3),
+              "eh": GeneratorSpec("gnp", 60, p=Fraction(1, 2), seed=3)}
     for request, (command, k) in enumerate((("pipeline", "5"), ("eh", "4"))):
+        src = tmp_path / f"{command}.edges"
+        src.write_text(write_edge_list(generate(inputs[command])))
         with tracer.installed(request):
             assert traced_main([command, "--input", str(src), "--format", "edges",
                                 "--k", k, "--out", str(tmp_path / f"{command}.json")]) == 0
+    assert json.loads((tmp_path / "eh.json").read_text())["route"] == "doubling"
     for module, attr, original, _ in tracer._bindings:
         assert getattr(module, attr) is original
     names = {span[0] for span in tracer.spans}

@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from pathcert import cographs
 from pathcert.cographs import (BipartiteOracle, CographDecomposition, OracleError,
                                cograph_alpha_omega, cotree, exact_bipartite_oracle,
-                               p4free_extract)
-from pathcert.graph import (build_graph, complement, complete_bipartite_graph,
-                            complete_graph, cycle_graph, empty_graph, induced,
-                            mask_of, path_graph)
-from pathcert.generators import random_cograph
-from pathcert.patterns import contains_induced
+                               find_p4, p4free_extract)
+from pathcert.graph import (bits, build_graph, co_component_masks, complement,
+                            complete_bipartite_graph, complete_graph, component_masks,
+                            cycle_graph, empty_graph, induced, mask_of, path_graph)
+from pathcert.generators import gnp, random_cograph
+from pathcert.patterns import contains_induced, find_induced_path
 from pathcert.rng import stream
-from pathcert.witnesses import BipartitePairWitness, PatternEmbedding
+from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 
 from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
-                      stack_depth, threshold_graph)
+                      caterpillar_graph, oracle_cograph_alpha_omega, oracle_cotree,
+                      oracle_p4free_extract, small_graphs, stack_depth, threshold_graph)
 
 
 def is_p4_free(g) -> bool:
@@ -236,3 +238,213 @@ def test_cograph_layer_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert sorted(leaves) == list(range(400))
     _assert_threshold_answer(g, stable, clique)
+
+
+def test_threshold_graph_exact_alpha_omega_at_n5000():
+    # The chain is split one vertex per level from the degree table, with
+    # no component sweep; sweeping every level took about 13 s here.
+    g = threshold_graph(5000)
+    stable, clique = cograph_alpha_omega(g)
+    _assert_threshold_answer(g, stable, clique)
+
+
+def _prime(g, mask) -> bool:
+    """Connected and co-connected on at least two vertices (plain sweeps
+    over g's rows and over complement rows)."""
+    return (mask & (mask - 1) != 0 and len(component_masks(g.adj, mask)) == 1
+            and len(component_masks(complement(g, mask).adj, mask)) == 1)
+
+
+def _assert_p4(g, mask, path):
+    assert set(path) <= set(bits(mask))
+    assert verify(g, PatternEmbedding("P4", path_graph(4), tuple(path)))
+
+
+def test_find_p4_on_every_small_prime_graph():
+    primes = 0
+    for g in small_graphs(6):
+        if _prime(g, g.full_mask):
+            primes += 1
+            assert find_induced_path(g, 4).found
+            _assert_p4(g, g.full_mask, find_p4(g, g.full_mask))
+    assert primes > 1000
+
+
+def test_find_p4_on_masked_gnp():
+    for seed in range(60):
+        rng = stream(0x9A, seed)
+        n = rng.randint(4, 300 if seed % 3 == 0 else 40)
+        g = gnp(n, Fraction(rng.randint(1, 9), 10), rng)
+        mask = sum(1 << v for v in range(n) if rng.below(5))
+        for part in (mask, g.full_mask):
+            if _prime(g, part):
+                _assert_p4(g, part, find_p4(g, part))
+
+
+def _blow_up(h, rng):
+    """h with every vertex but 0 replaced by a random cograph on 1..40
+    vertices (a module), ids kept in block order, so vertex 0 stays the
+    smallest."""
+    sizes = [1] + [rng.randint(1, 40) for _ in range(h.n - 1)]
+    starts = [sum(sizes[:u]) for u in range(h.n)]
+    edges = []
+    for u in range(h.n):
+        block = random_cograph(sizes[u], rng)
+        edges += [(starts[u] + a, starts[u] + b) for a, b in block.edges()]
+        for w in bits(h.adj[u] >> (u + 1) << (u + 1)):
+            edges += [(starts[u] + a, starts[w] + b)
+                      for a in range(sizes[u]) for b in range(sizes[w])]
+    return build_graph(sum(sizes), edges)
+
+
+def test_find_p4_on_blown_up_prime_graphs():
+    # Substituting modules keeps every step's case: the small prime graphs
+    # reach all three steps of the search (the split-graph pair on 372 of
+    # them), and so do their blow-ups, on up to 200 vertices.
+    rng = stream(0x9D, 0)
+    for i, h in enumerate(g for g in small_graphs(6) if _prime(g, g.full_mask)):
+        if i % 50 == 0:
+            g = _blow_up(h, rng)
+            _assert_p4(g, g.full_mask, find_p4(g, g.full_mask))
+
+
+def test_find_p4_split_graph_step():
+    # v = 0 sees {1, 2}, a clique; 3 and 4 are single non-neighbours with
+    # incomparable neighbourhoods {1} and {2}: only the last step applies.
+    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+    assert find_p4(g, g.full_mask) == (3, 1, 2, 4)
+    # v = 0 misses 3, which splits the co-component {1, 2} of its
+    # neighbourhood: the second step, a-v-b-y.
+    g = build_graph(4, [(0, 1), (0, 2), (2, 3)])
+    assert find_p4(g, g.full_mask) == (1, 0, 2, 3)
+
+
+def test_find_p4_rejects_a_part_that_splits():
+    for g in (empty_graph(4), complete_graph(4), complete_bipartite_graph(2, 2)):
+        with pytest.raises(ValueError, match="not connected and co-connected"):
+            find_p4(g, g.full_mask)
+
+
+def test_cotree_p4_existence_matches_brute_force_on_small_graphs():
+    for g in small_graphs(6):
+        tree = cotree(g)
+        if find_induced_path(g, 4).found:
+            assert isinstance(tree, PatternEmbedding)
+            assert verify(g, tree)
+        else:
+            assert tree == oracle_cotree(g)
+
+
+def _masked_corpus():
+    """(graph, mask): random cographs, G(n, p) graphs, threshold and
+    caterpillar graphs, each with the full mask and a random one."""
+    for seed in range(120):
+        rng = stream(0x9B, seed)
+        n = rng.randint(1, 90)
+        for g in (random_cograph(n, rng), random_cograph(n, rng, balanced=True),
+                  gnp(n, Fraction(rng.randint(0, 10), 10), rng),
+                  threshold_graph(n), caterpillar_graph(n, seed)):
+            yield g, g.full_mask
+            yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
+
+
+def test_cotree_and_fold_match_the_sweeping_oracle(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cographs, "find_p4",
+                        lambda g, part: seen.append(part) or find_p4(g, part))
+    cographs_found = 0
+    for g, mask in _masked_corpus():
+        seen.clear()
+        want = oracle_cotree(g, mask)
+        got = cotree(g, mask)
+        if isinstance(want, PatternEmbedding):
+            # The same part: the first connected, co-connected one in
+            # pre-order, which holds the oracle's P4.
+            assert isinstance(got, PatternEmbedding) and verify(g, got)
+            assert len(seen) == 1 and _prime(g, seen[0])
+            assert mask_of(want.mapping) & ~seen[0] == 0
+            assert mask_of(got.mapping) & ~seen[0] == 0
+        else:
+            cographs_found += 1
+            assert got == want
+            assert cograph_alpha_omega(g, mask) == oracle_cograph_alpha_omega(g, mask)
+    assert cographs_found > 600
+
+
+def _preorder(tree):
+    """(kind, vertex, child count) per node in pre-order: the tree, without
+    the recursion that == on nested nodes would need."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.kind, node.vertex, len(node.children)))
+        stack.extend(reversed(node.children))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_caterpillar_cotree_has_depth_n_minus_1(seed):
+    g = caterpillar_graph(700, seed)
+    tree = cotree(g)
+    depth, node = 0, tree
+    kinds = []
+    while node.kind != "leaf":
+        assert len(node.children) == 2 and node.children[1].kind == "leaf"
+        kinds.append(node.kind)
+        depth, node = depth + 1, node.children[0]
+    assert depth == 699
+    assert all(a != b for a, b in zip(kinds, kinds[1:]))
+    assert _preorder(tree) == _preorder(oracle_cotree(g))
+    assert cograph_alpha_omega(g) == oracle_cograph_alpha_omega(g)
+
+
+def test_co_component_masks_match_complement_sweep():
+    for g, mask in _masked_corpus():
+        assert (co_component_masks(g.adj, mask)
+                == component_masks(complement(g, mask).adj, mask))
+
+
+def test_p4free_extract_matches_the_recursion():
+    # Same set, and the same first OracleError when the exact oracle finds
+    # no pair somewhere down the recursion.
+    errors = 0
+    for seed in range(60):
+        rng = stream(0x9C, seed)
+        n = rng.randint(2, 22)
+        g = (random_cograph(n, rng) if seed % 2
+             else gnp(n, Fraction(rng.randint(0, 10), 10), rng))
+        oracle = exact_bipartite_oracle(Fraction(1, rng.randint(2, 5)),
+                                        cutoff=rng.randint(2, 4))
+        try:
+            want = oracle_p4free_extract(g, oracle)
+        except OracleError as err:
+            errors += 1
+            with pytest.raises(OracleError) as got:
+                p4free_extract(g, oracle)
+            assert str(got.value) == str(err)
+        else:
+            assert p4free_extract(g, oracle) == want
+    assert errors > 0
+
+
+def test_p4free_extract_needs_no_recursion():
+    # A valid oracle that peels one vertex per call: the doubling is 1999
+    # levels deep.  With the stack capped 150 frames above this one, one
+    # frame per level would overflow.
+    calls = []
+
+    def peel(g, mask):
+        calls.append(mask)
+        low = mask & -mask
+        return BipartitePairWitness("empty", frozenset(bits(low)), frozenset(bits(mask ^ low)))
+
+    g = empty_graph(2000)
+    oracle = BipartiteOracle(Fraction(1, 2000), peel, cutoff=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 150)
+    try:
+        s = p4free_extract(g, oracle)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s == frozenset(range(2000))
+    assert calls == [g.full_mask >> i << i for i in range(1999)]

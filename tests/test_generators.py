@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from pathcert.formats import encode_graph6
 from pathcert.generators import (BudgetExhaustedError, GeneratorSpec, generate,
                                  gnp, random_cograph, rejection_sample_ck)
 from pathcert.graph import complete_graph, empty_graph, path_graph
@@ -14,6 +17,28 @@ from conftest import brute_has_induced_p4
 def test_gnp_extremes():
     assert gnp(9, Fraction(0), stream(1)) == empty_graph(9)
     assert gnp(9, Fraction(1), stream(1)) == complete_graph(9)
+
+
+def test_gnp_memory_is_bounded():
+    # The edges stream into build_graph: the traced peak of G(1500, 1/2)
+    # measured 0.54 MiB (an edge list of its 562k pairs peaked at 51.7
+    # MiB).  Slow (about 20 s): tracemalloc hooks each of the 1.1M draws.
+    spec = GeneratorSpec("gnp", 1500, p=Fraction(1, 2), seed=1)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        g = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    # The same graph as when the edges were collected in a list first.
+    assert g.edge_count() == 562371
+    assert (hashlib.sha256(encode_graph6(g).encode()).hexdigest()
+            == "bc83de966d33ff2fc769c6a9b3fb134155e4257a7254da19a020dee17e1f3cb7")
 
 
 def test_gnp_seed_determinism():

@@ -5,7 +5,8 @@ Every producer takes a vertex mask over the caller's graph.  Running it on
 gives, with vertex ids mapped back through the sorted members: relabelling
 keeps vertex order, so every smallest-id tie-break, component order and
 lexicographic search maps one to one.  The CLI digests at the end pin whole
-``pipeline`` and ``eh`` outputs, as produced before the producers took masks.
+``pipeline`` and ``eh`` outputs, as produced before the producers took masks
+(``eh`` on cographs re-pinned since, see there).
 """
 
 import hashlib
@@ -174,7 +175,11 @@ def test_exact_oracle_on_mask_equals_induced():
 # digests were captured before the extractor's seeded component search.  The
 # six pipeline runs that reach the extractor got new file digests when report
 # JSON began to write ``trace.extractor`` as a fixed-size summary; nothing
-# else in those files changed.
+# else in those files changed.  Every ``eh`` output gained a ``route`` key
+# when eh began to fold a cograph over its cotree at once: the two gnp runs
+# keep their witness digests (they take the doubling route), while the two
+# cograph runs and the complete-bipartite run now give the exact fold's set
+# (larger on the cographs, the first 15-vertex side on K(15, 15)).
 # Between them the pipeline cases reach stage 3's component split and
 # recurse-largest branches, the complemented side, the extractor's grow and
 # middle-split cases, a co-P4 certificate and the exact and trivial strategies.
@@ -210,20 +215,20 @@ CLI_PINS = [
      "3a97b85840d03f1fc9084745ef061c408a7ed7aa87d057d39230e4e0cd5b5997",
      "74b81e6e646103b281222c2adcb9e561755c4da4c54340eacded7f2ef2e20019"),
     ("eh", "cograph", 120, None, 7, 4, "greedy",
-     "be5472749783e75b11ce1aa4e1f7eab56088e053bf6ab2b97e02a640c65948f9",
-     "75926fbed34e044277918ea7563e8405eb8c7557305032e69972691007d6de18"),
+     "d9a40faa1bef78e4de1bac474f6cf3a3ed33224d12c8bc943f58213df1d16083",
+     "c7e17cfe52e1f1501db61eeb5194e8a67ead2feb486b3b3d8062254ea1a08391"),
     ("eh", "cograph", 260, None, 8, 4, "greedy",
-     "8a7f1fb40fa648297e01152962213486fa69084b0360c94f58ab6580edee4359",
-     "45a7e70045ee72cd15e39127fde857461be731b46b2ba2d752c29085ef805084"),
+     "55f4b44109934b276c0abd685a99df9ee9a5978ccfa94aa2b3928c7c0a9c847e",
+     "59a3296eb2e04ec40d5382751c297081b1bf2273afbea068f0da0a123c1c15ab"),
     ("eh", "gnp", 40, "1/2", 9, 4, "greedy",
      "1e2d813e102a8ede6c20d3a9aa8715e10c9022351539ad4f9de51c515865fcbe",
-     "8fc4f3bafe510da4b180532bd1456909f555b2f0d53e56e49bbf9d44f69dccd4"),
+     "50032ca1c3fb37e95bca27efadf69f1146c9e10ce71c717477a9d2a890037c76"),
     ("eh", "gnp", 14, "1/2", 10, 3, "exact",
      "906f0690a0130aaa09b511fed32db532d5e831ccf2dc9aacd574d967a73ef7e5",
-     "5ea6ee559120355847227267356fd99beabfbaa9f0bf6b83cb5f50520ecc7c83"),
+     "3da0d4380c830fcdffd4a1c6065f3629b4eb366952600ee9db20eb2dffa66aeb"),
     ("eh", "complete-bipartite", 30, None, 0, 4, "greedy",
-     "30610951bd75c518ea3f2163a18143c8465f4a547614b01ab2bc18997e4c4d7f",
-     "60819f855f6e7451a85e7b4ff556f3a61d035f6ee6698e5c8dd55cc48ab631f6"),
+     "0b38d68de5a48f12ad1413f564c89a0ea425437758d2665c98f3640aa799db4a",
+     "35ed656354fb7dfb41a0b43992d28f134a230bf908e7e5453e8a8e60bedc888f"),
 ]
 
 

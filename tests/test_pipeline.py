@@ -8,14 +8,15 @@ from pathcert import extractor
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
                             path_graph)
-from pathcert.patterns import is_pk_copk_free
+from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.pipeline import (choose_constants, eh_homogeneous,
                                extract_linear_bipartite, stage1_target)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 PatternEmbedding, verify, verify_embedding)
 
-from conftest import stack_depth
+from conftest import (brute_max_clique_size, brute_max_stable_size,
+                      oracle_cograph_alpha_omega, small_graphs, stack_depth, threshold_graph)
 
 
 def test_choose_constants_k5():
@@ -199,8 +200,70 @@ def test_eh_cograph_64_reaches_sqrt_n():
 
 
 def test_eh_single_vertex():
-    w = eh_homogeneous(empty_graph(1), 4)
-    assert w.S == frozenset({0})
+    details: dict = {}
+    w = eh_homogeneous(empty_graph(1), 4, details=details)
+    assert w.S == frozenset({0}) and w.kind == "stable"
+    assert details == {"route": "cotree", "achieved": 1, "extracted_size": 1,
+                       "theoretical_bound": 1.0}
+
+
+def _assert_exact_on_cograph(g, k=4):
+    details: dict = {}
+    w = eh_homogeneous(g, k, "greedy", details=details)
+    alpha, omega = brute_max_stable_size(g), brute_max_clique_size(g)
+    assert isinstance(w, HomogeneousSetWitness) and verify(g, w)
+    assert (w.kind, len(w.S)) == (("stable", alpha) if alpha >= omega else ("clique", omega))
+    assert details["route"] == "cotree" and details["extracted_size"] == g.n
+    assert details["achieved"] == len(w.S)
+
+
+def test_eh_is_exact_on_every_small_cograph():
+    cographs = 0
+    for g in small_graphs(6):
+        if not find_induced_path(g, 4).found:
+            cographs += 1
+            _assert_exact_on_cograph(g)
+    assert cographs == 6039  # labelled cographs on 1..6 vertices
+
+
+def test_eh_is_exact_on_seeded_cographs():
+    for seed in range(40):
+        rng = stream(0x97, seed)
+        _assert_exact_on_cograph(random_cograph(rng.randint(2, 30), rng, balanced=seed % 4 == 0),
+                                 rng.randint(2, 6))
+    for n in (2, 9, 30):
+        _assert_exact_on_cograph(threshold_graph(n))
+
+
+def test_eh_cograph_ignores_strategy():
+    # The whole cograph is folded, whatever the strategy: the sets of the
+    # sweeping fold oracle, the stable one on a tie.
+    for seed in range(5):
+        g = random_cograph(200, stream(0x98, seed))
+        stable, clique = oracle_cograph_alpha_omega(g)
+        want = stable if len(stable) >= len(clique) else clique
+        outs = []
+        for strategy in ("greedy", "trivial", "exact"):
+            details: dict = {}
+            outs.append((eh_homogeneous(g, 4, strategy, details=details), details))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][0].S == want
+
+
+def test_eh_non_cograph_takes_the_doubling_route():
+    for seed in range(10):
+        g = gnp(40, Fraction(1, 2), stream(0x99, seed))
+        details: dict = {}
+        w = eh_homogeneous(g, 4, "greedy", details=details)
+        assert details["route"] == "doubling"
+        assert verify(g, w)
+        if isinstance(w, HomogeneousSetWitness):
+            assert details["extracted_size"] < g.n
+    details = {}
+    out = eh_homogeneous(path_graph(12), 4, details=details)
+    assert details["route"] == "doubling"
+    if isinstance(out, PatternEmbedding):
+        assert details == {"route": "doubling"}
 
 
 @pytest.mark.parametrize("g", [path_graph(400), cycle_graph(400)], ids=["path", "cycle"])
