@@ -16,11 +16,16 @@ line, and any ``str.splitlines`` boundary ends a line; a repeated edge
 counts once in the graph.  Parsing reads the text in chunks of about
 16 Ki characters, each cut just after a "\\n" (a text with no "\\n" is one
 chunk).  Per chunk, a few C-level passes check every line's token count
-and split the tokens, and one dict lookup per token gives the vertex id (a
-spelling such as "+1" or "007" goes through ``int()``); ``graph.build_graph``
-then ORs each edge into two rows.  Nothing but the graph outlives its
-chunk, so the memory parsing needs beyond the text and the graph is
-bounded by the chunk.
+(for lines "u v" of ASCII digits: the token count against the line count,
+and the chunk without its digits against " \\n" per line) and split the
+tokens, and one dict lookup per token gives the vertex id (a spelling such
+as "+1" or "007" goes through ``int()``).  ``graph.build_graph`` then checks
+each edge and ORs it into two rows, or, past n * n / 16 edges, into one
+row, adding the other side by one transpose at the end.  Nothing but the
+rows outlives its chunk; a graph with that many edges and n <= 4096 also
+needs the n * n byte matrix of the transpose, 2.25 MB at n = 1500.  Beyond
+the text and the graph, parsing memory is bounded by the chunk plus that
+matrix.
 
 An edge-list input with one fault is rejected with the same message
 whatever its layout.  With several faults the first one met is reported,
@@ -164,12 +169,17 @@ def _chunks(text: str) -> Iterator[str]:
         start = end
 
 
+_ASCII_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def _two_per_line(chunk: str, tokens: list[str]) -> bool:
     """Whether every line of ``chunk`` holds no token or exactly two."""
-    pairs = iter(tokens)
-    # the layout write_edge_list emits ("u v\n" lines) is checked by one
-    # comparison; any other layout line by line
-    return ("\n".join(map(" ".join, zip(pairs, pairs))) + "\n" == chunk
+    # The layout write_edge_list emits (lines "u v\n" of ASCII digits) is
+    # checked by two C-level passes: with two tokens per "\n", deleting the
+    # digits leaves " \n" per line only if each line is digits, one space,
+    # digits.  Any other layout is checked line by line.
+    lines = chunk.count("\n")
+    return (len(tokens) == 2 * lines and chunk.translate(_ASCII_DIGITS) == " \n" * lines
             or set(map(len, map(str.split, chunk.splitlines()))) <= {0, 2})
 
 

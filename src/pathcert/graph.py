@@ -13,12 +13,19 @@ take ``(g, mask)`` and report vertex sets in g's own ids, so nothing is
 relabelled or translated back.  :func:`complement` restricted to a mask
 fills rows for the mask's members only, and :func:`induced` builds a
 relabelled copy for callers that need a standalone graph.
+
+:func:`build_graph` is the one row builder.  A dense graph (more than
+n * n / 16 edges, n <= 4096) costs it one OR per edge past that many: each
+such edge goes into its first endpoint's row only, and the other side comes
+from one transpose of those directed rows, an n x n digit matrix read
+column by column in strided slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -71,9 +78,15 @@ class Graph:
                 yield u, u + 1 + v
 
 
-# The largest n for which build_graph keeps a table of 1 << v: it holds
-# n * n / 16 bytes (1 MiB here).
+# The largest n for which build_graph keeps a table of 1 << v past its first
+# n edges: it holds n * n / 16 bytes (1 MiB here).
 _BIT_TABLE_MAX_N = 4096
+
+# Past n * n // _DIRECTED_AFTER edges, build_graph ORs each edge into one row
+# and transposes at the end.  The transpose costs about as much as the
+# second OR of that many edges (both measured on a 2-core x86 host, n = 500
+# to 1500), so a sparser graph never pays for it.
+_DIRECTED_AFTER = 16
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -82,27 +95,58 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Self-loops are rejected, duplicate edges collapse, endpoints must be
     valid vertex ids; ``edges`` is consumed once, in order, and the first
     bad edge raises.
+
+    The first n edges shift 1 << v into both endpoints' rows (every edge
+    does when n is past _BIT_TABLE_MAX_N), so only a graph with more edges
+    than vertices pays for a table of 1 << v.  The edges up to n * n / 16
+    go into both rows from that table; each edge past them goes into its
+    first endpoint's row only, and one transpose of those directed rows
+    adds the other side in O(n^2) C-level work.
     """
     if n < 1:
         raise ValueError("graphs have at least one vertex")
     rows = [0] * n
     edges = iter(edges)
-    # The first n edges (all of them when n is past the table's limit) shift
-    # 1 << v; only a graph with more edges than vertices pays for the table.
     for u, v in islice(edges, n if n <= _BIT_TABLE_MAX_N else None):
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise _edge_error(u, v, n)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     more = next(edges, None)
-    if more is not None:
-        bit = [1 << v for v in range(n)]
-        for u, v in chain((more,), edges):
-            if u == v or not (0 <= u < n and 0 <= v < n):
+    if more is None:
+        return Graph(n, tuple(rows))
+    bit = [1 << v for v in range(n)]
+    edges = chain((more,), edges)
+    # From here an endpoint >= n fails its table or row lookup, so each edge
+    # is tested for a self-loop or a negative id only.
+    u = v = 0
+    try:
+        for u, v in islice(edges, max(0, n * n // _DIRECTED_AFTER - n)):
+            if u == v or (u | v) < 0:
                 raise _edge_error(u, v, n)
             rows[u] |= bit[v]
             rows[v] |= bit[u]
-    return Graph(n, tuple(rows))
+        more = next(edges, None)
+        if more is None:
+            return Graph(n, tuple(rows))
+        for u, v in chain((more,), edges):
+            if u == v or (u | v) < 0:
+                raise _edge_error(u, v, n)
+            rows[u] |= bit[v]
+    except IndexError:
+        if 0 <= u < n and 0 <= v < n:
+            raise
+        raise _edge_error(u, v, n) from None
+    # Row u as n digits, most significant first, so bit v of row u is
+    # matrix[u * n + n - 1 - v]; column v, read last row first, is bit v of
+    # every row, and as a base-2 numeral it is the rows that hold v.
+    matrix = bytearray(n * n)
+    digits = f"0{n}b"
+    for u, row in enumerate(rows):
+        matrix[u * n:u * n + n] = format(row, digits).encode()
+    last = n * n - 1
+    columns = (matrix[last - v::-n] for v in range(n))
+    return Graph(n, tuple(map(or_, rows, map(int, columns, repeat(2)))))
 
 
 def _edge_error(u: int, v: int, n: int) -> ValueError:

@@ -9,9 +9,13 @@ set for every eps).
 The greedy peel keeps every vertex degree bit-sliced across O(log n) big-int
 planes, so finding and deleting the next vertex costs O(log n) big-int
 operations, and the dense peel runs on the graph's own rows rather than on a
-complement graph.
+complement graph.  The sparse peel runs first, and the dense peel stops once
+it is down to the sparse survivor count: a tie goes to the sparse set, so
+past that point the dense peel could not win.  On a long path or cycle the
+sparse peel keeps every vertex, so the dense peel deletes none.
 
-All thresholds are exact rationals; floats never decide anything here.
+All thresholds are exact rationals, compared as integers (numerator times
+the other side's denominator); floats never decide anything here.
 """
 
 from __future__ import annotations
@@ -64,15 +68,16 @@ def _exact(g: Graph, mask: int, epsilon: Fraction,
     return None
 
 
-def _peel(adj, mask: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
+def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
+          _floor: int = 1) -> tuple[int, int]:
     """Greedy peel of the subgraph on ``mask`` of rows ``adj``: returns
     (mask, edges) for the survivors.
 
     Sparse mode deletes a vertex of maximum degree, dense mode one of maximum
     co-degree (that is, minimum degree), ties to the smallest id, until the
     survivors span at most epsilon * C(size, 2) edges (sparse) or miss at
-    most that many (dense).  ``edges`` counts the edges inside the returned
-    mask in both modes.
+    most that many (dense), or are down to ``_floor`` vertices.  ``edges``
+    counts the edges inside the returned mask in both modes.
 
     Degrees are bit-sliced: bit v of ``planes[b]`` is bit b of the degree of
     survivor v.  Narrowing the survivors plane by plane, top down, finds the
@@ -94,7 +99,7 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
             b += 1
     edges //= 2
     num, den = epsilon.numerator, epsilon.denominator
-    while size > 1:
+    while size > _floor:
         pairs = size * (size - 1) // 2
         slack = pairs - edges if dense else edges
         if slack * den <= num * pairs:
@@ -120,7 +125,10 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool) -> tuple[int, int]:
 def _greedy(g: Graph, mask: int, epsilon: Fraction,
             target: int) -> HomogeneousSetWitness | None:
     sparse_mask, sparse_edges = _peel(g.adj, mask, epsilon, dense=False)
-    dense_mask, dense_edges = _peel(g.adj, mask, epsilon, dense=True)
+    # A tie goes to the sparse set, so the dense peel can only win while it
+    # keeps more vertices: it stops at the sparse peel's size.
+    dense_mask, dense_edges = _peel(g.adj, mask, epsilon, dense=True,
+                                    _floor=sparse_mask.bit_count())
     if sparse_mask.bit_count() >= dense_mask.bit_count():
         kind, mask, edges = "stable", sparse_mask, sparse_edges
     else:
@@ -174,8 +182,9 @@ def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSe
         raise ValueError("S must be nonempty")
     epsilon = Fraction(epsilon)
     mask = mask_of(members)
-    threshold = 2 * epsilon * len(members)
-    return frozenset(v for v in members if (g.adj[v] & mask).bit_count() <= threshold)
+    # degree <= 2 * epsilon * |S|, in integers
+    num, den = 2 * epsilon.numerator * len(members), epsilon.denominator
+    return frozenset(v for v in members if (g.adj[v] & mask).bit_count() * den <= num)
 
 
 def _log2_exact(q: Fraction) -> int | None:

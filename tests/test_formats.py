@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcert import formats
+from pathcert import formats, graph
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               parse_edge_list, parse_fraction, pattern_by_name,
                               report_to_dict, witness_from_dict, witness_from_json,
@@ -331,6 +331,100 @@ def test_edge_list_spans_many_chunks():
         assert str(err.value) == str(expected.value)
 
 
+def _dense_text(n: int, seed: int):
+    """(graph, edge-list lines) of a G(n, 1/2) sample, its edges either way
+    round, some twice (the same way or reversed), in a shuffled order."""
+    g = half_density_graph(n, seed)
+    rng = stream(0xE16, seed)
+    pairs = []
+    for u, v in g.edges():
+        pairs.append((v, u) if rng.below(2) else (u, v))
+        if rng.below(8) == 0:
+            pairs.append((u, v) if rng.below(2) else (v, u))
+    for i in range(len(pairs) - 1, 0, -1):
+        j = rng.below(i + 1)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    return g, [f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 40, 300])
+def test_dense_edge_list_matches_oracle(n):
+    g, lines = _dense_text(n, n)
+    text = "\n".join(lines) + "\n"
+    assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
+
+
+@pytest.mark.parametrize("n, m, directed_after", [
+    (9, 8, 16), (9, 9, 16), (9, 10, 16), (64, 64, 16), (64, 65, 16), (64, 256, 16),
+    (64, 257, 16), (4096, 4096, 16), (4096, 4097, 16), (4097, 4097, 16), (4097, 4098, 16),
+    (4096, 4097, 4096), (4096, 6000, 4096)])
+def test_edge_list_around_the_switch_points(n, m, directed_after, monkeypatch):
+    # build_graph reads a table past m = n (n <= 4096) and ORs one row plus a
+    # transpose past m = n * n // _DIRECTED_AFTER; n = 4096 needs a million
+    # edges to get there, so a lower switch point takes it there too.
+    monkeypatch.setattr(graph, "_DIRECTED_AFTER", directed_after)
+    rng = stream(0xE17, n + m)
+    pairs = [(v, (v + 1 + rng.below(n - 1)) % n) for v in range(n)]
+    while len(pairs) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            pairs.append((u, v))
+    pairs = pairs[:m]
+    text = f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert parse_edge_list(text).adj == oracle_parse_edge_list(text).adj == tuple(rows)
+
+
+@pytest.mark.parametrize("line, kind", [("7 7", "self-loop"), ("0 300", "out of range"),
+                                        ("-1 4", "negative"), ("+1 5", "plus sign"),
+                                        ("007 3", "leading zeros"), ("3 1_2", "underscore"),
+                                        ("3 x", "not an integer"), ("3 4 5", "three tokens")])
+def test_fault_deep_in_a_dense_chunk_matches_oracle(line, kind):
+    # The line goes in the middle of a chunk of the usual layout, past the
+    # n * n / 16 edges after which build_graph ORs one row per edge.
+    g, lines = _dense_text(300, 7)
+    at = len(lines) // 2
+    assert at > 300 * 300 // 16 and formats._CHUNK < len(lines[0]) + sum(map(len, lines[1:at]))
+    for tail in (lines[at:], lines[at + 1:]):  # the line added, or replacing one
+        header = f"300 {at + len(tail)}"
+        text = "\n".join([header] + lines[1:at] + [line] + tail) + "\n"
+        try:
+            expected = oracle_parse_edge_list(text)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                parse_edge_list(text)
+            assert type(got.value) is ValueError and str(got.value) == str(err), kind
+        else:
+            assert parse_edge_list(text) == expected, kind
+
+
+# Lines that a check of the digits alone (no token count) would pass for
+# "u v", and layouts the usual-layout check must hand to the line-by-line one.
+SHAPE_INPUTS = ["3 1\n 5\n", "3 1\n5 \n", "3 3\n0 1\n 5\n1 2\n", "3 1\n1  2\n",
+                "3 1\n1 2 \n", "3 2\n0 1 \n1 2\n", "3 1\n\u0661 \u0662\n",
+                "3 1\n\uff11 \uff12\n", "3 1\n1 2", "3 2\n0 1\n1 2", "3 2\n0 1\n12\n",
+                "3 1\n12\n\n", "3 1\n 1 2\n", "3 1\n1\t2\n", "3 1\n1 2\r\n",
+                "3 0\n\n\n", "3 1\n1 2\n\n"]
+
+
+@pytest.mark.parametrize("text", SHAPE_INPUTS)
+def test_edge_list_shape_check_matches_oracle(text):
+    try:
+        expected = oracle_parse_edge_list(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(err)
+    else:
+        assert parse_edge_list(text) == expected
+    chunk = text[text.index("\n") + 1:]
+    two = all(len(line.split()) in (0, 2) for line in chunk.splitlines())
+    assert formats._two_per_line(chunk, chunk.split()) == two
+
+
 def test_every_small_graph_matches_the_oracles():
     # All 2^15 + 2^10 + ... graphs on n <= 6 vertices; bit i of code is the
     # i-th pair in graph6 (column-major) order.
@@ -369,8 +463,9 @@ def test_write_edge_list_matches_oracle():
 
 
 def test_edge_list_parse_memory_is_bounded():
-    # Parsing holds one chunk of tokens at a time, not a tuple per edge:
-    # about 1.5 MiB traced for this 4.8 MB input (the per-line parser
+    # Parsing holds one chunk of tokens at a time, not a tuple per edge,
+    # plus the n * n byte matrix of build_graph's transpose (2.25 MB here):
+    # about 3.4 MiB traced for this 4.8 MB input (the per-line parser
     # peaked near 98 MiB).
     g = half_density_graph(1500, 0)
     text = write_edge_list(g)

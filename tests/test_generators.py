@@ -21,8 +21,9 @@ def test_gnp_extremes():
 
 def test_gnp_memory_is_bounded():
     # The edges stream into build_graph: the traced peak of G(1500, 1/2)
-    # measured 0.54 MiB (an edge list of its 562k pairs peaked at 51.7
-    # MiB).  Slow (about 20 s): tracemalloc hooks each of the 1.1M draws.
+    # measured 3.0 MiB, most of it the n * n byte matrix of build_graph's
+    # transpose (an edge list of its 562k pairs peaked at 51.7 MiB).  Slow
+    # (about 20 s): tracemalloc hooks each of the 1.1M draws.
     spec = GeneratorSpec("gnp", 1500, p=Fraction(1, 2), seed=1)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()

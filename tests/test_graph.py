@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pathcert.graph import (build_graph, complement, components, complete_graph,
                             cycle_graph, empty_graph, friendship_graph, induced,
                             path_graph)
+from pathcert import graph
 from pathcert.generators import gnp
 from pathcert.rng import stream
 
@@ -45,26 +46,65 @@ def test_build_collapses_duplicates():
     assert g.edge_count() == 1
 
 
-@pytest.mark.parametrize("n", [5, 5000])
+@pytest.mark.parametrize("n", [5, 40, 4096, 5000])
 def test_build_reports_the_first_bad_edge(n):
-    # Past its first n edges build_graph reads 1 << v from a table, except
-    # when n is above the table's limit (n = 5000 here): a bad edge is found
-    # the same way early, late, and on either side of that limit.
+    # build_graph shifts 1 << v for its first n edges, reads a table past
+    # them (both rows) and past n * n / 16 edges ORs one row, except when n
+    # is above the table's limit (4096): a bad edge is found the same way in
+    # each stretch.  At n = 5 and 40 the last edges take the one-row loop.
     good = [(v, v + 1) for v in range(n - 1)] * 3
     bad = [((0, n), f"edge (0,{n}) has an endpoint outside 0..{n - 1}"),
            ((-1, 2), f"edge (-1,2) has an endpoint outside 0..{n - 1}"),
+           ((2, -n - 1), f"edge (2,{-n - 1}) has an endpoint outside 0..{n - 1}"),
            ((n, n), f"edge ({n},{n}) has an endpoint outside 0..{n - 1}"),
            ((2, 2), "self-loop (2,2) is not allowed")]
     for edge, message in bad:
-        for at in (0, n - 1, n, len(good)):
+        for at in (0, n - 1, n, n * n // 16, len(good)):
             with pytest.raises(ValueError) as err:
                 build_graph(n, good[:at] + [edge, (3, 3)] + good[at:])
             assert str(err.value) == message
 
 
-@pytest.mark.parametrize("n, m", [(7, 6), (7, 7), (7, 8), (60, 900), (4097, 5000), (5000, 9000)])
+def test_build_passes_on_an_index_error_of_its_input():
+    # An IndexError raised by the edge iterable itself is not a bad edge.
+    def edges():
+        yield from [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
+        raise IndexError("from the input")
+    with pytest.raises(IndexError, match="from the input"):
+        build_graph(4, edges())
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (7, 6), (7, 7), (7, 8), (60, 900),
+                                  (64, 64), (64, 65), (64, 256), (64, 257),
+                                  (4096, 4096), (4096, 4097), (4097, 4097), (4097, 4098),
+                                  (4097, 5000), (5000, 9000)])
 def test_build_matches_plain_shifts(n, m):
+    # build_graph switches from shifts to a table at m > n (n <= 4096) and
+    # from both rows to one row and a transpose at m > n * n / 16.  Each
+    # edge comes either way round, some twice (the same way or reversed), in
+    # no order.
     rng = stream(0xB1, n + m)
+    edges = []
+    while len(edges) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            edges.append((u, v))
+            if rng.below(4) == 0 and len(edges) < m:
+                edges.append((v, u) if rng.below(2) else (u, v))
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert build_graph(n, edges).adj == tuple(rows)
+    assert build_graph(n, iter(edges)).adj == tuple(rows)
+
+
+@pytest.mark.parametrize("n, m", [(4096, 4097), (4096, 12000)])
+def test_build_transposes_at_the_table_limit(n, m, monkeypatch):
+    # n = 4096 needs a million edges to reach its transpose; a lower switch
+    # point takes it there with a few thousand.
+    monkeypatch.setattr(graph, "_DIRECTED_AFTER", n)
+    rng = stream(0xB2, m)
     edges = []
     while len(edges) < m:
         u, v = rng.below(n), rng.below(n)
@@ -75,7 +115,6 @@ def test_build_matches_plain_shifts(n, m):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     assert build_graph(n, edges).adj == tuple(rows)
-    assert build_graph(n, iter(edges)).adj == tuple(rows)
 
 
 def test_complement_k3_is_empty():

@@ -7,7 +7,7 @@ from itertools import combinations
 from pathcert.graph import (build_graph, complement, complete_bipartite_graph, complete_graph,
                             cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
-from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
+from pathcert.homogeneous import (_greedy, _peel, find_epsilon_homogeneous, fox_sudakov_delta,
                                   prune_high_degree)
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
@@ -68,6 +68,21 @@ def test_greedy_peel_is_deterministic():
 PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), Fraction(1))
 
 
+def uncapped_greedy(g, eps):
+    """(kind, mask, edges) of greedy-peel with both peels run to the end,
+    as before the dense peel stopped at the sparse survivor count."""
+    sparse = _peel(g.adj, g.full_mask, eps, dense=False)
+    dense = _peel(g.adj, g.full_mask, eps, dense=True)
+    if sparse[0].bit_count() >= dense[0].bit_count():
+        return ("stable",) + sparse
+    return ("clique",) + dense
+
+
+def assert_greedy_is_uncapped(g, eps):
+    w = _greedy(g, g.full_mask, eps, 1)
+    assert (w.kind, mask_of(w.S), w.edge_count) == uncapped_greedy(g, eps)
+
+
 def assert_peel_matches_brute(g):
     co = complement(g)
     for eps in PEEL_EPSILONS:
@@ -75,6 +90,7 @@ def assert_peel_matches_brute(g):
         mask, missing = brute_peel(co.adj, g.n, eps)
         size = mask.bit_count()
         assert _peel(g.adj, g.full_mask, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
+        assert_greedy_is_uncapped(g, eps)
 
 
 def test_peel_matches_brute_on_every_graph_up_to_5_vertices():
@@ -95,7 +111,8 @@ def test_peel_matches_brute_on_seeded_gnp_and_cographs():
 def test_peel_matches_brute_on_all_ties_inputs():
     graphs = [empty_graph(1), empty_graph(2), complete_graph(2), path_graph(2)]
     for n in (3, 7, 16, 40):
-        graphs += [empty_graph(n), complete_graph(n), cycle_graph(n)]
+        graphs += [empty_graph(n), complete_graph(n), cycle_graph(n), path_graph(n)]
+    graphs += [path_graph(300), cycle_graph(300)]
     graphs += [complete_bipartite_graph(a, a) for a in (1, 2, 5, 12)]
     for g in graphs:
         assert_peel_matches_brute(g)
@@ -128,6 +145,20 @@ def test_greedy_peel_pinned_witnesses(build, eps, kind, edge_count, mask):
     w = find_epsilon_homogeneous(g, eps, 1, "greedy-peel")
     assert (w.kind, w.edge_count, mask_of(w.S)) == (kind, edge_count, mask)
     assert verify_homogeneous(g, w)
+    assert_greedy_is_uncapped(g, eps)
+
+
+@pytest.mark.parametrize("n", [48, 400, 960])
+def test_dense_peel_deletes_nothing_on_paths(n):
+    # The sparse peel keeps the whole path, so the dense peel starts at its
+    # floor; uncapped, it would delete all but a few vertices.
+    g = path_graph(n)
+    eps = Fraction(1, 24)
+    assert _peel(g.adj, g.full_mask, eps, dense=False) == (g.full_mask, n - 1)
+    assert _peel(g.adj, g.full_mask, eps, dense=True, _floor=n) == (g.full_mask, n - 1)
+    assert _peel(g.adj, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
+    w = _greedy(g, g.full_mask, eps, 1)
+    assert (w.kind, w.S, w.edge_count) == ("stable", frozenset(range(n)), n - 1)
 
 
 def test_trivial_strategy():
@@ -181,6 +212,19 @@ def test_prune_half_guarantee_on_planted_sparse_sets():
         mask = mask_of(out)
         for v in out:
             assert (g.adj[v] & mask).bit_count() <= bound
+
+
+def test_prune_matches_the_rational_threshold():
+    for seed in range(60):
+        rng = stream(0x6161, seed)
+        n = rng.randint(1, 50)
+        g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+        s = [v for v in range(n) if rng.below(3)] or [0]
+        eps = Fraction(rng.randint(0, 12), rng.randint(1, 40))
+        mask = mask_of(s)
+        expected = frozenset(v for v in s
+                             if (g.adj[v] & mask).bit_count() <= 2 * eps * len(s))
+        assert prune_high_degree(g, s, eps) == expected
 
 
 def test_fox_sudakov_values():
