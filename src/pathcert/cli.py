@@ -8,11 +8,8 @@ crashed (``RecursionError`` included) and says nothing about the input.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,9 +18,10 @@ from .cographs import cograph_alpha_omega, exact_bipartite_oracle, p4free_extrac
 from .extractor import ExtractorParams, path_guarantee, path_or_empty_bipartite
 from .generators import GeneratorSpec, generate
 from .graph import Graph
+from .homogeneous import STRATEGIES, fox_sudakov_delta
 from .patterns import find_induced_path, is_pk_copk_free, universality_check
 from .pipeline import choose_constants, eh_homogeneous, extract_linear_bipartite
-from .witnesses import BipartitePairWitness, InducedPathWitness, PatternEmbedding, verify
+from .witnesses import PatternEmbedding, verify
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -132,44 +130,13 @@ def _cmd_constants(args) -> int:
     print(f"delta = {consts.delta.describe()}")
     print(f"log2(c_k) ~ {consts.c_k_log2:.4f}   (c_k = c * delta / 2)")
     print(f"c' ~ {consts.c_prime_theory:.3e}")
-    bound = "=" if consts.n_min_exact else "<="
     n_min = consts.n_min
     shown = str(n_min) if n_min.bit_length() <= 64 else f"2^{n_min.bit_length() - 1} + 1"
-    print(f"n_min {bound} {shown}")
+    print(f"n_min <= {shown}")
     if args.epsilon:
-        from .homogeneous import fox_sudakov_delta
         d = fox_sudakov_delta(args.k, Fraction(args.epsilon))
         print(f"delta(k={args.k}, epsilon={args.epsilon}) = {d.describe()}")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "n", "outcome", "size1", "size2", "bound", "verified", "wall_ms"])
-    spec = GeneratorSpec(args.family, args.n,
-                         p=Fraction(args.p) if args.p else None,
-                         k=args.k, seed=args.seed, budget=args.budget)
-    failures = 0
-    for i in range(args.count):
-        g = generate(spec, index=i)
-        t0 = time.perf_counter()
-        report = extract_linear_bipartite(g, args.k, args.strategy)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        w = report.witness
-        if isinstance(w, BipartitePairWitness):
-            s1, s2 = sorted(w.side_sizes)
-            bound = report.constants.T if report.trace["guarantee_tier"] == "run-derived" else 1
-        elif isinstance(w, InducedPathWitness):
-            s1, s2, bound = len(w), "", args.k
-        else:
-            s1, s2, bound = len(w.mapping), "", args.k
-        ok = bool(verify(g, w))
-        failures += 0 if ok else 1
-        writer.writerow([i, g.n, report.outcome, s1, s2, bound,
-                         str(ok).lower(), f"{wall_ms:.3f}"])
-    _emit(buf.getvalue(), args.out)
-    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full certifying extraction")
     add_io(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=("exact", "greedy", "trivial"), default="greedy")
+    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("eh", help="exact clique/stable set via the full composition")
     add_io(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=("exact", "greedy", "trivial"), default="greedy")
+    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.set_defaults(func=_cmd_eh)
 
     p = sub.add_parser("verify", help="re-check a witness file against a graph")
@@ -234,18 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", help="also evaluate the delta formula at this epsilon")
     p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("bench", help="batch extraction, CSV per-graph rows")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--strategy", choices=("exact", "greedy", "trivial"), default="greedy")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, bits, by_size, component_masks
 from .witnesses import BipartitePairWitness, InducedPathWitness
 
 
@@ -123,7 +123,7 @@ def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
         closed |= part
     if u & ~closed:
         parts.append(u & ~closed)
-    parts.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    parts.sort(key=by_size)
     return parts
 
 

@@ -339,7 +339,6 @@ def constants_to_dict(c: PipelineConstants) -> dict:
         "c_k_log2": c.c_k_log2,
         "c_prime": c.c_prime_theory,
         "n_min": str(c.n_min),
-        "n_min_exact": c.n_min_exact,
         "T": c.T,
         "D": c.D,
     }

@@ -32,16 +32,8 @@ from .graph import Graph, VertexSet, bits, mask_of
 from .graph import complement  # noqa: F401
 from .witnesses import HomogeneousSetWitness
 
-STRATEGIES = ("exact", "greedy-peel", "trivial")
+STRATEGIES = ("exact", "greedy", "trivial")
 EXACT_MAX_N = 20
-
-
-def _normalize_strategy(strategy: str) -> str:
-    if strategy == "greedy":
-        return "greedy-peel"
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    return strategy
 
 
 def _edges_in(adj, mask: int) -> int:
@@ -143,13 +135,13 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int, strategy:
     """A sparse or dense set of at least ``target`` vertices inside ``mask``
     (default: all of g), or None.
 
-    exact       complete enumeration (at most 20 vertices); None means no
-                such set of either kind exists at any size >= target.
-    greedy-peel peel by maximum degree (sparse) and by minimum degree, that
-                is maximum co-degree (dense), keep the larger survivor if it
-                reaches target; O(log n) big-int operations per deleted
-                vertex, no complement graph.
-    trivial     the smallest vertex (meets target only when target <= 1).
+    exact    complete enumeration (at most 20 vertices); None means no such
+             set of either kind exists at any size >= target.
+    greedy   peel by maximum degree (sparse) and by minimum degree, that is
+             maximum co-degree (dense), keep the larger survivor if it
+             reaches target; O(log n) big-int operations per deleted vertex,
+             no complement graph.
+    trivial  the smallest vertex (meets target only when target <= 1).
     """
     if mask is None:
         mask = g.full_mask
@@ -158,10 +150,11 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int, strategy:
         raise ValueError("epsilon must be in [0, 1]")
     if not 1 <= target <= mask.bit_count():
         raise ValueError(f"target must be in 1..{mask.bit_count()}")
-    strategy = _normalize_strategy(strategy)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if strategy == "exact":
         return _exact(g, mask, epsilon, target)
-    if strategy == "greedy-peel":
+    if strategy == "greedy":
         return _greedy(g, mask, epsilon, target)
     if target > 1:
         return None
@@ -245,15 +238,15 @@ def fox_sudakov_delta(k: int, epsilon: Fraction) -> DeltaBound:
     return DeltaBound(k, epsilon, exponent, exponent_float)
 
 
-def log2_upper_bound(q: Fraction, precision_bits: int = 64) -> Fraction:
-    """A certified rational upper bound on log2(q) for q >= 1.
+def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified rational bounds (lo, hi) with lo < log2(q) < hi, for q >= 1.
 
-    Uses only integer arithmetic: log2(x) < bit_length(x), applied to
-    q ** precision_bits.
+    Integer arithmetic only: for x = num^64 and y = den^64,
+    bit_length(x) - 1 <= log2(x) < bit_length(x), and likewise for y.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    num = q.numerator ** precision_bits
-    den = q.denominator ** precision_bits
-    upper = num.bit_length() - den.bit_length() + 1
-    return Fraction(upper, precision_bits)
+    x = q.numerator ** 64
+    y = q.denominator ** 64
+    return (Fraction(x.bit_length() - 1 - y.bit_length(), 64),
+            Fraction(x.bit_length() - y.bit_length() + 1, 64))

@@ -30,7 +30,9 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
     Backtracking over partial paths: a partial path may be extended by a
     neighbor of its last vertex that is adjacent to no earlier path vertex.
     Returns the lexicographically first such path (by start vertex, then by
-    each extension choice).
+    each extension choice).  ``nodes_explored`` counts the partial paths
+    visited.  The search keeps an explicit stack, so k is not bounded by the
+    interpreter's recursion limit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -38,32 +40,32 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
     if k > g.n:
         return PatternQueryResult(False, None, explored)
 
-    full = g.full_mask
-    found: list[int] | None = None
-
-    def extend(path: list[int], nbr_union: int) -> bool:
-        nonlocal explored, found
-        explored += 1
-        if len(path) == k:
-            found = list(path)
-            return True
-        last = path[-1]
-        blocked = nbr_union | (1 << last)
-        for v in bits(g.adj[last] & full & ~blocked):
-            path.append(v)
-            if extend(path, nbr_union | g.adj[last] | (1 << last)):
-                return True
-            path.pop()
-        return False
-
+    adj, full = g.adj, g.full_mask
     for start in range(g.n):
-        if extend([start], 0):
-            break
-
-    if found is None:
-        return PatternQueryResult(False, None, explored)
-    emb = PatternEmbedding("P%d" % k, path_graph(k), tuple(found))
-    return PatternQueryResult(True, emb, explored)
+        # path[i] is followed by an untried extension from untried[i]; seen[i]
+        # is the union of the closed neighborhoods of path[:i + 1].
+        path = [start]
+        seen = [adj[start] | 1 << start]
+        untried = [adj[start] & full & ~(1 << start)]
+        explored += 1
+        while untried and len(path) < k:
+            rest = untried[-1]
+            if not rest:
+                untried.pop()
+                seen.pop()
+                path.pop()
+                continue
+            low = rest & -rest
+            untried[-1] = rest ^ low
+            v = low.bit_length() - 1
+            path.append(v)
+            untried.append(adj[v] & full & ~seen[-1])
+            seen.append(seen[-1] | adj[v] | low)
+            explored += 1
+        if len(path) == k:
+            emb = PatternEmbedding("P%d" % k, path_graph(k), tuple(path))
+            return PatternQueryResult(True, emb, explored)
+    return PatternQueryResult(False, None, explored)
 
 
 def contains_induced(g: Graph, h: Graph, pattern_name: str = "pattern") -> PatternQueryResult:

@@ -13,9 +13,9 @@ dichotomy.  The outcome is one of
                        quantitative stages bottom out at small n.
 
 Every report records per-stage sizes and which guarantee tier applies:
-"linear" (the asymptotic side bound ceil(c_k n) was actually asserted),
 "run-derived" (sides >= the run's own threshold T, or a path of >= k
-vertices), or "trivial".
+vertices) or "trivial".  The asymptotic side bound ceil(c_k n) is never
+asserted: it needs n >= n_min, far beyond any graph that fits in memory.
 
 ``eh_homogeneous`` returns an exact clique or stable set: the cotree fold
 when the input is already P4-free, else the extraction composed with the
@@ -36,7 +36,7 @@ from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
 # binds pipeline.components and pipeline.induced; drop them with those bindings.
 from .graph import components, induced  # noqa: F401
 from .homogeneous import (DeltaBound, find_epsilon_homogeneous, fox_sudakov_delta,
-                          log2_upper_bound, prune_high_degree)
+                          log2_bounds, prune_high_degree)
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness, count_edges_within)
 
@@ -46,10 +46,12 @@ class PipelineConstants:
     """Rational parameters governing one extraction run.
 
     epsilon = c = 1/(6k) makes the dichotomy's path guarantee exactly k.
-    c_k (the linear-pair constant c * delta / 2) is usually not exactly
-    representable, so it is carried as a base-2 logarithm; n_min is a safe
-    upper bound on the first n where the asymptotic guarantees bite, exact
-    whenever delta's exponent is an integer.
+    6k has a factor 3, so log2(1/epsilon) is irrational and neither delta
+    nor c_k (the linear-pair constant c * delta / 2) is a rational number:
+    c_k is reported as a base-2 logarithm (a float, for reading only), and
+    n_min = 2^ceil(15 k hi^2) + 1, with hi a rational upper bound on
+    log2(1/epsilon) from ``log2_bounds``, is a safe upper bound on the first n where the
+    asymptotic guarantees bite.
     """
 
     k: int
@@ -59,19 +61,12 @@ class PipelineConstants:
     c_k_log2: float
     c_prime_theory: float
     n_min: int
-    n_min_exact: bool
     T: int | None = None
     D: int | None = None
 
     @property
     def path_bound(self) -> Fraction:
         return Fraction(1, 1) / (2 * (2 * self.epsilon + self.c))
-
-    @property
-    def c_k(self) -> Fraction | None:
-        """Exact c * delta / 2 when available."""
-        d = self.delta.delta
-        return None if d is None else self.c * d / 2
 
 
 def choose_constants(k: int) -> PipelineConstants:
@@ -83,31 +78,21 @@ def choose_constants(k: int) -> PipelineConstants:
     delta = fox_sudakov_delta(k, eps)
     c_k_log2 = math.log2(c.numerator) - math.log2(c.denominator) + delta.exponent_float - 1
     c_prime_theory = -1.0 / c_k_log2
-    if delta.exponent is not None:
-        n_min = 2 ** (-delta.exponent) + 1
-        n_min_exact = True
-    else:
-        mag = 15 * k * log2_upper_bound(1 / eps) ** 2
-        n_min = 2 ** math.ceil(mag) + 1
-        n_min_exact = False
-    consts = PipelineConstants(k, eps, c, delta, c_k_log2, c_prime_theory, n_min, n_min_exact)
+    _, hi = log2_bounds(1 / eps)
+    n_min = 2 ** math.ceil(15 * k * hi * hi) + 1
+    consts = PipelineConstants(k, eps, c, delta, c_k_log2, c_prime_theory, n_min)
     assert consts.path_bound == k
     return consts
 
 
 def stage1_target(consts: PipelineConstants, n: int) -> int:
-    """ceil(delta * n), certified: exact when delta is, otherwise proven to
-    equal 1 by an integer bound on log2(1/delta)."""
+    """ceil(delta * n), certified to be 1 by a lower bound on log2(1/delta);
+    an n too large for that bound raises."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = consts.delta.delta
-    if d is not None:
-        return math.ceil(d * n)
-    # log2(1/eps) >= (bit_length(num^64) - 1 - bit_length(den^64)) / 64, so
-    # 1/delta >= 2^(15 k lo^2); if n is below that, ceil(delta n) = 1.
-    inv = 1 / consts.epsilon
-    num, den = (inv.numerator ** 64, inv.denominator ** 64)
-    lo = Fraction(num.bit_length() - 1 - den.bit_length(), 64)
+    # lo < log2(1/eps), so 1/delta > 2^(15 k lo^2); if n is at most that,
+    # ceil(delta n) = 1.
+    lo, _ = log2_bounds(1 / consts.epsilon)
     if lo > 0 and n <= 2 ** math.floor(15 * consts.k * lo * lo):
         return 1
     raise ValueError("cannot certify the stage-1 target at this n")
@@ -141,7 +126,7 @@ def _flip_kind(w: BipartitePairWitness) -> BipartitePairWitness:
     return BipartitePairWitness(kind, w.X, w.Y)
 
 
-def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy-peel",
+def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy",
                              mask: int | None = None) -> ExtractionReport:
     """Run the full extraction for forbidden-path length k on the subgraph
     of g on ``mask`` (default: all of g; n is its size).
@@ -221,12 +206,7 @@ def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy-peel",
     assert pair is not None
     if complemented:
         pair = _flip_kind(pair)
-    tier = "run-derived"
-    if n >= consts.n_min and consts.c_k is not None:
-        needed = math.ceil(consts.c_k * n)
-        if min(pair.side_sizes) >= needed:
-            tier = "linear"
-    trace["guarantee_tier"] = tier
+    trace["guarantee_tier"] = "run-derived"
     trace["sides"] = sorted(pair.side_sizes)
     return ExtractionReport("bipartite-witness", pair, consts, trace, complemented)
 
@@ -238,14 +218,12 @@ class _PatternAbort(Exception):
 
 def _oracle_constant(consts: PipelineConstants) -> Fraction:
     """An exact Fraction at most c_k = c * delta / 2, for oracle-side
-    validation.  (Using a lower bound only weakens the checked promise.)"""
-    exact = consts.c_k
-    if exact is not None:
-        return exact
-    return Fraction(1, 2 ** (-math.floor(consts.c_k_log2) + 2))
+    validation: n_min - 1 >= 1/delta.  (Using a lower bound only weakens the
+    checked promise.)"""
+    return consts.c / (2 * (consts.n_min - 1))
 
 
-def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
+def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
                    details: dict | None = None):
     """An exact stable set or clique (epsilon = 0 witness).
 
@@ -257,9 +235,8 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
     instead.
 
     ``details``, if provided, is filled with the route taken ("cotree" or
-    "doubling"), and, for a set, the achieved size, the size of the P4-free
-    set that was folded (n on the cotree route) and the asymptotic
-    n^(c'/2) reference bound.
+    "doubling"), and, for a set, the achieved size and the size of the
+    P4-free set that was folded (n on the cotree route).
     """
     consts = choose_constants(k)
     folded = cograph_alpha_omega(g)
@@ -281,8 +258,7 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy-peel",
         kind, chosen = "clique", clique
     witness = HomogeneousSetWitness(kind, chosen, Fraction(0), count_edges_within(g, chosen))
     if details is not None:
-        details.update(achieved=len(chosen), extracted_size=extracted_size,
-                       theoretical_bound=g.n ** (consts.c_prime_theory / 2))
+        details.update(achieved=len(chosen), extracted_size=extracted_size)
     return witness
 
 

@@ -1,12 +1,13 @@
-import csv
 import importlib.util
 import json
+import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pathcert.cli import main
+from pathcert.cli import build_parser, main
 from pathcert.formats import encode_graph6, witness_to_json
 from pathcert.graph import complete_graph, cycle_graph, path_graph
 from pathcert.witnesses import InducedPathWitness
@@ -53,6 +54,23 @@ def test_check_induced_path(tmp_path, capsys):
     assert main(["check", "--input", path, "--induced-path", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["found"] is True and data["witness"]["type"] == "embedding"
+
+
+def test_check_induced_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    path = write_g6(tmp_path, path_graph(1200))
+    assert main(["check", "--input", path, "--induced-path", "1200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["found"] is True and data["nodes_explored"] == 1200
+    assert data["witness"]["map"] == list(range(1200))
+
+
+def test_check_pk_free_longer_than_the_recursion_limit(tmp_path, capsys):
+    path = write_g6(tmp_path, path_graph(1200))
+    assert main(["check", "--input", path, "--pk-free", "1100"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["free"] is False
+    assert data["certificate"]["pattern"] == "P1100"
+    assert data["certificate"]["map"] == list(range(1100))
 
 
 def test_check_universal(tmp_path, capsys):
@@ -180,17 +198,6 @@ def test_eh_command(tmp_path, capsys):
     assert data["witness"]["kind"] == "clique" and len(data["witness"]["S"]) == 8
 
 
-def test_bench_csv(tmp_path):
-    out = tmp_path / "rows.csv"
-    assert main(["bench", "--family", "cograph", "--n", "40", "--count", "100",
-                 "--k", "4", "--seed", "9", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == 100
-    assert [int(r["index"]) for r in rows] == list(range(100))
-    assert all(r["verified"] == "true" for r in rows)
-    assert all(r["outcome"] != "pattern-certificate" for r in rows)
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["pipeline", "--mystery-flag"])
@@ -285,3 +292,24 @@ def test_bench_tracer_bindings_and_probes(tmp_path):
     start = min(span[1] for span in tracer.spans)
     metrics = tracer.layer_metrics(2, end - start)
     assert metrics["cographs.oracle_calls"] > 0
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S)
+    assert block, "README has no ## CLI code block"
+    lines = [line.split("#", 1)[0].replace("[", "").replace("]", "").strip()
+             for line in block.group(1).splitlines()]
+    return [line for line in lines if line.startswith("pathcert ")]
+
+
+def test_readme_cli_lines_parse():
+    """Every documented ``pathcert`` line names a subcommand and flags that
+    the parser still accepts."""
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    commands = set()
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"gen", "check", "extract", "pipeline", "eh", "verify", "constants"}

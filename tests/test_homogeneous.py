@@ -8,7 +8,7 @@ from pathcert.graph import (build_graph, complement, complete_bipartite_graph, c
                             cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
 from pathcert.homogeneous import (_greedy, _peel, find_epsilon_homogeneous, fox_sudakov_delta,
-                                  prune_high_degree)
+                                  log2_bounds, prune_high_degree)
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
 
@@ -52,7 +52,7 @@ def test_exact_guard():
 def test_greedy_meets_target_or_none_and_verifies():
     for seed in range(40):
         g = gnp(30, Fraction(1, 3), stream(0x5252, seed))
-        w = find_epsilon_homogeneous(g, Fraction(1, 10), 2, "greedy-peel")
+        w = find_epsilon_homogeneous(g, Fraction(1, 10), 2, "greedy")
         if w is not None:
             assert w.size >= 2
             assert verify_homogeneous(g, w)
@@ -61,7 +61,7 @@ def test_greedy_meets_target_or_none_and_verifies():
 def test_greedy_peel_is_deterministic():
     g = gnp(25, Fraction(1, 2), stream(0x5353))
     a = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy")
-    b = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy-peel")
+    b = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy")
     assert a == b
 
 
@@ -69,7 +69,7 @@ PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), 
 
 
 def uncapped_greedy(g, eps):
-    """(kind, mask, edges) of greedy-peel with both peels run to the end,
+    """(kind, mask, edges) of the greedy strategy with both peels run to the end,
     as before the dense peel stopped at the sparse survivor count."""
     sparse = _peel(g.adj, g.full_mask, eps, dense=False)
     dense = _peel(g.adj, g.full_mask, eps, dense=True)
@@ -118,7 +118,7 @@ def test_peel_matches_brute_on_all_ties_inputs():
         assert_peel_matches_brute(g)
 
 
-# greedy-peel witnesses as the plain rescanning peel produced them; the
+# greedy witnesses as the plain rescanning peel produced them; the
 # bit-sliced peel must reproduce them byte for byte.  S is pinned as its mask.
 PINNED_GREEDY_WITNESSES = [
     pytest.param(lambda: gnp(300, Fraction(9, 10), stream(0x91E, 0)), Fraction(1, 30),
@@ -142,7 +142,7 @@ PINNED_GREEDY_WITNESSES = [
 @pytest.mark.parametrize("build, eps, kind, edge_count, mask", PINNED_GREEDY_WITNESSES)
 def test_greedy_peel_pinned_witnesses(build, eps, kind, edge_count, mask):
     g = build()
-    w = find_epsilon_homogeneous(g, eps, 1, "greedy-peel")
+    w = find_epsilon_homogeneous(g, eps, 1, "greedy")
     assert (w.kind, w.edge_count, mask_of(w.S)) == (kind, edge_count, mask)
     assert verify_homogeneous(g, w)
     assert_greedy_is_uncapped(g, eps)
@@ -175,6 +175,8 @@ def test_find_epsilon_validates_inputs():
         find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 6, "exact")
     with pytest.raises(ValueError):
         find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1, "magic")
+    with pytest.raises(ValueError):  # the library spelling is "greedy", as in the CLI
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1, "greedy-peel")
 
 
 def triangle_plus_isolated():
@@ -243,6 +245,26 @@ def test_fox_sudakov_monotone():
     eps_chain = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)]
     exps = [fox_sudakov_delta(k, e).exponent_float for e in eps_chain]
     assert all(a >= b for a, b in zip(exps, exps[1:]))
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(2), Fraction(3), Fraction(12), Fraction(30),
+                               Fraction(48), Fraction(7, 3), Fraction(1025, 1024),
+                               Fraction(10 ** 30 + 1, 7)])
+def test_log2_bounds_bracket_log2(q):
+    """lo < log2(q) < hi, checked in integers: 2^(64 lo) < q^64 < 2^(64 hi),
+    and the bracket is at most 2/64 wide."""
+    lo, hi = log2_bounds(q)
+    num, den = q.numerator ** 64, q.denominator ** 64
+    assert (64 * lo).denominator == 1 and (64 * hi).denominator == 1
+    a, b = int(64 * lo), int(64 * hi)
+    assert (2 ** a * den < num) if a >= 0 else (den < num * 2 ** -a)
+    assert num < 2 ** b * den
+    assert hi - lo <= Fraction(2, 64)
+
+
+def test_log2_bounds_rejects_below_one():
+    with pytest.raises(ValueError):
+        log2_bounds(Fraction(1, 2))
 
 
 def test_fox_sudakov_rejects_zero_epsilon():

@@ -11,7 +11,7 @@ from pathcert.patterns import (contains_induced, find_induced_path, is_pk_copk_f
 from pathcert.rng import stream
 from pathcert.witnesses import verify_embedding
 
-from conftest import brute_has_induced_path
+from conftest import brute_has_induced_path, small_graphs
 
 
 def test_find_path_identity():
@@ -32,6 +32,51 @@ def test_find_path_c6_has_p5():
     res = find_induced_path(cycle_graph(6), 5)
     assert res.found
     assert verify_embedding(cycle_graph(6), res.embedding)
+
+
+def recursive_induced_path(g, k):
+    """The search as one recursive call per path vertex: (path, nodes
+    explored), the reference for the explicit-stack search's order and count."""
+    explored = 0
+
+    def extend(path, nbr_union):
+        nonlocal explored
+        explored += 1
+        if len(path) == k:
+            return tuple(path)
+        last = path[-1]
+        for v in range(g.n):
+            if g.has_edge(last, v) and not (nbr_union >> v & 1):
+                found = extend(path + [v], nbr_union | g.adj[last] | 1 << last)
+                if found:
+                    return found
+        return None
+
+    for start in range(g.n):
+        found = extend([start], 1 << start)
+        if found:
+            return found, explored
+    return None, explored
+
+
+def test_find_path_matches_the_recursive_search():
+    graphs = list(small_graphs(5))
+    graphs += [gnp(5 + stream(0x7A, i).below(20), Fraction(stream(0x7B, i).below(9) + 1, 10),
+                   stream(0x7C, i)) for i in range(60)]
+    for g in graphs:
+        for k in range(1, min(g.n, 8) + 1):
+            res = find_induced_path(g, k)
+            path, explored = recursive_induced_path(g, k)
+            assert res.nodes_explored == explored
+            assert (res.embedding.mapping if res.found else None) == path
+
+
+def test_find_path_longer_than_the_recursion_limit():
+    res = find_induced_path(path_graph(5000), 5000)
+    assert res.found and res.embedding.mapping == tuple(range(5000))
+    assert res.nodes_explored == 5000
+    res = find_induced_path(cycle_graph(3000), 2999)
+    assert res.found and res.embedding.mapping == tuple(range(2999))
 
 
 def test_find_path_k_above_n():

@@ -9,7 +9,8 @@ from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
                             path_graph)
 from pathcert.patterns import find_induced_path, is_pk_copk_free
-from pathcert.pipeline import (choose_constants, eh_homogeneous,
+from pathcert.homogeneous import log2_bounds
+from pathcert.pipeline import (_oracle_constant, choose_constants, eh_homogeneous,
                                extract_linear_bipartite, stage1_target)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
@@ -25,6 +26,22 @@ def test_choose_constants_k5():
     assert c.path_bound == 5
     assert c.delta.exponent is None  # log2(30) is irrational
     assert c.n_min > 10 ** 100  # far beyond desk scale
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_constants_are_never_exact_and_bound_the_oracle_constant(k):
+    """6k has a factor 3, so delta is never a power of two; n_min - 1 is a
+    power of two at least 2^(15 k hi^2) >= 1/delta, so the oracle constant
+    c / (2 (n_min - 1)) is at most c * delta / 2."""
+    c = choose_constants(k)
+    assert c.delta.exponent is None and c.delta.delta is None
+    lo, hi = log2_bounds(1 / c.epsilon)
+    e = (c.n_min - 1).bit_length() - 1
+    assert c.n_min - 1 == 2 ** e and e >= 15 * k * hi * hi > 15 * k * lo * lo
+    assert _oracle_constant(c) == c.c / 2 ** (e + 1)
+    assert stage1_target(c, 2 ** int(15 * k * lo * lo)) == 1
+    with pytest.raises(ValueError):
+        stage1_target(c, 2 ** (e + 1))
 
 
 def test_choose_constants_k2():
@@ -203,8 +220,7 @@ def test_eh_single_vertex():
     details: dict = {}
     w = eh_homogeneous(empty_graph(1), 4, details=details)
     assert w.S == frozenset({0}) and w.kind == "stable"
-    assert details == {"route": "cotree", "achieved": 1, "extracted_size": 1,
-                       "theoretical_bound": 1.0}
+    assert details == {"route": "cotree", "achieved": 1, "extracted_size": 1}
 
 
 def _assert_exact_on_cograph(g, k=4):
