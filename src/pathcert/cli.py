@@ -122,20 +122,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    consts = choose_constants(args.k)
-    print(f"k = {consts.k}")
-    print(f"epsilon = {formats.fraction_to_str(consts.epsilon)}")
-    print(f"c = {formats.fraction_to_str(consts.c)}")
-    print(f"path bound 1/(2(2 epsilon + c)) = {formats.fraction_to_str(consts.path_bound)}")
-    print(f"delta = {consts.delta.describe()}")
-    print(f"log2(c_k) ~ {consts.c_k_log2:.4f}   (c_k = c * delta / 2)")
-    print(f"c' ~ {consts.c_prime_theory:.3e}")
-    n_min = consts.n_min
-    shown = str(n_min) if n_min.bit_length() <= 64 else f"2^{n_min.bit_length() - 1} + 1"
-    print(f"n_min <= {shown}")
+    data = formats.constants_to_dict(choose_constants(args.k))
     if args.epsilon:
-        d = fox_sudakov_delta(args.k, Fraction(args.epsilon))
-        print(f"delta(k={args.k}, epsilon={args.epsilon}) = {d.describe()}")
+        delta = fox_sudakov_delta(args.k, Fraction(args.epsilon))
+        data["delta_at_epsilon"] = delta.describe()
+    print(json.dumps(data, indent=2))
     return 0
 
 

@@ -298,6 +298,10 @@ def witness_to_dict(w: Witness) -> dict:
 
 
 def witness_from_dict(data: dict) -> Witness:
+    for key in ("vertices", "X", "Y", "S", "map"):  # lists of ints, booleans excluded
+        if key in data and (not isinstance(data[key], list)
+                            or any(type(v) is not int for v in data[key])):
+            raise TypeError(f"{key!r} must be a list of integer vertex ids")
     kind = data.get("type")
     if kind == "path":
         return InducedPathWitness(tuple(data["vertices"]))
@@ -324,11 +328,13 @@ def witness_from_json(text: str) -> Witness:
         raise ValueError("malformed witness: not a JSON object")
     try:
         return witness_from_dict(data)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ZeroDivisionError) as err:  # "epsilon": "1/0"
         raise ValueError(f"malformed witness: {type(err).__name__}: {err}") from err
 
 
 def constants_to_dict(c: PipelineConstants) -> dict:
+    """The constants of k; n_min as the string "2^E + 1", so the size of
+    the report does not grow with 2^E."""
     return {
         "k": c.k,
         "epsilon": fraction_to_str(c.epsilon),
@@ -338,9 +344,7 @@ def constants_to_dict(c: PipelineConstants) -> dict:
         "delta_exponent_float": c.delta.exponent_float,
         "c_k_log2": c.c_k_log2,
         "c_prime": c.c_prime_theory,
-        "n_min": str(c.n_min),
-        "T": c.T,
-        "D": c.D,
+        "n_min": f"2^{c.n_min_exponent} + 1",
     }
 
 
@@ -366,7 +370,3 @@ def report_to_dict(r: ExtractionReport) -> dict:
         "constants": constants_to_dict(r.constants),
         "trace": trace,
     }
-
-
-def report_to_json(r: ExtractionReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2) + "\n"

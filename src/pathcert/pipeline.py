@@ -12,10 +12,11 @@ dichotomy.  The outcome is one of
   trivial-witness      a single adjacent or non-adjacent pair, used when the
                        quantitative stages bottom out at small n.
 
-Every report records per-stage sizes and which guarantee tier applies:
-"run-derived" (sides >= the run's own threshold T, or a path of >= k
-vertices) or "trivial".  The asymptotic side bound ceil(c_k n) is never
-asserted: it needs n >= n_min, far beyond any graph that fits in memory.
+Every report carries the constants of k and a trace of the run: per-stage
+sizes, the thresholds T and D, and which guarantee tier applies:
+"run-derived" (sides >= T, or a path of >= k vertices) or "trivial".  The
+asymptotic side bound ceil(c_k n) is never asserted: it needs n >= n_min,
+far beyond any graph that fits in memory.
 
 ``eh_homogeneous`` returns an exact clique or stable set: the cotree fold
 when the input is already P4-free, else the extraction composed with the
@@ -24,7 +25,6 @@ P4-free doubling recursion and the fold of the set it doubles down to.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,23 +35,25 @@ from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
 # Unused here since the producers run on vertex masks, but bench/tracing.py
 # binds pipeline.components and pipeline.induced; drop them with those bindings.
 from .graph import components, induced  # noqa: F401
-from .homogeneous import (DeltaBound, find_epsilon_homogeneous, fox_sudakov_delta,
-                          log2_bounds, prune_high_degree)
+from .homogeneous import (STRATEGIES, DeltaBound, find_epsilon_homogeneous,
+                          fox_sudakov_delta, log2_bounds, prune_high_degree)
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
-                        PatternEmbedding, Witness, count_edges_within)
+                        PatternEmbedding, Witness)
 
 
 @dataclass(frozen=True)
 class PipelineConstants:
-    """Rational parameters governing one extraction run.
+    """The rational parameters of every extraction run at one k.
 
     epsilon = c = 1/(6k) makes the dichotomy's path guarantee exactly k.
     6k has a factor 3, so log2(1/epsilon) is irrational and neither delta
-    nor c_k (the linear-pair constant c * delta / 2) is a rational number:
-    c_k is reported as a base-2 logarithm (a float, for reading only), and
-    n_min = 2^ceil(15 k hi^2) + 1, with hi a rational upper bound on
-    log2(1/epsilon) from ``log2_bounds``, is a safe upper bound on the first n where the
-    asymptotic guarantees bite.
+    nor c_k (the linear-pair constant c * delta / 2) is rational: c_k is
+    reported as a base-2 logarithm (a float, for reading only), and delta
+    as two integer exponents from bounds lo < log2(1/epsilon) < hi
+    (``log2_bounds``): E = ceil(15 k hi^2), so 2^E >= 1/delta and
+    n_min = 2^E + 1 bounds the first n where the asymptotic guarantees
+    bite; F = floor(15 k lo^2), so 2^F < 1/delta and ceil(delta n) = 1 for
+    every n <= 2^F.
     """
 
     k: int
@@ -60,13 +62,16 @@ class PipelineConstants:
     delta: DeltaBound
     c_k_log2: float
     c_prime_theory: float
-    n_min: int
-    T: int | None = None
-    D: int | None = None
+    n_min_exponent: int
+    unit_target_exponent: int
 
     @property
     def path_bound(self) -> Fraction:
         return Fraction(1, 1) / (2 * (2 * self.epsilon + self.c))
+
+    @property
+    def n_min(self) -> int:
+        return 2 ** self.n_min_exponent + 1
 
 
 def choose_constants(k: int) -> PipelineConstants:
@@ -78,22 +83,20 @@ def choose_constants(k: int) -> PipelineConstants:
     delta = fox_sudakov_delta(k, eps)
     c_k_log2 = math.log2(c.numerator) - math.log2(c.denominator) + delta.exponent_float - 1
     c_prime_theory = -1.0 / c_k_log2
-    _, hi = log2_bounds(1 / eps)
-    n_min = 2 ** math.ceil(15 * k * hi * hi) + 1
-    consts = PipelineConstants(k, eps, c, delta, c_k_log2, c_prime_theory, n_min)
+    # 0 < lo < log2(6k) < hi, since 6k >= 12.
+    lo, hi = log2_bounds(1 / eps)
+    consts = PipelineConstants(k, eps, c, delta, c_k_log2, c_prime_theory,
+                               math.ceil(15 * k * hi * hi), math.floor(15 * k * lo * lo))
     assert consts.path_bound == k
     return consts
 
 
 def stage1_target(consts: PipelineConstants, n: int) -> int:
-    """ceil(delta * n), certified to be 1 by a lower bound on log2(1/delta);
-    an n too large for that bound raises."""
+    """ceil(delta * n): 1 for every n <= 2^F (F = ``unit_target_exponent``);
+    a larger n raises, since the bounds cannot certify the target there."""
     if n < 1:
         raise ValueError("n must be positive")
-    # lo < log2(1/eps), so 1/delta > 2^(15 k lo^2); if n is at most that,
-    # ceil(delta n) = 1.
-    lo, _ = log2_bounds(1 / consts.epsilon)
-    if lo > 0 and n <= 2 ** math.floor(15 * consts.k * lo * lo):
+    if (n - 1).bit_length() <= consts.unit_target_exponent:  # n <= 2^F
         return 1
     raise ValueError("cannot certify the stage-1 target at this n")
 
@@ -146,12 +149,8 @@ def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy",
     trace: dict = {"n": n, "strategy": strategy, "stage1_target": target}
 
     w1 = find_epsilon_homogeneous(g, eps, target, strategy, mask)
-    if w1 is None:
-        trace["stage1"] = {"found": False}
-        trace["guarantee_tier"] = "trivial"
-        trace["outcome_reason"] = "no-homogeneous-set"
-        return ExtractionReport("trivial-witness", _trivial_pair(g, mask), consts, trace, False)
-    trace["stage1"] = {"found": True, "kind": w1.kind, "size": w1.size}
+    assert w1 is not None  # every strategy returns a set at target 1
+    trace["stage1"] = {"kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
     work = complement(g, mask_of(w1.S)) if complemented else g
@@ -160,8 +159,7 @@ def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy",
     s2 = len(pruned)
     big_d = math.floor(2 * eps * s) + 1
     big_t = math.ceil(c * s2)
-    consts = dataclasses.replace(consts, T=big_t, D=big_d)
-    trace.update(s=s, s_prime=s2, T=big_t, D=big_d, complemented=complemented)
+    trace.update(s=s, s_prime=s2, T=big_t, D=big_d)
 
     sub = mask_of(pruned)
     comps = component_masks(work.adj, sub)
@@ -218,9 +216,9 @@ class _PatternAbort(Exception):
 
 def _oracle_constant(consts: PipelineConstants) -> Fraction:
     """An exact Fraction at most c_k = c * delta / 2, for oracle-side
-    validation: n_min - 1 >= 1/delta.  (Using a lower bound only weakens the
+    validation: 2^E >= 1/delta.  (Using a lower bound only weakens the
     checked promise.)"""
-    return consts.c / (2 * (consts.n_min - 1))
+    return consts.c / 2 ** (consts.n_min_exponent + 1)
 
 
 def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
@@ -228,24 +226,27 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
     """An exact stable set or clique (epsilon = 0 witness).
 
     A cograph is folded over its cotree at once: the larger of the maximum
-    stable set and the maximum clique, stable on a tie; ``strategy`` is not
-    used.  Otherwise the input goes through bipartite extraction, P4-free
-    doubling and the fold of the doubled set; if any stage turns up an
-    induced k-path or its complement, that PatternEmbedding is returned
-    instead.
+    stable set and the maximum clique, stable on a tie; ``strategy`` is
+    checked but not used.  Otherwise the input goes through bipartite
+    extraction, P4-free doubling and the fold of the doubled set; if any
+    stage turns up an induced k-path or its complement, that
+    PatternEmbedding is returned instead.
 
     ``details``, if provided, is filled with the route taken ("cotree" or
     "doubling"), and, for a set, the achieved size and the size of the
     P4-free set that was folded (n on the cotree route).
     """
-    consts = choose_constants(k)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     folded = cograph_alpha_omega(g)
     route = "doubling" if isinstance(folded, PatternEmbedding) else "cotree"
     if details is not None:
         details["route"] = route
     extracted_size = g.n
     if route == "doubling":
-        extracted = _doubling(g, k, strategy, consts)
+        extracted = _doubling(g, k, strategy)
         if isinstance(extracted, PatternEmbedding):
             return extracted
         folded = cograph_alpha_omega(g, mask_of(extracted))
@@ -253,16 +254,16 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
         extracted_size = len(extracted)
     stable, clique = folded
     if len(stable) >= len(clique):
-        kind, chosen = "stable", stable
+        kind, chosen, edges = "stable", stable, 0
     else:
-        kind, chosen = "clique", clique
-    witness = HomogeneousSetWitness(kind, chosen, Fraction(0), count_edges_within(g, chosen))
+        kind, chosen, edges = "clique", clique, len(clique) * (len(clique) - 1) // 2
+    witness = HomogeneousSetWitness(kind, chosen, Fraction(0), edges)
     if details is not None:
         details.update(achieved=len(chosen), extracted_size=extracted_size)
     return witness
 
 
-def _doubling(g: Graph, k: int, strategy: str, consts: PipelineConstants):
+def _doubling(g: Graph, k: int, strategy: str):
     """A P4-free vertex set from the doubling recursion over extraction
     runs, or the first pattern certificate a run returns."""
 
@@ -275,7 +276,7 @@ def _doubling(g: Graph, k: int, strategy: str, consts: PipelineConstants):
     # The declared constant is the honest asymptotic one; the recursion keeps
     # splitting down to pairs (cutoff 2) rather than stopping at 1/c, which at
     # desk scale would mean stopping immediately.
-    oracle = BipartiteOracle(_oracle_constant(consts), fn, cutoff=2)
+    oracle = BipartiteOracle(_oracle_constant(choose_constants(k)), fn, cutoff=2)
     try:
         return p4free_extract(g, oracle)
     except _PatternAbort as abort:

@@ -10,6 +10,7 @@ import pytest
 from pathcert.cli import build_parser, main
 from pathcert.formats import encode_graph6, witness_to_json
 from pathcert.graph import complete_graph, cycle_graph, path_graph
+from pathcert.pipeline import choose_constants
 from pathcert.witnesses import InducedPathWitness
 
 from conftest import threshold_graph
@@ -182,13 +183,33 @@ def test_verify_accepts_then_rejects_tampered(tmp_path, capsys):
 
 def test_constants_output(capsys):
     assert main(["constants", "--k", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "epsilon = 1/30" in out
-    assert "path bound 1/(2(2 epsilon + c)) = 5/1" in out
-    assert "log2(30)" in out
+    data = json.loads(capsys.readouterr().out)
+    assert data["epsilon"] == "1/30"
+    assert data["path_bound"] == "5/1"
+    assert "log2(30)" in data["delta"]
+    assert data["n_min"] == "2^1817 + 1"
+    assert "delta_at_epsilon" not in data
     assert main(["constants", "--k", "5", "--epsilon", "1/2"]) == 0
-    out = capsys.readouterr().out
-    assert "2^-75" in out
+    data = json.loads(capsys.readouterr().out)
+    assert data["delta_at_epsilon"] == "2^-75"
+
+
+def test_constants_at_large_k(capsys):
+    # n_min = 2^E + 1 is written by its exponent, which has eight digits here
+    assert main(["constants", "--k", "10000"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["n_min"] == f"2^{choose_constants(10000).n_min_exponent} + 1"
+
+
+@pytest.mark.parametrize("k", [20, 64])
+def test_pipeline_at_large_k(tmp_path, capsys, k):
+    path = write_g6(tmp_path, cycle_graph(12))
+    assert main(["pipeline", "--input", path, "--k", str(k)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verified"] is True
+    assert data["constants"]["n_min"] == f"2^{choose_constants(k).n_min_exponent} + 1"
+    assert main(["constants", "--k", str(k)]) == 0
+    assert json.loads(capsys.readouterr().out) == data["constants"]
 
 
 def test_eh_command(tmp_path, capsys):
@@ -242,7 +263,14 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
 
 
 @pytest.mark.parametrize("text", ['{"type": "homogeneous", "kind": "stable", "epsilon": "0"}',
-                                  '{"type": "path", "vertices": 5}', '[1, 2]'])
+                                  '{"type": "path", "vertices": 5}', '[1, 2]',
+                                  # vertex fields that are not lists of ints
+                                  '{"type": "bipartite", "kind": "empty", "X": "ab", "Y": [3]}',
+                                  '{"type": "path", "vertices": [0, 1.5, 2]}',
+                                  '{"type": "embedding", "pattern": "P3", "map": "012"}',
+                                  '{"type": "path", "vertices": [true, 2]}',
+                                  '{"type": "homogeneous", "kind": "stable", "S": [0], '
+                                  '"epsilon": "1/0", "edge_count": 0}'])
 def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     wpath = tmp_path / "w.json"
     wpath.write_text(text)

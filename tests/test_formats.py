@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               witness_to_dict, witness_to_json, write_edge_list)
 from pathcert.generators import gnp, random_cograph
 from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
-from pathcert.pipeline import extract_linear_bipartite
+from pathcert.pipeline import choose_constants, extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness, PatternEmbedding)
@@ -533,8 +534,16 @@ def test_report_serialization():
     assert data["outcome"] == r.outcome
     assert data["constants"]["epsilon"] == "1/24"
     assert "guarantee_tier" in data["trace"]
-    import json
     json.dumps(data)  # JSON-safe end to end
+
+
+def test_report_json_at_every_k_up_to_64():
+    # the constants of k stay small in JSON: n_min is written by its exponent
+    g = cycle_graph(9)
+    for k in range(2, 65):
+        data = report_to_dict(extract_linear_bipartite(g, k))
+        assert data["constants"]["n_min"] == f"2^{choose_constants(k).n_min_exponent} + 1"
+        json.dumps(data)
 
 
 def test_report_writes_extractor_summary():

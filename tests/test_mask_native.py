@@ -182,41 +182,45 @@ def test_exact_oracle_on_mask_equals_induced():
 # (larger on the cographs, the first 15-vertex side on K(15, 15)).  Every
 # file digest changed again when report JSON dropped ``constants.n_min_exact``
 # and ``eh`` output dropped ``theoretical_bound``; with those keys taken out,
-# the old files are byte for byte the new ones.
+# the old files are byte for byte the new ones.  The pipeline file digests
+# changed once more when report JSON wrote ``constants.n_min`` as "2^E + 1"
+# and dropped ``constants.T``, ``constants.D`` (still in ``trace``),
+# ``trace.stage1.found`` and ``trace.complemented`` (still top-level ``complemented``);
+# the witness digests did not change.
 # Between them the pipeline cases reach stage 3's component split and
 # recurse-largest branches, the complemented side, the extractor's grow and
 # middle-split cases, a co-P4 certificate and the exact and trivial strategies.
 CLI_PINS = [
     ("pipeline", "gnp", 60, "1/2", 1, 5, "greedy",
      "aa608825d80641579c1b7a495a5da20424ec482ba4e6ff4e39e1cb77db5aa7c2",
-     "a003621829ca9911be47e23f1f1b450a8ed307df7bae7da92d4d421808b35d2e"),
+     "e58406eecafd54c12f00591fc13d8f6b6b065125bcd67e9700b551e1ca2a3304"),
     ("pipeline", "gnp", 40, "1/2", 2, 4, "greedy",
      "4d4e5ce1e293924f3dc96f72ee400bbbe1c67667a3498a5981c921dcf3c9d94d",
-     "1fdf76bd6ec3526e678a05067e51a54db145c7d9d774731b43cfc0a36567d194"),
+     "d0c7d207a2c0464dbdce4e7f559ab9ccad88924c4dd6116d7e672f9d5691ee64"),
     ("pipeline", "gnp", 150, "1/10", 2, 4, "greedy",
      "8488cc4766059ee640f4ea67e96ba58704e3a3f7d7c708f806b978bf0550da7e",
-     "02d7372b09af2238abede797b7566ab616be76cfc715cc234cd078280aecbeaa"),
+     "c1dfad396b66a5407613aa40476379884a193e5d1e0ced38692020b07c5bb06a"),
     ("pipeline", "gnp", 250, "1/10", 0, 5, "greedy",
      "0cd46fc2cd0560633ec7e36b9dddff4662204f983ceb36c93310223c53ebea25",
-     "f2d7aca0f9bba187e4ca13abd37f887db66d3af32de99653ae14a8335e92f2e6"),
+     "f336f5a2de6ec468b1a8ef08bd9583521901699310c7ca4e3f493999d27c4fad"),
     ("pipeline", "gnp", 150, "9/10", 1, 4, "greedy",
      "ec8c994e4304d7982a0f41428d0cee2780aef9d0ef77a82e51d5764f5f2b87a4",
-     "ec85c1fecd4f5c1d37b80e81b3ca6319ae073db0f877a727804a2f4d69755bd2"),
+     "67be92b23e3156e4ec9bf3b99de74c75e7ff7663dccc0cacec0dd48086fc2637"),
     ("pipeline", "gnp", 150, "9/10", 3, 4, "greedy",
      "b5fb40ced2de235c96a8546c8ad72ec0c20d41c640c10c9e81abf55b4c3923fb",
-     "c51b3f0bb4a4a14879e698fc7334c5671b32312c2c79f171e5ae1f51d896118b"),
+     "1cdb13d1f64871e906deb83cd32fa71b16632afa6589de179495f2b5c1063611"),
     ("pipeline", "gnp", 14, "1/2", 4, 3, "exact",
      "ac7571c2a92ed0e21b87053e71227ee058d2fdbc70edcf4ab80085162f7b02c9",
-     "39d222b1413868e0be1d22e90631f72a4440ac287876db92206d51360a3d63b9"),
+     "5d6ea096400ef034eda8029c0f3e2ca6a4d8976ecc6ef51fd0bc8a68de869ebc"),
     ("pipeline", "gnp", 20, "1/2", 5, 5, "trivial",
      "cd51bcaeff00b912cb420b49782b06110cf4494ada95afd812f774e1ac09afc7",
-     "396cf4ba0e3ac16b4cf6fe3af7fc6711cf27ba38e9bae889907bf67458dc1af8"),
+     "5c2a517101691482fb19c546492551c74434682160aeed1fc382cbb6aadb15da"),
     ("pipeline", "cograph", 150, None, 6, 5, "greedy",
      "ed7275f9dbb028f385c022b6a449328a307588561b0d95074e15cacfc113f59c",
-     "8fee5b69a68c34d44055063837537fc07d90c0a174f605642dfb0ecd6fa0abcf"),
+     "932c87c7c9a67e90a3a86a6d3c187cd83f301b205cca28efa04769516ca39cf9"),
     ("pipeline", "path", 90, None, 0, 5, "greedy",
      "3a97b85840d03f1fc9084745ef061c408a7ed7aa87d057d39230e4e0cd5b5997",
-     "d851597a17113f537f59a666b27ac23ef8875954d7249335a9f61d3ac460a3ed"),
+     "1051c5982c26bfa0521327d9f57d3fccc80ff083d0b610b2e20bee33bcc2c61b"),
     ("eh", "cograph", 120, None, 7, 4, "greedy",
      "d9a40faa1bef78e4de1bac474f6cf3a3ed33224d12c8bc943f58213df1d16083",
      "2e5939472e958220a54020fbde09939b53c8447282dd34e6fcaf49f6a7e0a14c"),

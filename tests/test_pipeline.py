@@ -30,18 +30,20 @@ def test_choose_constants_k5():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_constants_are_never_exact_and_bound_the_oracle_constant(k):
-    """6k has a factor 3, so delta is never a power of two; n_min - 1 is a
-    power of two at least 2^(15 k hi^2) >= 1/delta, so the oracle constant
-    c / (2 (n_min - 1)) is at most c * delta / 2."""
+    """6k has a factor 3, so delta is never a power of two.  E and F come
+    from the rational bounds lo < log2(6k) < hi: 2^E >= 1/delta bounds the
+    oracle constant c / 2^(E + 1) by c * delta / 2, and 2^F < 1/delta makes
+    n = 2^F the last n whose stage-1 target is certified to be 1."""
     c = choose_constants(k)
     assert c.delta.exponent is None and c.delta.delta is None
     lo, hi = log2_bounds(1 / c.epsilon)
-    e = (c.n_min - 1).bit_length() - 1
-    assert c.n_min - 1 == 2 ** e and e >= 15 * k * hi * hi > 15 * k * lo * lo
+    e, f = c.n_min_exponent, c.unit_target_exponent
+    assert e == math.ceil(15 * k * hi * hi) and f == math.floor(15 * k * lo * lo)
+    assert f < e and c.n_min == 2 ** e + 1
     assert _oracle_constant(c) == c.c / 2 ** (e + 1)
-    assert stage1_target(c, 2 ** int(15 * k * lo * lo)) == 1
+    assert stage1_target(c, 2 ** f) == 1
     with pytest.raises(ValueError):
-        stage1_target(c, 2 ** (e + 1))
+        stage1_target(c, 2 ** f + 1)
 
 
 def test_choose_constants_k2():
@@ -74,7 +76,7 @@ def test_pipeline_k10_complete_pair():
     w = r.witness
     assert isinstance(w, BipartitePairWitness) and w.kind == "complete"
     assert verify(g, w)
-    assert min(w.side_sizes) >= r.constants.T
+    assert min(w.side_sizes) >= r.trace["T"]
 
 
 def test_pipeline_p5_returns_verified_witness():
@@ -178,7 +180,7 @@ def test_run_derived_tier_sides_meet_T():
             continue
         r = extract_linear_bipartite(g, 4, "greedy")
         if r.outcome == "bipartite-witness" and r.trace["guarantee_tier"] == "run-derived":
-            assert min(r.witness.side_sizes) >= r.constants.T
+            assert min(r.witness.side_sizes) >= r.trace["T"]
 
 
 def test_eh_edgeless_all_vertices():
@@ -187,6 +189,14 @@ def test_eh_edgeless_all_vertices():
     assert isinstance(w, HomogeneousSetWitness)
     assert w.kind == "stable" and w.S == frozenset(range(12))
     assert verify(g, w)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), path_graph(6)], ids=["cotree", "doubling"])
+def test_eh_checks_strategy_and_k_on_both_routes(g):
+    with pytest.raises(ValueError, match="unknown strategy"):
+        eh_homogeneous(g, 4, "greedy-peel")
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        eh_homogeneous(g, 1)
 
 
 def test_eh_complete_graph_full_clique():
