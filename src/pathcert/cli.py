@@ -18,7 +18,6 @@ from .cographs import cograph_alpha_omega, exact_bipartite_oracle, p4free_extrac
 from .extractor import ExtractorParams, path_guarantee, path_or_empty_bipartite
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .homogeneous import STRATEGIES, fox_sudakov_delta
 from .patterns import find_induced_path, is_pk_copk_free, universality_check
 from .pipeline import choose_constants, eh_homogeneous, extract_linear_bipartite
 from .witnesses import PatternEmbedding, verify
@@ -91,7 +90,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.input, args.format)
-    report = extract_linear_bipartite(g, args.k, args.strategy)
+    report = extract_linear_bipartite(g, args.k)
     verdict = verify(g, report.witness)
     data = formats.report_to_dict(report)
     data["verified"] = bool(verdict)
@@ -102,7 +101,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_eh(args) -> int:
     g = _read_graph(args.input, args.format)
     details: dict = {}
-    w = eh_homogeneous(g, args.k, args.strategy, details=details)
+    w = eh_homogeneous(g, args.k, details=details)
     payload = {"witness": formats.witness_to_dict(w), "verified": bool(verify(g, w))}
     payload.update(details)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -122,11 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    data = formats.constants_to_dict(choose_constants(args.k))
-    if args.epsilon:
-        delta = fox_sudakov_delta(args.k, Fraction(args.epsilon))
-        data["delta_at_epsilon"] = delta.describe()
-    print(json.dumps(data, indent=2))
+    print(json.dumps(formats.constants_to_dict(choose_constants(args.k)), indent=2))
     return 0
 
 
@@ -173,13 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full certifying extraction")
     add_io(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("eh", help="exact clique/stable set via the full composition")
     add_io(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.set_defaults(func=_cmd_eh)
 
     p = sub.add_parser("verify", help="re-check a witness file against a graph")
@@ -190,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="print the run constants for a given k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", help="also evaluate the delta formula at this epsilon")
     p.set_defaults(func=_cmd_constants)
 
     return parser

@@ -274,13 +274,18 @@ def parse_fraction(text: str) -> Fraction:
 _PATTERN_NAME = re.compile(r"^(co-)?P(\d+)$")
 
 
-def pattern_by_name(name: str) -> Graph:
+def _parse_pattern_name(name: str) -> tuple[bool, int]:
+    """(complemented, vertex count) of a pattern name "P<k>" or "co-P<k>"."""
     m = _PATTERN_NAME.match(name)
     if not m:
         raise ValueError(f"unknown pattern name {name!r}")
-    k = int(m.group(2))
+    return bool(m.group(1)), int(m.group(2))
+
+
+def pattern_by_name(name: str) -> Graph:
+    complemented, k = _parse_pattern_name(name)
     base = path_graph(k)
-    return complement(base) if m.group(1) else base
+    return complement(base) if complemented else base
 
 
 def witness_to_dict(w: Witness) -> dict:
@@ -308,11 +313,20 @@ def witness_from_dict(data: dict) -> Witness:
     if kind == "bipartite":
         return BipartitePairWitness(data["kind"], frozenset(data["X"]), frozenset(data["Y"]))
     if kind == "homogeneous":
+        epsilon, edge_count = data["epsilon"], data["edge_count"]
+        if not isinstance(epsilon, str) or type(edge_count) is not int:
+            raise TypeError("'epsilon' must be a fraction string and 'edge_count' an integer")
         return HomogeneousSetWitness(data["kind"], frozenset(data["S"]),
-                                     parse_fraction(data["epsilon"]), data["edge_count"])
+                                     parse_fraction(epsilon), edge_count)
     if kind == "embedding":
-        return PatternEmbedding(data["pattern"], pattern_by_name(data["pattern"]),
-                                tuple(data["map"]))
+        # The name fixes the pattern's size; compare it with the map before
+        # building the pattern, so a huge name costs nothing.
+        name, mapping = data["pattern"], tuple(data["map"])
+        size = _parse_pattern_name(name)[1]
+        if size != len(mapping):
+            raise ValueError(f"malformed witness: pattern {name} has {size} vertices, "
+                             f"map has {len(mapping)}")
+        return PatternEmbedding(name, pattern_by_name(name), mapping)
     raise ValueError(f"unknown witness type {kind!r}")
 
 

@@ -1,12 +1,12 @@
 """Finding sparse/dense vertex sets and the quantitative knobs around them.
 
 A set S is an eps-stable set if it spans at most eps * C(|S|, 2) edges and an
-eps-clique if it misses at most that many.  Three finder strategies are
-offered: a complete subset search for tiny graphs, a greedy peeling heuristic
-that scales, and the single-vertex fallback (a lone vertex is an eps-stable
-set for every eps).
+eps-clique if it misses at most that many.  One finder serves stage 1 of
+the pipeline: a greedy peel, which keeps the larger of a sparse and a dense
+survivor.  Its target there is ceil(delta n) = 1 at every n that fits in
+memory, so a complete subset search would buy nothing.
 
-The greedy peel keeps every vertex degree bit-sliced across O(log n) big-int
+The peel keeps every vertex degree bit-sliced across O(log n) big-int
 planes, so finding and deleting the next vertex costs O(log n) big-int
 operations, and the dense peel runs on the graph's own rows rather than on a
 complement graph.  The sparse peel runs first, and the dense peel stops once
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph, VertexSet, bits, mask_of
@@ -31,33 +30,6 @@ from .graph import Graph, VertexSet, bits, mask_of
 # bench/tracing.py binds homogeneous.complement; drop it with that binding.
 from .graph import complement  # noqa: F401
 from .witnesses import HomogeneousSetWitness
-
-STRATEGIES = ("exact", "greedy", "trivial")
-EXACT_MAX_N = 20
-
-
-def _edges_in(adj, mask: int) -> int:
-    return sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
-def _exact(g: Graph, mask: int, epsilon: Fraction,
-           target: int) -> HomogeneousSetWitness | None:
-    # Complete search, largest subsets first; within a size, one sparse pass
-    # then one dense pass, subsets in lexicographic order each time.
-    members = list(bits(mask))
-    if len(members) > EXACT_MAX_N:
-        raise ValueError(
-            f"exact strategy limited to n <= {EXACT_MAX_N}, got n = {len(members)}")
-    for size in range(len(members), target - 1, -1):
-        pairs = size * (size - 1) // 2
-        budget = epsilon * pairs
-        for kind in ("stable", "clique"):
-            for combo in combinations(members, size):
-                edges = _edges_in(g.adj, mask_of(combo))
-                slack = edges if kind == "stable" else pairs - edges
-                if slack <= budget:
-                    return HomogeneousSetWitness(kind, frozenset(combo), epsilon, edges)
-    return None
 
 
 def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
@@ -114,8 +86,22 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
     return mask, edges
 
 
-def _greedy(g: Graph, mask: int, epsilon: Fraction,
-            target: int) -> HomogeneousSetWitness | None:
+def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
+                             mask: int | None = None) -> HomogeneousSetWitness | None:
+    """A sparse or dense set of at least ``target`` vertices inside ``mask``
+    (default: all of g), or None.
+
+    Peels by maximum degree (sparse) and by minimum degree, that is maximum
+    co-degree (dense), and keeps the larger survivor if it reaches target;
+    O(log n) big-int operations per deleted vertex, no complement graph.
+    """
+    if mask is None:
+        mask = g.full_mask
+    epsilon = Fraction(epsilon)
+    if not 0 <= epsilon <= 1:
+        raise ValueError("epsilon must be in [0, 1]")
+    if not 1 <= target <= mask.bit_count():
+        raise ValueError(f"target must be in 1..{mask.bit_count()}")
     sparse_mask, sparse_edges = _peel(g.adj, mask, epsilon, dense=False)
     # A tie goes to the sparse set, so the dense peel can only win while it
     # keeps more vertices: it stops at the sparse peel's size.
@@ -128,38 +114,6 @@ def _greedy(g: Graph, mask: int, epsilon: Fraction,
     if mask.bit_count() < target:
         return None
     return HomogeneousSetWitness(kind, frozenset(bits(mask)), epsilon, edges)
-
-
-def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int, strategy: str,
-                             mask: int | None = None) -> HomogeneousSetWitness | None:
-    """A sparse or dense set of at least ``target`` vertices inside ``mask``
-    (default: all of g), or None.
-
-    exact    complete enumeration (at most 20 vertices); None means no such
-             set of either kind exists at any size >= target.
-    greedy   peel by maximum degree (sparse) and by minimum degree, that is
-             maximum co-degree (dense), keep the larger survivor if it
-             reaches target; O(log n) big-int operations per deleted vertex,
-             no complement graph.
-    trivial  the smallest vertex (meets target only when target <= 1).
-    """
-    if mask is None:
-        mask = g.full_mask
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon <= 1:
-        raise ValueError("epsilon must be in [0, 1]")
-    if not 1 <= target <= mask.bit_count():
-        raise ValueError(f"target must be in 1..{mask.bit_count()}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    if strategy == "exact":
-        return _exact(g, mask, epsilon, target)
-    if strategy == "greedy":
-        return _greedy(g, mask, epsilon, target)
-    if target > 1:
-        return None
-    return HomogeneousSetWitness("stable", frozenset([(mask & -mask).bit_length() - 1]),
-                                 epsilon, 0)
 
 
 def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSet:
@@ -180,62 +134,32 @@ def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSe
     return frozenset(v for v in members if (g.adj[v] & mask).bit_count() * den <= num)
 
 
-def _log2_exact(q: Fraction) -> int | None:
-    """log2(q) when q is exactly a power of two, else None."""
-    num, den = q.numerator, q.denominator
-    if num & (num - 1) or den & (den - 1):
-        return None
-    return num.bit_length() - den.bit_length()
-
-
 @dataclass(frozen=True)
 class DeltaBound:
-    """The guarantee constant delta = 2^(-15 k log2(1/eps)^2).
-
-    ``exponent`` is the exact integer exponent when log2(1/eps) is an
-    integer (i.e. 1/eps is a power of two); otherwise only the float
-    approximation is available and delta is reported symbolically.
-    """
+    """The guarantee constant delta = 2^(-15 k log2(1/eps)^2), reported
+    symbolically: ``exponent_float`` is the exponent as a float, for
+    reading only; decisions use the integer bounds of ``log2_bounds``."""
 
     k: int
     epsilon: Fraction
-    exponent: int | None
     exponent_float: float
 
-    @property
-    def exact(self) -> bool:
-        return self.exponent is not None
-
-    @property
-    def delta(self) -> Fraction | None:
-        if self.exponent is None:
-            return None
-        if self.exponent >= 0:
-            return Fraction(2 ** self.exponent)
-        return Fraction(1, 2 ** (-self.exponent))
-
     def describe(self) -> str:
-        if self.exponent is not None:
-            return f"2^{self.exponent}"
         inv = Fraction(1, 1) / self.epsilon
         return (f"2^(-15*{self.k}*log2({inv})^2)"
                 f" (exponent ~ {self.exponent_float:.4f})")
 
 
 def fox_sudakov_delta(k: int, epsilon: Fraction) -> DeltaBound:
-    """delta = 2^(-15 k (log2(1/eps))^2), as an exact base-2 exponent when
-    1/eps is a power of two."""
+    """delta = 2^(-15 k (log2(1/eps))^2), held symbolically."""
     if k < 1:
         raise ValueError("k must be at least 1")
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     inv = 1 / epsilon
-    m = _log2_exact(inv)
     log2_float = math.log2(inv.numerator) - math.log2(inv.denominator)
-    exponent_float = -15.0 * k * log2_float * log2_float
-    exponent = -15 * k * m * m if m is not None else None
-    return DeltaBound(k, epsilon, exponent, exponent_float)
+    return DeltaBound(k, epsilon, -15.0 * k * log2_float * log2_float)
 
 
 def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:

@@ -35,8 +35,8 @@ from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
 # Unused here since the producers run on vertex masks, but bench/tracing.py
 # binds pipeline.components and pipeline.induced; drop them with those bindings.
 from .graph import components, induced  # noqa: F401
-from .homogeneous import (STRATEGIES, DeltaBound, find_epsilon_homogeneous,
-                          fox_sudakov_delta, log2_bounds, prune_high_degree)
+from .homogeneous import (DeltaBound, find_epsilon_homogeneous, fox_sudakov_delta,
+                          log2_bounds, prune_high_degree)
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
 
@@ -129,8 +129,7 @@ def _flip_kind(w: BipartitePairWitness) -> BipartitePairWitness:
     return BipartitePairWitness(kind, w.X, w.Y)
 
 
-def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy",
-                             mask: int | None = None) -> ExtractionReport:
+def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> ExtractionReport:
     """Run the full extraction for forbidden-path length k on the subgraph
     of g on ``mask`` (default: all of g; n is its size).
 
@@ -146,10 +145,10 @@ def extract_linear_bipartite(g: Graph, k: int, strategy: str = "greedy",
     consts = choose_constants(k)
     eps, c = consts.epsilon, consts.c
     target = stage1_target(consts, n)
-    trace: dict = {"n": n, "strategy": strategy, "stage1_target": target}
+    trace: dict = {"n": n, "stage1_target": target}
 
-    w1 = find_epsilon_homogeneous(g, eps, target, strategy, mask)
-    assert w1 is not None  # every strategy returns a set at target 1
+    w1 = find_epsilon_homogeneous(g, eps, target, mask)
+    assert w1 is not None  # the peel keeps at least one vertex, and the target is 1
     trace["stage1"] = {"kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
@@ -221,16 +220,14 @@ def _oracle_constant(consts: PipelineConstants) -> Fraction:
     return consts.c / 2 ** (consts.n_min_exponent + 1)
 
 
-def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
-                   details: dict | None = None):
+def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     """An exact stable set or clique (epsilon = 0 witness).
 
     A cograph is folded over its cotree at once: the larger of the maximum
-    stable set and the maximum clique, stable on a tie; ``strategy`` is
-    checked but not used.  Otherwise the input goes through bipartite
-    extraction, P4-free doubling and the fold of the doubled set; if any
-    stage turns up an induced k-path or its complement, that
-    PatternEmbedding is returned instead.
+    stable set and the maximum clique, stable on a tie.  Otherwise the
+    input goes through bipartite extraction, P4-free doubling and the fold
+    of the doubled set; if any stage turns up an induced k-path or its
+    complement, that PatternEmbedding is returned instead.
 
     ``details``, if provided, is filled with the route taken ("cotree" or
     "doubling"), and, for a set, the achieved size and the size of the
@@ -238,15 +235,13 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     folded = cograph_alpha_omega(g)
     route = "doubling" if isinstance(folded, PatternEmbedding) else "cotree"
     if details is not None:
         details["route"] = route
     extracted_size = g.n
     if route == "doubling":
-        extracted = _doubling(g, k, strategy)
+        extracted = _doubling(g, k)
         if isinstance(extracted, PatternEmbedding):
             return extracted
         folded = cograph_alpha_omega(g, mask_of(extracted))
@@ -263,12 +258,12 @@ def eh_homogeneous(g: Graph, k: int, strategy: str = "greedy",
     return witness
 
 
-def _doubling(g: Graph, k: int, strategy: str):
+def _doubling(g: Graph, k: int):
     """A P4-free vertex set from the doubling recursion over extraction
     runs, or the first pattern certificate a run returns."""
 
     def fn(g: Graph, mask: int) -> BipartitePairWitness:
-        report = extract_linear_bipartite(g, k, strategy, mask)
+        report = extract_linear_bipartite(g, k, mask)
         if report.outcome == "pattern-certificate":
             raise _PatternAbort(report.witness)  # type: ignore[arg-type]
         return report.witness  # type: ignore[return-value]

@@ -124,10 +124,17 @@ def verify_induced_path(g: Graph, w: InducedPathWitness) -> Verdict:
     for i in range(len(vs) - 1):
         if not g.has_edge(vs[i], vs[i + 1]):
             return Verdict(False, "missing-edge", f"({vs[i]},{vs[i + 1]}) must be an edge")
-    for i in range(len(vs)):
-        for j in range(i + 2, len(vs)):
-            if g.has_edge(vs[i], vs[j]):
-                return Verdict(False, "forbidden-edge", f"chord ({vs[i]},{vs[j]})")
+    # One AND per vertex against the vertices two or more places later; the
+    # first i with a hit and its chord of smallest position give the first
+    # chord in (i, j) order.
+    later = mask_of(vs[2:])
+    for i in range(len(vs) - 2):
+        chords = g.adj[vs[i]] & later
+        if chords:
+            position = {v: j for j, v in enumerate(vs)}
+            j = min(position[v] for v in bits(chords))
+            return Verdict(False, "forbidden-edge", f"chord ({vs[i]},{vs[j]})")
+        later ^= 1 << vs[i + 2]
     return ACCEPT
 
 

@@ -20,7 +20,7 @@ from pathcert.generators import gnp
 from pathcert.patterns import find_induced_path
 from pathcert.rng import SplitMix64, stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, PatternEmbedding,
-                                verify_bipartite_pair)
+                                Verdict, verify_bipartite_pair)
 
 
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
@@ -122,7 +122,7 @@ def edges_within(g: Graph, s) -> int:
 
 def best_homogeneous_sizes(g: Graph, epsilon: Fraction) -> tuple[int, int]:
     """(max stable-kind size, max clique-kind size) by full subset
-    enumeration - the completeness oracle for the exact strategy."""
+    enumeration - the upper bound on the greedy finder's set of each kind."""
     best_stable = 0
     best_clique = 0
     for size in range(1, g.n + 1):
@@ -134,6 +134,28 @@ def best_homogeneous_sizes(g: Graph, epsilon: Fraction) -> tuple[int, int]:
             if size * (size - 1) // 2 - e <= budget:
                 best_clique = max(best_clique, size)
     return best_stable, best_clique
+
+
+def pairwise_verify_induced_path(g: Graph, w: InducedPathWitness) -> Verdict:
+    """The induced-path verifier with one adjacency lookup per vertex pair
+    (oracle for the one-AND-per-vertex chord check): the same reasons and
+    details, the first chord in (i, j) order."""
+    vs = w.vertices
+    if len(vs) == 0:
+        return Verdict(False, "empty-sequence")
+    for v in vs:
+        if not 0 <= v < g.n:
+            return Verdict(False, "vertex-out-of-range", f"vertex {v} not in 0..{g.n - 1}")
+    if len(set(vs)) != len(vs):
+        return Verdict(False, "repeated-vertex")
+    for i in range(len(vs) - 1):
+        if not g.has_edge(vs[i], vs[i + 1]):
+            return Verdict(False, "missing-edge", f"({vs[i]},{vs[i + 1]}) must be an edge")
+    for i in range(len(vs)):
+        for j in range(i + 2, len(vs)):
+            if g.has_edge(vs[i], vs[j]):
+                return Verdict(False, "forbidden-edge", f"chord ({vs[i]},{vs[j]})")
+    return Verdict(True)
 
 
 def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:

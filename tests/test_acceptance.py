@@ -167,20 +167,20 @@ def test_pipeline_soundness():
     for i in range(200):
         n = 6 + i % 5  # 6..10: brute-force certification stays cheap
         sample = rejection_sample_ck(n, 5, Fraction(1, 2), seed=0xACCA + i, budget=50000)
-        r = extract_linear_bipartite(sample.graph, 5, "greedy")
+        r = extract_linear_bipartite(sample.graph, 5)
         assert r.outcome != "pattern-certificate", (i, r.outcome)
         assert verify(sample.graph, r.witness), i
     for i in range(200):
         n = 4 + stream(0xACCB, i).below(37)
         g = random_cograph(n, stream(0xACCC, i))
-        r = extract_linear_bipartite(g, 4, "greedy")
+        r = extract_linear_bipartite(g, 4)
         assert r.outcome != "pattern-certificate", (i, r.outcome)
         assert verify(g, r.witness), i
     certified = 0
 
     def run_unrestricted(g):
         nonlocal certified
-        r = extract_linear_bipartite(g, 5, "greedy")
+        r = extract_linear_bipartite(g, 5)
         assert verify(g, r.witness)
         if r.outcome == "pattern-certificate":
             certified += 1
@@ -212,8 +212,7 @@ def test_constants():
     assert consts.c == Fraction(1, 30)
     assert Fraction(1, 1) / (2 * (2 * consts.epsilon + consts.c)) == 5
     d = fox_sudakov_delta(5, Fraction(1, 2))
-    assert d.exponent == -75
-    assert d.delta == Fraction(1, 2 ** 75)
+    assert d.exponent_float == -75  # log2(2) = 1 is exact in floats
     # c^(p/q) >= 1/2 iff c^p * 2^q >= 1: the exponent 1/2 holds at c = 1/4
     # with equality, so no larger one does
     assert Fraction(1, 4) ** 1 * 2 ** 2 == 1

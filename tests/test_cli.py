@@ -1,7 +1,10 @@
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,8 +164,7 @@ def test_eh_command_reports_its_route(tmp_path, capsys):
 def test_pipeline_command(tmp_path, capsys):
     path = write_g6(tmp_path, complete_graph(10))
     out = tmp_path / "report.json"
-    assert main(["pipeline", "--input", path, "--k", "5",
-                 "--strategy", "exact", "--out", str(out)]) == 0
+    assert main(["pipeline", "--input", path, "--k", "5", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["outcome"] == "bipartite-witness"
     assert data["verified"] is True
@@ -188,10 +190,6 @@ def test_constants_output(capsys):
     assert data["path_bound"] == "5/1"
     assert "log2(30)" in data["delta"]
     assert data["n_min"] == "2^1817 + 1"
-    assert "delta_at_epsilon" not in data
-    assert main(["constants", "--k", "5", "--epsilon", "1/2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["delta_at_epsilon"] == "2^-75"
 
 
 def test_constants_at_large_k(capsys):
@@ -214,7 +212,7 @@ def test_pipeline_at_large_k(tmp_path, capsys, k):
 
 def test_eh_command(tmp_path, capsys):
     path = write_g6(tmp_path, complete_graph(8))
-    assert main(["eh", "--input", path, "--k", "4", "--strategy", "exact"]) == 0
+    assert main(["eh", "--input", path, "--k", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["witness"]["kind"] == "clique" and len(data["witness"]["S"]) == 8
 
@@ -270,13 +268,46 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
                                   '{"type": "embedding", "pattern": "P3", "map": "012"}',
                                   '{"type": "path", "vertices": [true, 2]}',
                                   '{"type": "homogeneous", "kind": "stable", "S": [0], '
-                                  '"epsilon": "1/0", "edge_count": 0}'])
+                                  '"epsilon": "1/0", "edge_count": 0}',
+                                  # an edge count that is not an int, an epsilon
+                                  # that is not a fraction string
+                                  '{"type": "homogeneous", "kind": "stable", "S": [0], '
+                                  '"epsilon": "0", "edge_count": "0"}',
+                                  '{"type": "homogeneous", "kind": "stable", "S": [0, 1], '
+                                  '"epsilon": "0", "edge_count": true}',
+                                  '{"type": "homogeneous", "kind": "stable", "S": [0], '
+                                  '"epsilon": false, "edge_count": 0}',
+                                  '{"type": "homogeneous", "kind": "stable", "S": [0], '
+                                  '"epsilon": 0.0, "edge_count": 0}',
+                                  # a pattern name and a map that disagree on the size
+                                  '{"type": "embedding", "pattern": "P4", "map": [0, 1, 2]}'])
 def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     wpath = tmp_path / "w.json"
     wpath.write_text(text)
     code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: malformed witness")
+
+
+def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
+    """A pattern name is compared with the map's length before the pattern
+    graph is built, so a huge name costs no memory: under a 512 MB address
+    space limit, building P99999999 (about n^2/8 bytes) would fail."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"type": "embedding", "pattern": "P99999999", "map": []}')
+    gpath = write_g6(tmp_path, path_graph(6))
+    limit = 512 * 2 ** 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from pathcert.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, "verify", "--graph", gpath,
+                           "--witness", str(wpath)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: malformed witness")
 
 
 def load_bench_tracing():

@@ -529,7 +529,7 @@ def test_fraction_parsing():
 
 def test_report_serialization():
     g = complete_graph(8)
-    r = extract_linear_bipartite(g, 4, "greedy")
+    r = extract_linear_bipartite(g, 4)
     data = report_to_dict(r)
     assert data["outcome"] == r.outcome
     assert data["constants"]["epsilon"] == "1/24"

@@ -7,7 +7,7 @@ from itertools import combinations
 from pathcert.graph import (build_graph, complement, complete_bipartite_graph, complete_graph,
                             cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
-from pathcert.homogeneous import (_greedy, _peel, find_epsilon_homogeneous, fox_sudakov_delta,
+from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
                                   log2_bounds, prune_high_degree)
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
@@ -16,43 +16,38 @@ from conftest import best_homogeneous_sizes, brute_peel, planted_sparse_graph
 
 
 def test_exact_empty_graph_full_stable():
-    w = find_epsilon_homogeneous(empty_graph(10), Fraction(0), 10, "exact")
+    w = find_epsilon_homogeneous(empty_graph(10), Fraction(0), 10)
     assert w.kind == "stable" and w.size == 10
     assert verify_homogeneous(empty_graph(10), w)
 
 
 def test_exact_complete_graph_full_clique():
-    w = find_epsilon_homogeneous(complete_graph(10), Fraction(0), 10, "exact")
+    w = find_epsilon_homogeneous(complete_graph(10), Fraction(0), 10)
     assert w.kind == "clique" and w.size == 10
 
 
 def test_exact_c5_stable_pair():
-    w = find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 2, "exact")
-    assert w.kind == "stable" and w.S == frozenset({0, 2})
+    # the sparse peel deletes 0, then 2, then 3 (max degree, smallest id)
+    w = find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 2)
+    assert w.kind == "stable" and w.S == frozenset({1, 4})
 
 
-def test_exact_is_complete_against_enumeration():
+def test_greedy_is_bounded_by_enumeration():
+    """The peel's set verifies and is no larger than the largest set of its
+    kind found by full subset enumeration."""
     for seed in range(12):
         g = gnp(8, Fraction(seed % 5 + 1, 6), stream(0x5151, seed))
         for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
             best_stable, best_clique = best_homogeneous_sizes(g, eps)
-            best = max(best_stable, best_clique)
-            w = find_epsilon_homogeneous(g, eps, best, "exact")
-            assert w is not None and w.size >= best
+            w = find_epsilon_homogeneous(g, eps, 1)
             assert verify_homogeneous(g, w)
-            if best < g.n:
-                assert find_epsilon_homogeneous(g, eps, best + 1, "exact") is None
-
-
-def test_exact_guard():
-    with pytest.raises(ValueError):
-        find_epsilon_homogeneous(empty_graph(21), Fraction(0), 1, "exact")
+            assert w.size <= (best_stable if w.kind == "stable" else best_clique)
 
 
 def test_greedy_meets_target_or_none_and_verifies():
     for seed in range(40):
         g = gnp(30, Fraction(1, 3), stream(0x5252, seed))
-        w = find_epsilon_homogeneous(g, Fraction(1, 10), 2, "greedy")
+        w = find_epsilon_homogeneous(g, Fraction(1, 10), 2)
         if w is not None:
             assert w.size >= 2
             assert verify_homogeneous(g, w)
@@ -60,8 +55,8 @@ def test_greedy_meets_target_or_none_and_verifies():
 
 def test_greedy_peel_is_deterministic():
     g = gnp(25, Fraction(1, 2), stream(0x5353))
-    a = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy")
-    b = find_epsilon_homogeneous(g, Fraction(1, 8), 1, "greedy")
+    a = find_epsilon_homogeneous(g, Fraction(1, 8), 1)
+    b = find_epsilon_homogeneous(g, Fraction(1, 8), 1)
     assert a == b
 
 
@@ -69,7 +64,7 @@ PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), 
 
 
 def uncapped_greedy(g, eps):
-    """(kind, mask, edges) of the greedy strategy with both peels run to the end,
+    """(kind, mask, edges) of the greedy finder with both peels run to the end,
     as before the dense peel stopped at the sparse survivor count."""
     sparse = _peel(g.adj, g.full_mask, eps, dense=False)
     dense = _peel(g.adj, g.full_mask, eps, dense=True)
@@ -79,7 +74,7 @@ def uncapped_greedy(g, eps):
 
 
 def assert_greedy_is_uncapped(g, eps):
-    w = _greedy(g, g.full_mask, eps, 1)
+    w = find_epsilon_homogeneous(g, eps, 1)
     assert (w.kind, mask_of(w.S), w.edge_count) == uncapped_greedy(g, eps)
 
 
@@ -142,7 +137,7 @@ PINNED_GREEDY_WITNESSES = [
 @pytest.mark.parametrize("build, eps, kind, edge_count, mask", PINNED_GREEDY_WITNESSES)
 def test_greedy_peel_pinned_witnesses(build, eps, kind, edge_count, mask):
     g = build()
-    w = find_epsilon_homogeneous(g, eps, 1, "greedy")
+    w = find_epsilon_homogeneous(g, eps, 1)
     assert (w.kind, w.edge_count, mask_of(w.S)) == (kind, edge_count, mask)
     assert verify_homogeneous(g, w)
     assert_greedy_is_uncapped(g, eps)
@@ -157,26 +152,17 @@ def test_dense_peel_deletes_nothing_on_paths(n):
     assert _peel(g.adj, g.full_mask, eps, dense=False) == (g.full_mask, n - 1)
     assert _peel(g.adj, g.full_mask, eps, dense=True, _floor=n) == (g.full_mask, n - 1)
     assert _peel(g.adj, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
-    w = _greedy(g, g.full_mask, eps, 1)
+    w = find_epsilon_homogeneous(g, eps, 1)
     assert (w.kind, w.S, w.edge_count) == ("stable", frozenset(range(n)), n - 1)
-
-
-def test_trivial_strategy():
-    g = cycle_graph(5)
-    w = find_epsilon_homogeneous(g, Fraction(0), 1, "trivial")
-    assert w.kind == "stable" and w.S == frozenset({0})
-    assert find_epsilon_homogeneous(g, Fraction(0), 2, "trivial") is None
 
 
 def test_find_epsilon_validates_inputs():
     with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(3, 2), 1, "exact")
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(3, 2), 1)
     with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 6, "exact")
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 6)
     with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1, "magic")
-    with pytest.raises(ValueError):  # the library spelling is "greedy", as in the CLI
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1, "greedy-peel")
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 0)
 
 
 def triangle_plus_isolated():
@@ -230,10 +216,10 @@ def test_prune_matches_the_rational_threshold():
 
 
 def test_fox_sudakov_values():
-    assert fox_sudakov_delta(5, Fraction(1, 2)).exponent == -75
-    assert fox_sudakov_delta(1, Fraction(1, 2)).exponent == -15
-    d = fox_sudakov_delta(7, Fraction(1))
-    assert d.exponent == 0 and d.delta == 1
+    # log2(2) = 1 and log2(1) = 0 are exact in floats
+    assert fox_sudakov_delta(5, Fraction(1, 2)).exponent_float == -75
+    assert fox_sudakov_delta(1, Fraction(1, 2)).exponent_float == -15
+    assert fox_sudakov_delta(7, Fraction(1)).exponent_float == 0
 
 
 def test_fox_sudakov_monotone():
@@ -274,5 +260,6 @@ def test_fox_sudakov_rejects_zero_epsilon():
 
 def test_fox_sudakov_symbolic_description():
     d = fox_sudakov_delta(5, Fraction(1, 30))
-    assert not d.exact
-    assert "log2(30)" in d.describe()
+    assert d.describe() == f"2^(-15*5*log2(30)^2) (exponent ~ {d.exponent_float:.4f})"
+    assert fox_sudakov_delta(5, Fraction(1, 2)).describe() == \
+        "2^(-15*5*log2(2)^2) (exponent ~ -75.0000)"

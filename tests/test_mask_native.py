@@ -92,34 +92,27 @@ def test_extract_linear_bipartite_on_mask_equals_induced():
     for g, mask in pairs:
         members = list(bits(mask))
         sub = induced(g, members)
-        strategies = ["greedy"]
-        if g.n <= 70:
-            strategies += ["trivial"] + (["exact"] if len(members) <= 12 else [])
         for k in (4, 5):
-            for strategy in strategies:
-                masked = extract_linear_bipartite(g, k, strategy, mask)
-                direct = extract_linear_bipartite(sub, k, strategy)
-                assert masked.outcome == direct.outcome
-                assert masked.witness == lift(members, direct.witness)
-                assert masked.trace == direct.trace
-                assert masked.complemented == direct.complemented
-                assert masked.constants == direct.constants
+            masked = extract_linear_bipartite(g, k, mask)
+            direct = extract_linear_bipartite(sub, k)
+            assert masked.outcome == direct.outcome
+            assert masked.witness == lift(members, direct.witness)
+            assert masked.trace == direct.trace
+            assert masked.complemented == direct.complemented
+            assert masked.constants == direct.constants
 
 
 def test_find_epsilon_homogeneous_on_mask_equals_induced():
     for g, mask in corpus(0x3A52, 30, 40):
         members = list(bits(mask))
         sub = induced(g, members)
-        for strategy in ("exact", "greedy", "trivial"):
-            if strategy == "exact" and len(members) > 12:
-                continue
-            for eps in (Fraction(0), Fraction(1, 8), Fraction(1, 3)):
-                for target in sorted({1, 2, len(members) // 3 + 1}):
-                    if target > len(members):
-                        continue
-                    masked = find_epsilon_homogeneous(g, eps, target, strategy, mask)
-                    direct = find_epsilon_homogeneous(sub, eps, target, strategy)
-                    assert masked == lift(members, direct)
+        for eps in (Fraction(0), Fraction(1, 8), Fraction(1, 3)):
+            for target in sorted({1, 2, len(members) // 3 + 1}):
+                if target > len(members):
+                    continue
+                masked = find_epsilon_homogeneous(g, eps, target, mask)
+                direct = find_epsilon_homogeneous(sub, eps, target)
+                assert masked == lift(members, direct)
 
 
 def test_path_or_empty_bipartite_on_mask_equals_induced():
@@ -169,7 +162,7 @@ def test_exact_oracle_on_mask_equals_induced():
                 assert oracle.fn(g, mask) == direct
 
 
-# (command, family, n, p, seed, k, strategy, SHA-256 of the witness, SHA-256
+# (command, family, n, p, seed, k, SHA-256 of the witness, SHA-256
 # of the output file).  The witness digest hashes output["witness"] as
 # canonical JSON (sorted keys, no spaces), as bench/run.py does; the witness
 # digests were captured before the extractor's seeded component search.  The
@@ -186,69 +179,63 @@ def test_exact_oracle_on_mask_equals_induced():
 # changed once more when report JSON wrote ``constants.n_min`` as "2^E + 1"
 # and dropped ``constants.T``, ``constants.D`` (still in ``trace``),
 # ``trace.stage1.found`` and ``trace.complemented`` (still top-level ``complemented``);
-# the witness digests did not change.
+# the witness digests did not change.  They changed again when report JSON
+# dropped ``trace.strategy``: stage 1 has one finder, the greedy peel, which
+# every pinned run already used; with that key taken out, the old files are
+# byte for byte the new ones.  The ids keep their "-greedy" suffix, naming
+# that finder.
 # Between them the pipeline cases reach stage 3's component split and
 # recurse-largest branches, the complemented side, the extractor's grow and
-# middle-split cases, a co-P4 certificate and the exact and trivial strategies.
+# middle-split cases and a co-P4 certificate.
 CLI_PINS = [
-    ("pipeline", "gnp", 60, "1/2", 1, 5, "greedy",
+    ("pipeline", "gnp", 60, "1/2", 1, 5,
      "aa608825d80641579c1b7a495a5da20424ec482ba4e6ff4e39e1cb77db5aa7c2",
-     "e58406eecafd54c12f00591fc13d8f6b6b065125bcd67e9700b551e1ca2a3304"),
-    ("pipeline", "gnp", 40, "1/2", 2, 4, "greedy",
+     "e621fc8d90b72928904cf8823db42ff5faf89306757c7c28b7487ca28d35121a"),
+    ("pipeline", "gnp", 40, "1/2", 2, 4,
      "4d4e5ce1e293924f3dc96f72ee400bbbe1c67667a3498a5981c921dcf3c9d94d",
-     "d0c7d207a2c0464dbdce4e7f559ab9ccad88924c4dd6116d7e672f9d5691ee64"),
-    ("pipeline", "gnp", 150, "1/10", 2, 4, "greedy",
+     "dcb07883a65292dbd63482cdf62680697c97949069530075edd89fb2217299b7"),
+    ("pipeline", "gnp", 150, "1/10", 2, 4,
      "8488cc4766059ee640f4ea67e96ba58704e3a3f7d7c708f806b978bf0550da7e",
-     "c1dfad396b66a5407613aa40476379884a193e5d1e0ced38692020b07c5bb06a"),
-    ("pipeline", "gnp", 250, "1/10", 0, 5, "greedy",
+     "18f05c805a92895dea28ceaace9a1e2e7c32285acf2662800c42317a8a3445ea"),
+    ("pipeline", "gnp", 250, "1/10", 0, 5,
      "0cd46fc2cd0560633ec7e36b9dddff4662204f983ceb36c93310223c53ebea25",
-     "f336f5a2de6ec468b1a8ef08bd9583521901699310c7ca4e3f493999d27c4fad"),
-    ("pipeline", "gnp", 150, "9/10", 1, 4, "greedy",
+     "3b359d500b56bcd4a5d2d25c5374ac46de6f7bc54b91fc20016daddc50c4e743"),
+    ("pipeline", "gnp", 150, "9/10", 1, 4,
      "ec8c994e4304d7982a0f41428d0cee2780aef9d0ef77a82e51d5764f5f2b87a4",
-     "67be92b23e3156e4ec9bf3b99de74c75e7ff7663dccc0cacec0dd48086fc2637"),
-    ("pipeline", "gnp", 150, "9/10", 3, 4, "greedy",
+     "a039de941674d4ac629ee2f39e6e6f4c7a674d7ee31688be3345ea7b8541612f"),
+    ("pipeline", "gnp", 150, "9/10", 3, 4,
      "b5fb40ced2de235c96a8546c8ad72ec0c20d41c640c10c9e81abf55b4c3923fb",
-     "1cdb13d1f64871e906deb83cd32fa71b16632afa6589de179495f2b5c1063611"),
-    ("pipeline", "gnp", 14, "1/2", 4, 3, "exact",
-     "ac7571c2a92ed0e21b87053e71227ee058d2fdbc70edcf4ab80085162f7b02c9",
-     "5d6ea096400ef034eda8029c0f3e2ca6a4d8976ecc6ef51fd0bc8a68de869ebc"),
-    ("pipeline", "gnp", 20, "1/2", 5, 5, "trivial",
-     "cd51bcaeff00b912cb420b49782b06110cf4494ada95afd812f774e1ac09afc7",
-     "5c2a517101691482fb19c546492551c74434682160aeed1fc382cbb6aadb15da"),
-    ("pipeline", "cograph", 150, None, 6, 5, "greedy",
+     "66b6c642e6c4707514dc4c14918b1def2f830e258cfb5baae69cf89dac106730"),
+    ("pipeline", "cograph", 150, None, 6, 5,
      "ed7275f9dbb028f385c022b6a449328a307588561b0d95074e15cacfc113f59c",
-     "932c87c7c9a67e90a3a86a6d3c187cd83f301b205cca28efa04769516ca39cf9"),
-    ("pipeline", "path", 90, None, 0, 5, "greedy",
+     "9dec064ddab3cfd5ba12d028e0712ba0a4007491b9746db3a0c3df00c819d953"),
+    ("pipeline", "path", 90, None, 0, 5,
      "3a97b85840d03f1fc9084745ef061c408a7ed7aa87d057d39230e4e0cd5b5997",
-     "1051c5982c26bfa0521327d9f57d3fccc80ff083d0b610b2e20bee33bcc2c61b"),
-    ("eh", "cograph", 120, None, 7, 4, "greedy",
+     "4a2df64560ca25141de1e496a033cf134fbb2d891d2ae6e4b1715fcdb307e699"),
+    ("eh", "cograph", 120, None, 7, 4,
      "d9a40faa1bef78e4de1bac474f6cf3a3ed33224d12c8bc943f58213df1d16083",
      "2e5939472e958220a54020fbde09939b53c8447282dd34e6fcaf49f6a7e0a14c"),
-    ("eh", "cograph", 260, None, 8, 4, "greedy",
+    ("eh", "cograph", 260, None, 8, 4,
      "55f4b44109934b276c0abd685a99df9ee9a5978ccfa94aa2b3928c7c0a9c847e",
      "49b5b1d12a5762d9e30aa353db88182548f3d135daadeabeaca2a080e9fdff7f"),
-    ("eh", "gnp", 40, "1/2", 9, 4, "greedy",
+    ("eh", "gnp", 40, "1/2", 9, 4,
      "1e2d813e102a8ede6c20d3a9aa8715e10c9022351539ad4f9de51c515865fcbe",
      "4a611bf430f4c8acf893dd5f68621e9a45246c76d85743e1356ba79c15c247c1"),
-    ("eh", "gnp", 14, "1/2", 10, 3, "exact",
-     "906f0690a0130aaa09b511fed32db532d5e831ccf2dc9aacd574d967a73ef7e5",
-     "20b0066d27ec6ebada050b7fdddaf8f7ef25025f7d7f8999fe50daabb336491f"),
-    ("eh", "complete-bipartite", 30, None, 0, 4, "greedy",
+    ("eh", "complete-bipartite", 30, None, 0, 4,
      "0b38d68de5a48f12ad1413f564c89a0ea425437758d2665c98f3640aa799db4a",
      "d2b86728e8b2ae9a7ec6d5713d30b459070f87a3bc4d41f68b183ed10b731ebe"),
 ]
 
 
-@pytest.mark.parametrize("command, family, n, p, seed, k, strategy, witness_digest, digest",
+@pytest.mark.parametrize("command, family, n, p, seed, k, witness_digest, digest",
                          CLI_PINS,
-                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[4]}-{c[6]}" for c in CLI_PINS])
-def test_cli_output_pinned(tmp_path, command, family, n, p, seed, k, strategy,
-                           witness_digest, digest):
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[4]}-greedy" for c in CLI_PINS])
+def test_cli_output_pinned(tmp_path, command, family, n, p, seed, k, witness_digest, digest):
     g = generate(GeneratorSpec(family, n, p=Fraction(p) if p else None, seed=seed))
     src, out = tmp_path / "g.edges", tmp_path / "out.json"
     src.write_text(formats.write_edge_list(g))
     assert main([command, "--input", str(src), "--format", "edges", "--k", str(k),
-                 "--strategy", strategy, "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     witness = json.dumps(json.loads(out.read_bytes())["witness"], sort_keys=True,
                          separators=(",", ":"))
     assert hashlib.sha256(witness.encode()).hexdigest() == witness_digest

@@ -24,7 +24,7 @@ def test_choose_constants_k5():
     c = choose_constants(5)
     assert c.epsilon == Fraction(1, 30) and c.c == Fraction(1, 30)
     assert c.path_bound == 5
-    assert c.delta.exponent is None  # log2(30) is irrational
+    assert "log2(30)" in c.delta.describe()  # irrational, so held symbolically
     assert c.n_min > 10 ** 100  # far beyond desk scale
 
 
@@ -35,7 +35,7 @@ def test_constants_are_never_exact_and_bound_the_oracle_constant(k):
     oracle constant c / 2^(E + 1) by c * delta / 2, and 2^F < 1/delta makes
     n = 2^F the last n whose stage-1 target is certified to be 1."""
     c = choose_constants(k)
-    assert c.delta.exponent is None and c.delta.delta is None
+    assert c.delta.describe().startswith(f"2^(-15*{k}*log2({6 * k})^2)")
     lo, hi = log2_bounds(1 / c.epsilon)
     e, f = c.n_min_exponent, c.unit_target_exponent
     assert e == math.ceil(15 * k * hi * hi) and f == math.floor(15 * k * lo * lo)
@@ -70,7 +70,7 @@ def test_stage1_target_desk_scale_is_one():
 
 def test_pipeline_k10_complete_pair():
     g = complete_graph(10)
-    r = extract_linear_bipartite(g, 5, "exact")
+    r = extract_linear_bipartite(g, 5)
     assert r.outcome == "bipartite-witness"
     assert r.complemented
     w = r.witness
@@ -81,7 +81,7 @@ def test_pipeline_k10_complete_pair():
 
 def test_pipeline_p5_returns_verified_witness():
     g = path_graph(5)
-    r = extract_linear_bipartite(g, 5, "greedy")
+    r = extract_linear_bipartite(g, 5)
     # the best sparse set in P5 has 3 vertices, so no length-5 path can come
     # out of it; the sound outcome here is a bipartite witness
     assert r.outcome == "bipartite-witness"
@@ -95,14 +95,13 @@ def test_pipeline_rejects_tiny_graphs():
 
 def test_pipeline_smallest_inputs():
     for g in (complete_graph(2), empty_graph(2), path_graph(3), complete_graph(3)):
-        for strategy in ("exact", "greedy", "trivial"):
-            r = extract_linear_bipartite(g, 5, strategy)
-            assert verify(g, r.witness), (g.n, strategy)
+        r = extract_linear_bipartite(g, 5)
+        assert verify(g, r.witness), g.n
 
 
 def test_pipeline_trace_records_stages():
     g = random_cograph(40, stream(0x90))
-    r = extract_linear_bipartite(g, 4, "greedy")
+    r = extract_linear_bipartite(g, 4)
     for key in ("stage1", "s", "s_prime", "T", "D", "guarantee_tier"):
         assert key in r.trace
     assert verify(g, r.witness)
@@ -111,7 +110,7 @@ def test_pipeline_trace_records_stages():
 def test_pipeline_never_certifies_on_certified_free_inputs():
     for i in range(40):
         sample = rejection_sample_ck(8, 5, Fraction(1, 2), seed=200 + i, budget=2000)
-        r = extract_linear_bipartite(sample.graph, 5, "greedy")
+        r = extract_linear_bipartite(sample.graph, 5)
         assert r.outcome != "pattern-certificate"
         assert verify(sample.graph, r.witness)
 
@@ -121,7 +120,7 @@ def test_pipeline_cographs_never_certify_k4():
         g = random_cograph(4 + stream(0x91, i).below(37), stream(0x92, i))
         if g.n < 2:
             continue
-        r = extract_linear_bipartite(g, 4, "greedy")
+        r = extract_linear_bipartite(g, 4)
         assert r.outcome != "pattern-certificate"
         assert verify(g, r.witness)
 
@@ -133,7 +132,7 @@ def test_pipeline_certificates_are_confirmed():
               for i in range(30)]
     corpus += [path_graph(60), cycle_graph(75), path_graph(100)]
     for g in corpus:
-        r = extract_linear_bipartite(g, 5, "greedy")
+        r = extract_linear_bipartite(g, 5)
         assert verify(g, r.witness)
         if r.outcome == "pattern-certificate":
             certified += 1
@@ -150,7 +149,7 @@ def test_disconnected_survivor_recurses_into_largest_component():
     from pathcert.graph import build_graph
     edges = [(i, i + 1) for i in range(59)]
     g = build_graph(61, edges)
-    r = extract_linear_bipartite(g, 5, "greedy")
+    r = extract_linear_bipartite(g, 5)
     assert r.trace["stage3"].startswith("recurse-largest")
     assert r.outcome == "pattern-certificate"
     assert verify(g, r.witness)
@@ -158,8 +157,8 @@ def test_disconnected_survivor_recurses_into_largest_component():
 
 def test_complementation_coherence_forced_inputs():
     for n in (6, 11, 16):
-        a = extract_linear_bipartite(empty_graph(n), 4, "greedy")
-        b = extract_linear_bipartite(complete_graph(n), 4, "greedy")
+        a = extract_linear_bipartite(empty_graph(n), 4)
+        b = extract_linear_bipartite(complete_graph(n), 4)
         assert not a.complemented and b.complemented
         wa, wb = a.witness, b.witness
         assert wa.kind == "empty" and wb.kind == "complete"
@@ -169,7 +168,7 @@ def test_complementation_coherence_forced_inputs():
 def test_linear_tier_not_claimed_at_desk_scale():
     for seed in range(20):
         g = gnp(30, Fraction(1, 2), stream(0x95, seed))
-        r = extract_linear_bipartite(g, 5, "greedy")
+        r = extract_linear_bipartite(g, 5)
         assert r.trace["guarantee_tier"] in ("run-derived", "trivial")
 
 
@@ -178,37 +177,35 @@ def test_run_derived_tier_sides_meet_T():
         g = random_cograph(30, stream(0x96, seed))
         if g.n < 2:
             continue
-        r = extract_linear_bipartite(g, 4, "greedy")
+        r = extract_linear_bipartite(g, 4)
         if r.outcome == "bipartite-witness" and r.trace["guarantee_tier"] == "run-derived":
             assert min(r.witness.side_sizes) >= r.trace["T"]
 
 
 def test_eh_edgeless_all_vertices():
     g = empty_graph(12)
-    w = eh_homogeneous(g, 4, "greedy")
+    w = eh_homogeneous(g, 4)
     assert isinstance(w, HomogeneousSetWitness)
     assert w.kind == "stable" and w.S == frozenset(range(12))
     assert verify(g, w)
 
 
 @pytest.mark.parametrize("g", [complete_graph(5), path_graph(6)], ids=["cotree", "doubling"])
-def test_eh_checks_strategy_and_k_on_both_routes(g):
-    with pytest.raises(ValueError, match="unknown strategy"):
-        eh_homogeneous(g, 4, "greedy-peel")
+def test_eh_checks_k_on_both_routes(g):
     with pytest.raises(ValueError, match="k must be at least 2"):
         eh_homogeneous(g, 1)
 
 
 def test_eh_complete_graph_full_clique():
     g = complete_graph(10)
-    w = eh_homogeneous(g, 5, "exact")
+    w = eh_homogeneous(g, 5)
     assert w.kind == "clique" and len(w.S) == 10
     assert verify(g, w)
 
 
 def test_eh_propagates_pattern_certificates():
     g = path_graph(12)
-    out = eh_homogeneous(g, 4, "greedy")
+    out = eh_homogeneous(g, 4)
     if isinstance(out, PatternEmbedding):
         assert verify_embedding(g, out)
         assert out.pattern_name in ("P4", "co-P4")
@@ -219,7 +216,7 @@ def test_eh_propagates_pattern_certificates():
 def test_eh_cograph_64_reaches_sqrt_n():
     g = random_cograph(64, stream(0))
     details: dict = {}
-    w = eh_homogeneous(g, 4, "greedy", details=details)
+    w = eh_homogeneous(g, 4, details=details)
     assert isinstance(w, HomogeneousSetWitness)
     assert len(w.S) >= math.isqrt(64)
     assert verify(g, w)
@@ -235,7 +232,7 @@ def test_eh_single_vertex():
 
 def _assert_exact_on_cograph(g, k=4):
     details: dict = {}
-    w = eh_homogeneous(g, k, "greedy", details=details)
+    w = eh_homogeneous(g, k, details=details)
     alpha, omega = brute_max_stable_size(g), brute_max_clique_size(g)
     assert isinstance(w, HomogeneousSetWitness) and verify(g, w)
     assert (w.kind, len(w.S)) == (("stable", alpha) if alpha >= omega else ("clique", omega))
@@ -259,28 +256,19 @@ def test_eh_is_exact_on_seeded_cographs():
                                  rng.randint(2, 6))
     for n in (2, 9, 30):
         _assert_exact_on_cograph(threshold_graph(n))
-
-
-def test_eh_cograph_ignores_strategy():
-    # The whole cograph is folded, whatever the strategy: the sets of the
-    # sweeping fold oracle, the stable one on a tie.
+    # The whole cograph is folded: the sets of the sweeping fold oracle, the
+    # stable one on a tie.
     for seed in range(5):
         g = random_cograph(200, stream(0x98, seed))
         stable, clique = oracle_cograph_alpha_omega(g)
-        want = stable if len(stable) >= len(clique) else clique
-        outs = []
-        for strategy in ("greedy", "trivial", "exact"):
-            details: dict = {}
-            outs.append((eh_homogeneous(g, 4, strategy, details=details), details))
-        assert outs[0] == outs[1] == outs[2]
-        assert outs[0][0].S == want
+        assert eh_homogeneous(g, 4).S == (stable if len(stable) >= len(clique) else clique)
 
 
 def test_eh_non_cograph_takes_the_doubling_route():
     for seed in range(10):
         g = gnp(40, Fraction(1, 2), stream(0x99, seed))
         details: dict = {}
-        w = eh_homogeneous(g, 4, "greedy", details=details)
+        w = eh_homogeneous(g, 4, details=details)
         assert details["route"] == "doubling"
         assert verify(g, w)
         if isinstance(w, HomogeneousSetWitness):

@@ -13,7 +13,7 @@ from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 verify_induced_path)
 from pathcert.graph import path_graph
 
-from conftest import edges_within
+from conftest import edges_within, pairwise_verify_induced_path
 
 
 def test_path_c5_four_consecutive_accepts():
@@ -38,6 +38,37 @@ def test_path_out_of_range_rejects():
 def test_path_missing_edge_rejects():
     v = verify_induced_path(cycle_graph(5), InducedPathWitness((0, 2)))
     assert not v and v.reason == "missing-edge"
+
+
+def test_induced_path_verdicts_match_the_pairwise_check():
+    """Seeded paths on random vertex orders inside a larger host, each with
+    one chord, one gap or several chords: verdict, reason and detail match
+    the pairwise check, so the first chord is still the first in (i, j)
+    order."""
+    for seed in range(90):
+        rng = stream(0x1DA7, seed)
+        n = rng.randint(3, 120)
+        host = n + rng.below(20)
+        order: list[int] = []
+        while len(order) < n:
+            v = rng.below(host)
+            if v not in order:
+                order.append(v)
+        edges = {(order[i], order[i + 1]) for i in range(n - 1)}
+        edges |= {(u, v) for u in range(host) for v in range(u + 1, host)
+                  if (u not in order or v not in order) and rng.below(2)}
+        intact = build_graph(host, edges)
+        if seed % 3 == 1:  # one gap
+            i = rng.below(n - 1)
+            edges.discard((order[i], order[i + 1]))
+        else:  # one chord, or several
+            for _ in range(1 if seed % 3 == 0 else rng.randint(2, 6)):
+                i = rng.below(n - 2)
+                edges.add((order[i], order[rng.randint(i + 2, n - 1)]))
+        w = InducedPathWitness(tuple(order))
+        assert verify_induced_path(intact, w)
+        got = verify_induced_path(build_graph(host, edges), w)
+        assert not got and got == pairwise_verify_induced_path(build_graph(host, edges), w)
 
 
 def test_pair_k33_complete_accepts():
