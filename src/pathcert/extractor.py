@@ -18,10 +18,11 @@ the start's neighbours.  One breadth-first search per seed advances a layer
 per round, searches that meet fuse, and the level stops as soon as at most
 one search is still open: that one is whatever the closed ones leave.  A
 level thus takes as many rounds as the parts other than the largest need to
-close, and the largest part is not swept to its end.  On a path (one seed)
-no level sweeps anything; on a cycle only the first level does, by two
-searches that meet halfway.  A full sweep per level would make a walk of L
-levels cost L sweeps of the graph.
+close, and the largest part is not swept to its end.  With one seed (every
+level on a path, every level after the first on a cycle) the part is known
+without a search, so the level costs O(1) big-int operations; on a cycle
+the first level runs two searches that meet halfway.  A full sweep per level
+would make a walk of L levels cost L sweeps of the graph.
 
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits, by_size, component_masks
+from .graph import Graph, bits, by_size, component_masks, inner_degrees, neighbours
 from .witnesses import BipartitePairWitness, InducedPathWitness
 
 
@@ -73,9 +74,7 @@ def split_small_components(comps: Sequence[int], target: int) -> tuple[int, int]
             break
         a |= comp
         cut += 1
-    b = 0
-    for comp in comps[cut:]:
-        b |= comp
+    b = sum(comps[cut:])  # disjoint masks: the sum is the union
     if a.bit_count() < target or b.bit_count() < target:
         raise ValueError(f"cannot split component sizes {[c.bit_count() for c in comps]}"
                          f" into two sides of {target}")
@@ -91,16 +90,16 @@ def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
     whose frontier runs dry is a whole component.  Once at most one search
     is open, the rest of ``u`` is a single component and is never swept.
     """
+    if seeds & (seeds - 1) == 0:
+        return [u] if u else []
     searches = [(bit, bit) for bit in (1 << v for v in bits(seeds))]  # (seen, frontier)
     parts = []
+    left = u  # what the closed parts leave
     while len(searches) > 1:
         fused: list[tuple[int, int]] = []  # (seen, expanded) per fused search
         touched = 0
         for seen, frontier in searches:
-            grown = 0
-            for v in bits(frontier):
-                grown |= adj[v]
-            reach, done = seen | grown & u, seen
+            reach, done = seen | neighbours(adj, frontier) & u, seen
             if reach & touched:
                 rest = []
                 for other_reach, other_done in fused:
@@ -116,13 +115,11 @@ def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
         for reach, done in fused:
             if reach == done:
                 parts.append(reach)
+                left &= ~reach
             else:
                 searches.append((reach, reach & ~done))
-    closed = 0
-    for part in parts:
-        closed |= part
-    if u & ~closed:
-        parts.append(u & ~closed)
+    if left:
+        parts.append(left)
     parts.sort(key=by_size)
     return parts
 
@@ -143,11 +140,9 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     if not (0 <= x < g.n and mask >> x & 1):
         raise ValueError(f"start vertex {x} is not in the vertex set")
     adj = g.adj
-    for v in bits(mask):
-        cd = (adj[v] & mask).bit_count() + 1
-        if cd > params.D:
-            raise ValueError(
-                f"closed degree of vertex {v} is {cd}, above the bound D={params.D}")
+    if max(inner_degrees(adj, mask)) >= params.D:  # name the first vertex above D
+        v, d = next((v, d) for v, d in zip(bits(mask), inner_degrees(adj, mask)) if d >= params.D)
+        raise ValueError(f"closed degree of vertex {v} is {d + 1}, above the bound D={params.D}")
     if len(component_masks(adj, mask)) != 1:
         raise ValueError("input graph is disconnected")
 
@@ -165,28 +160,21 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     start = x
     while True:
         m = mask.bit_count()
+        nb = adj[start] & mask
         if 3 * T + D >= m:
             note(n=m, case="base")
             if m == 1:
                 return InducedPathWitness(tuple(path + [start]))
-            nb = adj[start] & mask
             assert nb, "connected subgraph of size >= 2 must give the start a neighbor"
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
-        closed = (adj[start] | (1 << start)) & mask
-        u = mask & ~closed
-        seeds = 0
-        for w in bits(closed & ~(1 << start)):
-            seeds |= adj[w]
-        comps = _components_from_seeds(adj, u, seeds & u)
+        u = mask & ~nb & ~(1 << start)
+        comps = _components_from_seeds(adj, u, neighbours(adj, nb) & u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
-            y = -1
-            for v in bits(adj[start] & mask):
-                if adj[v] & c1:
-                    y = v
-                    break
-            assert y >= 0, "some neighbor of the start must reach the largest component"
+            # Some neighbour of the start reaches c1, since the mask is connected.
+            y = nb.bit_length() - 1 if nb & (nb - 1) == 0 else next(
+                v for v in bits(nb) if adj[v] & c1)
             sub = c1 | (1 << y)
             note(n=m, case="grow", c1=c1_size, via=(input_mask & ((1 << y) - 1)).bit_count())
             path.append(start)

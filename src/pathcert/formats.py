@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterator
 
-from .graph import Graph, build_graph, complement, path_graph
+from .graph import Graph, build_graph, complement, member_selectors, path_graph
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
@@ -132,10 +132,6 @@ def decode_graph6(text: str) -> Graph:
                           for v in range(n)))
 
 
-# '0'/'1' -> the bytes 0/1, selectors for compress.
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-
-
 def write_edge_list(g: Graph) -> str:
     """Header "n m", then one line "u v" per edge, u < v, lexicographic."""
     names = [str(v) for v in range(g.n)]
@@ -148,7 +144,7 @@ def write_edge_list(g: Graph) -> str:
         if upper & (upper - 1) == 0:
             out.append(head + names[u + upper.bit_length()])
         else:
-            chosen = bin(upper)[:1:-1].encode().translate(_SELECTORS)
+            chosen = member_selectors(upper)
             out.append(head + head.join(compress(names[u + 1:u + 1 + len(chosen)], chosen)))
     out.append("\n")
     return "".join(out)

@@ -9,10 +9,11 @@ memory, so a complete subset search would buy nothing.
 The peel keeps every vertex degree bit-sliced across O(log n) big-int
 planes, so finding and deleting the next vertex costs O(log n) big-int
 operations, and the dense peel runs on the graph's own rows rather than on a
-complement graph.  The sparse peel runs first, and the dense peel stops once
-it is down to the sparse survivor count: a tie goes to the sparse set, so
-past that point the dense peel could not win.  On a long path or cycle the
-sparse peel keeps every vertex, so the dense peel deletes none.
+complement graph.  The planes are built on the first deletion.  The sparse
+peel runs first, and the dense peel stops once it is down to the sparse
+survivor count: a tie goes to the sparse set, so past that point the dense
+peel could not win.  On a long path or cycle the sparse peel keeps every
+vertex, so neither peel deletes or builds a plane.
 
 All thresholds are exact rationals, compared as integers (numerator times
 the other side's denominator); floats never decide anything here.
@@ -23,13 +24,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import Graph, VertexSet, bits, mask_of
+from .graph import Graph, VertexSet, inner_degrees, mask_of, members
 # Unused here since the dense peel stopped building a complement graph, but
 # bench/tracing.py binds homogeneous.complement; drop it with that binding.
 from .graph import complement  # noqa: F401
 from .witnesses import HomogeneousSetWitness
+
+
+def _degree_planes(mask: int, degrees: Sequence[int]) -> list[int]:
+    """``degrees`` of the members of ``mask`` (ascending), bit-sliced: bit v of
+    ``planes[b]`` is bit b of member v's degree; one plane per bit of |mask| - 1."""
+    planes = [0] * max(1, (mask.bit_count() - 1).bit_length())
+    for v, d in zip(members(mask), degrees):
+        for b in range(d.bit_length()):
+            if d >> b & 1:
+                planes[b] |= 1 << v
+    return planes
 
 
 def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
@@ -43,31 +55,23 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
     most that many (dense), or are down to ``_floor`` vertices.  ``edges``
     counts the edges inside the returned mask in both modes.
 
-    Degrees are bit-sliced: bit v of ``planes[b]`` is bit b of the degree of
-    survivor v.  Narrowing the survivors plane by plane, top down, finds the
+    Degrees are bit-sliced (:func:`_degree_planes`, built on the first
+    deletion).  Narrowing the survivors plane by plane, top down, finds the
     vertex to delete; deleting it subtracts its surviving neighbours with a
     ripple borrow.  Each step is O(log n) big-int operations, and the dense
     mode needs no complement graph.
     """
     size = mask.bit_count()
-    planes = [0] * max(1, (size - 1).bit_length())
-    edges = 0
-    for v in bits(mask):
-        d = (adj[v] & mask).bit_count()
-        edges += d
-        b = 0
-        while d:
-            if d & 1:
-                planes[b] |= 1 << v
-            d >>= 1
-            b += 1
-    edges //= 2
+    degrees = inner_degrees(adj, mask)
+    edges = sum(degrees) // 2
+    planes: list[int] = []  # built on the first deletion
     num, den = epsilon.numerator, epsilon.denominator
     while size > _floor:
         pairs = size * (size - 1) // 2
         slack = pairs - edges if dense else edges
         if slack * den <= num * pairs:
             break
+        planes = planes or _degree_planes(mask, degrees)
         cand = mask
         for plane in reversed(planes):
             narrowed = cand & ~plane if dense else cand & plane
@@ -113,7 +117,7 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
         kind, mask, edges = "clique", dense_mask, dense_edges
     if mask.bit_count() < target:
         return None
-    return HomogeneousSetWitness(kind, frozenset(bits(mask)), epsilon, edges)
+    return HomogeneousSetWitness(kind, frozenset(members(mask)), epsilon, edges)
 
 
 def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSet:

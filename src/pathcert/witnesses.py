@@ -201,11 +201,20 @@ def verify_embedding(g: Graph, w: PatternEmbedding) -> Verdict:
     if len(w.mapping) != w.pattern.n:
         return Verdict(False, "size-mismatch",
                        f"pattern has {w.pattern.n} vertices, mapping has {len(w.mapping)}")
-    for i in range(w.pattern.n):
-        for j in range(i + 1, w.pattern.n):
-            if w.pattern.has_edge(i, j) != g.has_edge(w.mapping[i], w.mapping[j]):
-                return Verdict(False, "adjacency-mismatch",
-                               f"pattern pair ({i},{j}) vs host pair ({w.mapping[i]},{w.mapping[j]})")
+    # One AND per vertex; row i maps its later edges, or non-edges if fewer: O(1) on P_k, co-P_k.
+    m = w.mapping
+    later = mask_of(m)
+    for i, v in enumerate(m):
+        later ^= 1 << v
+        row = w.pattern.adj[i] >> (i + 1)  # bit t: position i + 1 + t
+        gaps = ~row & (1 << (len(m) - i - 1)) - 1
+        flip = row.bit_count() > gaps.bit_count()
+        image = mask_of(m[i + 1 + t] for t in bits(gaps if flip else row))
+        wrong = (g.adj[v] & later) ^ (later & ~image if flip else image)
+        if wrong:
+            j = next(j for j in range(i + 1, len(m)) if wrong >> m[j] & 1)
+            return Verdict(False, "adjacency-mismatch",
+                           f"pattern pair ({i},{j}) vs host pair ({v},{m[j]})")
     return ACCEPT
 
 

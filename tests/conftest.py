@@ -158,6 +158,27 @@ def pairwise_verify_induced_path(g: Graph, w: InducedPathWitness) -> Verdict:
     return Verdict(True)
 
 
+def pairwise_verify_embedding(g: Graph, w: PatternEmbedding) -> Verdict:
+    """The embedding verifier with one adjacency lookup per pattern pair
+    (oracle for the one-AND-per-vertex check): the same reasons and
+    details, the first mismatching pair in (i, j) order."""
+    for v in w.mapping:
+        if not 0 <= v < g.n:
+            return Verdict(False, "vertex-out-of-range", f"vertex {v} not in 0..{g.n - 1}")
+    if len(set(w.mapping)) != len(w.mapping):
+        return Verdict(False, "repeated-vertex")
+    if len(w.mapping) != w.pattern.n:
+        return Verdict(False, "size-mismatch",
+                       f"pattern has {w.pattern.n} vertices, mapping has {len(w.mapping)}")
+    for i in range(w.pattern.n):
+        for j in range(i + 1, w.pattern.n):
+            u, v = w.mapping[i], w.mapping[j]
+            if w.pattern.has_edge(i, j) != g.has_edge(u, v):
+                return Verdict(False, "adjacency-mismatch",
+                               f"pattern pair ({i},{j}) vs host pair ({u},{v})")
+    return Verdict(True)
+
+
 def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
     """The plain greedy peel (oracle for the bit-sliced one): rescan every
     survivor's degree, delete a maximum-degree vertex (ties: smallest id)
@@ -178,6 +199,22 @@ def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
         edges -= worst_deg
         size -= 1
     return mask, edges
+
+
+def reference_degree_planes(adj, mask: int) -> list[int]:
+    """The bit-sliced degrees inside ``mask``, set up one vertex and one bit
+    at a time (oracle for the peel's planes): bit v of ``planes[b]`` is bit
+    b of the degree of member v."""
+    planes = [0] * max(1, (mask.bit_count() - 1).bit_length())
+    for v in bits(mask):
+        d = (adj[v] & mask).bit_count()
+        b = 0
+        while d:
+            if d & 1:
+                planes[b] |= 1 << v
+            d >>= 1
+            b += 1
+    return planes
 
 
 def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):

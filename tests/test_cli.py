@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathcert.cli import build_parser, main
 from pathcert.formats import encode_graph6, witness_to_json
@@ -308,6 +310,55 @@ def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
                           timeout=120)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: malformed witness")
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+                    max_leaves=12)
+
+
+def mostly(valid):
+    """``valid`` seven times in eight, any JSON value otherwise."""
+    return st.integers(0, 7).flatmap(lambda r: JSON if r == 0 else valid)
+
+
+VERTICES = st.lists(st.integers(-1, 7), max_size=9) | st.lists(st.integers(), max_size=3)
+PATTERN_NAMES = st.builds("{}{}".format, st.sampled_from(["P", "co-P", "p", "P-", ""]),
+                          st.integers(0, 9) | st.integers(0, 10 ** 40)) | st.text(max_size=9)
+WITNESS_FIELDS = {
+    "path": {"vertices": VERTICES},
+    "bipartite": {"kind": st.sampled_from(["empty", "complete", "clique"]),
+                  "X": VERTICES, "Y": VERTICES},
+    "homogeneous": {"kind": st.sampled_from(["stable", "clique", "empty"]), "S": VERTICES,
+                    "epsilon": st.from_regex(r"\A-?[0-9]{1,3}(/[0-9]{0,3})?\Z"),
+                    "edge_count": st.integers(-1, 25)},
+    "embedding": {"pattern": PATTERN_NAMES, "map": VERTICES},
+}
+# Embeddings whose pattern size matches the map, so the verifier runs.
+SIZED_EMBEDDINGS = st.integers(1, 8).flatmap(lambda k: st.fixed_dictionaries({
+    "type": st.just("embedding"), "pattern": st.sampled_from([f"P{k}", f"co-P{k}"]),
+    "map": mostly(st.lists(st.integers(-1, 7), min_size=k, max_size=k))}))
+WITNESS_DOCUMENTS = (JSON | SIZED_EMBEDDINGS | st.sampled_from(sorted(WITNESS_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"type": st.just(kind)},
+        optional={key: mostly(values) for key, values in WITNESS_FIELDS[kind].items()}
+        | {"extra": JSON})))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(WITNESS_DOCUMENTS)
+def test_verify_on_any_json_document_exits_0_1_or_2(tmp_path_factory, document):
+    """Whatever JSON a witness file holds (any types, huge pattern names,
+    nested values), verify gives a verdict (0 or 1) or a usage error (2):
+    never an internal error (3) and never an exception."""
+    folder = tmp_path_factory.getbasetemp()
+    gpath = folder / "any-json.g6"
+    if not gpath.exists():
+        gpath.write_text(encode_graph6(cycle_graph(7)) + "\n")
+    wpath = folder / "any-json.json"
+    wpath.write_text(json.dumps(document))
+    assert main(["verify", "--graph", str(gpath), "--witness", str(wpath)]) in (0, 1, 2)
 
 
 def load_bench_tracing():

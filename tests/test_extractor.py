@@ -208,10 +208,15 @@ def test_walk_matches_full_sweep_oracle():
 
 def test_seeded_components_equal_full_sweep_at_every_start():
     # Seeds as the walk forms them: the neighbours of the start's neighbours
-    # beyond its closed neighbourhood, inside a connected mask.
+    # beyond its closed neighbourhood, inside a connected mask.  Besides, the
+    # one-seed and no-seed cases the search answers without searching: each
+    # connected part from one of its vertices, and the empty mask.
     checked = 0
+    assert _components_from_seeds((), 0, 0) == [] == component_masks((), 0)
     for g, mask in masked_corpus(0xE5E1, 80, 50):
         for part in component_masks(g.adj, mask):
+            for seed in (part & -part, 1 << part.bit_length() - 1):
+                assert _components_from_seeds(g.adj, part, seed) == [part]
             for x in bits(part):
                 closed = (g.adj[x] | 1 << x) & part
                 u = part & ~closed
@@ -221,3 +226,15 @@ def test_seeded_components_equal_full_sweep_at_every_start():
                 assert _components_from_seeds(g.adj, u, seeds & u) == component_masks(g.adj, u)
                 checked += 1
     assert checked > 3000
+
+
+def test_closed_degree_error_names_the_smallest_vertex_above_d():
+    # a path 0..9 with leaves: closed degrees 4, 5 and 4 at vertices 2, 5, 8
+    g = build_graph(14, [(i, i + 1) for i in range(9)] + [(2, 10), (5, 11), (5, 12), (8, 13)])
+    with pytest.raises(ValueError) as err:
+        path_or_empty_bipartite(g, 0, ExtractorParams(1, 3))
+    assert str(err.value) == "closed degree of vertex 2 is 4, above the bound D=3"
+    # without vertex 10, vertex 2 is within the bound inside the mask
+    with pytest.raises(ValueError) as err:
+        path_or_empty_bipartite(g, 0, ExtractorParams(1, 3), mask=g.full_mask & ~(1 << 10))
+    assert str(err.value) == "closed degree of vertex 5 is 5, above the bound D=3"

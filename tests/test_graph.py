@@ -211,6 +211,45 @@ def test_components_partition_properties(n, data):
         assert any(u in c and v in c for c in comps)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 90), st.integers(0, 2 ** 32),
+       st.sampled_from(["none", "one", "few", "many"]), st.data())
+def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
+    """neighbours is the OR of the rows one member at a time, on masks of
+    0, 1, a few (the per-bit branch of members) and many vertices;
+    members, member_selectors and inner_degrees list the members, their
+    selectors and their degrees inside the mask, ascending."""
+    g = gnp(n, Fraction(seed % 10, 9), stream(0x7E16, seed))
+    if shape == "none":
+        mask = 0
+    elif shape == "one":
+        mask = 1 << data.draw(st.integers(0, n - 1))
+    elif shape == "few":
+        mask = graph.mask_of(data.draw(st.lists(st.integers(0, n - 1), max_size=5)))
+    else:
+        mask = data.draw(st.integers(0, g.full_mask))
+    members = [v for v in range(n) if mask >> v & 1]
+    assert list(graph.members(mask)) == members
+    union = 0
+    for v in members:
+        union |= g.adj[v]
+    assert graph.neighbours(g.adj, mask) == union
+    assert graph.neighbours(list(g.adj), mask) == union
+    width = max(1, mask.bit_length())
+    assert list(graph.member_selectors(mask)) == [int(v in members) for v in range(width)]
+    degrees = [(g.adj[v] & mask).bit_count() for v in members]
+    assert list(graph.inner_degrees(g.adj, mask)) == degrees
+    assert graph.mask_of(members + members[::-1]) == mask
+
+
+def test_members_lists_sparse_and_dense_masks():
+    # both branches: a per-bit walk below one member in 16 digits, else a scan
+    for mask in (0, 1, 1 | 1 << 40, 1 << 17 | 1 << 300, 0b1011 << 64, (1 << 300) - 1,
+                 (1 << 300) - 1 ^ 1 << 7):
+        want = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        assert list(graph.members(mask)) == want == list(graph.bits(mask))
+
+
 def test_friendship_graph_shape():
     g = friendship_graph(3)
     assert g.n == 7

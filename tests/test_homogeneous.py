@@ -7,12 +7,14 @@ from itertools import combinations
 from pathcert.graph import (build_graph, complement, complete_bipartite_graph, complete_graph,
                             cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
+from pathcert import homogeneous
 from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
                                   log2_bounds, prune_high_degree)
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
 
-from conftest import best_homogeneous_sizes, brute_peel, planted_sparse_graph
+from conftest import (best_homogeneous_sizes, brute_peel, planted_sparse_graph,
+                      reference_degree_planes)
 
 
 def test_exact_empty_graph_full_stable():
@@ -154,6 +156,58 @@ def test_dense_peel_deletes_nothing_on_paths(n):
     assert _peel(g.adj, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
     w = find_epsilon_homogeneous(g, eps, 1)
     assert (w.kind, w.S, w.edge_count) == ("stable", frozenset(range(n)), n - 1)
+
+
+def test_peel_matches_brute_when_one_mode_deletes_and_the_other_does_not():
+    """Paths, cycles and stars: at some epsilon one peel keeps every vertex
+    (and builds no planes) while the other deletes; both match the plain
+    peel either way."""
+    graphs = [path_graph(n) for n in (3, 9, 61, 200)] + [cycle_graph(n) for n in (4, 9, 61, 200)]
+    graphs += [complete_bipartite_graph(1, s) for s in (2, 5, 10, 40)]
+    shapes = set()
+    for g in graphs:
+        for eps in PEEL_EPSILONS + (Fraction(1, 5), Fraction(2, 3)):
+            co = complement(g)
+            sparse = _peel(g.adj, g.full_mask, eps, dense=False)
+            assert sparse == brute_peel(g.adj, g.n, eps)
+            mask, missing = brute_peel(co.adj, g.n, eps)
+            size = mask.bit_count()
+            dense = _peel(g.adj, g.full_mask, eps, dense=True)
+            assert dense == (mask, size * (size - 1) // 2 - missing)
+            assert_greedy_is_uncapped(g, eps)
+            shapes.add((sparse[0] == g.full_mask, dense[0] == g.full_mask))
+    assert {(True, False), (False, True)} <= shapes
+
+
+def test_degree_planes_are_built_once_at_the_first_deletion(monkeypatch):
+    """On seeded gnp graphs and cographs, under a mask or not, a peel that
+    deletes builds its planes once, from the mask it was given, equal to the
+    one-vertex-at-a-time reference; a peel that deletes nothing builds none."""
+    built = []
+    build = homogeneous._degree_planes
+
+    def recording(mask, degrees):
+        planes = build(mask, degrees)
+        built.append((mask, list(planes)))
+        return planes
+
+    monkeypatch.setattr(homogeneous, "_degree_planes", recording)
+    deleting = 0
+    for seed in range(40):
+        rng = stream(0x9EE3, seed)
+        n = rng.randint(2, 70)
+        for g in (gnp(n, Fraction(rng.randint(0, 10), 10), rng), random_cograph(n, rng)):
+            for mask in (g.full_mask, sum(1 << v for v in range(n) if rng.below(4)) or 1):
+                for eps in (Fraction(0), Fraction(1, 30), Fraction(1, 3)):
+                    for dense in (False, True):
+                        built.clear()
+                        out, _ = _peel(g.adj, mask, eps, dense)
+                        if out == mask:
+                            assert built == []
+                        else:
+                            assert built == [(mask, reference_degree_planes(g.adj, mask))]
+                            deleting += 1
+    assert deleting > 500
 
 
 def test_find_epsilon_validates_inputs():

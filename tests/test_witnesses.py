@@ -7,13 +7,13 @@ from pathcert.graph import (build_graph, complete_bipartite_graph, cycle_graph,
 from pathcert.generators import gnp
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
-                                InducedPathWitness, PatternEmbedding,
+                                InducedPathWitness, PatternEmbedding, Verdict,
                                 count_edges_within, verify, verify_bipartite_pair,
                                 verify_embedding, verify_homogeneous,
                                 verify_induced_path)
-from pathcert.graph import path_graph
+from pathcert.graph import complement, path_graph
 
-from conftest import edges_within, pairwise_verify_induced_path
+from conftest import edges_within, pairwise_verify_embedding, pairwise_verify_induced_path
 
 
 def test_path_c5_four_consecutive_accepts():
@@ -69,6 +69,75 @@ def test_induced_path_verdicts_match_the_pairwise_check():
         assert verify_induced_path(intact, w)
         got = verify_induced_path(build_graph(host, edges), w)
         assert not got and got == pairwise_verify_induced_path(build_graph(host, edges), w)
+
+
+def embedding_cases(rng, pattern):
+    """(host, map) pairs for ``pattern``: an intact induced copy on a random
+    vertex order of a larger host with random other edges, then the same
+    host with one or several pattern pairs flipped, two map entries swapped,
+    one entry moved outside the copy, repeated or out of range."""
+    k = pattern.n
+    size = k + rng.below(6)
+    order = list(range(size))
+    for i in range(size - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    m = order[:k]
+    edges = {frozenset((m[i], m[j])) for i in range(k) for j in range(i + 1, k)
+             if pattern.has_edge(i, j)}
+    edges |= {frozenset((u, v)) for u in order[k:] for v in range(size)
+              if u != v and rng.below(3) == 0}
+    yield build_graph(size, map(tuple, edges)), m
+    if k < 2:
+        return
+    for flips in (1, 1, 3):
+        mutated = set(edges)
+        for _ in range(flips):
+            i = rng.below(k - 1)
+            mutated ^= {frozenset((m[i], m[rng.randint(i + 1, k - 1)]))}
+        yield build_graph(size, map(tuple, mutated)), m
+    host = build_graph(size, map(tuple, edges))
+    i, j = rng.below(k), rng.below(k)
+    swapped = list(m)
+    swapped[i], swapped[j] = m[j], m[i]
+    yield host, swapped
+    if size > k:
+        yield host, m[:i] + [order[rng.randint(k, size - 1)]] + m[i + 1:]
+    yield host, m[:-1] + [m[0]]
+    yield host, m[:-1] + [size]
+
+
+def test_embedding_verdicts_match_the_pairwise_check():
+    """Paths, their complements and random patterns on seeded hosts, intact
+    and mutated: verdict, reason and detail match the pairwise check, so the
+    first mismatch is still the first in (i, j) order."""
+    rejected = 0
+    for seed in range(60):
+        rng = stream(0xE3B, seed)
+        k = rng.randint(1, 24)
+        for pattern in (path_graph(k), complement(path_graph(k)),
+                        gnp(k, Fraction(rng.randint(0, 10), 10), rng)):
+            for host, m in embedding_cases(rng, pattern):
+                w = PatternEmbedding("pattern", pattern, tuple(m))
+                got = verify_embedding(host, w)
+                assert got == pairwise_verify_embedding(host, w), (seed, k, m)
+                rejected += not got
+    assert rejected > 500
+
+
+def test_long_path_and_antipath_embeddings_verify():
+    """P3000 and co-P3000 maps onto the identity: accepted on their own
+    pattern, rejected at the pair (0, 1) on the other one."""
+    p, co = path_graph(3000), complement(path_graph(3000))
+    order = tuple(range(3000))
+    for name, pattern in (("P3000", p), ("co-P3000", co)):
+        for host in (p, co):
+            got = verify_embedding(host, PatternEmbedding(name, pattern, order))
+            if host is pattern:
+                assert got
+            else:
+                assert got == Verdict(False, "adjacency-mismatch",
+                                      "pattern pair (0,1) vs host pair (0,1)")
 
 
 def test_pair_k33_complete_accepts():
