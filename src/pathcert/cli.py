@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formats
@@ -36,7 +35,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.n,
-                         p=Fraction(args.p) if args.p else None,
+                         p=formats.parse_fraction(args.p) if args.p else None,
                          k=args.k, seed=args.seed, budget=args.budget)
     g = generate(spec, index=args.index)
     _emit(formats.write_graph(g, args.format), args.out)
@@ -73,7 +72,7 @@ def _cmd_extract(args) -> int:
         payload = formats.witness_to_dict(w)
         payload["guaranteed_path_vertices"] = path_guarantee(g.n, params)
     elif args.what == "p4free":
-        oracle = exact_bipartite_oracle(Fraction(args.c))
+        oracle = exact_bipartite_oracle(formats.parse_fraction(args.c))
         s = p4free_extract(g, oracle)
         payload = {"vertices": sorted(s), "size": len(s)}
     else:  # cograph-ramsey

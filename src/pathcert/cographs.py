@@ -31,7 +31,7 @@ from operator import or_
 from typing import Callable, Sequence
 
 from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, complement,
-                    component_masks, mask_of, path_graph)
+                    component_masks, inner_degrees, mask_of, path_graph)
 # Unused here since the obstruction search runs on vertex masks, but
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
@@ -155,8 +155,7 @@ def cotree(g: Graph, mask: int | None = None):
     # siblings, which every member of the child sees.  The vertices are
     # grouped by degree only when a part needs it, so an input that is
     # connected and co-connected as a whole skips the grouping.
-    members = range(g.n) if mask == g.full_mask else list(bits(mask))
-    degrees = [(adj[v] & mask).bit_count() for v in members]
+    degrees = inner_degrees(adj, mask)
     by_degree: dict[int, int] | None = None
 
     # Pre-order over the parts, children left to right, so the first
@@ -172,7 +171,7 @@ def cotree(g: Graph, mask: int | None = None):
         size = part.bit_count()
         if by_degree is None and (part != mask or 0 in degrees or size - 1 in degrees):
             groups: dict[int, list[int]] = {}
-            for v, d in zip(members, degrees):
+            for v, d in zip(bits(mask), degrees):
                 groups.setdefault(d, []).append(v)
             by_degree = {d: mask_of(vs) for d, vs in groups.items()}
         lonely = hubs = 0

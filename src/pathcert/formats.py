@@ -263,7 +263,14 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_FRACTION = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """A Fraction from outside text, [+-]digits[/digits] or [+-]digits.digits:
+    never an exponent, for which Fraction would first build the power of ten."""
+    if not _FRACTION.fullmatch(text):
+        raise ValueError(f"not a fraction (digits[/digits] or digits.digits): {text[:40]!r}")
     return Fraction(text)
 
 

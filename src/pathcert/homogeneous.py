@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graph import Graph, VertexSet, inner_degrees, mask_of, members
+from .graph import Graph, bits, inner_degrees, mask_of
 # Unused here since the dense peel stopped building a complement graph, but
 # bench/tracing.py binds homogeneous.complement; drop it with that binding.
 from .graph import complement  # noqa: F401
@@ -37,7 +37,7 @@ def _degree_planes(mask: int, degrees: Sequence[int]) -> list[int]:
     """``degrees`` of the members of ``mask`` (ascending), bit-sliced: bit v of
     ``planes[b]`` is bit b of member v's degree; one plane per bit of |mask| - 1."""
     planes = [0] * max(1, (mask.bit_count() - 1).bit_length())
-    for v, d in zip(members(mask), degrees):
+    for v, d in zip(bits(mask), degrees):
         for b in range(d.bit_length()):
             if d >> b & 1:
                 planes[b] |= 1 << v
@@ -117,25 +117,25 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
         kind, mask, edges = "clique", dense_mask, dense_edges
     if mask.bit_count() < target:
         return None
-    return HomogeneousSetWitness(kind, frozenset(members(mask)), epsilon, edges)
+    return HomogeneousSetWitness(kind, frozenset(bits(mask)), epsilon, edges)
 
 
-def prune_high_degree(g: Graph, s: Iterable[int], epsilon: Fraction) -> VertexSet:
-    """One pass: drop the vertices of S whose degree inside S strictly
-    exceeds 2 * epsilon * |S| (threshold fixed by the ORIGINAL size).
+def prune_high_degree(g: Graph, mask: int, epsilon: Fraction) -> int:
+    """One pass: drop the vertices of the set S on ``mask`` whose degree
+    inside S strictly exceeds 2 * epsilon * |S| (threshold fixed by the
+    ORIGINAL size); returns the survivors' mask.
 
     When the input is an eps-stable set, an averaging argument shows at most
     half of S is deleted, and every survivor keeps degree at most the
     threshold inside the output.
     """
-    members = sorted(set(s))
-    if not members:
+    if not mask:
         raise ValueError("S must be nonempty")
     epsilon = Fraction(epsilon)
-    mask = mask_of(members)
     # degree <= 2 * epsilon * |S|, in integers
-    num, den = 2 * epsilon.numerator * len(members), epsilon.denominator
-    return frozenset(v for v in members if (g.adj[v] & mask).bit_count() * den <= num)
+    limit = 2 * epsilon.numerator * mask.bit_count() // epsilon.denominator
+    drop = [v for v, d in zip(bits(mask), inner_degrees(g.adj, mask)) if d > limit]
+    return mask & ~mask_of(drop)
 
 
 @dataclass(frozen=True)

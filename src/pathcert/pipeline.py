@@ -152,15 +152,15 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     trace["stage1"] = {"kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
-    work = complement(g, mask_of(w1.S)) if complemented else g
+    stage1 = mask_of(w1.S)
+    work = complement(g, stage1) if complemented else g
     s = w1.size
-    pruned = prune_high_degree(work, w1.S, eps)
-    s2 = len(pruned)
+    sub = prune_high_degree(work, stage1, eps)
+    s2 = sub.bit_count()
     big_d = math.floor(2 * eps * s) + 1
     big_t = math.ceil(c * s2)
     trace.update(s=s, s_prime=s2, T=big_t, D=big_d)
 
-    sub = mask_of(pruned)
     comps = component_masks(work.adj, sub)
     trace["component_sizes"] = [cc.bit_count() for cc in comps]
 
@@ -213,13 +213,6 @@ class _PatternAbort(Exception):
         self.embedding = embedding
 
 
-def _oracle_constant(consts: PipelineConstants) -> Fraction:
-    """An exact Fraction at most c_k = c * delta / 2, for oracle-side
-    validation: 2^E >= 1/delta.  (Using a lower bound only weakens the
-    checked promise.)"""
-    return consts.c / 2 ** (consts.n_min_exponent + 1)
-
-
 def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     """An exact stable set or clique (epsilon = 0 witness).
 
@@ -268,10 +261,10 @@ def _doubling(g: Graph, k: int):
             raise _PatternAbort(report.witness)  # type: ignore[arg-type]
         return report.witness  # type: ignore[return-value]
 
-    # The declared constant is the honest asymptotic one; the recursion keeps
-    # splitting down to pairs (cutoff 2) rather than stopping at 1/c, which at
-    # desk scale would mean stopping immediately.
-    oracle = BipartiteOracle(_oracle_constant(choose_constants(k)), fn, cutoff=2)
+    # Every part has at most g.n vertices, so the constant 1/(g.n + 1)
+    # promises sides of 1, as c_k = c * delta / 2 does at every n < 2^F.  The
+    # recursion splits down to pairs (cutoff 2), not to parts of 1/c_k.
+    oracle = BipartiteOracle(Fraction(1, g.n + 1), fn, cutoff=2)
     try:
         return p4free_extract(g, oracle)
     except _PatternAbort as abort:

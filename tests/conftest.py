@@ -15,12 +15,21 @@ from itertools import combinations
 from pathcert.cographs import CographDecomposition, OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
-from pathcert.graph import Graph, bits, build_graph, complement, component_masks, induced, mask_of
+from pathcert.graph import Graph, build_graph, complement, component_masks, induced, mask_of
 from pathcert.generators import gnp
 from pathcert.patterns import find_induced_path
 from pathcert.rng import SplitMix64, stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, PatternEmbedding,
                                 Verdict, verify_bipartite_pair)
+
+
+def reference_bits(mask: int):
+    """Set bit positions of ``mask``, ascending, one low bit at a time: the
+    oracle for ``graph.bits`` and the lister of every oracle here."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
@@ -52,7 +61,7 @@ def _components_sets(g: Graph):
         frontier = [v]
         while frontier:
             u = frontier.pop()
-            for w in bits(g.adj[u]):
+            for w in reference_bits(g.adj[u]):
                 if w not in comp:
                     comp.add(w)
                     frontier.append(w)
@@ -117,7 +126,7 @@ def brute_has_induced_p4(g: Graph) -> bool:
 
 def edges_within(g: Graph, s) -> int:
     m = mask_of(s)
-    return sum((g.adj[v] & m).bit_count() for v in bits(m)) // 2
+    return sum((g.adj[v] & m).bit_count() for v in reference_bits(m)) // 2
 
 
 def best_homogeneous_sizes(g: Graph, epsilon: Fraction) -> tuple[int, int]:
@@ -185,13 +194,13 @@ def brute_peel(adj, n: int, epsilon: Fraction) -> tuple[int, int]:
     until the survivors span at most epsilon * C(size, 2) edges; returns
     (mask, edges).  Run it on complement rows for the dense peel."""
     mask = (1 << n) - 1
-    edges = sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
+    edges = sum((adj[v] & mask).bit_count() for v in reference_bits(mask)) // 2
     size = n
     while size > 1:
         if edges <= epsilon * (size * (size - 1) // 2):
             break
         worst, worst_deg = -1, -1
-        for v in bits(mask):
+        for v in reference_bits(mask):
             d = (adj[v] & mask).bit_count()
             if d > worst_deg:
                 worst, worst_deg = v, d
@@ -206,7 +215,7 @@ def reference_degree_planes(adj, mask: int) -> list[int]:
     at a time (oracle for the peel's planes): bit v of ``planes[b]`` is bit
     b of the degree of member v."""
     planes = [0] * max(1, (mask.bit_count() - 1).bit_length())
-    for v in bits(mask):
+    for v in reference_bits(mask):
         d = (adj[v] & mask).bit_count()
         b = 0
         while d:
@@ -241,7 +250,7 @@ def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
-            y = min(v for v in bits(adj[start] & mask) if adj[v] & c1)
+            y = min(v for v in reference_bits(adj[start] & mask) if adj[v] & c1)
             sub = c1 | 1 << y
             assert len(component_masks(adj, sub)) == 1
             trace.append({"n": m, "case": "grow", "c1": c1_size,
@@ -251,11 +260,12 @@ def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
             continue
         if c1_size >= T:
             trace.append({"n": m, "case": "middle-split", "c1": c1_size})
-            return BipartitePairWitness("empty", frozenset(bits(c1)),
-                                        frozenset(bits(u & ~c1))), trace
+            return BipartitePairWitness("empty", frozenset(reference_bits(c1)),
+                                        frozenset(reference_bits(u & ~c1))), trace
         a, b = split_small_components(comps, T)
         trace.append({"n": m, "case": "small-split", "c1": c1_size})
-        return BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b))), trace
+        return BipartitePairWitness("empty", frozenset(reference_bits(a)),
+                                    frozenset(reference_bits(b))), trace
 
 
 def planted_sparse_graph(s: int, epsilon: Fraction, rng: SplitMix64) -> Graph:
@@ -315,7 +325,7 @@ def caterpillar_graph(n: int, seed: int) -> Graph:
     for v in order:
         if join:
             rows[v] = earlier
-            for u in bits(earlier):
+            for u in reference_bits(earlier):
                 rows[u] |= 1 << v
         earlier |= 1 << v
         join = not join
@@ -332,7 +342,8 @@ def half_density_graph(n: int, seed: int) -> Graph:
         word = 0
         for _ in range(words):
             word = word << 64 | rng.next_u64()
-        edges.extend((u, v) for v in bits(word & ((1 << n) - 1) >> (u + 1) << (u + 1)))
+        upper = word & ((1 << n) - 1) >> (u + 1) << (u + 1)
+        edges.extend((u, v) for v in reference_bits(upper))
     return build_graph(n, edges)
 
 
@@ -404,7 +415,7 @@ def oracle_decode_graph6(text: str) -> Graph:
         column = bitstr[start:start + j]
         start += j
         if "1" in column:
-            edges.extend((i, j) for i in bits(int(column[::-1], 2)))
+            edges.extend((i, j) for i in reference_bits(int(column[::-1], 2)))
     return build_graph(n, edges)
 
 
@@ -430,7 +441,7 @@ def oracle_cotree(g: Graph, mask: int | None = None):
         if len(parts) == 1:
             kind, parts = "join", component_masks(co_adj, part)
         if len(parts) == 1:
-            members = list(bits(part))
+            members = list(reference_bits(part))
             res = find_induced_path(induced(g, members), 4)
             assert res.found, "a connected, co-connected graph on >= 2 vertices induces a P4"
             emb = res.embedding

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,13 +292,9 @@ def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: malformed witness")
 
 
-def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
-    """A pattern name is compared with the map's length before the pattern
-    graph is built, so a huge name costs no memory: under a 512 MB address
-    space limit, building P99999999 (about n^2/8 bytes) would fail."""
-    wpath = tmp_path / "w.json"
-    wpath.write_text('{"type": "embedding", "pattern": "P99999999", "map": []}')
-    gpath = write_g6(tmp_path, path_graph(6))
+def run_in_512_mb(*argv):
+    """The CLI in a fresh interpreter under a 512 MB address space limit:
+    (the finished process, its wall time in seconds)."""
     limit = 512 * 2 ** 20
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
@@ -305,11 +302,48 @@ def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
             "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code, "verify", "--graph", gpath,
-                           "--witness", str(wpath)], env=env, capture_output=True, text=True,
-                          timeout=120)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    return done, time.perf_counter() - start
+
+
+def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
+    """A pattern name is compared with the map's length before the pattern
+    graph is built, so a huge name costs no memory: under a 512 MB address
+    space limit, building P99999999 (about n^2/8 bytes) would fail."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"type": "embedding", "pattern": "P99999999", "map": []}')
+    done, _ = run_in_512_mb("verify", "--graph", write_g6(tmp_path, path_graph(6)),
+                            "--witness", str(wpath))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: malformed witness")
+
+
+def test_exponent_fractions_are_usage_errors_before_any_power_is_built(tmp_path):
+    """Fraction text from outside (a witness epsilon, gen --p, extract
+    p4free --c) is digits[/digits] or digits.digits: "1e999999999" would
+    make Fraction build a power of ten of ~415 MB, so it exits 2 at once."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"type": "homogeneous", "kind": "stable", "S": [0], '
+                     '"epsilon": "1e999999999", "edge_count": 0}')
+    gpath = write_g6(tmp_path, path_graph(6))
+    for argv in (["verify", "--graph", gpath, "--witness", str(wpath)],
+                 ["gen", "--family", "gnp", "--n", "5", "--p", "1e999999999"],
+                 ["extract", "p4free", "--input", gpath, "--c", "1E999999999"]):
+        done, seconds = run_in_512_mb(*argv)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: not a fraction") and seconds < 1
+
+
+def test_eh_at_huge_k_builds_no_power_of_two(tmp_path):
+    """The doubling declares its oracle constant as 1/(n + 1), not from 2^E
+    (E ~ 15 k log2(6k)^2 bits), so eh at k = 10^8 on a non-cograph is quick
+    and small."""
+    done, seconds = run_in_512_mb("eh", "--input", write_g6(tmp_path, path_graph(40)),
+                                  "--k", "100000000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["route"] == "doubling" and seconds < 1
 
 
 JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -331,7 +365,8 @@ WITNESS_FIELDS = {
     "bipartite": {"kind": st.sampled_from(["empty", "complete", "clique"]),
                   "X": VERTICES, "Y": VERTICES},
     "homogeneous": {"kind": st.sampled_from(["stable", "clique", "empty"]), "S": VERTICES,
-                    "epsilon": st.from_regex(r"\A-?[0-9]{1,3}(/[0-9]{0,3})?\Z"),
+                    "epsilon": st.from_regex(
+                        r"\A-?[0-9]{1,3}(/[0-9]{0,3}|\.[0-9]{1,3}|[eE][+-]?[0-9]{1,10})?\Z"),
                     "edge_count": st.integers(-1, 25)},
     "embedding": {"pattern": PATTERN_NAMES, "map": VERTICES},
 }

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from pathcert.graph import (build_graph, complement, components, complete_graph,
                             cycle_graph, empty_graph, friendship_graph, induced,
                             path_graph)
-from pathcert import graph
+from pathcert import cographs, graph
 from pathcert.generators import gnp
 from pathcert.rng import stream
+
+from conftest import reference_bits
 
 
 def edge_set(g):
@@ -216,9 +218,9 @@ def test_components_partition_properties(n, data):
        st.sampled_from(["none", "one", "few", "many"]), st.data())
 def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
     """neighbours is the OR of the rows one member at a time, on masks of
-    0, 1, a few (the per-bit branch of members) and many vertices;
-    members, member_selectors and inner_degrees list the members, their
-    selectors and their degrees inside the mask, ascending."""
+    0, 1, a few (the per-bit branch of bits) and many vertices; bits,
+    member_selectors and inner_degrees list the members, their selectors
+    and their degrees inside the mask, ascending."""
     g = gnp(n, Fraction(seed % 10, 9), stream(0x7E16, seed))
     if shape == "none":
         mask = 0
@@ -229,7 +231,7 @@ def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
     else:
         mask = data.draw(st.integers(0, g.full_mask))
     members = [v for v in range(n) if mask >> v & 1]
-    assert list(graph.members(mask)) == members
+    assert list(graph.bits(mask)) == members
     union = 0
     for v in members:
         union |= g.adj[v]
@@ -243,11 +245,66 @@ def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
 
 
 def test_members_lists_sparse_and_dense_masks():
-    # both branches: a per-bit walk below one member in 16 digits, else a scan
+    # both branches of bits: a per-bit walk below one member in 16 digits,
+    # else a scan
     for mask in (0, 1, 1 | 1 << 40, 1 << 17 | 1 << 300, 0b1011 << 64, (1 << 300) - 1,
                  (1 << 300) - 1 ^ 1 << 7):
         want = [v for v in range(mask.bit_length()) if mask >> v & 1]
-        assert list(graph.members(mask)) == want == list(graph.bits(mask))
+        assert list(graph.bits(mask)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5000), st.sampled_from(["empty", "one", "sparse", "one-in-16", "full"]),
+       st.integers(0, 2 ** 32))
+def test_bits_equals_the_low_bit_loop(width, shape, seed):
+    """bits lists what the low-bit loop lists on masks up to 5000 bits wide,
+    on both sides of its switch: sparse masks have fewer than one digit in
+    16 set, and a mask with exactly one in 16 is the sparsest one scanned."""
+    rng = stream(0xB175, seed)
+    top = 1 << width - 1
+    if shape == "empty":
+        mask = 0
+    elif shape == "one":
+        mask = top
+    elif shape == "sparse":
+        mask = top | graph.mask_of(rng.below(width) for _ in range((width - 1) // 16 - 1))
+        assert width <= 16 or mask.bit_count() * 16 < width
+    elif shape == "one-in-16":
+        # one bit in each block of 16 digits, the last block's on top
+        blocks = max(1, width // 16)
+        mask = graph.mask_of(16 * b + rng.below(16) for b in range(blocks - 1))
+        mask |= 1 << 16 * blocks - 1
+        assert mask.bit_count() * 16 == mask.bit_length()
+    else:
+        mask = (1 << width) - 1
+    assert list(graph.bits(mask)) == list(reference_bits(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 160), st.integers(0, 2 ** 32), st.sampled_from(["full", "half", "sparse"]))
+def test_early_stopping_bits_consumers_match_the_low_bit_loop(n, seed, shape):
+    """The loops that stop partway through a bits listing (the AND of rows
+    in co_component_masks, cographs._splitter) and the cotree built on them
+    give the same answers as with the low-bit loop as lister."""
+    rng = stream(0xB176, seed)
+    g = gnp(n, Fraction(rng.randint(0, 8), 8), rng)
+    if shape == "full":
+        mask = g.full_mask
+    else:
+        keep = 2 if shape == "half" else 9
+        mask = graph.mask_of(v for v in range(n) if rng.below(keep) == 0) or 1
+
+    def answers():
+        comps = graph.co_component_masks(g.adj, mask)
+        splits = [cographs._splitter(g.adj, part, mask & ~part)
+                  for part in comps + graph.component_masks(g.adj, mask)]
+        return comps, splits, cographs.cotree(g, mask)
+
+    want = answers()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "bits", reference_bits)
+        patch.setattr(cographs, "bits", reference_bits)
+        assert want == answers()
 
 
 def test_friendship_graph_shape():

@@ -4,8 +4,8 @@ import pytest
 
 from itertools import combinations
 
-from pathcert.graph import (build_graph, complement, complete_bipartite_graph, complete_graph,
-                            cycle_graph, empty_graph, mask_of, path_graph)
+from pathcert.graph import (bits, build_graph, complement, complete_bipartite_graph,
+                            complete_graph, cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
 from pathcert import homogeneous
 from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
@@ -226,20 +226,20 @@ def triangle_plus_isolated():
 def test_prune_triangle_plus_isolated_unchanged():
     # threshold 2 * (1/10) * 10 = 2, all degrees <= 2
     g = triangle_plus_isolated()
-    out = prune_high_degree(g, range(10), Fraction(1, 10))
-    assert out == frozenset(range(10))
+    out = prune_high_degree(g, g.full_mask, Fraction(1, 10))
+    assert out == g.full_mask
 
 
 def test_prune_star_removes_center():
     g = build_graph(10, [(0, v) for v in range(1, 10)])
-    out = prune_high_degree(g, range(10), Fraction(1, 10))
-    assert out == frozenset(range(1, 10))
+    out = prune_high_degree(g, g.full_mask, Fraction(1, 10))
+    assert out == g.full_mask ^ 1
 
 
 def test_prune_epsilon_half_no_op():
     g = complete_graph(8)
-    out = prune_high_degree(g, range(8), Fraction(1, 2))
-    assert out == frozenset(range(8))
+    out = prune_high_degree(g, g.full_mask, Fraction(1, 2))
+    assert out == g.full_mask
 
 
 def test_prune_half_guarantee_on_planted_sparse_sets():
@@ -248,12 +248,11 @@ def test_prune_half_guarantee_on_planted_sparse_sets():
         eps = Fraction(1, 10) if trial % 2 == 0 else Fraction(1, 30)
         s = rng.randint(2, 120)
         g = planted_sparse_graph(s, eps, rng)
-        out = prune_high_degree(g, range(s), eps)
-        assert len(out) >= -(-s // 2)
+        out = prune_high_degree(g, g.full_mask, eps)
+        assert out.bit_count() >= -(-s // 2)
         bound = 2 * eps * s
-        mask = mask_of(out)
-        for v in out:
-            assert (g.adj[v] & mask).bit_count() <= bound
+        for v in bits(out):
+            assert (g.adj[v] & out).bit_count() <= bound
 
 
 def test_prune_matches_the_rational_threshold():
@@ -264,9 +263,9 @@ def test_prune_matches_the_rational_threshold():
         s = [v for v in range(n) if rng.below(3)] or [0]
         eps = Fraction(rng.randint(0, 12), rng.randint(1, 40))
         mask = mask_of(s)
-        expected = frozenset(v for v in s
-                             if (g.adj[v] & mask).bit_count() <= 2 * eps * len(s))
-        assert prune_high_degree(g, s, eps) == expected
+        expected = mask_of(v for v in s
+                           if (g.adj[v] & mask).bit_count() <= 2 * eps * len(s))
+        assert prune_high_degree(g, mask, eps) == expected
 
 
 def test_fox_sudakov_values():

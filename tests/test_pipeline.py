@@ -10,8 +10,8 @@ from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_
                             path_graph)
 from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.homogeneous import log2_bounds
-from pathcert.pipeline import (_oracle_constant, choose_constants, eh_homogeneous,
-                               extract_linear_bipartite, stage1_target)
+from pathcert.pipeline import (choose_constants, eh_homogeneous, extract_linear_bipartite,
+                               stage1_target)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 PatternEmbedding, verify, verify_embedding)
@@ -31,16 +31,15 @@ def test_choose_constants_k5():
 @pytest.mark.parametrize("k", range(2, 9))
 def test_constants_are_never_exact_and_bound_the_oracle_constant(k):
     """6k has a factor 3, so delta is never a power of two.  E and F come
-    from the rational bounds lo < log2(6k) < hi: 2^E >= 1/delta bounds the
-    oracle constant c / 2^(E + 1) by c * delta / 2, and 2^F < 1/delta makes
-    n = 2^F the last n whose stage-1 target is certified to be 1."""
+    from the rational bounds lo < log2(6k) < hi: 2^E >= 1/delta, and
+    2^F < 1/delta makes n = 2^F the last n whose stage-1 target is
+    certified to be 1."""
     c = choose_constants(k)
     assert c.delta.describe().startswith(f"2^(-15*{k}*log2({6 * k})^2)")
     lo, hi = log2_bounds(1 / c.epsilon)
     e, f = c.n_min_exponent, c.unit_target_exponent
     assert e == math.ceil(15 * k * hi * hi) and f == math.floor(15 * k * lo * lo)
     assert f < e and c.n_min == 2 ** e + 1
-    assert _oracle_constant(c) == c.c / 2 ** (e + 1)
     assert stage1_target(c, 2 ** f) == 1
     with pytest.raises(ValueError):
         stage1_target(c, 2 ** f + 1)
