@@ -129,9 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="certifying induced-path / bipartite-pair extraction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, input_required=True):
-        if input_required:
-            p.add_argument("--input", required=True, help="graph file")
+    def add_io(p):
+        p.add_argument("--input", required=True, help="graph file")
         p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
         p.add_argument("--out", help="write result here instead of stdout")
 

@@ -378,8 +378,8 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     With an oracle honoring its side guarantee all the way down, |S| is at
     least n^c' / 2 for c' = log 2 / log(1/c).  Every oracle answer is
     re-verified against g; a bad one raises OracleError with the witness
-    attached.  The oracle is called as ``oracle.fn(g, mask)`` on the members
-    of the current part.
+    attached, a pair unless the answer was not one.  The oracle is called
+    as ``oracle.fn(g, mask)`` on the members of the current part.
     """
     cutoff = oracle.effective_cutoff
     # Depth-first with an explicit stack, X before Y: the oracle sees the

@@ -180,10 +180,8 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             path.append(start)
             mask, start = sub, y
             continue
-        if c1_size >= T:
-            note(n=m, case="middle-split", c1=c1_size)
-            return BipartitePairWitness("empty", frozenset(bits(c1)),
-                                        frozenset(bits(u & ~c1)))
+        # The parts partition u.  |c1| >= T stops the packing after c1, and
+        # then |u - c1| > T, since |u| >= m - D and |c1| < m - D - T.
         a, b = split_small_components(comps, T)
-        note(n=m, case="small-split", c1=c1_size)
+        note(n=m, case="middle-split" if c1_size >= T else "small-split", c1=c1_size)
         return BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))

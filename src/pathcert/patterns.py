@@ -68,9 +68,9 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
     return PatternQueryResult(False, None, explored)
 
 
-def contains_induced(g: Graph, h: Graph, pattern_name: str = "pattern") -> PatternQueryResult:
+def contains_induced(g: Graph, h: Graph) -> PatternQueryResult:
     """Does some injective map embed h into g preserving adjacency AND
-    non-adjacency?
+    non-adjacency?  A found embedding is named "pattern".
 
     Pattern vertices are assigned in id order; the only pruning is that a
     host candidate must have degree at least the pattern vertex's degree.
@@ -110,7 +110,7 @@ def contains_induced(g: Graph, h: Graph, pattern_name: str = "pattern") -> Patte
     place(0, 0)
     if found is None:
         return PatternQueryResult(False, None, explored)
-    emb = PatternEmbedding(pattern_name, h, found)
+    emb = PatternEmbedding("pattern", h, found)
     return PatternQueryResult(True, emb, explored)
 
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cographs import BipartiteOracle, cograph_alpha_omega, p4free_extract
+from .cographs import BipartiteOracle, OracleError, cograph_alpha_omega, p4free_extract
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
 from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
 # Unused here since the producers run on vertex masks, but bench/tracing.py
@@ -208,19 +208,15 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     return ExtractionReport("bipartite-witness", pair, consts, trace, complemented)
 
 
-class _PatternAbort(Exception):
-    def __init__(self, embedding: PatternEmbedding):
-        self.embedding = embedding
-
-
 def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     """An exact stable set or clique (epsilon = 0 witness).
 
     A cograph is folded over its cotree at once: the larger of the maximum
     stable set and the maximum clique, stable on a tie.  Otherwise the
     input goes through bipartite extraction, P4-free doubling and the fold
-    of the doubled set; if any stage turns up an induced k-path or its
-    complement, that PatternEmbedding is returned instead.
+    of the doubled set.  A PatternEmbedding (induced k-path or complement)
+    from any extraction run ends the doubling and is returned: it is the
+    only OracleError witness that is not a pair.  Other OracleErrors propagate.
 
     ``details``, if provided, is filled with the route taken ("cotree" or
     "doubling"), and, for a set, the achieved size and the size of the
@@ -234,9 +230,18 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
         details["route"] = route
     extracted_size = g.n
     if route == "doubling":
-        extracted = _doubling(g, k)
-        if isinstance(extracted, PatternEmbedding):
-            return extracted
+        # Every part has at most g.n vertices, so the constant 1/(g.n + 1)
+        # promises sides of 1, as c_k = c * delta / 2 does at every n < 2^F.
+        # The recursion splits down to pairs (cutoff 2), not to parts of 1/c_k.
+        oracle = BipartiteOracle(Fraction(1, g.n + 1),
+                                 lambda g, mask: extract_linear_bipartite(g, k, mask).witness,
+                                 cutoff=2)
+        try:
+            extracted = p4free_extract(g, oracle)
+        except OracleError as err:
+            if isinstance(err.witness, PatternEmbedding):
+                return err.witness
+            raise
         folded = cograph_alpha_omega(g, mask_of(extracted))
         assert not isinstance(folded, PatternEmbedding), "extracted set must be P4-free"
         extracted_size = len(extracted)
@@ -249,23 +254,3 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     if details is not None:
         details.update(achieved=len(chosen), extracted_size=extracted_size)
     return witness
-
-
-def _doubling(g: Graph, k: int):
-    """A P4-free vertex set from the doubling recursion over extraction
-    runs, or the first pattern certificate a run returns."""
-
-    def fn(g: Graph, mask: int) -> BipartitePairWitness:
-        report = extract_linear_bipartite(g, k, mask)
-        if report.outcome == "pattern-certificate":
-            raise _PatternAbort(report.witness)  # type: ignore[arg-type]
-        return report.witness  # type: ignore[return-value]
-
-    # Every part has at most g.n vertices, so the constant 1/(g.n + 1)
-    # promises sides of 1, as c_k = c * delta / 2 does at every n < 2^F.  The
-    # recursion splits down to pairs (cutoff 2), not to parts of 1/c_k.
-    oracle = BipartiteOracle(Fraction(1, g.n + 1), fn, cutoff=2)
-    try:
-        return p4free_extract(g, oracle)
-    except _PatternAbort as abort:
-        return abort.embedding

@@ -270,8 +270,6 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
                                   '{"type": "path", "vertices": [0, 1.5, 2]}',
                                   '{"type": "embedding", "pattern": "P3", "map": "012"}',
                                   '{"type": "path", "vertices": [true, 2]}',
-                                  '{"type": "homogeneous", "kind": "stable", "S": [0], '
-                                  '"epsilon": "1/0", "edge_count": 0}',
                                   # an edge count that is not an int, an epsilon
                                   # that is not a fraction string
                                   '{"type": "homogeneous", "kind": "stable", "S": [0], '
@@ -336,6 +334,20 @@ def test_exponent_fractions_are_usage_errors_before_any_power_is_built(tmp_path)
         assert done.stderr.startswith("error: not a fraction") and seconds < 1
 
 
+def test_zero_denominators_are_usage_errors(tmp_path, capsys):
+    """A zero denominator in a witness epsilon, gen --p or extract p4free
+    --c exits 2, not with Fraction's ZeroDivisionError as a crash (3)."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"type": "homogeneous", "kind": "stable", "S": [0], '
+                     '"epsilon": "1/0", "edge_count": 0}')
+    gpath = write_g6(tmp_path, path_graph(6))
+    for argv in (["verify", "--graph", gpath, "--witness", str(wpath)],
+                 ["gen", "--family", "gnp", "--n", "5", "--p", "1/0"],
+                 ["extract", "p4free", "--input", gpath, "--c=-3/000"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: not a fraction")
+
+
 def test_eh_at_huge_k_builds_no_power_of_two(tmp_path):
     """The doubling declares its oracle constant as 1/(n + 1), not from 2^E
     (E ~ 15 k log2(6k)^2 bits), so eh at k = 10^8 on a non-cograph is quick
@@ -366,7 +378,8 @@ WITNESS_FIELDS = {
                   "X": VERTICES, "Y": VERTICES},
     "homogeneous": {"kind": st.sampled_from(["stable", "clique", "empty"]), "S": VERTICES,
                     "epsilon": st.from_regex(
-                        r"\A-?[0-9]{1,3}(/[0-9]{0,3}|\.[0-9]{1,3}|[eE][+-]?[0-9]{1,10})?\Z"),
+                        r"\A-?[0-9]{1,3}(/[0-9]{0,3}|\.[0-9]{1,3}|[eE][+-]?[0-9]{1,10})?\Z")
+                    | st.from_regex(r"\A-?[0-9]{1,3}/0{1,3}\Z"),  # zero denominators
                     "edge_count": st.integers(-1, 25)},
     "embedding": {"pattern": PATTERN_NAMES, "map": VERTICES},
 }

@@ -525,6 +525,10 @@ def test_witness_from_dict_rejects_unknown():
 def test_fraction_parsing():
     assert parse_fraction("1/30") == Fraction(1, 30)
     assert parse_fraction("0.5") == Fraction(1, 2)
+    assert parse_fraction("-0/7") == 0 and parse_fraction("3/010") == Fraction(3, 10)
+    for zero_denominator in ("1/0", "-3/000", "+0/0"):
+        with pytest.raises(ValueError, match="not a fraction"):
+            parse_fraction(zero_denominator)
 
 
 def test_report_serialization():

@@ -98,8 +98,9 @@ def test_contains_no_p4_in_c4():
 
 
 def test_contains_c5_in_c5_identity():
-    res = contains_induced(cycle_graph(5), cycle_graph(5), "C5")
+    res = contains_induced(cycle_graph(5), cycle_graph(5))
     assert res.found and res.embedding.mapping == (0, 1, 2, 3, 4)
+    assert res.embedding.pattern_name == "pattern"
 
 
 def test_contains_guards_large_patterns():

@@ -1,10 +1,12 @@
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pathcert import extractor
+from pathcert import extractor, pipeline
+from pathcert.cographs import OracleError
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
                             path_graph)
@@ -210,6 +212,18 @@ def test_eh_propagates_pattern_certificates():
         assert out.pattern_name in ("P4", "co-P4")
     else:
         assert verify(g, out)
+
+
+def test_eh_reraises_an_oracle_error_that_carries_no_pattern(monkeypatch):
+    """A rejected extraction pair is an OracleError that eh passes on; only
+    a pattern certificate on that channel ends the doubling with a result."""
+    bad = BipartitePairWitness("empty", frozenset([0]), frozenset([1]))  # 0-1 is an edge
+    monkeypatch.setattr(pipeline, "extract_linear_bipartite",
+                        lambda g, k, mask=None: replace(extract_linear_bipartite(g, k, mask),
+                                                        witness=bad))
+    with pytest.raises(OracleError, match="oracle witness rejected") as err:
+        eh_homogeneous(path_graph(6), 4)
+    assert err.value.witness is bad
 
 
 def test_eh_cograph_64_reaches_sqrt_n():
