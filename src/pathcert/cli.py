@@ -210,3 +210,7 @@ def _internal_error(err: Exception) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

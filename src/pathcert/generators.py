@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import (Graph, build_graph, complete_bipartite_graph, complete_graph,
-                    cycle_graph, friendship_graph, path_graph)
+from .graph import (Graph, complete_bipartite_graph, complete_graph, cycle_graph,
+                    friendship_graph, path_graph, symmetrised)
 from .patterns import is_pk_copk_free
 from .rng import SplitMix64, stream
 
@@ -38,14 +38,31 @@ class GeneratorSpec:
             raise ValueError("p must be in [0, 1]")
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # the bytes 0/1 -> '0'/'1'
+
+
 def gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
     """G(n, p): one exact Bernoulli(p) draw per pair (u, v), u < v, in
-    lexicographic order.  The edges stream into ``build_graph`` as they are
-    drawn, so no edge list is held."""
+    lexicographic order.
+
+    Row u's draws, for v = u + 1..n - 1, are one
+    :meth:`~pathcert.rng.SplitMix64.bernoulli_bytes` run, the same draws
+    and the same final ``rng`` state as one :meth:`bernoulli` call per pair.
+    The run's 0/1 bytes, reversed and read as a base-2 numeral, are the
+    upper half of row u, and :func:`~pathcert.graph.symmetrised` adds the
+    lower halves.  Beside the rows, it holds one row's 0/1 bytes, one batch
+    of draws (a few ints of 16 KiB) and one block of the transpose (at most
+    4 MiB of digits).
+    """
+    if n < 1:
+        raise ValueError("graphs have at least one vertex")
     p = Fraction(p)
     num, den = p.numerator, p.denominator
-    return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)
-                           if rng.bernoulli(num, den)))
+    upper = []
+    for u in range(n):
+        draws = rng.bernoulli_bytes(num, den, n - 1 - u)  # for v = u + 1..n - 1
+        upper.append(int(draws[::-1].translate(_DIGITS) or b"0", 2) << u + 1)
+    return Graph(n, symmetrised(upper))
 
 
 def random_cograph(n: int, rng: SplitMix64, balanced: bool = False) -> Graph:

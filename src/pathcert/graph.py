@@ -15,18 +15,20 @@ relabelled or translated back.  :func:`complement` restricted to a mask
 fills rows for the mask's members only, and :func:`induced` builds a
 relabelled copy for callers that need a standalone graph.
 
-:func:`build_graph` is the one row builder.  A dense graph (more than
-n * n / 16 edges, n <= 4096) costs it one OR per edge past that many: each
-such edge goes into its first endpoint's row only, and the other side comes
-from one transpose of those directed rows, an n x n digit matrix read
-column by column in strided slices.
+:func:`build_graph` builds rows from an edge list.  A dense graph (more
+than n * n / 16 edges, n <= 4096) costs it one OR per edge past that many:
+each such edge goes into its first endpoint's row only, and the other side
+comes from :func:`symmetrised`, a transpose of those directed rows as an
+n x n digit matrix read column by column in strided slices.  The seeded
+G(n, p) of :mod:`pathcert.generators` draws the upper rows directly and
+symmetrises them the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import or_
+from operator import lshift, or_
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
@@ -169,16 +171,37 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if 0 <= u < n and 0 <= v < n:
             raise
         raise _edge_error(u, v, n) from None
-    # Row u as n digits, most significant first, so bit v of row u is
-    # matrix[u * n + n - 1 - v]; column v, read last row first, is bit v of
-    # every row, and as a base-2 numeral it is the rows that hold v.
-    matrix = bytearray(n * n)
+    return Graph(n, symmetrised(rows))
+
+
+# symmetrised reads at most this many digits of the row matrix at a time.
+_TRANSPOSE_BYTES = 1 << 22
+
+
+def symmetrised(rows: Sequence[int]) -> tuple[int, ...]:
+    """Row u ORed with column u: row u of the symmetric closure of the
+    directed rows ``rows`` (bit v of row u an arc u -> v).
+
+    The rows are read as an n x n digit matrix in blocks of at most
+    _TRANSPOSE_BYTES digits (one block up to n = 2048): in a block of rows
+    lo.., row u is n digits, most significant first, so bit v of row u is
+    ``matrix[(u - lo) * n + n - 1 - v]``.  Column v read last row first is
+    bit v of every row in the block, and as a base-2 numeral shifted by lo
+    it is the block's rows that hold v.
+    """
+    n = len(rows)
+    out = list(rows)
     digits = f"0{n}b"
-    for u, row in enumerate(rows):
-        matrix[u * n:u * n + n] = format(row, digits).encode()
-    last = n * n - 1
-    columns = (matrix[last - v::-n] for v in range(n))
-    return Graph(n, tuple(map(or_, rows, map(int, columns, repeat(2)))))
+    height = max(1, _TRANSPOSE_BYTES // n)
+    for lo in range(0, n, height):
+        block = rows[lo:lo + height]
+        width = len(block) * n
+        matrix = bytearray(width)
+        for i, row in enumerate(block):
+            matrix[i * n:i * n + n] = format(row, digits).encode()
+        columns = map(int, (matrix[width - 1 - v::-n] for v in range(n)), repeat(2))
+        out = list(map(or_, out, map(lshift, columns, repeat(lo))))
+    return tuple(out)
 
 
 def _edge_error(u: int, v: int, n: int) -> ValueError:

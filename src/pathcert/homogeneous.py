@@ -13,7 +13,8 @@ complement graph.  The planes are built on the first deletion.  The sparse
 peel runs first, and the dense peel stops once it is down to the sparse
 survivor count: a tie goes to the sparse set, so past that point the dense
 peel could not win.  On a long path or cycle the sparse peel keeps every
-vertex, so neither peel deletes or builds a plane.
+vertex, so it deletes nothing and builds no plane, and the dense peel does
+not run.
 
 All thresholds are exact rationals, compared as integers (numerator times
 the other side's denominator); floats never decide anything here.
@@ -106,18 +107,19 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
         raise ValueError("epsilon must be in [0, 1]")
     if not 1 <= target <= mask.bit_count():
         raise ValueError(f"target must be in 1..{mask.bit_count()}")
-    sparse_mask, sparse_edges = _peel(g.adj, mask, epsilon, dense=False)
+    kind = "stable"
+    found, edges = _peel(g.adj, mask, epsilon, dense=False)
     # A tie goes to the sparse set, so the dense peel can only win while it
-    # keeps more vertices: it stops at the sparse peel's size.
-    dense_mask, dense_edges = _peel(g.adj, mask, epsilon, dense=True,
-                                    _floor=sparse_mask.bit_count())
-    if sparse_mask.bit_count() >= dense_mask.bit_count():
-        kind, mask, edges = "stable", sparse_mask, sparse_edges
-    else:
-        kind, mask, edges = "clique", dense_mask, dense_edges
-    if mask.bit_count() < target:
+    # keeps more vertices: it stops at the sparse peel's size, and it does
+    # not start when the sparse peel kept every vertex.
+    if found != mask:
+        dense, dense_edges = _peel(g.adj, mask, epsilon, dense=True,
+                                   _floor=found.bit_count())
+        if dense.bit_count() > found.bit_count():
+            kind, found, edges = "clique", dense, dense_edges
+    if found.bit_count() < target:
         return None
-    return HomogeneousSetWitness(kind, frozenset(bits(mask)), epsilon, edges)
+    return HomogeneousSetWitness(kind, frozenset(bits(found)), epsilon, edges)
 
 
 def prune_high_degree(g: Graph, mask: int, epsilon: Fraction) -> int:

@@ -32,6 +32,15 @@ def reference_bits(mask: int):
         mask ^= low
 
 
+def oracle_gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
+    """G(n, p) with one scalar ``rng.bernoulli`` call per pair (u, v), u < v,
+    in lexicographic order: the oracle for the batched ``generators.gnp``."""
+    p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.bernoulli(num, den)))
+
+
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
     """A connected seeded graph, rebuilt from the largest component of a
     G(n, p) draw so the result is a root graph.  Even seeds use dense p,
@@ -333,8 +342,8 @@ def caterpillar_graph(n: int, seed: int) -> Graph:
 
 
 def half_density_graph(n: int, seed: int) -> Graph:
-    """A G(n, 1/2) sample drawn 64 pairs per random word (quicker than
-    generators.gnp's one draw per pair; a different graph for the same seed)."""
+    """A G(n, 1/2) sample drawn 64 pairs per random word (a different graph
+    from generators.gnp's for the same seed)."""
     rng = stream(0xD1, seed)
     words = (n + 63) // 64
     edges = []

@@ -195,6 +195,17 @@ def test_constants_output(capsys):
     assert data["n_min"] == "2^1817 + 1"
 
 
+@pytest.mark.parametrize("module", ["pathcert", "pathcert.cli"])
+def test_cli_runs_as_a_module(module, capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", module, "constants", "--k", "5"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(["constants", "--k", "5"]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_constants_at_large_k(capsys):
     # n_min = 2^E + 1 is written by its exponent, which has eight digits here
     assert main(["constants", "--k", "10000"]) == 0

@@ -9,9 +9,17 @@ from pathcert.generators import (BudgetExhaustedError, GeneratorSpec, generate,
                                  gnp, random_cograph, rejection_sample_ck)
 from pathcert.graph import complete_graph, empty_graph, path_graph
 from pathcert.patterns import contains_induced, is_pk_copk_free
+from pathcert import rng as rng_module
 from pathcert.rng import SplitMix64, stream
 
-from conftest import brute_has_induced_p4
+from conftest import brute_has_induced_p4, oracle_gnp
+
+# Probabilities for the batched draw: the trivial ones, denominators that
+# divide 256 (decided by one byte of each draw) and ones that do not, and
+# 2^63 + 1, which rejects about half of all draws.
+BATCH_PROBABILITIES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 8),
+                       Fraction(9, 10), Fraction(5, 2 ** 63 + 1), Fraction(2 ** 62, 2 ** 63 + 1),
+                       Fraction(255, 256), Fraction(7, 2 ** 40)]
 
 
 def test_gnp_extremes():
@@ -20,10 +28,11 @@ def test_gnp_extremes():
 
 
 def test_gnp_memory_is_bounded():
-    # The edges stream into build_graph: the traced peak of G(1500, 1/2)
-    # measured 3.0 MiB, most of it the n * n byte matrix of build_graph's
-    # transpose (an edge list of its 562k pairs peaked at 51.7 MiB).  Slow
-    # (about 20 s): tracemalloc hooks each of the 1.1M draws.
+    # No edge list is held: the traced peak of G(1500, 1/2) measured
+    # 2.84 MiB, most of it the n * n byte matrix of the transpose in
+    # graph.symmetrised (an edge list of its 562k pairs peaked at 51.7 MiB).
+    # Under a second: each row's draws (1.1M in all) come from one batched
+    # call.
     spec = GeneratorSpec("gnp", 1500, p=Fraction(1, 2), seed=1)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -36,10 +45,57 @@ def test_gnp_memory_is_bounded():
         if not was_tracing:
             tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
-    # The same graph as when the edges were collected in a list first.
+    # The same graph as when the edges were collected in a list first, and
+    # as when each pair was drawn by its own rng.bernoulli call.
     assert g.edge_count() == 562371
     assert (hashlib.sha256(encode_graph6(g).encode()).hexdigest()
             == "bc83de966d33ff2fc769c6a9b3fb134155e4257a7254da19a020dee17e1f3cb7")
+
+
+@pytest.mark.parametrize("p", BATCH_PROBABILITIES, ids=str)
+def test_bernoulli_bytes_equals_the_scalar_loop(p):
+    lanes = rng_module._LANES
+    for seed in (0, 1, 0xBA7C4, 2 ** 64 - 1):
+        for count in (0, 1, 2, lanes - 1, lanes, lanes + 1):
+            batched, scalar = stream(seed), stream(seed)
+            out = batched.bernoulli_bytes(p.numerator, p.denominator, count)
+            assert out == bytes(scalar.bernoulli(p.numerator, p.denominator)
+                                for _ in range(count))
+            assert batched._state == scalar._state
+            assert batched.next_u64() == scalar.next_u64()
+
+
+def test_bernoulli_bytes_rejects_like_below():
+    # With denominator 2^63 + 1 the limit is 2^64 - (2^63 - 1): about half
+    # the draws are rejected, so most batches are followed by a shorter one.
+    den = 2 ** 63 + 1
+    batched, scalar = stream(3), stream(3)
+    out = batched.bernoulli_bytes(2 ** 62, den, 3 * rng_module._LANES)
+    assert out == bytes(scalar.bernoulli(2 ** 62, den) for _ in range(len(out)))
+    assert batched._state == scalar._state
+    assert 0 < sum(out) < len(out)
+
+
+def test_bernoulli_bytes_validates():
+    for num, den, count in ((2, 1, 3), (-1, 2, 3), (1, 0, 3), (0, -1, 3), (1, 2, -1)):
+        with pytest.raises(ValueError):
+            stream(1).bernoulli_bytes(num, den, count)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 300])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                               Fraction(9, 10), Fraction(5, 2 ** 63 + 1)], ids=str)
+def test_gnp_equals_the_per_pair_oracle(n, p):
+    for seed in range(3):
+        batched, scalar = stream(0x6E9, seed), stream(0x6E9, seed)
+        assert gnp(n, p, batched) == oracle_gnp(n, p, scalar)
+        # A caller that keeps drawing from the same rng sees the same values.
+        assert [batched.below(1000) for _ in range(5)] == [scalar.below(1000) for _ in range(5)]
+
+
+def test_gnp_rejects_an_empty_graph():
+    with pytest.raises(ValueError):
+        gnp(0, Fraction(1, 2), stream(1))
 
 
 def test_gnp_seed_determinism():

@@ -119,6 +119,21 @@ def test_build_transposes_at_the_table_limit(n, m, monkeypatch):
     assert build_graph(n, edges).adj == tuple(rows)
 
 
+@pytest.mark.parametrize("n, budget", [(1, 1), (2, 1), (9, 9), (9, 20), (9, 81), (70, 1),
+                                       (70, 210), (70, 690), (70, 1 << 22)])
+def test_symmetrised_matches_per_arc_shifts_in_any_block_height(n, budget, monkeypatch):
+    # The transpose reads budget // n rows at a time (at least one), so the
+    # blocks here are 1, 2, 3 or 9 rows high, or all the rows at once.
+    monkeypatch.setattr(graph, "_TRANSPOSE_BYTES", budget)
+    rng = stream(0xB3, n * budget)
+    directed = [sum(1 << v for v in range(n) if v != u and rng.below(3) == 0) for u in range(n)]
+    rows = list(directed)
+    for u in range(n):
+        for v in reference_bits(directed[u]):
+            rows[v] |= 1 << u
+    assert graph.symmetrised(directed) == tuple(rows)
+
+
 def test_complement_k3_is_empty():
     assert edge_set(complement(complete_graph(3))) == set()
 

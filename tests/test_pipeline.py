@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathcert import extractor, pipeline
+from pathcert import cographs, extractor, graph, homogeneous, pipeline
 from pathcert.cographs import OracleError
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
@@ -320,3 +320,23 @@ def test_deep_extractor_walk_at_n5000(g, monkeypatch):
     assert verify(g, report.witness)
     assert len(report.trace["extractor"]) > 4000
     assert len(sweeps) == 1
+
+
+def test_deep_path_request_makes_three_degree_passes(monkeypatch):
+    # The sparse peel keeps all of path_graph(958), so the dense peel does
+    # not start: one inner_degrees pass each for the sparse peel, the prune
+    # and the walk's degree check.
+    passes = []
+
+    def counting(adj, mask):
+        passes.append(mask.bit_count())
+        return graph.inner_degrees(adj, mask)
+
+    for module in (homogeneous, extractor, cographs):
+        monkeypatch.setattr(module, "inner_degrees", counting)
+    g = path_graph(958)
+    report = extract_linear_bipartite(g, 5)
+    assert passes == [958, 958, 958]
+    assert report.trace["stage1"] == {"kind": "stable", "size": 958}
+    assert report.outcome == "pattern-certificate"
+    assert verify(g, report.witness)
