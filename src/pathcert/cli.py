@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Every command that prints a witness re-checks it with ``witnesses.verify``
+and prints the verdict as ``"verified"``; the key is there exactly when a
+witness is.
+
 Exit status: 0 ok, 1 verification failed (or an oracle / sampling budget
 gave out), 2 usage error (argparse default), 3 internal error: the program
 crashed (``RecursionError`` included) and says nothing about the input.
@@ -10,16 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import formats
-from .cographs import cograph_alpha_omega, exact_bipartite_oracle, p4free_extract
+from .cographs import cograph_alpha_omega
 from .extractor import ExtractorParams, path_guarantee, path_or_empty_bipartite
 from .generators import GeneratorSpec, generate
 from .graph import Graph
-from .patterns import find_induced_path, is_pk_copk_free, universality_check
+from .patterns import find_induced_path, is_pk_copk_free
 from .pipeline import choose_constants, eh_homogeneous, extract_linear_bipartite
-from .witnesses import PatternEmbedding, verify
+from .witnesses import HomogeneousSetWitness, PatternEmbedding, verify
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -42,26 +47,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _verified(payload: dict, g: Graph, *witnesses) -> int:
+    """Set ``payload["verified"]`` to whether g accepts every witness; the
+    exit status, 1 on a rejection."""
+    payload["verified"] = ok = all(verify(g, w) for w in witnesses)
+    return 0 if ok else 1
+
+
 def _cmd_check(args) -> int:
     g = _read_graph(args.input, args.format)
     if args.induced_path is not None:
         res = find_induced_path(g, args.induced_path)
         payload = {"query": f"induced-path-{args.induced_path}", "found": res.found,
                    "nodes_explored": res.nodes_explored}
-        if res.embedding:
-            payload["witness"] = formats.witness_to_dict(res.embedding)
-    elif args.pk_free is not None:
+        key, emb = "witness", res.embedding
+    else:
         emb = is_pk_copk_free(g, args.pk_free)
         payload = {"query": f"pk-copk-free-{args.pk_free}", "free": emb is None}
-        if emb is not None:
-            payload["certificate"] = formats.witness_to_dict(emb)
-    else:
-        missing = universality_check(g, args.universal)
-        payload = {"query": f"universal-{args.universal}", "universal": missing is None}
-        if missing is not None:
-            payload["missing_pattern_graph6"] = formats.encode_graph6(missing)
+        key = "certificate"
+    code = 0
+    if emb is not None:
+        payload[key] = formats.witness_to_dict(emb)
+        code = _verified(payload, g, emb)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return code
 
 
 def _cmd_extract(args) -> int:
@@ -71,40 +80,41 @@ def _cmd_extract(args) -> int:
         w = path_or_empty_bipartite(g, args.start, params)
         payload = formats.witness_to_dict(w)
         payload["guaranteed_path_vertices"] = path_guarantee(g.n, params)
-    elif args.what == "p4free":
-        oracle = exact_bipartite_oracle(formats.parse_fraction(args.c))
-        s = p4free_extract(g, oracle)
-        payload = {"vertices": sorted(s), "size": len(s)}
+        code = _verified(payload, g, w)
     else:  # cograph-ramsey
         res = cograph_alpha_omega(g)
         if isinstance(res, PatternEmbedding):
             payload = {"cograph": False, "obstruction": formats.witness_to_dict(res)}
+            code = _verified(payload, g, res)
         else:
             stable, clique = res
             payload = {"cograph": True, "stable": sorted(stable), "clique": sorted(clique),
                        "alpha": len(stable), "omega": len(clique)}
+            pairs = len(clique) * (len(clique) - 1) // 2
+            code = _verified(payload, g, HomogeneousSetWitness("stable", stable, Fraction(0), 0),
+                             HomogeneousSetWitness("clique", clique, Fraction(0), pairs))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return code
 
 
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.input, args.format)
     report = extract_linear_bipartite(g, args.k)
-    verdict = verify(g, report.witness)
     data = formats.report_to_dict(report)
-    data["verified"] = bool(verdict)
+    code = _verified(data, g, report.witness)
     _emit(json.dumps(data, indent=2) + "\n", args.out)
-    return 0 if verdict else 1
+    return code
 
 
 def _cmd_eh(args) -> int:
     g = _read_graph(args.input, args.format)
     details: dict = {}
     w = eh_homogeneous(g, args.k, details=details)
-    payload = {"witness": formats.witness_to_dict(w), "verified": bool(verify(g, w))}
+    payload = {"witness": formats.witness_to_dict(w)}
+    code = _verified(payload, g, w)
     payload.update(details)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if payload["verified"] else 1
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -151,16 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--induced-path", type=int, metavar="K")
     group.add_argument("--pk-free", type=int, metavar="K")
-    group.add_argument("--universal", type=int, metavar="K")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("extract", help="run one extraction primitive")
-    p.add_argument("what", choices=("path-or-bipartite", "p4free", "cograph-ramsey"))
+    p.add_argument("what", choices=("path-or-bipartite", "cograph-ramsey"))
     add_io(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--T", type=int, default=1)
     p.add_argument("--D", type=int, default=1)
-    p.add_argument("--c", default="1/4", help="oracle constant for p4free")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("pipeline", help="full certifying extraction")

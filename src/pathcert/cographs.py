@@ -30,8 +30,8 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Sequence
 
-from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, complement,
-                    component_masks, inner_degrees, mask_of, path_graph)
+from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, component_masks,
+                    inner_degrees, mask_of, path_graph)
 # Unused here since the obstruction search runs on vertex masks, but
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
@@ -280,95 +280,19 @@ class OracleError(RuntimeError):
 class BipartiteOracle:
     """Produces, for the subgraph of g on the vertex mask it is handed, an
     empty or complete bipartite pair with both sides >= ceil(c * n), where n
-    is the mask's size, in g's vertex ids.
-
-    ``cutoff`` is the smallest subgraph the extraction recursion still hands
-    to the oracle; below it a single vertex is taken.  By default it is
-    max(2, ceil(1/c)), the point where the side guarantee ceil(c * n) stops
-    being meaningful; callers may lower it to 2 to keep recursing on sides
-    smaller than 1/c.
-    """
+    is the mask's size, in g's vertex ids.  The extraction recursion hands
+    it every part of two or more vertices."""
 
     c: Fraction
     fn: Callable[[Graph, int], BipartitePairWitness]
-    cutoff: int | None = None
 
     def __post_init__(self):
         self.c = Fraction(self.c)
         if not 0 < self.c < 1:
             raise ValueError("c must be in (0, 1)")
 
-    @property
-    def effective_cutoff(self) -> int:
-        if self.cutoff is not None:
-            return max(2, self.cutoff)
-        return max(2, math.ceil(1 / self.c))
-
     def required_side(self, n: int) -> int:
         return max(1, math.ceil(self.c * n))
-
-
-EXACT_ORACLE_MAX_N = 32
-
-
-def _find_pair_masks(g: Graph, side: int, kind: str,
-                     mask: int | None = None) -> tuple[int, int] | None:
-    """First (X, Y) inside ``mask`` (default: all of g) with |X| = |Y| = side
-    and the cross relation all-edges (complete) or no-edges (empty); complete
-    backtracking over vertex assignments in id order, so absence of a result
-    is a proof."""
-    if mask is None:
-        mask = g.full_mask
-    if 2 * side > mask.bit_count():
-        return None
-    compat = complement(g, mask).adj if kind == "empty" else g.adj
-
-    def dfs(x: int, y: int, avail_x: int, avail_y: int):
-        nx, ny = x.bit_count(), y.bit_count()
-        if nx == side and ny == side:
-            return x, y
-        if nx + (avail_x.bit_count() if nx < side else 0) < side:
-            return None
-        if ny + (avail_y.bit_count() if ny < side else 0) < side:
-            return None
-        pool = avail_x | avail_y
-        if not pool:
-            return None
-        v = (pool & -pool).bit_length() - 1
-        vb = 1 << v
-        if nx < side and avail_x & vb:
-            hit = dfs(x | vb, y, avail_x & ~vb, avail_y & compat[v] & ~vb)
-            if hit:
-                return hit
-        if ny < side and avail_y & vb and x:  # first vertex always goes to X
-            hit = dfs(x, y | vb, avail_x & compat[v] & ~vb, avail_y & ~vb)
-            if hit:
-                return hit
-        return dfs(x, y, avail_x & ~vb, avail_y & ~vb)
-
-    return dfs(0, 0, mask, mask)
-
-
-def exact_bipartite_oracle(c: Fraction, cutoff: int | None = None) -> BipartiteOracle:
-    """Complete desk-scale oracle (n <= 32): exhaustive search for an empty,
-    then a complete, pair with sides exactly ceil(c * n)."""
-    c = Fraction(c)
-
-    def fn(g: Graph, mask: int | None = None) -> BipartitePairWitness:
-        if mask is None:
-            mask = g.full_mask
-        n = mask.bit_count()
-        if n > EXACT_ORACLE_MAX_N:
-            raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}, got {n}")
-        side = max(1, math.ceil(c * n))
-        for kind in ("empty", "complete"):
-            hit = _find_pair_masks(g, side, kind, mask)
-            if hit:
-                xs, ys = hit
-                return BipartitePairWitness(kind, frozenset(bits(xs)), frozenset(bits(ys)))
-        raise OracleError(f"no empty or complete pair with sides {side} exists (n={n})")
-
-    return BipartiteOracle(c, fn, cutoff)
 
 
 def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
@@ -379,9 +303,9 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     least n^c' / 2 for c' = log 2 / log(1/c).  Every oracle answer is
     re-verified against g; a bad one raises OracleError with the witness
     attached, a pair unless the answer was not one.  The oracle is called
-    as ``oracle.fn(g, mask)`` on the members of the current part.
+    as ``oracle.fn(g, mask)`` on every part of two or more vertices; a
+    single vertex is kept.
     """
-    cutoff = oracle.effective_cutoff
     # Depth-first with an explicit stack, X before Y: the oracle sees the
     # parts in the order a recursion would hand them over, so the same set
     # comes out and the same first OracleError is raised, at any depth.
@@ -390,8 +314,8 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     while stack:
         mask = stack.pop()
         size = mask.bit_count()
-        if size < cutoff:
-            kept |= mask & -mask
+        if size == 1:
+            kept |= mask
             continue
         w = oracle.fn(g, mask)
         if not isinstance(w, BipartitePairWitness):

@@ -232,10 +232,8 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     if route == "doubling":
         # Every part has at most g.n vertices, so the constant 1/(g.n + 1)
         # promises sides of 1, as c_k = c * delta / 2 does at every n < 2^F.
-        # The recursion splits down to pairs (cutoff 2), not to parts of 1/c_k.
         oracle = BipartiteOracle(Fraction(1, g.n + 1),
-                                 lambda g, mask: extract_linear_bipartite(g, k, mask).witness,
-                                 cutoff=2)
+                                 lambda g, mask: extract_linear_bipartite(g, k, mask).witness)
         try:
             extracted = p4free_extract(g, oracle)
         except OracleError as err:

@@ -7,17 +7,18 @@ always checked against a second, dumber route.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
 from itertools import combinations
 
-from pathcert.cographs import CographDecomposition, OracleError
+from pathcert.cographs import BipartiteOracle, CographDecomposition, OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
 from pathcert.graph import Graph, build_graph, complement, component_masks, induced, mask_of
 from pathcert.generators import gnp
-from pathcert.patterns import find_induced_path
+from pathcert.patterns import PatternQueryResult, find_induced_path
 from pathcert.rng import SplitMix64, stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, PatternEmbedding,
                                 Verdict, verify_bipartite_pair)
@@ -504,12 +505,11 @@ def oracle_cograph_alpha_omega(g: Graph, mask: int | None = None):
 def oracle_p4free_extract(g: Graph, oracle) -> frozenset:
     """The doubling as a recursion (X before Y), as it was before the loop:
     oracle for cographs.p4free_extract at shallow depth."""
-    cutoff = oracle.effective_cutoff
 
     def recurse(mask: int) -> frozenset:
         size = mask.bit_count()
-        if size < cutoff:
-            return frozenset([(mask & -mask).bit_length() - 1])
+        if size == 1:
+            return frozenset([mask.bit_length() - 1])
         w = oracle.fn(g, mask)
         if not isinstance(w, BipartitePairWitness):
             raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
@@ -525,3 +525,119 @@ def oracle_p4free_extract(g: Graph, oracle) -> frozenset:
         return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
 
     return recurse(g.full_mask)
+
+
+# Exhaustive searches that no command runs: a complete oracle for
+# empty/complete pairs, which drives cographs.p4free_extract on small
+# inputs, and the generic induced-subgraph search, a second route to
+# patterns.find_induced_path.
+
+EXACT_ORACLE_MAX_N = 32
+MAX_PATTERN_SIZE = 10
+
+
+def find_pair_masks(g: Graph, side: int, kind: str,
+                    mask: int | None = None) -> tuple[int, int] | None:
+    """First (X, Y) inside ``mask`` (default: all of g) with |X| = |Y| = side
+    and the cross relation all-edges (complete) or no-edges (empty); complete
+    backtracking over vertex assignments in id order, so absence of a result
+    is a proof."""
+    if mask is None:
+        mask = g.full_mask
+    if 2 * side > mask.bit_count():
+        return None
+    compat = complement(g, mask).adj if kind == "empty" else g.adj
+
+    def dfs(x: int, y: int, avail_x: int, avail_y: int):
+        nx, ny = x.bit_count(), y.bit_count()
+        if nx == side and ny == side:
+            return x, y
+        if nx + (avail_x.bit_count() if nx < side else 0) < side:
+            return None
+        if ny + (avail_y.bit_count() if ny < side else 0) < side:
+            return None
+        pool = avail_x | avail_y
+        if not pool:
+            return None
+        v = (pool & -pool).bit_length() - 1
+        vb = 1 << v
+        if nx < side and avail_x & vb:
+            hit = dfs(x | vb, y, avail_x & ~vb, avail_y & compat[v] & ~vb)
+            if hit:
+                return hit
+        if ny < side and avail_y & vb and x:  # first vertex always goes to X
+            hit = dfs(x, y | vb, avail_x & compat[v] & ~vb, avail_y & ~vb)
+            if hit:
+                return hit
+        return dfs(x, y, avail_x & ~vb, avail_y & ~vb)
+
+    return dfs(0, 0, mask, mask)
+
+
+def exact_bipartite_oracle(c: Fraction) -> BipartiteOracle:
+    """Complete desk-scale oracle (n <= 32): exhaustive search for an empty,
+    then a complete, pair with sides exactly ceil(c * n)."""
+    c = Fraction(c)
+
+    def fn(g: Graph, mask: int | None = None) -> BipartitePairWitness:
+        if mask is None:
+            mask = g.full_mask
+        n = mask.bit_count()
+        if n > EXACT_ORACLE_MAX_N:
+            raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}, got {n}")
+        side = max(1, math.ceil(c * n))
+        for kind in ("empty", "complete"):
+            hit = find_pair_masks(g, side, kind, mask)
+            if hit:
+                xs, ys = hit
+                return BipartitePairWitness(kind, frozenset(reference_bits(xs)),
+                                            frozenset(reference_bits(ys)))
+        raise OracleError(f"no empty or complete pair with sides {side} exists (n={n})")
+
+    return BipartiteOracle(c, fn)
+
+
+def contains_induced(g: Graph, h: Graph) -> PatternQueryResult:
+    """Does some injective map embed h into g preserving adjacency AND
+    non-adjacency?  A found embedding is named "pattern".
+
+    Pattern vertices are assigned in id order; the only pruning is that a
+    host candidate must have degree at least the pattern vertex's degree.
+    """
+    if h.n > MAX_PATTERN_SIZE:
+        raise ValueError(f"pattern too large: {h.n} > {MAX_PATTERN_SIZE}")
+    explored = 0
+    if h.n > g.n:
+        return PatternQueryResult(False, None, explored)
+
+    full = g.full_mask
+    hdeg = [h.degree(i) for i in range(h.n)]
+    assigned: list[int] = []
+    found: tuple[int, ...] | None = None
+
+    def place(i: int, used: int) -> bool:
+        nonlocal explored, found
+        explored += 1
+        if i == h.n:
+            found = tuple(assigned)
+            return True
+        cand = full & ~used
+        for j in range(i):
+            if h.has_edge(i, j):
+                cand &= g.adj[assigned[j]]
+            else:
+                cand &= ~g.adj[assigned[j]]
+        for v in reference_bits(cand):
+            if g.degree(v) < hdeg[i]:
+                continue
+            assigned.append(v)
+            if place(i + 1, used | (1 << v)):
+                return True
+            assigned.pop()
+        return False
+
+    place(0, 0)
+    if found is None:
+        return PatternQueryResult(False, None, explored)
+    emb = PatternEmbedding("pattern", h, found)
+    return PatternQueryResult(True, emb, explored)

@@ -13,21 +13,21 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from pathcert.cographs import cograph_alpha_omega, exact_bipartite_oracle, p4free_extract
+from pathcert.cographs import cograph_alpha_omega, p4free_extract
 from pathcert.extractor import ExtractorParams, path_guarantee, path_or_empty_bipartite
 from pathcert.formats import decode_graph6, encode_graph6
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (Graph, bits, complete_bipartite_graph, complete_graph,
                             empty_graph, induced, mask_of, path_graph)
 from pathcert.homogeneous import fox_sudakov_delta, prune_high_degree
-from pathcert.patterns import contains_induced, find_induced_path, is_pk_copk_free
+from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.pipeline import choose_constants, extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (InducedPathWitness, PatternEmbedding, verify,
                                 verify_embedding)
 
-from conftest import (brute_max_clique_size, brute_max_stable_size,
-                      planted_sparse_graph, seeded_connected_graph)
+from conftest import (brute_max_clique_size, brute_max_stable_size, contains_induced,
+                      exact_bipartite_oracle, planted_sparse_graph, seeded_connected_graph)
 
 
 def _brute_p4_free(g: Graph) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pathcert.cli
 from pathcert.cli import build_parser, main
 from pathcert.formats import encode_graph6, witness_to_json
-from pathcert.graph import complete_graph, cycle_graph, path_graph
+from pathcert.graph import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
+from pathcert.patterns import PatternQueryResult
 from pathcert.pipeline import choose_constants
-from pathcert.witnesses import InducedPathWitness
+from pathcert.witnesses import InducedPathWitness, PatternEmbedding
 
 from conftest import threshold_graph
 
@@ -53,7 +57,7 @@ def test_check_pk_free(tmp_path, capsys):
     path = write_g6(tmp_path, cycle_graph(5))
     assert main(["check", "--input", path, "--pk-free", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["free"] is True
+    assert data["free"] is True and "verified" not in data
 
 
 def test_check_induced_path(tmp_path, capsys):
@@ -61,6 +65,10 @@ def test_check_induced_path(tmp_path, capsys):
     assert main(["check", "--input", path, "--induced-path", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["found"] is True and data["witness"]["type"] == "embedding"
+    assert data["verified"] is True
+    assert main(["check", "--input", path, "--induced-path", "6"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["found"] is False and "verified" not in data
 
 
 def test_check_induced_path_longer_than_the_recursion_limit(tmp_path, capsys):
@@ -78,14 +86,6 @@ def test_check_pk_free_longer_than_the_recursion_limit(tmp_path, capsys):
     assert data["free"] is False
     assert data["certificate"]["pattern"] == "P1100"
     assert data["certificate"]["map"] == list(range(1100))
-
-
-def test_check_universal(tmp_path, capsys):
-    path = write_g6(tmp_path, complete_graph(4))
-    assert main(["check", "--input", path, "--universal", "2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["universal"] is False
-    assert data["missing_pattern_graph6"] == "A?"  # the 2-vertex empty graph
 
 
 def test_edges_format_roundtrip(tmp_path, capsys):
@@ -116,14 +116,15 @@ def test_extract_path_or_bipartite(tmp_path, capsys):
 
 
 def test_extract_p4free_and_cograph(tmp_path, capsys):
-    from pathcert.graph import complete_bipartite_graph
+    # ``extract p4free`` printed a set with no certificate; it is no longer
+    # a mode.  cograph-ramsey prints K_{4,4}'s exact sets, verified.
     path = write_g6(tmp_path, complete_bipartite_graph(4, 4))
-    assert main(["extract", "p4free", "--input", path, "--c", "1/2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["size"] == 8
+    with pytest.raises(SystemExit) as err:
+        main(["extract", "p4free", "--input", path])
+    assert err.value.code == 2
     assert main(["extract", "cograph-ramsey", "--input", path]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["alpha"] == 4 and data["omega"] == 2
+    assert data["alpha"] == 4 and data["omega"] == 2 and data["verified"] is True
 
 
 def test_extract_cograph_ramsey_on_deep_cotree(tmp_path, capsys):
@@ -186,6 +187,51 @@ def test_verify_accepts_then_rejects_tampered(tmp_path, capsys):
     assert "forbidden-edge" in capsys.readouterr().out
 
 
+def swapped(vertices, n: int):
+    """``vertices`` (a tuple or a frozenset) with its largest vertex replaced
+    by the smallest vertex of 0..n-1 that it leaves out."""
+    top, out = max(vertices), min(set(range(n)) - set(vertices))
+    if isinstance(vertices, frozenset):
+        return vertices - {top} | {out}
+    return tuple(out if v == top else v for v in vertices)
+
+
+def corrupted(answer, n: int):
+    """A producer's answer with one vertex of its witness swapped; of a
+    (stable, clique) pair, the stable set's."""
+    if isinstance(answer, PatternQueryResult):
+        return replace(answer, embedding=corrupted(answer.embedding, n))
+    if isinstance(answer, PatternEmbedding):
+        return replace(answer, mapping=swapped(answer.mapping, n))
+    if isinstance(answer, InducedPathWitness):
+        return replace(answer, vertices=swapped(answer.vertices, n))
+    stable, clique = answer
+    return swapped(stable, n), clique
+
+
+@pytest.mark.parametrize("producer, g, argv", [
+    ("path_or_empty_bipartite", path_graph(7),
+     ["extract", "path-or-bipartite", "--T", "1", "--D", "3"]),
+    ("cograph_alpha_omega", complete_bipartite_graph(4, 4), ["extract", "cograph-ramsey"]),
+    ("cograph_alpha_omega", path_graph(6), ["extract", "cograph-ramsey"]),
+    ("find_induced_path", cycle_graph(6), ["check", "--induced-path", "5"]),
+    ("is_pk_copk_free", path_graph(6), ["check", "--pk-free", "4"]),
+], ids=["path-or-bipartite", "cograph-ramsey-sets", "cograph-ramsey-p4", "induced-path",
+        "pk-free"])
+def test_witness_commands_verify_what_they_print(tmp_path, capsys, monkeypatch,
+                                                 producer, g, argv):
+    """Every command that prints a witness prints ``"verified"``: true and
+    exit 0 on the producer's answer, false and exit 1 once the producer
+    returns it with one vertex swapped."""
+    path = write_g6(tmp_path, g)
+    assert main([*argv, "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    honest = getattr(pathcert.cli, producer)
+    monkeypatch.setattr(pathcert.cli, producer, lambda *args: corrupted(honest(*args), g.n))
+    assert main([*argv, "--input", path]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is False
+
+
 def test_constants_output(capsys):
     assert main(["constants", "--k", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -232,9 +278,12 @@ def test_eh_command(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["pipeline", "--mystery-flag"])
-    assert err.value.code == 2
+    # an unknown flag, or the removed ``check --universal``
+    for argv in (["pipeline", "--mystery-flag"],
+                 ["check", "--input", "g.g6", "--universal", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_unknown_command_exit_code():
@@ -330,31 +379,31 @@ def test_huge_pattern_name_is_rejected_before_it_is_built(tmp_path):
 
 
 def test_exponent_fractions_are_usage_errors_before_any_power_is_built(tmp_path):
-    """Fraction text from outside (a witness epsilon, gen --p, extract
-    p4free --c) is digits[/digits] or digits.digits: "1e999999999" would
-    make Fraction build a power of ten of ~415 MB, so it exits 2 at once."""
+    """Fraction text from outside (a witness epsilon, gen --p) is
+    digits[/digits] or digits.digits: "1e999999999" would make Fraction
+    build a power of ten of ~415 MB, so it exits 2 at once."""
     wpath = tmp_path / "w.json"
     wpath.write_text('{"type": "homogeneous", "kind": "stable", "S": [0], '
                      '"epsilon": "1e999999999", "edge_count": 0}')
     gpath = write_g6(tmp_path, path_graph(6))
     for argv in (["verify", "--graph", gpath, "--witness", str(wpath)],
                  ["gen", "--family", "gnp", "--n", "5", "--p", "1e999999999"],
-                 ["extract", "p4free", "--input", gpath, "--c", "1E999999999"]):
+                 ["gen", "--family", "gnp", "--n", "5", "--p", "1E999999999"]):
         done, seconds = run_in_512_mb(*argv)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: not a fraction") and seconds < 1
 
 
 def test_zero_denominators_are_usage_errors(tmp_path, capsys):
-    """A zero denominator in a witness epsilon, gen --p or extract p4free
-    --c exits 2, not with Fraction's ZeroDivisionError as a crash (3)."""
+    """A zero denominator in a witness epsilon or gen --p exits 2, not with
+    Fraction's ZeroDivisionError as a crash (3)."""
     wpath = tmp_path / "w.json"
     wpath.write_text('{"type": "homogeneous", "kind": "stable", "S": [0], '
                      '"epsilon": "1/0", "edge_count": 0}')
     gpath = write_g6(tmp_path, path_graph(6))
     for argv in (["verify", "--graph", gpath, "--witness", str(wpath)],
                  ["gen", "--family", "gnp", "--n", "5", "--p", "1/0"],
-                 ["extract", "p4free", "--input", gpath, "--c=-3/000"]):
+                 ["gen", "--family", "gnp", "--n", "5", "--p=-3/000"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: not a fraction")
 
@@ -474,11 +523,19 @@ def readme_cli_lines():
 
 def test_readme_cli_lines_parse():
     """Every documented ``pathcert`` line names a subcommand and flags that
-    the parser still accepts."""
+    the parser still accepts, and every subcommand, ``extract`` mode and
+    ``check`` query has a line."""
     lines = readme_cli_lines()
     assert len(lines) >= 10
-    commands = set()
-    for line in lines:
-        args = build_parser().parse_args(shlex.split(line)[1:])
-        commands.add(args.command)
-    assert commands == {"gen", "check", "extract", "pipeline", "eh", "verify", "constants"}
+    parsed = [build_parser().parse_args(shlex.split(line)[1:]) for line in lines]
+    assert {args.command for args in parsed} == {"gen", "check", "extract", "pipeline", "eh",
+                                                 "verify", "constants"}
+    subparsers = next(action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    modes = next(action.choices for action in subparsers["extract"]._actions
+                 if action.dest == "what")
+    assert {args.what for args in parsed if args.command == "extract"} == set(modes)
+    queries = {action.dest for group in subparsers["check"]._mutually_exclusive_groups
+               for action in group._group_actions}
+    assert {dest for args in parsed if args.command == "check" for dest in queries
+            if getattr(args, dest) is not None} == queries

@@ -6,18 +6,18 @@ import pytest
 
 from pathcert import cographs
 from pathcert.cographs import (BipartiteOracle, CographDecomposition, OracleError,
-                               cograph_alpha_omega, cotree, exact_bipartite_oracle,
-                               find_p4, p4free_extract)
+                               cograph_alpha_omega, cotree, find_p4, p4free_extract)
 from pathcert.graph import (bits, build_graph, co_component_masks, complement,
                             complete_bipartite_graph, complete_graph, component_masks,
                             cycle_graph, empty_graph, induced, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
-from pathcert.patterns import contains_induced, find_induced_path
+from pathcert.patterns import find_induced_path
 from pathcert.rng import stream
 from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 
 from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
-                      caterpillar_graph, oracle_cograph_alpha_omega, oracle_cotree,
+                      caterpillar_graph, contains_induced, exact_bipartite_oracle,
+                      find_pair_masks, oracle_cograph_alpha_omega, oracle_cotree,
                       oracle_p4free_extract, small_graphs, stack_depth, threshold_graph)
 
 
@@ -113,8 +113,8 @@ def test_p4free_extract_single_vertex():
 
 
 def test_p4free_extract_p4_two_vertices():
-    # base cutoff 4 means the only oracle call happens at the top: the first
-    # empty 1-pair is the non-edge {0},{2}
+    # the first empty 1-pair is the non-edge {0},{2}; its sides are single
+    # vertices, so the oracle is called only at the top
     s = p4free_extract(path_graph(4), exact_bipartite_oracle(Fraction(1, 4)))
     assert s == frozenset({0, 2})
 
@@ -152,8 +152,6 @@ def test_pair_search_matches_subset_enumeration():
     """The pruned backtracking in the exact oracle is a complete search:
     presence/absence agrees with brute enumeration of all (X, Y) pairs."""
     from itertools import combinations
-    from pathcert.cographs import _find_pair_masks
-    from pathcert.generators import gnp
 
     def brute(g, side, kind):
         want = kind == "complete"
@@ -170,7 +168,7 @@ def test_pair_search_matches_subset_enumeration():
         g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
         for side in range(1, n // 2 + 1):
             for kind in ("empty", "complete"):
-                assert (_find_pair_masks(g, side, kind) is not None) == brute(g, side, kind)
+                assert (find_pair_masks(g, side, kind) is not None) == brute(g, side, kind)
 
 
 def test_exact_oracle_no_pair_raises():
@@ -188,9 +186,21 @@ def test_exact_oracle_guard():
 
 
 def test_oracle_cutoff_default():
-    assert exact_bipartite_oracle(Fraction(1, 4)).effective_cutoff == 4
-    assert exact_bipartite_oracle(Fraction(1, 2)).effective_cutoff == 2
-    assert exact_bipartite_oracle(Fraction(2, 5)).effective_cutoff == 3
+    # There is no cutoff: at any c the oracle gets every part of two or
+    # more vertices, and only single vertices are kept without a call.
+    for c in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 5)):
+        exact = exact_bipartite_oracle(c)
+        calls = []
+
+        def counted(g, mask):
+            calls.append(mask)
+            return exact.fn(g, mask)
+
+        s = p4free_extract(empty_graph(8), BipartiteOracle(c, counted))
+        side = max(1, math.ceil(c * 8))
+        assert s == frozenset(range(2 * side))
+        assert all(mask.bit_count() >= 2 for mask in calls)
+        assert len(calls) == 2 * side - 1
 
 
 def _assert_threshold_answer(g, stable, clique):
@@ -413,8 +423,7 @@ def test_p4free_extract_matches_the_recursion():
         n = rng.randint(2, 22)
         g = (random_cograph(n, rng) if seed % 2
              else gnp(n, Fraction(rng.randint(0, 10), 10), rng))
-        oracle = exact_bipartite_oracle(Fraction(1, rng.randint(2, 5)),
-                                        cutoff=rng.randint(2, 4))
+        oracle = exact_bipartite_oracle(Fraction(1, rng.randint(2, 5)))
         try:
             want = oracle_p4free_extract(g, oracle)
         except OracleError as err:
@@ -439,7 +448,7 @@ def test_p4free_extract_needs_no_recursion():
         return BipartitePairWitness("empty", frozenset(bits(low)), frozenset(bits(mask ^ low)))
 
     g = empty_graph(2000)
-    oracle = BipartiteOracle(Fraction(1, 2000), peel, cutoff=2)
+    oracle = BipartiteOracle(Fraction(1, 2000), peel)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
     try:

@@ -8,11 +8,11 @@ from pathcert.formats import encode_graph6
 from pathcert.generators import (BudgetExhaustedError, GeneratorSpec, generate,
                                  gnp, random_cograph, rejection_sample_ck)
 from pathcert.graph import complete_graph, empty_graph, path_graph
-from pathcert.patterns import contains_induced, is_pk_copk_free
+from pathcert.patterns import is_pk_copk_free
 from pathcert import rng as rng_module
 from pathcert.rng import SplitMix64, stream
 
-from conftest import brute_has_induced_p4, oracle_gnp
+from conftest import brute_has_induced_p4, contains_induced, oracle_gnp
 
 # Probabilities for the batched draw: the trivial ones, denominators that
 # divide 256 (decided by one byte of each draw) and ones that do not, and

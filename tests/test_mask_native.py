@@ -17,7 +17,7 @@ import pytest
 
 from pathcert import formats
 from pathcert.cli import main
-from pathcert.cographs import OracleError, cograph_alpha_omega, exact_bipartite_oracle
+from pathcert.cographs import OracleError, cograph_alpha_omega
 from pathcert.extractor import ExtractorParams, path_or_empty_bipartite
 from pathcert.generators import GeneratorSpec, generate, gnp, random_cograph
 from pathcert.graph import bits, build_graph, component_masks, induced, mask_of
@@ -26,6 +26,8 @@ from pathcert.pipeline import extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                                 PatternEmbedding)
+
+from conftest import exact_bipartite_oracle
 
 
 def corpus(tag: int, count: int, max_n: int):

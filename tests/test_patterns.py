@@ -1,17 +1,15 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
-from pathcert.graph import (complete_graph, cycle_graph, empty_graph, path_graph,
-                            complement)
+from pathcert.graph import complement, cycle_graph, empty_graph, path_graph
 from pathcert.generators import gnp
-from pathcert.patterns import (contains_induced, find_induced_path, is_pk_copk_free,
-                               labeled_graph, universality_check)
+from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.rng import stream
 from pathcert.witnesses import verify_embedding
 
-from conftest import brute_has_induced_path, small_graphs
+from conftest import brute_has_induced_path, contains_induced, small_graphs
 
 
 def test_find_path_identity():
@@ -154,36 +152,3 @@ def test_pk_copk_certificates():
 def test_pk_copk_requires_k_at_least_2():
     with pytest.raises(ValueError):
         is_pk_copk_free(empty_graph(2), 1)
-
-
-def test_universality_k4_misses_nonedge():
-    missing = universality_check(complete_graph(4), 2)
-    assert missing is not None and missing.edge_count() == 0
-
-
-def test_universality_c5_k2():
-    assert universality_check(cycle_graph(5), 2) is None
-
-
-def test_universality_seeded_g20_k3():
-    g = gnp(20, Fraction(1, 2), stream(0x1234))
-    # independent oracle: collect the labeled 3-graph of every vertex triple
-    seen = set()
-    for a, b, c in combinations(range(20), 3):
-        code = (int(g.has_edge(a, b)) | (int(g.has_edge(a, c)) << 1)
-                | (int(g.has_edge(b, c)) << 2))
-        seen.add(code)
-    assert len(seen) == 8
-    assert universality_check(g, 3) is None
-
-
-def test_universality_guard():
-    with pytest.raises(ValueError):
-        universality_check(empty_graph(8), 6)
-
-
-def test_labeled_graph_codes_cover_all_graphs():
-    seen = set()
-    for code in range(64):
-        seen.add(labeled_graph(4, code).adj)
-    assert len(seen) == 64
