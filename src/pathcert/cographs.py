@@ -6,9 +6,11 @@ both sides of each pair and taking the union keeps every cross pair
 homogeneous, and an induced P4 can never straddle a homogeneous cut.
 
 P4-free graphs (cographs) decompose recursively into disjoint unions and
-joins; that cotree yields exact maximum stable sets and cliques by a linear
-fold, and since cographs are perfect, alpha * omega >= n, so the larger of
-the two has at least ceil(sqrt(n)) vertices.
+joins.  ``cotree`` returns that decomposition flat, as its pre-order of
+``(kind, value)`` entries, and one backward pass over it folds exact
+maximum stable sets and cliques; since cographs are perfect,
+alpha * omega >= n, so the larger of the two has at least ceil(sqrt(n))
+vertices.
 
 ``cotree`` splits a part's isolated or universal vertices off with two
 lookups in a table of degrees, so a chain-shaped cotree (a threshold
@@ -26,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Callable, Sequence
 
 from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, component_masks,
@@ -36,28 +36,6 @@ from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, compone
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
 from .witnesses import BipartitePairWitness, PatternEmbedding, verify_bipartite_pair
-
-
-@dataclass(frozen=True)
-class CographDecomposition:
-    """Cotree node: a leaf holds one vertex; a union node's children are the
-    connected components; a join node's children are the complement's."""
-
-    kind: str  # "leaf" | "union" | "join"
-    children: tuple["CographDecomposition", ...] = ()
-    vertex: int | None = None
-
-    def leaves(self) -> list[int]:
-        """The leaf vertices, left to right."""
-        out: list[int] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.kind == "leaf":
-                out.append(node.vertex)  # type: ignore[arg-type]
-            else:
-                stack.extend(reversed(node.children))
-        return out
 
 
 def find_p4(g: Graph, part: int) -> tuple[int, int, int, int]:
@@ -129,8 +107,16 @@ def _splitter(adj: Sequence[int], comp: int, side: int) -> int | None:
 
 
 def cotree(g: Graph, mask: int | None = None):
-    """CographDecomposition of the subgraph on ``mask`` (default: all of g),
-    or a PatternEmbedding of an induced P4, both in g's vertex ids.
+    """The cotree of the subgraph on ``mask`` (default: all of g) in
+    pre-order, or a PatternEmbedding of an induced P4, both in g's vertex
+    ids.
+
+    The cotree is a tuple of ``(kind, value)`` pairs: ``("leaf", v)`` for a
+    vertex, ``("union", count)`` for a node whose children are the
+    components of its vertex set, ``("join", count)`` for one whose children
+    are the complement's.  A node's entry is followed by its children's
+    subtrees, left to right: larger parts first, then the one holding the
+    smallest vertex.  Raises ValueError on an empty mask.
 
     A graph is a cograph iff every induced subgraph on >= 2 vertices is
     disconnected or has a disconnected complement, so whenever a part has
@@ -149,6 +135,8 @@ def cotree(g: Graph, mask: int | None = None):
     """
     if mask is None:
         mask = g.full_mask
+    if not mask:
+        raise ValueError("mask must be nonempty")
     adj = g.adj
     # A vertex's degree inside a part is its degree inside ``mask`` less the
     # part's offset: a union keeps the offset, a join adds the size of the
@@ -160,7 +148,7 @@ def cotree(g: Graph, mask: int | None = None):
 
     # Pre-order over the parts, children left to right, so the first
     # connected and co-connected part found is the one a depth-first
-    # recursion would meet first; then the nodes are assembled bottom-up.
+    # recursion would meet first.
     order: list[tuple[str, int]] = []  # (kind, vertex for a leaf / child count)
     stack = [(mask, 0)]
     while stack:
@@ -206,15 +194,7 @@ def cotree(g: Graph, mask: int | None = None):
         else:
             stack.extend((child, offset + size - child.bit_count())
                          for child in reversed(parts))
-    built: list[CographDecomposition] = []  # finished subtrees, the leftmost on top
-    for kind, value in reversed(order):
-        if kind == "leaf":
-            built.append(CographDecomposition("leaf", vertex=value))
-        else:
-            children = tuple(built[:-value - 1:-1])
-            del built[-value:]
-            built.append(CographDecomposition(kind, children))
-    return built[0]
+    return tuple(order)
 
 
 def _larger(a: int, b: int) -> int:
@@ -234,35 +214,33 @@ def cograph_alpha_omega(g: Graph, mask: int | None = None):
     PatternEmbedding.
 
     Both sets are exact maxima; ties are broken toward the lexicographically
-    smallest vertex list.  Returned sets use g's vertex ids.  The fold runs
-    on vertex masks (a union of sets is one OR), so a chain-shaped cotree
-    folds in O(n) big-int operations.
+    smallest vertex list.  Returned sets use g's vertex ids.  The fold is
+    one pass over the cotree's pre-order, backwards, on vertex masks (a
+    union of sets is one OR), so a chain-shaped cotree folds in O(n) big-int
+    operations.  Raises ValueError on an empty mask.
     """
-    tree = cotree(g, mask)
-    if isinstance(tree, PatternEmbedding):
-        return tree
+    order = cotree(g, mask)
+    if isinstance(order, PatternEmbedding):
+        return order
 
-    # Post-order: a node's (stable, clique) masks are made once every
-    # child's are on ``done``.
+    # Backwards, every subtree is folded before its parent's entry comes
+    # up, with its (stable, clique) masks on ``done``: a node's children
+    # are the top ``value`` entries, the leftmost on top.  ``_larger`` is a
+    # total order, so the order they are folded in does not matter.
     done: list[tuple[int, int]] = []
-    stack: list[tuple[CographDecomposition, bool]] = [(tree, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.kind == "leaf":
-            single = 1 << node.vertex  # type: ignore[operator]
+    for kind, value in reversed(order):
+        if kind == "leaf":
+            single = 1 << value
             done.append((single, single))
             continue
-        if not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-            continue
-        parts = done[-len(node.children):]
-        del done[-len(node.children):]
-        stables, cliques = zip(*parts)
-        if node.kind == "union":
-            done.append((reduce(or_, stables), reduce(_larger, cliques)))
-        else:
-            done.append((reduce(_larger, stables), reduce(or_, cliques)))
+        stable, clique = done.pop()
+        for _ in range(value - 1):
+            s, c = done.pop()
+            if kind == "union":
+                stable, clique = stable | s, _larger(clique, c)
+            else:
+                stable, clique = _larger(stable, s), clique | c
+        done.append((stable, clique))
     stable, clique = done[0]
     return frozenset(bits(stable)), frozenset(bits(clique))
 

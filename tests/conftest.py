@@ -11,9 +11,11 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
-from pathcert.cographs import BipartiteOracle, CographDecomposition, OracleError
+from pathcert.cographs import BipartiteOracle, OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
 from pathcert.graph import Graph, build_graph, complement, component_masks, induced, mask_of
@@ -459,15 +461,49 @@ def oracle_cotree(g: Graph, mask: int | None = None):
                                     tuple(members[v] for v in emb.mapping))
         order.append((kind, len(parts)))
         stack.extend(reversed(parts))
-    built: list[CographDecomposition] = []
-    for kind, value in reversed(order):
-        if kind == "leaf":
-            built.append(CographDecomposition("leaf", vertex=value))
-        else:
-            children = tuple(built[:-value - 1:-1])
-            del built[-value:]
-            built.append(CographDecomposition(kind, children))
-    return built[0]
+    return tuple(order)
+
+
+def check_cotree(g: Graph, mask: int, order) -> int:
+    """Assert that ``order`` is a cotree of the subgraph on ``mask`` in
+    pre-order, and return its depth (internal entries on the longest path
+    from the root to a leaf).
+
+    The entries are decoded with a stack of open nodes, each [kind, children
+    still to come, child vertex masks].  They must form exactly one tree;
+    the leaves are the members of ``mask``, each once; every internal entry
+    has at least two children, none of its own kind; and a union's children
+    are the components of its vertex set, a join's the co-components, both
+    as the reference sweep of ``oracle_cotree`` gives them.
+    """
+    adj = g.adj
+    co_adj = complement(g, mask).adj
+    open_nodes: list[list] = []
+    leaves: list[int] = []
+    depth = 0
+    for i, (kind, value) in enumerate(order):
+        assert i == 0 or open_nodes, f"entry {i} is left over after the root"
+        if kind != "leaf":
+            assert kind in ("union", "join") and value >= 2, (i, kind, value)
+            assert not open_nodes or open_nodes[-1][0] != kind, f"entry {i} has its parent's kind"
+            open_nodes.append([kind, value, []])
+            continue
+        leaves.append(value)
+        depth = max(depth, len(open_nodes))
+        done = 1 << value
+        while open_nodes:
+            node = open_nodes[-1]
+            node[1] -= 1
+            node[2].append(done)
+            if node[1]:
+                break
+            open_nodes.pop()
+            done = reduce(or_, node[2])
+            sweep = component_masks(adj if node[0] == "union" else co_adj, done)
+            assert sorted(node[2]) == sorted(sweep), f"a {node[0]} entry's children are not its parts"
+    assert order and not open_nodes, "the entries do not close one tree"
+    assert sorted(leaves) == list(reference_bits(mask)), "the leaves are not the mask's members"
+    return depth
 
 
 def _set_key(vs: frozenset) -> tuple:
@@ -475,24 +511,18 @@ def _set_key(vs: frozenset) -> tuple:
 
 
 def oracle_cograph_alpha_omega(g: Graph, mask: int | None = None):
-    tree = oracle_cotree(g, mask)
-    if isinstance(tree, PatternEmbedding):
-        return tree
+    order = oracle_cotree(g, mask)
+    if isinstance(order, PatternEmbedding):
+        return order
     done: list[tuple[frozenset, frozenset]] = []
-    stack: list[tuple[CographDecomposition, bool]] = [(tree, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node.kind == "leaf":
-            single = frozenset([node.vertex])
+    for kind, value in reversed(order):
+        if kind == "leaf":
+            single = frozenset([value])
             done.append((single, single))
             continue
-        if not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children)
-            continue
-        parts = done[:-len(node.children) - 1:-1]
-        del done[-len(node.children):]
-        if node.kind == "union":
+        parts = done[-value:]
+        del done[-value:]
+        if kind == "union":
             stable = frozenset().union(*(p[0] for p in parts))
             clique = min((p[1] for p in parts), key=_set_key)
         else:

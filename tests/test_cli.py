@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -539,3 +540,32 @@ def test_readme_cli_lines_parse():
                for action in group._group_actions}
     assert {dest for args in parsed if args.command == "check" for dest in queries
             if getattr(args, dest) is not None} == queries
+
+
+def test_readme_dotted_names_resolve():
+    """Every backticked dotted name in README.md that is rooted in pathcert
+    resolves by getattr.  The root is the package, one of its modules
+    (``__main__`` is not imported: that runs the CLI), a public attribute of
+    one, or any capitalised name, since README cites no outside class that
+    way; other names (``fractions.Fraction``, the JSON key
+    ``trace.extractor``) are skipped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {info.name: importlib.import_module(f"pathcert.{info.name}")
+               for info in pkgutil.iter_modules(pathcert.__path__) if info.name != "__main__"}
+    roots = {"pathcert": pathcert, **modules}
+    for module in modules.values():
+        for attr, value in vars(module).items():
+            if not attr.startswith("_"):
+                roots.setdefault(attr, value)
+    checked = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+        first, *rest = name.split(".")
+        if first not in roots and not first[0].isupper():
+            continue
+        assert first in roots, f"README cites {name}, but pathcert has no {first}"
+        obj = roots[first]
+        for part in rest:
+            assert hasattr(obj, part), f"README cites {name}, which does not resolve"
+            obj = getattr(obj, part)
+        checked.append(name)
+    assert checked

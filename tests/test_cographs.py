@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from pathcert import cographs
-from pathcert.cographs import (BipartiteOracle, CographDecomposition, OracleError,
-                               cograph_alpha_omega, cotree, find_p4, p4free_extract)
+from pathcert.cographs import (BipartiteOracle, OracleError, cograph_alpha_omega, cotree,
+                               find_p4, p4free_extract)
 from pathcert.graph import (bits, build_graph, co_component_masks, complement,
                             complete_bipartite_graph, complete_graph, component_masks,
                             cycle_graph, empty_graph, induced, mask_of, path_graph)
@@ -16,7 +16,7 @@ from pathcert.rng import stream
 from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 
 from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
-                      caterpillar_graph, contains_induced, exact_bipartite_oracle,
+                      caterpillar_graph, check_cotree, contains_induced, exact_bipartite_oracle,
                       find_pair_masks, oracle_cograph_alpha_omega, oracle_cotree,
                       oracle_p4free_extract, small_graphs, stack_depth, threshold_graph)
 
@@ -26,11 +26,18 @@ def is_p4_free(g) -> bool:
 
 
 def test_cotree_leaf_and_kinds():
-    tree = cotree(complete_bipartite_graph(2, 2))
-    assert isinstance(tree, CographDecomposition) and tree.kind == "join"
-    assert sorted(tree.leaves()) == [0, 1, 2, 3]
-    tree = cotree(empty_graph(3))
-    assert tree.kind == "union" and len(tree.children) == 3
+    assert cotree(complete_bipartite_graph(2, 2)) == (
+        ("join", 2), ("union", 2), ("leaf", 0), ("leaf", 1),
+        ("union", 2), ("leaf", 2), ("leaf", 3))
+    assert cotree(empty_graph(3)) == (("union", 3), ("leaf", 0), ("leaf", 1), ("leaf", 2))
+    assert cotree(empty_graph(3), 0b100) == (("leaf", 2),)
+
+
+def test_cograph_layer_rejects_an_empty_mask():
+    g = path_graph(3)
+    for fn in (cotree, cograph_alpha_omega):
+        with pytest.raises(ValueError, match="mask must be nonempty"):
+            fn(g, 0)
 
 
 def test_cotree_p4_obstruction():
@@ -52,9 +59,10 @@ def test_cotree_obstruction_inside_a_component():
 def test_cotree_union_children_are_components():
     g = build_graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
     tree = cotree(g)
-    assert tree.kind == "union"
-    childsets = {frozenset(ch.leaves()) for ch in tree.children}
-    assert childsets == {frozenset({2, 3, 4}), frozenset({0, 1})}
+    # the larger component {2, 3, 4} first
+    assert tree == (("union", 2), ("join", 3), ("leaf", 2), ("leaf", 3), ("leaf", 4),
+                    ("join", 2), ("leaf", 0), ("leaf", 1))
+    assert check_cotree(g, g.full_mask, tree) == 2
 
 
 def test_alpha_omega_k33():
@@ -213,15 +221,14 @@ def _assert_threshold_answer(g, stable, clique):
 
 def test_threshold_graph_exact_alpha_omega_at_n2000():
     # The cotree is a chain of 1999 joins and unions; recursing on it
-    # overflowed the default stack from about n = 500.
+    # overflowed the default stack from about n = 500.  In pre-order the
+    # chain's 1999 two-child entries come first, alternating, then its
+    # 2000 leaves.
     g = threshold_graph(2000)
     tree = cotree(g)
-    depth, node = 0, tree
-    while node.kind != "leaf":
-        assert [child.kind for child in node.children][1:] == ["leaf"]
-        depth, node = depth + 1, node.children[0]
-    assert depth == 1999
-    assert tree.leaves() == list(range(2000))
+    kinds = ["union" if m % 2 else "join" for m in range(2000, 1, -1)]
+    assert tree[:1999] == tuple((kind, 2) for kind in kinds)
+    assert tree[1999:] == tuple(("leaf", v) for v in range(2000))
     stable, clique = cograph_alpha_omega(g)
     _assert_threshold_answer(g, stable, clique)
 
@@ -236,17 +243,21 @@ def test_threshold_graph_answer_matches_brute_force(n):
 
 def test_cograph_layer_needs_no_recursion():
     # With the stack capped 150 frames above this one, one frame per cotree
-    # level (399 here) would overflow in cotree, fold or leaves.
+    # level (399 here) would overflow in cotree or fold, or in comparing,
+    # printing or hashing the cotree.
     g = threshold_graph(400)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
     try:
         tree = cotree(g)
-        leaves = tree.leaves()
+        same = tree == cotree(g)
+        text = repr(tree)
+        hash(tree)
         stable, clique = cograph_alpha_omega(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert sorted(leaves) == list(range(400))
+    assert same and text.startswith("(('join', 2), ('union', 2)")
+    assert [v for kind, v in tree if kind == "leaf"] == list(range(400))
     _assert_threshold_answer(g, stable, clique)
 
 
@@ -376,35 +387,20 @@ def test_cotree_and_fold_match_the_sweeping_oracle(monkeypatch):
             assert mask_of(got.mapping) & ~seen[0] == 0
         else:
             cographs_found += 1
+            check_cotree(g, mask, got)
             assert got == want
             assert cograph_alpha_omega(g, mask) == oracle_cograph_alpha_omega(g, mask)
     assert cographs_found > 600
 
 
-def _preorder(tree):
-    """(kind, vertex, child count) per node in pre-order: the tree, without
-    the recursion that == on nested nodes would need."""
-    out, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        out.append((node.kind, node.vertex, len(node.children)))
-        stack.extend(reversed(node.children))
-    return out
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_caterpillar_cotree_has_depth_n_minus_1(seed):
+    # Depth 699 over 700 leaves, with two or more children per entry, is
+    # a chain whose entries each have one leaf child.
     g = caterpillar_graph(700, seed)
     tree = cotree(g)
-    depth, node = 0, tree
-    kinds = []
-    while node.kind != "leaf":
-        assert len(node.children) == 2 and node.children[1].kind == "leaf"
-        kinds.append(node.kind)
-        depth, node = depth + 1, node.children[0]
-    assert depth == 699
-    assert all(a != b for a, b in zip(kinds, kinds[1:]))
-    assert _preorder(tree) == _preorder(oracle_cotree(g))
+    assert check_cotree(g, g.full_mask, tree) == 699
+    assert tree == oracle_cotree(g)
     assert cograph_alpha_omega(g) == oracle_cograph_alpha_omega(g)
 
 
