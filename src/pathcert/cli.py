@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -134,7 +135,10 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it (seven subcommands) costs
+    more than parsing a request's argv, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="pathcert",
                                      description="certifying induced-path / bipartite-pair extraction")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,14 +18,28 @@ counts once in the graph.  Parsing reads the text in chunks of about
 chunk).  Per chunk, a few C-level passes check every line's token count
 (for lines "u v" of ASCII digits: the token count against the line count,
 and the chunk without its digits against " \\n" per line) and split the
-tokens, and one dict lookup per token gives the vertex id (a spelling such
-as "+1" or "007" goes through ``int()``).  ``graph.build_graph`` then checks
-each edge and ORs it into two rows, or, past n * n / 16 edges, into one
-row, adding the other side by one transpose at the end.  Nothing but the
-rows outlives its chunk; a graph with that many edges and n <= 4096 also
-needs the n * n byte matrix of the transpose, 2.25 MB at n = 1500.  Beyond
-the text and the graph, parsing memory is bounded by the chunk plus that
-matrix.
+tokens.  Then one of two builders takes the chunk, chosen once by the
+header "n m" in ``_runs_pay``: the dense path when 1 <= n <= 4096, m is
+past n * n / 16 and the text holds at least 4 characters per promised
+edge, the sparse path otherwise.
+
+The sparse path looks up each token's vertex id in a dict (a spelling such
+as "+1" or "007" goes through ``int()``) and ``graph.build_graph`` checks
+each edge and ORs it into both rows.  The dense path is the only builder
+of dense rows: it ORs each edge into its first endpoint's row only, and
+``graph.symmetrised`` adds the other side of every edge at the end.  For
+each run of lines with the same first token it ORs the run's second
+endpoints, looked up in a table of 1 << v, into that one row by a C-level
+reduce, with no Python statement per edge; a chunk whose first lines show
+runs of fewer than about 16 lines (a shuffled edge list) takes one OR per
+edge instead, which is cheaper there.  A chunk with a token the table does
+not hold, or with a self-loop, is read as ints as on the sparse path and
+retried, and a bad edge raises through ``build_graph``'s checks, so
+spellings such as "007" cost one ``int()`` per token and faults read the
+same on both paths.  Nothing but the rows outlives its chunk; the dense
+path also holds its table (n ints) and one block of the transpose (the
+n * n byte matrix up to n = 2048, 2.25 MB at n = 1500).  Beyond the text
+and the graph, parsing memory is bounded by the chunk plus those.
 
 An edge-list input with one fault is rejected with the same message
 whatever its layout.  With several faults the first one met is reported,
@@ -40,10 +54,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, compress
+from functools import reduce
+from itertools import chain, compress, groupby
+from operator import eq, ne, or_
 from typing import Iterator
 
-from .graph import Graph, build_graph, complement, member_selectors, path_graph
+from .graph import (_BIT_TABLE_MAX_N, Graph, build_graph, complement, member_selectors,
+                    path_graph, symmetrised)
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
@@ -218,6 +235,80 @@ def _vertex_ids(tokens: list[str], ids: dict[str, int]) -> list[int]:
         return [ids[t] if t in ids else int(t) for t in tokens]
 
 
+# Past n * n // _DIRECTED_AFTER edges (n <= _BIT_TABLE_MAX_N), parse_edge_list
+# builds the rows run by run and transposes once.  On write_edge_list's
+# layout the run path breaks even with build_graph near n * n / 11 edges at
+# n = 300 and n * n / 27 at n = 1000 (paired medians on a 2-core x86 host):
+# the transpose and the table cost O(n^2) whatever the density.
+_DIRECTED_AFTER = 16
+
+
+def _runs_pay(n: int, m: int, length: int) -> bool:
+    """Whether the header "n m" of an edge-list text of ``length``
+    characters takes the run path: n has a table of 1 << v, the graph is
+    dense, and the text has the 4 characters an edge line needs per
+    promised edge, so a short text cannot force the O(n^2) transpose."""
+    return 1 <= n <= _BIT_TABLE_MAX_N and _DIRECTED_AFTER * m > n * n and 4 * m <= length
+
+
+# A chunk whose first _SAMPLE lines change their first endpoint more than
+# once per _SHORT_RUN lines goes edge by edge: below runs of about 16 edges
+# the reduce's per-run cost outweighs a plain loop's per-edge cost (random
+# runs at n = 300, 1000 and 1500 on a 2-core x86 host).
+_SAMPLE = 128
+_SHORT_RUN = 16
+
+
+def _or_directed(rows: list[int], tokens: list, ids: dict, bit: dict) -> bool:
+    """OR each edge of the chunk ``tokens`` (strs, or ints on a retry) into
+    its first endpoint's row ``ids[u]``: each run of equal first endpoints
+    by one C-level reduce of its second endpoints' ``bit[v]``, or, if the
+    chunk's first lines show short runs, one OR per edge.  False, with the
+    rows partly ORed, at a token the tables do not hold or at a self-loop."""
+    us, vs = tokens[0::2], tokens[1::2]
+    sample = us[:_SAMPLE]
+    try:
+        if _SHORT_RUN * sum(map(ne, sample, sample[1:])) > len(sample):
+            if any(map(eq, us, vs)):
+                return False
+            for u, b in zip(map(ids.__getitem__, us), map(bit.__getitem__, vs)):
+                rows[u] |= b
+            return True
+        i = 0
+        for u, run in groupby(us):
+            j = i + len(list(run))
+            row = reduce(or_, map(bit.__getitem__, vs[i:j]))
+            i, u = j, ids[u]
+            if row >> u & 1:
+                return False
+            rows[u] |= row
+    except KeyError:
+        return False
+    return True
+
+
+def _graph_by_runs(n: int, bodies: Iterator[list[str]], ids: dict[str, int]) -> Graph:
+    """The graph of the chunks' edge tokens ``bodies`` on n vertices: each
+    edge ORed into its first endpoint's row, symmetrised at the end.  A
+    chunk _or_directed cannot take is read as ints, which raises as on the
+    sparse path, and retried as ints (so "007" costs one int() per token);
+    one that still fails has a bad edge, and build_graph raises the first.
+    ORing a chunk's edges twice is harmless."""
+    rows = [0] * n
+    bit = {str(v): 1 << v for v in range(n)}
+    by_int = None
+    for tokens in bodies:
+        if _or_directed(rows, tokens, ids, bit):
+            continue
+        if by_int is None:
+            by_int = {v: v for v in range(n)}, dict(enumerate(bit.values()))
+        ends = _vertex_ids(tokens, ids)
+        if not _or_directed(rows, ends, *by_int):
+            flat = iter(ends)
+            rows = list(map(or_, rows, build_graph(n, zip(flat, flat)).adj))
+    return Graph(n, symmetrised(rows))
+
+
 def parse_edge_list(text: str) -> Graph:
     """Graph of edge-list text (see the module docstring)."""
     chunks = _line_tokens(text)
@@ -230,14 +321,17 @@ def parse_edge_list(text: str) -> Graph:
     ids = {str(v): v for v in range(min(n, len(text)))}
     found = 0
 
-    def ends() -> Iterator[list[int]]:
+    def bodies() -> Iterator[list[str]]:
         nonlocal found
         for tokens in chain((head[2:],), chunks):
             found += len(tokens) // 2
-            yield _vertex_ids(tokens, ids)
+            yield tokens
 
-    flat = chain.from_iterable(ends())
-    g = build_graph(n, zip(flat, flat))
+    if _runs_pay(n, m, len(text)):
+        g = _graph_by_runs(n, bodies(), ids)
+    else:
+        flat = chain.from_iterable(_vertex_ids(tokens, ids) for tokens in bodies())
+        g = build_graph(n, zip(flat, flat))
     if found != m:
         raise ValueError(f"header promises {m} edges, found {found}")
     return g

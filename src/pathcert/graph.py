@@ -15,13 +15,15 @@ relabelled or translated back.  :func:`complement` restricted to a mask
 fills rows for the mask's members only, and :func:`induced` builds a
 relabelled copy for callers that need a standalone graph.
 
-:func:`build_graph` builds rows from an edge list.  A dense graph (more
-than n * n / 16 edges, n <= 4096) costs it one OR per edge past that many:
-each such edge goes into its first endpoint's row only, and the other side
-comes from :func:`symmetrised`, a transpose of those directed rows as an
-n x n digit matrix read column by column in strided slices.  The seeded
-G(n, p) of :mod:`pathcert.generators` draws the upper rows directly and
-symmetrises them the same way.
+:func:`build_graph` builds rows from an edge list, ORing each edge into
+both endpoints' rows.  It is the sparse builder: a dense edge-list text
+(more than n * n / 16 edges, n <= 4096, at least 4 characters per edge)
+is built by :func:`pathcert.formats.parse_edge_list` itself, which ORs
+each edge into its first endpoint's row only, a whole run of a row's lines
+at a time, and adds the other side by :func:`symmetrised`, a transpose of the directed rows as an n x n digit
+matrix read column by column in strided slices.  The seeded G(n, p) of
+:mod:`pathcert.generators` draws the upper rows directly and symmetrises
+them the same way; these two are the transpose's only callers.
 """
 
 from __future__ import annotations
@@ -112,15 +114,10 @@ class Graph:
                 yield u, u + 1 + v
 
 
-# The largest n for which build_graph keeps a table of 1 << v past its first
-# n edges: it holds n * n / 16 bytes (1 MiB here).
+# The largest n for which a table of 1 << v is kept: build_graph's past its
+# first n edges, and the edge-list parser's for its dense path.  It holds
+# n ints of up to n bits, at most n * n / 8 bytes (2 MiB here).
 _BIT_TABLE_MAX_N = 4096
-
-# Past n * n // _DIRECTED_AFTER edges, build_graph ORs each edge into one row
-# and transposes at the end.  The transpose costs about as much as the
-# second OR of that many edges (both measured on a 2-core x86 host, n = 500
-# to 1500), so a sparser graph never pays for it.
-_DIRECTED_AFTER = 16
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -132,10 +129,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     The first n edges shift 1 << v into both endpoints' rows (every edge
     does when n is past _BIT_TABLE_MAX_N), so only a graph with more edges
-    than vertices pays for a table of 1 << v.  The edges up to n * n / 16
-    go into both rows from that table; each edge past them goes into its
-    first endpoint's row only, and one transpose of those directed rows
-    adds the other side in O(n^2) C-level work.
+    than vertices pays for a table of 1 << v; every later edge goes into
+    both rows from that table.  Dense edge lists do not come here: see the
+    module docstring.
     """
     if n < 1:
         raise ValueError("graphs have at least one vertex")
@@ -150,28 +146,20 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if more is None:
         return Graph(n, tuple(rows))
     bit = [1 << v for v in range(n)]
-    edges = chain((more,), edges)
     # From here an endpoint >= n fails its table or row lookup, so each edge
     # is tested for a self-loop or a negative id only.
     u = v = 0
     try:
-        for u, v in islice(edges, max(0, n * n // _DIRECTED_AFTER - n)):
-            if u == v or (u | v) < 0:
-                raise _edge_error(u, v, n)
-            rows[u] |= bit[v]
-            rows[v] |= bit[u]
-        more = next(edges, None)
-        if more is None:
-            return Graph(n, tuple(rows))
         for u, v in chain((more,), edges):
             if u == v or (u | v) < 0:
                 raise _edge_error(u, v, n)
             rows[u] |= bit[v]
+            rows[v] |= bit[u]
     except IndexError:
         if 0 <= u < n and 0 <= v < n:
             raise
         raise _edge_error(u, v, n) from None
-    return Graph(n, symmetrised(rows))
+    return Graph(n, tuple(rows))
 
 
 # symmetrised reads at most this many digits of the row matrix at a time.
@@ -303,7 +291,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    if n < 1:
+        raise ValueError("graphs have at least one vertex")
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -313,7 +304,8 @@ def empty_graph(n: int) -> Graph:
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return Graph(a + b, (right,) * a + (left,) * b)
 
 
 def friendship_graph(t: int) -> Graph:

@@ -287,6 +287,21 @@ def test_usage_error_exit_code():
         assert err.value.code == 2
 
 
+def test_the_cached_parser_gives_every_call_the_same_answer(tmp_path, capsys):
+    # main parses with one parser per process; neither a request nor a usage
+    # error (exit 2) between two requests changes what the next one gets.
+    assert build_parser() is build_parser()
+    argv = ["pipeline", "--input", write_g6(tmp_path, cycle_graph(9)), "--k", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["pipeline", "--input", argv[2], "--k", "x", "--mystery-flag"])
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == first and json.loads(first.out)["verified"] is True
+
+
 def test_unknown_command_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

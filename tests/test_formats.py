@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcert import formats, graph
+from pathcert import formats
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               parse_edge_list, parse_fraction, pattern_by_name,
                               report_to_dict, witness_from_dict, witness_from_json,
@@ -253,6 +253,14 @@ def _random_input(seed: int):
     return g, rng, [str(n), str(len(edges))], edges
 
 
+def both_paths(monkeypatch):
+    """Force parse_edge_list's dense-path gate each way in turn: while the
+    loop body runs, every input is built run by run, then edge by edge."""
+    for runs in (True, False):
+        monkeypatch.setattr(formats, "_runs_pay", lambda n, m, length: runs)
+        yield runs
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 5, 40])
 def test_edge_list_matches_oracle_on_random_layouts(chunk, monkeypatch):
     if chunk:
@@ -260,7 +268,9 @@ def test_edge_list_matches_oracle_on_random_layouts(chunk, monkeypatch):
     for seed in range(150):
         g, rng, header, edges = _random_input(seed)
         text = _layout(rng, header, edges)
-        assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
+        assert oracle_parse_edge_list(text) == g
+        for _ in both_paths(monkeypatch):
+            assert parse_edge_list(text) == g
 
 
 def _faulty(seed: int):
@@ -299,10 +309,11 @@ def test_edge_list_single_fault_messages_match_oracle(chunk, monkeypatch):
         text = _layout(rng, header, edges)
         with pytest.raises(ValueError) as expected:
             oracle_parse_edge_list(text)
-        with pytest.raises(ValueError) as err:
-            parse_edge_list(text)
-        assert type(err.value) is ValueError
-        assert str(err.value) == str(expected.value), repr(text)
+        for runs in both_paths(monkeypatch):
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(text)
+            assert type(err.value) is ValueError
+            assert str(err.value) == str(expected.value), (runs, text)
 
 
 def test_edge_list_spans_many_chunks():
@@ -350,20 +361,30 @@ def _dense_text(n: int, seed: int):
 
 @pytest.mark.parametrize("n", [2, 40, 300])
 def test_dense_edge_list_matches_oracle(n):
+    # Shuffled, in the writer's order, and with every id zero-padded (each
+    # chunk retried through int()).
     g, lines = _dense_text(n, n)
-    text = "\n".join(lines) + "\n"
-    assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
+    ordered = write_edge_list(g)
+    padded = ordered.split("\n", 1)[0] + "".join(
+        f"\n0{u} 00{v}" for u, v in (line.split() for line in ordered.splitlines()[1:])) + "\n"
+    for text in ("\n".join(lines) + "\n", ordered, padded):
+        assert formats._runs_pay(n, int(text.split()[1]), len(text))
+        assert parse_edge_list(text) == oracle_parse_edge_list(text) == g
 
 
 @pytest.mark.parametrize("n, m, directed_after", [
-    (9, 8, 16), (9, 9, 16), (9, 10, 16), (64, 64, 16), (64, 65, 16), (64, 256, 16),
-    (64, 257, 16), (4096, 4096, 16), (4096, 4097, 16), (4097, 4097, 16), (4097, 4098, 16),
-    (4096, 4097, 4096), (4096, 6000, 4096)])
+    (9, 5, 16), (9, 6, 16), (9, 8, 16), (9, 9, 16), (9, 10, 16), (64, 64, 16), (64, 65, 16),
+    (64, 256, 16), (64, 257, 16), (4096, 4096, 16), (4096, 4097, 16), (4097, 4097, 16),
+    (4097, 4098, 16), (4096, 4097, 4096), (4096, 6000, 4096), (4096, 12000, 4096)])
 def test_edge_list_around_the_switch_points(n, m, directed_after, monkeypatch):
-    # build_graph reads a table past m = n (n <= 4096) and ORs one row plus a
-    # transpose past m = n * n // _DIRECTED_AFTER; n = 4096 needs a million
-    # edges to get there, so a lower switch point takes it there too.
-    monkeypatch.setattr(graph, "_DIRECTED_AFTER", directed_after)
+    # build_graph reads a table past m = n (n <= 4096), and the parser builds
+    # rows run by run plus one transpose past m = n * n // _DIRECTED_AFTER
+    # (n <= 4096); n = 4096 needs a million edges to get there, so a lower
+    # switch point takes it there too, with runs of one edge each.
+    monkeypatch.setattr(formats, "_DIRECTED_AFTER", directed_after)
+    by_runs, graph_by_runs = [], formats._graph_by_runs
+    monkeypatch.setattr(formats, "_graph_by_runs",
+                        lambda *args: by_runs.append(n) or graph_by_runs(*args))
     rng = stream(0xE17, n + m)
     pairs = [(v, (v + 1 + rng.below(n - 1)) % n) for v in range(n)]
     while len(pairs) < m:
@@ -377,29 +398,92 @@ def test_edge_list_around_the_switch_points(n, m, directed_after, monkeypatch):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     assert parse_edge_list(text).adj == oracle_parse_edge_list(text).adj == tuple(rows)
+    assert by_runs == ([n] if n <= 4096 and m * directed_after > n * n else [])
+
+
+def test_edge_list_header_lies_match_oracle(monkeypatch):
+    # The header alone opens the run path, and only when the text is long
+    # enough to hold its m edge lines: a short text claiming millions of
+    # edges never reaches the O(n^2) transpose.
+    g, lines = _dense_text(300, 5)
+    body = "".join(line + "\n" for line in lines[1:])
+    sparse = "".join(f"{v} {v + 1}\n" for v in range(299))
+    comment = "# " + "c" * 30000 + "\n"
+    cases = [("4096 99999999\n0 1\n", False), ("300 30000\n" + sparse, False),
+             ("300 6000\n" + comment + sparse, True), ("300 10\n" + body, False),
+             (f"300 {len(lines) - 2}\n" + body, True), (f"300 {len(lines)}\n" + body, True)]
+    for text, runs in cases:
+        head = text.split(None, 2)
+        assert formats._runs_pay(int(head[0]), int(head[1]), len(text)) is runs
+        with pytest.raises(ValueError) as expected:
+            oracle_parse_edge_list(text)
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == str(expected.value), text[:40]
+    monkeypatch.setattr(formats, "symmetrised", None)  # no transpose runs below
+    with pytest.raises(ValueError, match="header promises 99999999 edges, found 1"):
+        parse_edge_list("4096 99999999\n0 1\n")
+
+
+@pytest.mark.parametrize("n", [5, 40, 300])
+def test_dense_edge_list_reports_the_first_bad_edge(n, monkeypatch):
+    # A bad edge line, then a self-loop line, at several places in a text the
+    # dense path takes, shuffled or in the writer's layout (short runs go
+    # edge by edge, long ones run by run): the message is the oracle's, for
+    # the first bad edge.
+    monkeypatch.setattr(formats, "_CHUNK", 200)
+    g, shuffled = _dense_text(n, n + 1)
+    for lines in (shuffled, write_edge_list(g).splitlines()):
+        _first_bad_edge_in(n, lines)
+
+
+def _first_bad_edge_in(n, lines):
+    m = len(lines) - 1
+    bad = [f"0 {n}", "-1 2", f"2 {-n - 1}", f"{n} {n}", "2 2", "02 2", "+2 3"]
+    for edge in bad:
+        for at in sorted({1, n, n + 1, m // 2 + 1, m + 1}):
+            body = lines[1:at] + [edge, "3 3"] + lines[at:]
+            text = "\n".join([f"{n} {m + 2}"] + body) + "\n"
+            assert formats._runs_pay(n, m + 2, len(text))
+            with pytest.raises(ValueError) as expected:
+                oracle_parse_edge_list(text)
+            with pytest.raises(ValueError) as err:
+                parse_edge_list(text)
+            assert str(err.value) == str(expected.value), (edge, at)
 
 
 @pytest.mark.parametrize("line, kind", [("7 7", "self-loop"), ("0 300", "out of range"),
                                         ("-1 4", "negative"), ("+1 5", "plus sign"),
                                         ("007 3", "leading zeros"), ("3 1_2", "underscore"),
                                         ("3 x", "not an integer"), ("3 4 5", "three tokens")])
-def test_fault_deep_in_a_dense_chunk_matches_oracle(line, kind):
-    # The line goes in the middle of a chunk of the usual layout, past the
-    # n * n / 16 edges after which build_graph ORs one row per edge.
-    g, lines = _dense_text(300, 7)
+def test_fault_deep_in_a_dense_chunk_matches_oracle(line, kind, monkeypatch):
+    # The line goes in the middle of a chunk of lines "u v", past the first
+    # n * n / 16 edges of a text the gate sends down the dense path, whose
+    # chunks go edge by edge in a shuffled order and run by run in the
+    # writer's order.
+    g, shuffled = _dense_text(300, 7)
+    runs_pay = formats._runs_pay
+    for lines in (shuffled, write_edge_list(g).splitlines()):
+        _fault_deep_in(lines, line, kind, runs_pay, monkeypatch)
+
+
+def _fault_deep_in(lines, line, kind, runs_pay, monkeypatch):
     at = len(lines) // 2
     assert at > 300 * 300 // 16 and formats._CHUNK < len(lines[0]) + sum(map(len, lines[1:at]))
     for tail in (lines[at:], lines[at + 1:]):  # the line added, or replacing one
         header = f"300 {at + len(tail)}"
         text = "\n".join([header] + lines[1:at] + [line] + tail) + "\n"
+        assert runs_pay(300, at + len(tail), len(text))
         try:
             expected = oracle_parse_edge_list(text)
         except ValueError as err:
-            with pytest.raises(ValueError) as got:
-                parse_edge_list(text)
-            assert type(got.value) is ValueError and str(got.value) == str(err), kind
+            for runs in both_paths(monkeypatch):
+                with pytest.raises(ValueError) as got:
+                    parse_edge_list(text)
+                assert type(got.value) is ValueError and str(got.value) == str(err), (kind, runs)
         else:
-            assert parse_edge_list(text) == expected, kind
+            for runs in both_paths(monkeypatch):
+                assert parse_edge_list(text) == expected, (kind, runs)
 
 
 # Lines that a check of the digits alone (no token count) would pass for
@@ -464,10 +548,11 @@ def test_write_edge_list_matches_oracle():
 
 
 def test_edge_list_parse_memory_is_bounded():
-    # Parsing holds one chunk of tokens at a time, not a tuple per edge,
-    # plus the n * n byte matrix of build_graph's transpose (2.25 MB here):
-    # about 3.4 MiB traced for this 4.8 MB input (the per-line parser
-    # peaked near 98 MiB).
+    # Beside the rows, the dense path holds its table of 1 << v (n ints),
+    # one chunk of tokens at a time, not a tuple per edge, and one block of
+    # the transpose, here the whole n * n byte matrix (2.25 MB): about
+    # 3.7 MiB traced for this 4.8 MB input (the per-line parser peaked near
+    # 98 MiB).
     g = half_density_graph(1500, 0)
     text = write_edge_list(g)
     was_tracing = tracemalloc.is_tracing()

@@ -29,8 +29,9 @@ def test_gnp_extremes():
 
 def test_gnp_memory_is_bounded():
     # No edge list is held: the traced peak of G(1500, 1/2) measured
-    # 2.84 MiB, most of it the n * n byte matrix of the transpose in
-    # graph.symmetrised (an edge list of its 562k pairs peaked at 51.7 MiB).
+    # 2.84 MiB, most of it the one block of graph.symmetrised's transpose,
+    # here the whole n * n byte matrix, beside one row's draws (an edge list
+    # of its 562k pairs peaked at 51.7 MiB).
     # Under a second: each row's draws (1.1M in all) come from one batched
     # call.
     spec = GeneratorSpec("gnp", 1500, p=Fraction(1, 2), seed=1)

@@ -1,11 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcert.graph import (build_graph, complement, components, complete_graph,
-                            cycle_graph, empty_graph, friendship_graph, induced,
+from pathcert.graph import (build_graph, complement, complete_bipartite_graph, components,
+                            complete_graph, cycle_graph, empty_graph, friendship_graph, induced,
                             path_graph)
 from pathcert import cographs, graph
 from pathcert.generators import gnp
@@ -50,10 +51,10 @@ def test_build_collapses_duplicates():
 
 @pytest.mark.parametrize("n", [5, 40, 4096, 5000])
 def test_build_reports_the_first_bad_edge(n):
-    # build_graph shifts 1 << v for its first n edges, reads a table past
-    # them (both rows) and past n * n / 16 edges ORs one row, except when n
-    # is above the table's limit (4096): a bad edge is found the same way in
-    # each stretch.  At n = 5 and 40 the last edges take the one-row loop.
+    # build_graph shifts 1 << v for its first n edges and reads a table past
+    # them, except when n is above the table's limit (4096): a bad edge is
+    # found the same way in each stretch.  (The edge-list parser's dense
+    # path is tested in test_formats.py.)
     good = [(v, v + 1) for v in range(n - 1)] * 3
     bad = [((0, n), f"edge (0,{n}) has an endpoint outside 0..{n - 1}"),
            ((-1, 2), f"edge (-1,2) has an endpoint outside 0..{n - 1}"),
@@ -81,10 +82,9 @@ def test_build_passes_on_an_index_error_of_its_input():
                                   (4096, 4096), (4096, 4097), (4097, 4097), (4097, 4098),
                                   (4097, 5000), (5000, 9000)])
 def test_build_matches_plain_shifts(n, m):
-    # build_graph switches from shifts to a table at m > n (n <= 4096) and
-    # from both rows to one row and a transpose at m > n * n / 16.  Each
-    # edge comes either way round, some twice (the same way or reversed), in
-    # no order.
+    # build_graph switches from shifts to a table at m > n (n <= 4096), at
+    # any density.  Each edge comes either way round, some twice (the same
+    # way or reversed), in no order.
     rng = stream(0xB1, n + m)
     edges = []
     while len(edges) < m:
@@ -99,24 +99,6 @@ def test_build_matches_plain_shifts(n, m):
         rows[v] |= 1 << u
     assert build_graph(n, edges).adj == tuple(rows)
     assert build_graph(n, iter(edges)).adj == tuple(rows)
-
-
-@pytest.mark.parametrize("n, m", [(4096, 4097), (4096, 12000)])
-def test_build_transposes_at_the_table_limit(n, m, monkeypatch):
-    # n = 4096 needs a million edges to reach its transpose; a lower switch
-    # point takes it there with a few thousand.
-    monkeypatch.setattr(graph, "_DIRECTED_AFTER", n)
-    rng = stream(0xB2, m)
-    edges = []
-    while len(edges) < m:
-        u, v = rng.below(n), rng.below(n)
-        if u != v:
-            edges.append((u, v))
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    assert build_graph(n, edges).adj == tuple(rows)
 
 
 @pytest.mark.parametrize("n, budget", [(1, 1), (2, 1), (9, 9), (9, 20), (9, 81), (70, 1),
@@ -332,3 +314,36 @@ def test_friendship_graph_shape():
 def test_empty_and_complete_edge_counts():
     assert empty_graph(6).edge_count() == 0
     assert complete_graph(6).edge_count() == 15
+
+
+def test_complete_families_match_their_edge_lists():
+    for n in range(1, 41):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert complete_graph(n) == build_graph(n, pairs)
+    for a in range(1, 7):
+        for b in range(1, 8):
+            pairs = [(i, a + j) for i in range(a) for j in range(b)]
+            assert complete_bipartite_graph(a, b) == build_graph(a + b, pairs)
+    for bad in (lambda: complete_graph(0), lambda: complete_bipartite_graph(0, 3)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_complete_families_hold_their_rows_only():
+    # The rows are filled directly: K_3000 is 3000 rows of 3000 bits, about
+    # 1.2 MiB, and K_{3000,3000} two distinct rows (the pairs of K_3000 as an
+    # edge list peaked near 465 MB of RSS).
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        k = complete_graph(3000)
+        kab = complete_bipartite_graph(3000, 3000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    assert k.edge_count() == 3000 * 2999 // 2 and kab.edge_count() == 3000 * 3000
+    assert k.adj[7] == k.full_mask ^ 1 << 7 and kab.adj[2999] == kab.full_mask ^ (1 << 3000) - 1
