@@ -101,6 +101,25 @@ def test_build_matches_plain_shifts(n, m):
     assert build_graph(n, iter(edges)).adj == tuple(rows)
 
 
+@pytest.mark.parametrize("n, m", [(4096, 4097), (4096, 12000)])
+def test_build_transposes_at_the_table_limit(n, m):
+    # The edge-list parser's dense path builds one row per first endpoint and
+    # symmetrises once; at the table's limit (n = 4096) the transpose runs in
+    # four blocks of 1024 rows, and must agree with build_graph.
+    rng = stream(0xB2, m)
+    edges = []
+    while len(edges) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            edges.append((u, v))
+    directed, rows = [0] * n, [0] * n
+    for u, v in edges:
+        directed[u] |= 1 << v
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert graph.symmetrised(directed) == build_graph(n, edges).adj == tuple(rows)
+
+
 @pytest.mark.parametrize("n, budget", [(1, 1), (2, 1), (9, 9), (9, 20), (9, 81), (70, 1),
                                        (70, 210), (70, 690), (70, 1 << 22)])
 def test_symmetrised_matches_per_arc_shifts_in_any_block_height(n, budget, monkeypatch):
