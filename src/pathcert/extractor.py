@@ -18,11 +18,20 @@ the start's neighbours.  One breadth-first search per seed advances a layer
 per round, searches that meet fuse, and the level stops as soon as at most
 one search is still open: that one is whatever the closed ones leave.  A
 level thus takes as many rounds as the parts other than the largest need to
-close, and the largest part is not swept to its end.  With one seed (every
-level on a path, every level after the first on a cycle) the part is known
-without a search, so the level costs O(1) big-int operations; on a cycle
-the first level runs two searches that meet halfway.  A full sweep per level
+close, and the largest part is not swept to its end.  A full sweep per level
 would make a walk of L levels cost L sweeps of the graph.
+
+A level whose start has one neighbour y, and y one neighbour beyond, needs
+no search: all of the mask but the start and y is one part, so the level is
+a grow with c1 = m - 2 >= m - D - T (m the mask's size; T + D >= 2).  The
+next level's start, mask, size and neighbours are then y, the mask without
+the start, m - 1 and y's neighbour beyond, and the walk carries them from
+level to level.  Such a level costs a constant number of big-int
+operations: the mask without the start, y's row inside it, and one-vertex
+tests of the start's neighbours and of y's.  That is every level on a path
+and every level after the first on a cycle, whose first level runs two
+searches that meet halfway.  A trace's ``via`` is read from a table of
+ranks built once per walk.
 
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
@@ -32,9 +41,11 @@ specializes to 1 / (2 (eps + c)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from .graph import Graph, bits, by_size, component_masks, inner_degrees, neighbours
+from .graph import (Graph, bits, by_size, component_masks, inner_degrees, member_selectors,
+                    neighbours)
 from .witnesses import BipartitePairWitness, InducedPathWitness
 
 
@@ -147,41 +158,55 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
         raise ValueError("input graph is disconnected")
 
     T, D = params.T, params.D
-    input_mask = mask
-
-    def note(**fields):
-        if trace is not None:
-            trace.append(fields)
+    levels = [] if trace is None else trace
+    rank = list(accumulate(member_selectors(mask), initial=0))  # members below v
 
     # Each grow level moves the start one step along the path and shrinks the
     # mask to the start plus the largest component beyond it; any other case
-    # ends the walk.
+    # ends the walk.  m, nb and start_bit are the mask's size, the start's
+    # neighbours in it and 1 << start.
     path: list[int] = []
-    start = x
+    start, start_bit = x, 1 << x
+    m = mask.bit_count()
+    nb = adj[start] & mask
     while True:
-        m = mask.bit_count()
-        nb = adj[start] & mask
         if 3 * T + D >= m:
-            note(n=m, case="base")
+            levels.append({"n": m, "case": "base"})
             if m == 1:
                 return InducedPathWitness(tuple(path + [start]))
             assert nb, "connected subgraph of size >= 2 must give the start a neighbor"
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
-        u = mask & ~nb & ~(1 << start)
-        comps = _components_from_seeds(adj, u, neighbours(adj, nb) & u)
+        rest = mask ^ start_bit
+        if nb & (nb - 1) == 0:
+            # One neighbour y, which joins the start to all of rest.  If y has
+            # one neighbour beyond, rest minus y is connected: a grow level
+            # with c1 = m - 2 >= m - D - T, whose next mask is rest.
+            y = nb.bit_length() - 1
+            seeds = adj[y] & rest
+            if seeds & (seeds - 1) == 0:
+                levels.append({"n": m, "case": "grow", "c1": m - 2, "via": rank[y]})
+                path.append(start)
+                mask, start, start_bit, m, nb = rest, y, nb, m - 1, seeds
+                continue
+        else:
+            seeds = neighbours(adj, nb)
+        u = rest ^ nb
+        comps = _components_from_seeds(adj, u, seeds & u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
             # Some neighbour of the start reaches c1, since the mask is connected.
             y = nb.bit_length() - 1 if nb & (nb - 1) == 0 else next(
                 v for v in bits(nb) if adj[v] & c1)
-            sub = c1 | (1 << y)
-            note(n=m, case="grow", c1=c1_size, via=(input_mask & ((1 << y) - 1)).bit_count())
+            levels.append({"n": m, "case": "grow", "c1": c1_size, "via": rank[y]})
             path.append(start)
-            mask, start = sub, y
+            start, start_bit, m = y, 1 << y, c1_size + 1
+            mask = c1 | start_bit
+            nb = adj[y] & mask
             continue
         # The parts partition u.  |c1| >= T stops the packing after c1, and
         # then |u - c1| > T, since |u| >= m - D and |c1| < m - D - T.
         a, b = split_small_components(comps, T)
-        note(n=m, case="middle-split" if c1_size >= T else "small-split", c1=c1_size)
+        levels.append({"n": m, "case": "middle-split" if c1_size >= T else "small-split",
+                       "c1": c1_size})
         return BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))

@@ -7,7 +7,8 @@ single big-int operations, which is what the search-heavy callers need at
 the scales this package targets (n up to a few thousand).  Per-vertex counts
 can be kept bit-sliced the same way (one int per bit of the count), as the
 greedy peel in :mod:`pathcert.homogeneous` does for degrees.  Every frontier
-step is one :func:`neighbours` call, a row lookup for a single vertex.
+step is the union of the frontier's rows (:func:`neighbours`), a row lookup
+for a single vertex.
 
 An induced subgraph is a vertex bit mask over the same rows: the producers
 take ``(g, mask)`` and report vertex sets in g's own ids, so nothing is
@@ -68,7 +69,10 @@ def member_selectors(mask: int) -> bytes:
 
 
 def inner_degrees(adj: Sequence[int], mask: int) -> list[int]:
-    """Degrees inside ``mask`` of its members, in ascending vertex order."""
+    """Degrees inside ``mask`` of its members, in ascending vertex order.
+    On the full mask of ``adj`` a row's degree is its bit count."""
+    if mask == (1 << len(adj)) - 1:
+        return list(map(int.bit_count, adj))
     return [(adj[v] & mask).bit_count() for v in bits(mask)]
 
 
@@ -228,16 +232,20 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
     """Connected components of the subgraph on ``mask``, as bit masks.
 
     Ordered by size descending, then by smallest member id ascending."""
+    # rest is what no sweep has reached: a round takes its frontier out of
+    # rest, so a component is what rest lost while its sweep ran.
     comps = []
     rest = mask
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        before = rest
+        frontier = rest & -rest
+        rest ^= frontier
         while frontier:
-            frontier = neighbours(adj, frontier) & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
+            row = (adj[frontier.bit_length() - 1] if frontier & (frontier - 1) == 0
+                   else neighbours(adj, frontier))
+            frontier = row & rest
+            rest ^= frontier
+        comps.append(before ^ rest)
     comps.sort(key=by_size)
     return comps
 

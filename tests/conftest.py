@@ -18,8 +18,8 @@ from operator import or_
 from pathcert.cographs import BipartiteOracle, OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
-from pathcert.graph import Graph, build_graph, complement, component_masks, induced, mask_of
-from pathcert.generators import gnp
+from pathcert.graph import Graph, build_graph, complement, induced, mask_of
+from pathcert.generators import gnp, random_cograph
 from pathcert.patterns import PatternQueryResult, find_induced_path
 from pathcert.rng import SplitMix64, stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, PatternEmbedding,
@@ -56,30 +56,48 @@ def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
     else:
         p = min(Fraction(1), Fraction(rng.randint(12, 45), 10 * n))
     g = gnp(n, p, rng)
-    comp = max(_components_sets(g), key=lambda c: (len(c), -min(c)))
-    vs = sorted(comp)
+    vs = list(reference_bits(reference_component_masks(g.adj, g.full_mask)[0]))
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in comp and v in comp]
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
     return build_graph(len(vs), edges)
 
 
-def _components_sets(g: Graph):
-    seen: set[int] = set()
-    out = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
+def reference_component_masks(adj, mask: int) -> list[int]:
+    """Components of the subgraph on ``mask`` as bit masks, ordered by size
+    descending, then by smallest member: a breadth-first sweep whose
+    frontier is the OR of its members' rows, listed by ``reference_bits``.
+    The oracle for ``graph.component_masks``, and the sweep of every oracle
+    and corpus builder here."""
+    comps = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            u = frontier.pop()
-            for w in reference_bits(g.adj[u]):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+            grown = 0
+            for v in reference_bits(frontier):
+                grown |= adj[v]
+            frontier = grown & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    comps.sort(key=lambda c: (-c.bit_count(), (c & -c).bit_length()))
+    return comps
+
+
+def masked_corpus(tag: int, count: int, max_n: int):
+    """(graph, mask) pairs: seeded gnp graphs and cographs, each with a random
+    mask keeping about three vertices in four.  Odd seeds draw sparse gnp
+    graphs (average degree about 1.5 to 4), whose long walks reach many grow
+    levels; even seeds draw p up to 3/5."""
+    for seed in range(count):
+        rng = stream(tag, seed)
+        n = rng.randint(2, max_n)
+        if seed % 2:
+            p = min(Fraction(1), Fraction(rng.randint(15, 40), 10 * n))
+        else:
+            p = Fraction(rng.randint(1, 60), 100)
+        for g in (gnp(n, p, rng), random_cograph(n, rng)):
+            yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
 
 
 def brute_max_stable_size(g: Graph) -> int:
@@ -258,13 +276,13 @@ def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
             nb = adj[start] & mask
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1])), trace
         u = mask & ~(adj[start] | 1 << start)
-        comps = component_masks(adj, u)
+        comps = reference_component_masks(adj, u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
             y = min(v for v in reference_bits(adj[start] & mask) if adj[v] & c1)
             sub = c1 | 1 << y
-            assert len(component_masks(adj, sub)) == 1
+            assert len(reference_component_masks(adj, sub)) == 1
             trace.append({"n": m, "case": "grow", "c1": c1_size,
                           "via": (input_mask & ((1 << y) - 1)).bit_count()})
             path.append(start)
@@ -449,9 +467,9 @@ def oracle_cotree(g: Graph, mask: int | None = None):
         if part & (part - 1) == 0:
             order.append(("leaf", part.bit_length() - 1))
             continue
-        kind, parts = "union", component_masks(adj, part)
+        kind, parts = "union", reference_component_masks(adj, part)
         if len(parts) == 1:
-            kind, parts = "join", component_masks(co_adj, part)
+            kind, parts = "join", reference_component_masks(co_adj, part)
         if len(parts) == 1:
             members = list(reference_bits(part))
             res = find_induced_path(induced(g, members), 4)
@@ -499,7 +517,7 @@ def check_cotree(g: Graph, mask: int, order) -> int:
                 break
             open_nodes.pop()
             done = reduce(or_, node[2])
-            sweep = component_masks(adj if node[0] == "union" else co_adj, done)
+            sweep = reference_component_masks(adj if node[0] == "union" else co_adj, done)
             assert sorted(node[2]) == sorted(sweep), f"a {node[0]} entry's children are not its parts"
     assert order and not open_nodes, "the entries do not close one tree"
     assert sorted(leaves) == list(reference_bits(mask)), "the leaves are not the mask's members"

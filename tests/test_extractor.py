@@ -4,13 +4,13 @@ import pytest
 
 from pathcert.extractor import (ExtractorParams, _components_from_seeds, path_guarantee,
                                 path_or_empty_bipartite, split_small_components)
-from pathcert.generators import gnp, random_cograph
 from pathcert.graph import (bits, build_graph, component_masks, cycle_graph, empty_graph,
                             friendship_graph, mask_of, path_graph)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, verify)
 
-from conftest import seeded_connected_graph, sweep_walk
+from conftest import (caterpillar_graph, masked_corpus, reference_component_masks,
+                      seeded_connected_graph, sweep_walk)
 
 
 def spider():
@@ -153,30 +153,46 @@ def hub():
     return build_graph(15, [(0, i) for i in range(1, 8)] + [(i, i + 7) for i in range(1, 8)])
 
 
-def masked_corpus(tag: int, count: int, max_n: int):
-    """(graph, mask) pairs: seeded gnp graphs and cographs, each with a random
-    mask keeping about three vertices in four.  Odd seeds draw sparse gnp
-    graphs (average degree about 1.5 to 4), whose long walks reach many grow
-    levels; even seeds draw p up to 3/5."""
-    for seed in range(count):
-        rng = stream(tag, seed)
-        n = rng.randint(2, max_n)
-        if seed % 2:
-            p = min(Fraction(1), Fraction(rng.randint(15, 40), 10 * n))
-        else:
-            p = Fraction(rng.randint(1, 60), 100)
-        for g in (gnp(n, p, rng), random_cograph(n, rng)):
-            yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
+def hairy_path(spine: int, seed: int):
+    """A caterpillar tree: the path 0..spine-1 with a pendant leaf on a
+    seeded half of its vertices.  A walk from 0 along the spine meets one
+    neighbour at every level after the first, and two seeds beyond it
+    exactly where the next spine vertex has a leaf."""
+    rng = stream(0xCA75, seed)
+    legs = [v for v in range(spine) if rng.below(2)]
+    return build_graph(spine + len(legs), [(i, i + 1) for i in range(spine - 1)]
+                       + [(v, spine + j) for j, v in enumerate(legs)])
+
+
+def broom(handle: int, bristles: int):
+    """The path 0..handle-1 with ``bristles`` leaves on its last vertex.
+    From a bristle the first level has one neighbour and many seeds, and
+    every later level one of each."""
+    return build_graph(handle + bristles, [(i, i + 1) for i in range(handle - 1)]
+                       + [(handle - 1, handle + j) for j in range(bristles)])
 
 
 def walk_cases():
-    """(graph, connected mask, start) over the corpus, paths, cycles and the
-    hand-made cases, with seeded random starts."""
+    """(graph, connected mask, start) over the corpus, paths, cycles,
+    threshold graphs, caterpillar trees, brooms and the hand-made cases,
+    with seeded random starts."""
     rng = stream(0xE5EE)
-    for g, mask in masked_corpus(0xE5E0, 80, 120):
+    masked = [*masked_corpus(0xE5E0, 80, 120),
+              *((g, g.full_mask & ~(1 << rng.below(g.n))) for g in
+                (caterpillar_graph(n, seed) for seed, n in enumerate((2, 9, 40, 120))))]
+    for g, mask in masked:
         for part in component_masks(g.adj, mask)[:2]:
             members = list(bits(part))
             yield g, part, members[rng.below(len(members))]
+    for seed, spine in enumerate((3, 8, 40, 150, 151)):
+        g = hairy_path(spine, seed)
+        for x in (0, spine - 1, rng.below(spine), g.n - 1):
+            yield g, g.full_mask, x
+        yield g, mask_of(range(spine)), rng.below(spine)
+    for handle, bristles in ((1, 3), (5, 2), (40, 6), (120, 3)):
+        g = broom(handle, bristles)
+        for x in (0, handle - 1, handle, g.n - 1, rng.below(g.n)):
+            yield g, g.full_mask, x
     for n in (1, 2, 5, 40, 131):
         g = path_graph(n)
         yield g, g.full_mask, rng.below(n)
@@ -193,8 +209,12 @@ def walk_cases():
 
 
 def test_walk_matches_full_sweep_oracle():
+    # Grow levels that keep all but the start and its neighbour (c1 = n - 2)
+    # and grow levels that leave more behind, both counted: on caterpillar
+    # trees and brooms the two kinds follow each other in one walk.
     rng = stream(0xE5EF)
     checked = 0
+    grows = {True: 0, False: 0}
     for g, mask, x in walk_cases():
         dmax = max((g.adj[v] & mask).bit_count() for v in bits(mask)) + 1
         for big_t in (1, 2, 3, 5):
@@ -203,7 +223,11 @@ def test_walk_matches_full_sweep_oracle():
             w = path_or_empty_bipartite(g, x, params, trace, mask)
             assert (w, trace) == sweep_walk(g, x, params, mask), (g.n, mask, x, params)
             checked += 1
+            for level in trace:
+                if level["case"] == "grow":
+                    grows[level["c1"] == level["n"] - 2] += 1
     assert checked > 1000
+    assert min(grows.values()) > 500, grows
 
 
 def test_seeded_components_equal_full_sweep_at_every_start():
@@ -212,7 +236,7 @@ def test_seeded_components_equal_full_sweep_at_every_start():
     # one-seed and no-seed cases the search answers without searching: each
     # connected part from one of its vertices, and the empty mask.
     checked = 0
-    assert _components_from_seeds((), 0, 0) == [] == component_masks((), 0)
+    assert _components_from_seeds((), 0, 0) == [] == reference_component_masks((), 0)
     for g, mask in masked_corpus(0xE5E1, 80, 50):
         for part in component_masks(g.adj, mask):
             for seed in (part & -part, 1 << part.bit_length() - 1):
@@ -223,7 +247,8 @@ def test_seeded_components_equal_full_sweep_at_every_start():
                 seeds = 0
                 for w in bits(closed & ~(1 << x)):
                     seeds |= g.adj[w]
-                assert _components_from_seeds(g.adj, u, seeds & u) == component_masks(g.adj, u)
+                assert (_components_from_seeds(g.adj, u, seeds & u)
+                        == reference_component_masks(g.adj, u))
                 checked += 1
     assert checked > 3000
 

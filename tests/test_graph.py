@@ -12,7 +12,7 @@ from pathcert import cographs, graph
 from pathcert.generators import gnp
 from pathcert.rng import stream
 
-from conftest import reference_bits
+from conftest import masked_corpus, reference_bits, reference_component_masks
 
 
 def edge_set(g):
@@ -258,6 +258,38 @@ def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
     degrees = [(g.adj[v] & mask).bit_count() for v in members]
     assert list(graph.inner_degrees(g.adj, mask)) == degrees
     assert graph.mask_of(members + members[::-1]) == mask
+
+
+def test_component_masks_match_the_reference_sweep():
+    # The corpus's masked gnp graphs and cographs, paths and cycles up to
+    # n = 2000 on their full mask and with a seeded tenth of the vertices
+    # dropped, and the empty mask.
+    rng = stream(0xC0A5)
+    cases = [((), 0), (path_graph(3).adj, 0)]
+    cases += [(g.adj, mask) for g, mask in masked_corpus(0xC0A6, 60, 90)]
+    for n in (1, 2, 3, 4, 17, 64, 301, 1000, 1999, 2000):
+        for g in [path_graph(n)] + ([cycle_graph(n)] if n >= 3 else []):
+            cases.append((g.adj, g.full_mask))
+            cases.append((g.adj, graph.mask_of(v for v in range(n) if rng.below(10))))
+    for adj, mask in cases:
+        assert graph.component_masks(adj, mask) == reference_component_masks(adj, mask)
+
+
+def test_inner_degrees_on_the_full_mask_equal_the_member_loop():
+    # Full masks take the rows' bit counts, other masks the loop over
+    # members: both equal the loop, on the rows of g and of its complements
+    # (whose rows outside the complemented mask are 0).
+    rng = stream(0x1DE6)
+    graphs = [path_graph(1), empty_graph(1), path_graph(2), complete_graph(5), cycle_graph(40)]
+    graphs += [gnp(n, Fraction(rng.randint(0, 8), 8), rng) for n in (3, 30, 200)]
+    cases = [((), 0)]
+    for g in graphs:
+        part = graph.mask_of(v for v in range(g.n) if rng.below(3)) or 1
+        for adj in (g.adj, complement(g).adj, complement(g, part).adj):
+            cases += [(adj, g.full_mask), (adj, part), (adj, g.full_mask ^ 1), (adj, 0)]
+    for adj, mask in cases:
+        want = [(adj[v] & mask).bit_count() for v in reference_bits(mask)]
+        assert graph.inner_degrees(adj, mask) == want, (len(adj), mask)
 
 
 def test_members_lists_sparse_and_dense_masks():

@@ -322,6 +322,39 @@ def test_deep_extractor_walk_at_n5000(g, monkeypatch):
     assert len(sweeps) == 1
 
 
+@pytest.mark.parametrize("g, levels", [(path_graph(958), 799), (cycle_graph(1233), 1024)],
+                         ids=["path", "cycle"])
+def test_deep_walk_searches_only_where_a_level_branches(g, levels, monkeypatch):
+    # A level whose start has one neighbour y, and y one neighbour beyond,
+    # is a grow by c1 = n - 2 taken in closed form: on a path every level,
+    # on a cycle every level after the first (whose start has two
+    # neighbours).  The walk's own neighbours and seeded-search calls are
+    # counted, not the search's inner rounds.
+    calls = {"neighbours": 0, "search": 0}
+    searching = []
+    search = extractor._components_from_seeds
+
+    def counting_neighbours(adj, mask):
+        calls["neighbours"] += not searching
+        return graph.neighbours(adj, mask)
+
+    def counting_search(adj, u, seeds):
+        calls["search"] += 1
+        searching.append(u)
+        try:
+            return search(adj, u, seeds)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(extractor, "neighbours", counting_neighbours)
+    monkeypatch.setattr(extractor, "_components_from_seeds", counting_search)
+    report = extract_linear_bipartite(g, 5)
+    assert report.outcome == "pattern-certificate"
+    assert verify(g, report.witness)
+    assert len(report.trace["extractor"]) == levels
+    assert calls["neighbours"] + calls["search"] <= 3, calls
+
+
 def test_deep_path_request_makes_three_degree_passes(monkeypatch):
     # The sparse peel keeps all of path_graph(958), so the dense peel does
     # not start: one inner_degrees pass each for the sparse peel, the prune
