@@ -17,8 +17,7 @@ from .patterns import PatternQueryResult, find_induced_path, is_pk_copk_free
 from .homogeneous import (DeltaBound, find_epsilon_homogeneous,
                           fox_sudakov_delta, prune_high_degree)
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
-from .cographs import (BipartiteOracle, OracleError, cograph_alpha_omega, cotree,
-                       p4free_extract)
+from .cographs import OracleError, cograph_alpha_omega, cotree, p4free_extract
 from .pipeline import (ExtractionReport, PipelineConstants, choose_constants,
                        eh_homogeneous, extract_linear_bipartite)
 from .generators import (CertifiedSample, GeneratorSpec, generate, gnp,

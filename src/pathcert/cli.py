@@ -139,8 +139,8 @@ def _cmd_constants(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: building it (seven subcommands) costs
     more than parsing a request's argv, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="pathcert",
-                                     description="certifying induced-path / bipartite-pair extraction")
+    parser = argparse.ArgumentParser(
+        prog="pathcert", description="certifying induced-path / bipartite-pair extraction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p):

@@ -1,9 +1,12 @@
 """P4-free machinery: doubling extraction, cotrees, and exact clique/stable sets.
 
-``p4free_extract`` turns any oracle producing empty-or-complete bipartite
-pairs into a vertex set whose induced subgraph is P4-free: recursing into
-both sides of each pair and taking the union keeps every cross pair
-homogeneous, and an induced P4 can never straddle a homogeneous cut.
+``p4free_extract`` turns any oracle, a plain callable ``oracle(g, mask)``
+returning an empty or complete bipartite pair inside the mask, into a
+vertex set whose induced subgraph is P4-free: recursing into both sides of
+each pair and taking the union keeps every cross pair homogeneous, and an
+induced P4 can never straddle a homogeneous cut.  The verifier already
+rejects an empty side, so every pair splits its part and sides of 1 are
+all the doubling itself needs.
 
 P4-free graphs (cographs) decompose recursively into disjoint unions and
 joins.  ``cotree`` returns that decomposition flat, as its pre-order of
@@ -25,9 +28,6 @@ the fold is the exact answer and no doubling runs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, component_masks,
@@ -254,35 +254,17 @@ class OracleError(RuntimeError):
         self.witness = witness
 
 
-@dataclass
-class BipartiteOracle:
-    """Produces, for the subgraph of g on the vertex mask it is handed, an
-    empty or complete bipartite pair with both sides >= ceil(c * n), where n
-    is the mask's size, in g's vertex ids.  The extraction recursion hands
-    it every part of two or more vertices."""
-
-    c: Fraction
-    fn: Callable[[Graph, int], BipartitePairWitness]
-
-    def __post_init__(self):
-        self.c = Fraction(self.c)
-        if not 0 < self.c < 1:
-            raise ValueError("c must be in (0, 1)")
-
-    def required_side(self, n: int) -> int:
-        return max(1, math.ceil(self.c * n))
-
-
-def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
+def p4free_extract(g: Graph,
+                   oracle: Callable[[Graph, int], BipartitePairWitness]) -> VertexSet:
     """A vertex set S with G[S] P4-free, grown by recursing into both sides
     of oracle pairs and taking the union.
 
-    With an oracle honoring its side guarantee all the way down, |S| is at
-    least n^c' / 2 for c' = log 2 / log(1/c).  Every oracle answer is
-    re-verified against g; a bad one raises OracleError with the witness
-    attached, a pair unless the answer was not one.  The oracle is called
-    as ``oracle.fn(g, mask)`` on every part of two or more vertices; a
-    single vertex is kept.
+    With an oracle whose pairs have both sides at least c times the size of
+    the part it is handed, all the way down, |S| is at least n^c' / 2 for
+    c' = log 2 / log(1/c).  Every oracle answer is re-verified against g; a
+    bad one raises OracleError with the witness attached, a pair unless the
+    answer was not one.  The oracle is called as ``oracle(g, mask)`` on
+    every part of two or more vertices; a single vertex is kept.
     """
     # Depth-first with an explicit stack, X before Y: the oracle sees the
     # parts in the order a recursion would hand them over, so the same set
@@ -291,11 +273,10 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
     stack = [g.full_mask]
     while stack:
         mask = stack.pop()
-        size = mask.bit_count()
-        if size == 1:
+        if mask.bit_count() == 1:
             kept |= mask
             continue
-        w = oracle.fn(g, mask)
+        w = oracle(g, mask)
         if not isinstance(w, BipartitePairWitness):
             raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
         verdict = verify_bipartite_pair(g, w)
@@ -303,9 +284,5 @@ def p4free_extract(g: Graph, oracle: BipartiteOracle) -> VertexSet:
             raise OracleError(f"oracle witness rejected: {verdict.reason}", witness=w)
         if mask_of(w.X | w.Y) & ~mask:
             raise OracleError("oracle witness leaves the current subgraph", witness=w)
-        need = oracle.required_side(size)
-        if min(len(w.X), len(w.Y)) < need:
-            raise OracleError(
-                f"oracle sides {len(w.X)},{len(w.Y)} below the promised {need}", witness=w)
         stack += (mask_of(w.Y), mask_of(w.X))
     return frozenset(bits(kept))

@@ -30,8 +30,8 @@ level to level.  Such a level costs a constant number of big-int
 operations: the mask without the start, y's row inside it, and one-vertex
 tests of the start's neighbours and of y's.  That is every level on a path
 and every level after the first on a cycle, whose first level runs two
-searches that meet halfway.  A trace's ``via`` is read from a table of
-ranks built once per walk.
+searches that meet halfway.  A trace's ``via`` is the next start itself,
+in g's ids, so it costs nothing to record.
 
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
@@ -41,11 +41,9 @@ specializes to 1 / (2 (eps + c)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
-from .graph import (Graph, bits, by_size, component_masks, inner_degrees, member_selectors,
-                    neighbours)
+from .graph import Graph, bits, by_size, component_masks, inner_degrees, neighbours
 from .witnesses import BipartitePairWitness, InducedPathWitness
 
 
@@ -143,8 +141,8 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
 
     Preconditions: the subgraph is connected, x is in it, and every closed
     degree inside it is <= D.  The witness uses g's vertex ids.  ``trace``,
-    if given, collects one dict per level; its ``via`` is the position of
-    the next start among the input set's vertices in ascending order.
+    if given, collects one dict per level; a grow level's ``via`` is the
+    next start, in g's ids.
     """
     if mask is None:
         mask = g.full_mask
@@ -159,7 +157,6 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
 
     T, D = params.T, params.D
     levels = [] if trace is None else trace
-    rank = list(accumulate(member_selectors(mask), initial=0))  # members below v
 
     # Each grow level moves the start one step along the path and shrinks the
     # mask to the start plus the largest component beyond it; any other case
@@ -184,7 +181,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             y = nb.bit_length() - 1
             seeds = adj[y] & rest
             if seeds & (seeds - 1) == 0:
-                levels.append({"n": m, "case": "grow", "c1": m - 2, "via": rank[y]})
+                levels.append({"n": m, "case": "grow", "c1": m - 2, "via": y})
                 path.append(start)
                 mask, start, start_bit, m, nb = rest, y, nb, m - 1, seeds
                 continue
@@ -198,7 +195,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             # Some neighbour of the start reaches c1, since the mask is connected.
             y = nb.bit_length() - 1 if nb & (nb - 1) == 0 else next(
                 v for v in bits(nb) if adj[v] & c1)
-            levels.append({"n": m, "case": "grow", "c1": c1_size, "via": rank[y]})
+            levels.append({"n": m, "case": "grow", "c1": c1_size, "via": y})
             path.append(start)
             start, start_bit, m = y, 1 << y, c1_size + 1
             mask = c1 | start_bit

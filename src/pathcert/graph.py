@@ -21,8 +21,9 @@ both endpoints' rows.  It is the sparse builder: a dense edge-list text
 (more than n * n / 16 edges, n <= 4096, at least 4 characters per edge)
 is built by :func:`pathcert.formats.parse_edge_list` itself, which ORs
 each edge into its first endpoint's row only, a whole run of a row's lines
-at a time, and adds the other side by :func:`symmetrised`, a transpose of the directed rows as an n x n digit
-matrix read column by column in strided slices.  The seeded G(n, p) of
+at a time, and adds the other side by :func:`symmetrised`, a transpose of
+the directed rows as an n x n digit matrix read column by column in
+strided slices.  The seeded G(n, p) of
 :mod:`pathcert.generators` draws the upper rows directly and symmetrises
 them the same way; these two are the transpose's only callers.
 """

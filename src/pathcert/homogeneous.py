@@ -3,8 +3,9 @@
 A set S is an eps-stable set if it spans at most eps * C(|S|, 2) edges and an
 eps-clique if it misses at most that many.  One finder serves stage 1 of
 the pipeline: a greedy peel, which keeps the larger of a sparse and a dense
-survivor.  Its target there is ceil(delta n) = 1 at every n that fits in
-memory, so a complete subset search would buy nothing.
+survivor.  The paper asks stage 1 for ceil(delta n) vertices, which is 1 at
+every n that fits in memory (``pipeline.stage1_target`` certifies it), so
+any survivor will do and a complete subset search would buy nothing.
 
 The peel keeps every vertex degree bit-sliced across O(log n) big-int
 planes, so finding and deleting the next vertex costs O(log n) big-int
@@ -91,22 +92,23 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
     return mask, edges
 
 
-def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
-                             mask: int | None = None) -> HomogeneousSetWitness | None:
-    """A sparse or dense set of at least ``target`` vertices inside ``mask``
-    (default: all of g), or None.
+def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, *,
+                             mask: int | None = None) -> HomogeneousSetWitness:
+    """A sparse or dense set inside ``mask`` (default: all of g), which must
+    be nonempty.
 
     Peels by maximum degree (sparse) and by minimum degree, that is maximum
-    co-degree (dense), and keeps the larger survivor if it reaches target;
-    O(log n) big-int operations per deleted vertex, no complement graph.
+    co-degree (dense), and keeps the larger survivor, which has at least one
+    vertex; O(log n) big-int operations per deleted vertex, no complement
+    graph.
     """
     if mask is None:
         mask = g.full_mask
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must be in [0, 1]")
-    if not 1 <= target <= mask.bit_count():
-        raise ValueError(f"target must be in 1..{mask.bit_count()}")
+    if not mask:
+        raise ValueError("mask must be nonempty")
     kind = "stable"
     found, edges = _peel(g.adj, mask, epsilon, dense=False)
     # A tie goes to the sparse set, so the dense peel can only win while it
@@ -117,8 +119,6 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, target: int,
                                    _floor=found.bit_count())
         if dense.bit_count() > found.bit_count():
             kind, found, edges = "clique", dense, dense_edges
-    if found.bit_count() < target:
-        return None
     return HomogeneousSetWitness(kind, frozenset(bits(found)), epsilon, edges)
 
 

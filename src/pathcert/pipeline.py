@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cographs import BipartiteOracle, OracleError, cograph_alpha_omega, p4free_extract
+from .cographs import OracleError, cograph_alpha_omega, p4free_extract
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
 from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
 # Unused here since the producers run on vertex masks, but bench/tracing.py
@@ -144,11 +144,10 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
         raise ValueError("need at least two vertices")
     consts = choose_constants(k)
     eps, c = consts.epsilon, consts.c
-    target = stage1_target(consts, n)
-    trace: dict = {"n": n, "stage1_target": target}
+    trace: dict = {"n": n, "stage1_target": stage1_target(consts, n)}
 
-    w1 = find_epsilon_homogeneous(g, eps, target, mask)
-    assert w1 is not None  # the peel keeps at least one vertex, and the target is 1
+    # Any survivor of the peel meets the certified target of 1.
+    w1 = find_epsilon_homogeneous(g, eps, mask=mask)
     trace["stage1"] = {"kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
@@ -213,10 +212,13 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
 
     A cograph is folded over its cotree at once: the larger of the maximum
     stable set and the maximum clique, stable on a tie.  Otherwise the
-    input goes through bipartite extraction, P4-free doubling and the fold
-    of the doubled set.  A PatternEmbedding (induced k-path or complement)
-    from any extraction run ends the doubling and is returned: it is the
-    only OracleError witness that is not a pair.  Other OracleErrors propagate.
+    input goes through P4-free doubling and the fold of the doubled set.
+    The doubling's oracle is ``extract_linear_bipartite`` on each part: the
+    paper's sides of ceil(c_k n) are 1 at every n that fits in memory, so
+    any verified pair will do.  A PatternEmbedding (induced k-path or
+    complement) from any extraction run ends the doubling and is returned:
+    it is the only OracleError witness that is not a pair.  Other
+    OracleErrors propagate.
 
     ``details``, if provided, is filled with the route taken ("cotree" or
     "doubling"), and, for a set, the achieved size and the size of the
@@ -230,12 +232,10 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
         details["route"] = route
     extracted_size = g.n
     if route == "doubling":
-        # Every part has at most g.n vertices, so the constant 1/(g.n + 1)
-        # promises sides of 1, as c_k = c * delta / 2 does at every n < 2^F.
-        oracle = BipartiteOracle(Fraction(1, g.n + 1),
-                                 lambda g, mask: extract_linear_bipartite(g, k, mask).witness)
+        # ceil(c_k n) = 1 at every n <= 2^F, and the verifier rejects an empty side.
         try:
-            extracted = p4free_extract(g, oracle)
+            extracted = p4free_extract(
+                g, lambda g, mask: extract_linear_bipartite(g, k, mask).witness)
         except OracleError as err:
             if isinstance(err.witness, PatternEmbedding):
                 return err.witness

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from pathcert.cographs import BipartiteOracle, OracleError
+from pathcert.cographs import OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size
 from pathcert.graph import Graph, build_graph, complement, induced, mask_of
@@ -263,7 +263,6 @@ def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
     connected."""
     adj = g.adj
     T, D = params.T, params.D
-    input_mask = mask
     trace: list = []
     path: list[int] = []
     start = x
@@ -283,8 +282,7 @@ def sweep_walk(g: Graph, x: int, params: ExtractorParams, mask: int):
             y = min(v for v in reference_bits(adj[start] & mask) if adj[v] & c1)
             sub = c1 | 1 << y
             assert len(reference_component_masks(adj, sub)) == 1
-            trace.append({"n": m, "case": "grow", "c1": c1_size,
-                          "via": (input_mask & ((1 << y) - 1)).bit_count()})
+            trace.append({"n": m, "case": "grow", "c1": c1_size, "via": y})
             path.append(start)
             mask, start = sub, y
             continue
@@ -555,10 +553,9 @@ def oracle_p4free_extract(g: Graph, oracle) -> frozenset:
     oracle for cographs.p4free_extract at shallow depth."""
 
     def recurse(mask: int) -> frozenset:
-        size = mask.bit_count()
-        if size == 1:
+        if mask.bit_count() == 1:
             return frozenset([mask.bit_length() - 1])
-        w = oracle.fn(g, mask)
+        w = oracle(g, mask)
         if not isinstance(w, BipartitePairWitness):
             raise OracleError(f"oracle returned {type(w).__name__}", witness=w)
         verdict = verify_bipartite_pair(g, w)
@@ -566,10 +563,6 @@ def oracle_p4free_extract(g: Graph, oracle) -> frozenset:
             raise OracleError(f"oracle witness rejected: {verdict.reason}", witness=w)
         if mask_of(w.X | w.Y) & ~mask:
             raise OracleError("oracle witness leaves the current subgraph", witness=w)
-        need = oracle.required_side(size)
-        if min(len(w.X), len(w.Y)) < need:
-            raise OracleError(
-                f"oracle sides {len(w.X)},{len(w.Y)} below the promised {need}", witness=w)
         return recurse(mask_of(w.X)) | recurse(mask_of(w.Y))
 
     return recurse(g.full_mask)
@@ -622,9 +615,10 @@ def find_pair_masks(g: Graph, side: int, kind: str,
     return dfs(0, 0, mask, mask)
 
 
-def exact_bipartite_oracle(c: Fraction) -> BipartiteOracle:
-    """Complete desk-scale oracle (n <= 32): exhaustive search for an empty,
-    then a complete, pair with sides exactly ceil(c * n)."""
+def exact_bipartite_oracle(c: Fraction):
+    """Complete desk-scale oracle (n <= 32), as a callable ``fn(g, mask)``:
+    exhaustive search for an empty, then a complete, pair with sides
+    exactly ceil(c * n)."""
     c = Fraction(c)
 
     def fn(g: Graph, mask: int | None = None) -> BipartitePairWitness:
@@ -642,7 +636,7 @@ def exact_bipartite_oracle(c: Fraction) -> BipartiteOracle:
                                             frozenset(reference_bits(ys)))
         raise OracleError(f"no empty or complete pair with sides {side} exists (n={n})")
 
-    return BipartiteOracle(c, fn)
+    return fn
 
 
 def contains_induced(g: Graph, h: Graph) -> PatternQueryResult:

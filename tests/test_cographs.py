@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pathcert import cographs
-from pathcert.cographs import (BipartiteOracle, OracleError, cograph_alpha_omega, cotree,
-                               find_p4, p4free_extract)
+from pathcert.cographs import OracleError, cograph_alpha_omega, cotree, find_p4, p4free_extract
 from pathcert.graph import (bits, build_graph, co_component_masks, complement,
                             complete_bipartite_graph, complete_graph, component_masks,
                             cycle_graph, empty_graph, induced, mask_of, path_graph)
@@ -139,21 +138,11 @@ def test_p4free_extract_output_p4_free_and_sized():
 
 
 def test_p4free_rejects_bad_oracle_witness():
-    lying = BipartiteOracle(Fraction(1, 2),
-                            lambda g, mask: BipartitePairWitness("empty",
-                                                           frozenset({0}),
-                                                           frozenset({1})))
-    with pytest.raises(OracleError):
-        p4free_extract(complete_graph(4), lying)
-
-
-def test_p4free_rejects_undersized_sides():
-    def tiny_pair(g, mask):
+    def lying(g, mask):
         return BipartitePairWitness("empty", frozenset({0}), frozenset({1}))
 
-    lying = BipartiteOracle(Fraction(1, 2), tiny_pair)
-    with pytest.raises(OracleError, match="below the promised"):
-        p4free_extract(empty_graph(8), lying)
+    with pytest.raises(OracleError):
+        p4free_extract(complete_graph(4), lying)
 
 
 def test_pair_search_matches_subset_enumeration():
@@ -184,13 +173,13 @@ def test_exact_oracle_no_pair_raises():
     # complement is C5 again and C5 has no 4-cycle subgraph)
     oracle = exact_bipartite_oracle(Fraction(1, 4))
     with pytest.raises(OracleError, match="no empty or complete pair"):
-        oracle.fn(cycle_graph(5))
+        oracle(cycle_graph(5))
 
 
 def test_exact_oracle_guard():
     oracle = exact_bipartite_oracle(Fraction(1, 2))
     with pytest.raises(ValueError, match="n <= 32"):
-        oracle.fn(empty_graph(33))
+        oracle(empty_graph(33))
 
 
 def test_oracle_cutoff_default():
@@ -202,9 +191,9 @@ def test_oracle_cutoff_default():
 
         def counted(g, mask):
             calls.append(mask)
-            return exact.fn(g, mask)
+            return exact(g, mask)
 
-        s = p4free_extract(empty_graph(8), BipartiteOracle(c, counted))
+        s = p4free_extract(empty_graph(8), counted)
         side = max(1, math.ceil(c * 8))
         assert s == frozenset(range(2 * side))
         assert all(mask.bit_count() >= 2 for mask in calls)
@@ -444,11 +433,10 @@ def test_p4free_extract_needs_no_recursion():
         return BipartitePairWitness("empty", frozenset(bits(low)), frozenset(bits(mask ^ low)))
 
     g = empty_graph(2000)
-    oracle = BipartiteOracle(Fraction(1, 2000), peel)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
     try:
-        s = p4free_extract(g, oracle)
+        s = p4free_extract(g, peel)
     finally:
         sys.setrecursionlimit(limit)
     assert s == frozenset(range(2000))

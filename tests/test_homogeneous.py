@@ -18,19 +18,19 @@ from conftest import (best_homogeneous_sizes, brute_peel, planted_sparse_graph,
 
 
 def test_exact_empty_graph_full_stable():
-    w = find_epsilon_homogeneous(empty_graph(10), Fraction(0), 10)
+    w = find_epsilon_homogeneous(empty_graph(10), Fraction(0))
     assert w.kind == "stable" and w.size == 10
     assert verify_homogeneous(empty_graph(10), w)
 
 
 def test_exact_complete_graph_full_clique():
-    w = find_epsilon_homogeneous(complete_graph(10), Fraction(0), 10)
+    w = find_epsilon_homogeneous(complete_graph(10), Fraction(0))
     assert w.kind == "clique" and w.size == 10
 
 
 def test_exact_c5_stable_pair():
     # the sparse peel deletes 0, then 2, then 3 (max degree, smallest id)
-    w = find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 2)
+    w = find_epsilon_homogeneous(cycle_graph(5), Fraction(0))
     assert w.kind == "stable" and w.S == frozenset({1, 4})
 
 
@@ -41,24 +41,23 @@ def test_greedy_is_bounded_by_enumeration():
         g = gnp(8, Fraction(seed % 5 + 1, 6), stream(0x5151, seed))
         for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
             best_stable, best_clique = best_homogeneous_sizes(g, eps)
-            w = find_epsilon_homogeneous(g, eps, 1)
+            w = find_epsilon_homogeneous(g, eps)
             assert verify_homogeneous(g, w)
             assert w.size <= (best_stable if w.kind == "stable" else best_clique)
 
 
-def test_greedy_meets_target_or_none_and_verifies():
+def test_greedy_always_returns_a_witness_that_verifies():
     for seed in range(40):
         g = gnp(30, Fraction(1, 3), stream(0x5252, seed))
-        w = find_epsilon_homogeneous(g, Fraction(1, 10), 2)
-        if w is not None:
-            assert w.size >= 2
-            assert verify_homogeneous(g, w)
+        w = find_epsilon_homogeneous(g, Fraction(1, 10))
+        assert w.size >= 1
+        assert verify_homogeneous(g, w)
 
 
 def test_greedy_peel_is_deterministic():
     g = gnp(25, Fraction(1, 2), stream(0x5353))
-    a = find_epsilon_homogeneous(g, Fraction(1, 8), 1)
-    b = find_epsilon_homogeneous(g, Fraction(1, 8), 1)
+    a = find_epsilon_homogeneous(g, Fraction(1, 8))
+    b = find_epsilon_homogeneous(g, Fraction(1, 8))
     assert a == b
 
 
@@ -76,7 +75,7 @@ def uncapped_greedy(g, eps):
 
 
 def assert_greedy_is_uncapped(g, eps):
-    w = find_epsilon_homogeneous(g, eps, 1)
+    w = find_epsilon_homogeneous(g, eps)
     assert (w.kind, mask_of(w.S), w.edge_count) == uncapped_greedy(g, eps)
 
 
@@ -139,7 +138,7 @@ PINNED_GREEDY_WITNESSES = [
 @pytest.mark.parametrize("build, eps, kind, edge_count, mask", PINNED_GREEDY_WITNESSES)
 def test_greedy_peel_pinned_witnesses(build, eps, kind, edge_count, mask):
     g = build()
-    w = find_epsilon_homogeneous(g, eps, 1)
+    w = find_epsilon_homogeneous(g, eps)
     assert (w.kind, w.edge_count, mask_of(w.S)) == (kind, edge_count, mask)
     assert verify_homogeneous(g, w)
     assert_greedy_is_uncapped(g, eps)
@@ -154,7 +153,7 @@ def test_dense_peel_deletes_nothing_on_paths(n):
     assert _peel(g.adj, g.full_mask, eps, dense=False) == (g.full_mask, n - 1)
     assert _peel(g.adj, g.full_mask, eps, dense=True, _floor=n) == (g.full_mask, n - 1)
     assert _peel(g.adj, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
-    w = find_epsilon_homogeneous(g, eps, 1)
+    w = find_epsilon_homogeneous(g, eps)
     assert (w.kind, w.S, w.edge_count) == ("stable", frozenset(range(n)), n - 1)
 
 
@@ -211,12 +210,13 @@ def test_degree_planes_are_built_once_at_the_first_deletion(monkeypatch):
 
 
 def test_find_epsilon_validates_inputs():
-    with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(3, 2), 1)
-    with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 6)
-    with pytest.raises(ValueError):
-        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 0)
+    with pytest.raises(ValueError, match="epsilon"):
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(3, 2))
+    with pytest.raises(ValueError, match="mask must be nonempty"):
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), mask=0)
+    # The mask is keyword-only, so a stray positional argument cannot pass for one.
+    with pytest.raises(TypeError):
+        find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1)
 
 
 def triangle_plus_isolated():

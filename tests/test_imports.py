@@ -1,5 +1,6 @@
-"""Every name a pathcert module imports from a sibling module is used there,
-so deleting a helper cannot leave its import behind."""
+"""Every name a pathcert module imports is used there, so deleting a helper
+cannot leave its import behind, and no source line is wider than 100
+columns."""
 
 import ast
 from pathlib import Path
@@ -8,29 +9,50 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pathcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MAX_COLUMNS = 100
 
 
 def is_noqa(node, lines) -> bool:
     return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_sibling_imports_are_used(path):
-    """A relative import is kept only if the module reads the name, or if
-    its line says ``# noqa: F401`` (a name bound for outside callers)."""
+def unused_imports(path, pick) -> list[str]:
+    """The names bound by the import nodes ``pick(tree)`` yields that the
+    module never reads, skipping lines that say ``# noqa: F401`` (a name
+    bound for outside callers).  ``import a.b`` binds ``a``."""
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ImportFrom) and node.level >= 1):
-            continue
-        if is_noqa(node, lines):
-            continue
-        unused += [alias.asname or alias.name for alias in node.names
-                   if (alias.asname or alias.name) not in used]
+    return [name for node in pick(tree) if not is_noqa(node, lines)
+            for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_sibling_imports_are_used(path):
+    """A relative import, at any depth, is kept only if the module reads
+    the name."""
+    unused = unused_imports(path, lambda tree: (
+        node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level >= 1))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_level_imports_are_used(path):
+    """Every module-level import, standard library included, is kept only
+    if the module reads the name; ``from __future__`` imports bind none."""
+    unused = unused_imports(path, lambda tree: (
+        node for node in tree.body if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"))
+    assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_source_lines_fit_the_width(path):
+    wide = [i for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_COLUMNS]
+    assert not wide, f"{path.name} has lines wider than {MAX_COLUMNS} columns: {wide}"
 
 
 def bench_bindings() -> set[tuple[str, str]]:

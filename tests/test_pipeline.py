@@ -205,13 +205,15 @@ def test_eh_complete_graph_full_clique():
 
 
 def test_eh_propagates_pattern_certificates():
-    g = path_graph(12)
-    out = eh_homogeneous(g, 4)
-    if isinstance(out, PatternEmbedding):
-        assert verify_embedding(g, out)
-        assert out.pattern_name in ("P4", "co-P4")
-    else:
-        assert verify(g, out)
+    # A path is no cograph, so eh takes the doubling; at 60 vertices the first
+    # extraction walks to an induced P4, which comes back through OracleError.
+    g = path_graph(60)
+    details: dict = {}
+    out = eh_homogeneous(g, 4, details=details)
+    assert details == {"route": "doubling"}
+    assert isinstance(out, PatternEmbedding)
+    assert (out.pattern_name, out.mapping) == ("P4", (0, 1, 2, 3))
+    assert verify_embedding(g, out)
 
 
 def test_eh_reraises_an_oracle_error_that_carries_no_pattern(monkeypatch):
