@@ -9,7 +9,8 @@ largest component that survives deleting the start's closed neighborhood;
 when that component is not large enough to continue into, the leftover
 components themselves form the empty pair.  The walk is a loop over
 (vertex mask, start) in the input graph's own ids, so its depth is not
-bounded by the interpreter's recursion limit.
+bounded by the interpreter's recursion limit.  Given k, it stops once its
+path holds k vertices: every prefix of an induced path is induced.
 
 Each level finds the components beyond the start without sweeping all of
 them, after the search of Even and Shiloach ("An on-line edge-deletion
@@ -134,10 +135,17 @@ def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
 
 
 def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
-                            trace: list | None = None, mask: int | None = None):
+                            trace: list | None = None, mask: int | None = None, *,
+                            k: int | None = None):
     """Either an induced path starting at x with >= ceil(n / (2(T+D)))
     vertices, or an empty bipartite pair with both sides >= T, in the
     subgraph on ``mask`` (default: all of g; n is its size).
+
+    Given ``k``, the walk stops at the top of the first level whose path,
+    start included, holds k vertices, records a ``"stop"`` level and
+    returns those k.  Each prefix of the walk's induced path is induced, so
+    the answer is a path of >= min(k, ceil(n / (2(T+D)))) vertices or the
+    pair the full walk would give.
 
     Preconditions: the subgraph is connected, x is in it, and every closed
     degree inside it is <= D.  The witness uses g's vertex ids.  ``trace``,
@@ -167,6 +175,9 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     m = mask.bit_count()
     nb = adj[start] & mask
     while True:
+        if k is not None and len(path) + 1 == k:
+            levels.append({"n": m, "case": "stop"})
+            return InducedPathWitness(tuple(path + [start]))
         if 3 * T + D >= m:
             levels.append({"n": m, "case": "base"})
             if m == 1:

@@ -460,25 +460,12 @@ def constants_to_dict(c: PipelineConstants) -> dict:
     }
 
 
-def _extractor_summary(levels: list[dict]) -> dict:
-    """The extractor's per-level trace in a fixed size: the level count, the
-    count of each case in first-seen order, and the last level's dict."""
-    cases: dict[str, int] = {}
-    for level in levels:
-        cases[level["case"]] = cases.get(level["case"], 0) + 1
-    return {"levels": len(levels), "cases": cases, "last": levels[-1]}
-
-
 def report_to_dict(r: ExtractionReport) -> dict:
-    """JSON-safe report.  The extractor's per-level list (one dict per walk
-    level, thousands on long paths) is written as ``_extractor_summary``."""
-    trace = dict(r.trace)
-    if "extractor" in trace:
-        trace["extractor"] = _extractor_summary(trace["extractor"])
+    """JSON-safe report; the trace is written as it is."""
     return {
         "outcome": r.outcome,
         "witness": witness_to_dict(r.witness),
         "complemented": r.complemented,
         "constants": constants_to_dict(r.constants),
-        "trace": trace,
+        "trace": r.trace,
     }

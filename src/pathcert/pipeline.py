@@ -3,7 +3,9 @@
 ``extract_linear_bipartite`` runs the full chain on any graph: find a sparse
 or dense vertex set (complementing the graph when the dense kind shows up),
 prune its high-degree vertices, and hand the survivor to the path/pair
-dichotomy.  The outcome is one of
+dichotomy.  Its walk stops at the k-th path vertex: a P_k is all a pattern
+certificate needs, and each prefix of the walk's induced path is induced,
+so the trace holds at most k levels.  The outcome is one of
 
   bipartite-witness    an empty or complete pair, kinds flipped back if the
                        complement was used;
@@ -179,7 +181,7 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     if pair is None:
         levels: list = []
         result = path_or_empty_bipartite(work, (sub & -sub).bit_length() - 1,
-                                         ExtractorParams(big_t, big_d), trace=levels, mask=sub)
+                                         ExtractorParams(big_t, big_d), trace=levels, mask=sub, k=k)
         trace["extractor"] = levels
         if isinstance(result, InducedPathWitness):
             path = result
@@ -191,7 +193,7 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
         if len(path) >= k:
             name = ("co-P%d" if complemented else "P%d") % k
             pat = path_graph(k) if not complemented else complement(path_graph(k))
-            emb = PatternEmbedding(name, pat, path.vertices[:k])
+            emb = PatternEmbedding(name, pat, path.vertices)
             trace["guarantee_tier"] = "run-derived"
             return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
         trace["guarantee_tier"] = "trivial"

@@ -230,6 +230,31 @@ def test_walk_matches_full_sweep_oracle():
     assert min(grows.values()) > 500, grows
 
 
+def test_walk_stopped_at_k_is_a_prefix_of_the_full_walk():
+    # At the top of level j - 1 the path, start included, holds j vertices:
+    # the start and the first j - 1 grow levels' next starts.  A walk that
+    # never gets there (it ends first, in a path or a pair) is unchanged.
+    rng = stream(0xE5F0)
+    stopped = {True: 0, False: 0}  # by whether the full walk ends in a pair
+    for g, mask, x in walk_cases():
+        dmax = max((g.adj[v] & mask).bit_count() for v in bits(mask)) + 1
+        params = ExtractorParams(1 + rng.below(5), dmax + rng.below(3))
+        full: list = []
+        w = path_or_empty_bipartite(g, x, params, full, mask)
+        for j in range(2, 7):
+            trace: list = []
+            got = path_or_empty_bipartite(g, x, params, trace, mask, k=j)
+            if len(full) >= j:
+                path = (x, *(level["via"] for level in full[:j - 1]))
+                assert got == InducedPathWitness(path), (g.n, mask, x, params, j)
+                assert trace == full[:j - 1] + [{"n": full[j - 1]["n"], "case": "stop"}]
+                assert verify(g, got)
+                stopped[isinstance(w, BipartitePairWitness)] += 1
+            else:
+                assert (got, trace) == (w, full), (g.n, mask, x, params, j)
+    assert min(stopped.values()) > 50, stopped
+
+
 def test_seeded_components_equal_full_sweep_at_every_start():
     # Seeds as the walk forms them: the neighbours of the start's neighbours
     # beyond its closed neighbourhood, inside a connected mask.  Besides, the

@@ -635,16 +635,16 @@ def test_report_json_at_every_k_up_to_64():
         json.dumps(data)
 
 
-def test_report_writes_extractor_summary():
-    # The report keeps one dict per walk level; its JSON keeps a fixed-size
-    # summary in the same place, and the rest of the trace as it is.
-    r = extract_linear_bipartite(path_graph(120), 5)
-    levels = r.trace["extractor"]
-    assert len(levels) == 100 and levels[-1] == {"n": 21, "case": "base"}
-    data = report_to_dict(r)
-    assert data["trace"]["extractor"] == {"levels": 100, "cases": {"grow": 99, "base": 1},
-                                          "last": {"n": 21, "case": "base"}}
-    assert list(data["trace"]) == list(r.trace)
-    assert {key: value for key, value in data["trace"].items() if key != "extractor"} == {
-        key: value for key, value in r.trace.items() if key != "extractor"}
-    assert r.trace["extractor"] is levels
+def test_report_writes_the_trace_as_it_is():
+    # The pipeline's walk stops at its k-th path vertex, so the report's JSON
+    # keeps the walk's levels as they are and the whole trace reads back
+    # equal: a stopped walk on a path, a walk that splits at the centre of
+    # a spider with four legs of 25, and a run that never walks.
+    spider = build_graph(101, [(0, 1 + 25 * i) for i in range(4)]
+                         + [(v, v + 1) for v in range(1, 101) if v % 25])
+    cases = []
+    for g in (path_graph(120), spider, complete_graph(10)):
+        r = extract_linear_bipartite(g, 5)
+        assert json.loads(json.dumps(report_to_dict(r)))["trace"] == r.trace
+        cases.append([level["case"] for level in r.trace.get("extractor", ())])
+    assert cases == [["grow"] * 4 + ["stop"], ["middle-split"], []]

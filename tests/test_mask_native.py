@@ -191,10 +191,15 @@ def test_exact_oracle_on_mask_equals_induced():
 # dropped ``trace.strategy``: stage 1 has one finder, the greedy peel, which
 # every pinned run already used; with that key taken out, the old files are
 # byte for byte the new ones.  The ids keep their "-greedy" suffix, naming
-# that finder.
+# that finder.  The five pipeline runs that reach the extractor got new file
+# digests when the pipeline's walk began to stop at its k-th path vertex and
+# report JSON to write the walk's levels as they are.  Two of them changed
+# witness: gnp 250 1/10 seed 0 (k = 5) and gnp 150 9/10 seed 1 (k = 4) ended
+# in a middle-split pair after 15 and 12 grow levels, and now return the P5
+# and the co-P4 that their walks hold by then.
 # Between them the pipeline cases reach stage 3's component split and
 # recurse-largest branches, the complemented side, the extractor's grow and
-# middle-split cases and a co-P4 certificate.  The ``eh`` run on a 60-vertex
+# stop cases and a co-P4 certificate.  The ``eh`` run on a 60-vertex
 # path takes the doubling route, whose first extraction returns the P4
 # (0, 1, 2, 3): it pins the pattern that ends the doubling through
 # OracleError.
@@ -207,22 +212,22 @@ CLI_PINS = [
      "dcb07883a65292dbd63482cdf62680697c97949069530075edd89fb2217299b7"),
     ("pipeline", "gnp", 150, "1/10", 2, 4,
      "8488cc4766059ee640f4ea67e96ba58704e3a3f7d7c708f806b978bf0550da7e",
-     "18f05c805a92895dea28ceaace9a1e2e7c32285acf2662800c42317a8a3445ea"),
+     "e2fcaa43a85b06cf4b84d1ba58976baf3c0e935b1e31106a4fabd5cd3349931f"),
     ("pipeline", "gnp", 250, "1/10", 0, 5,
-     "0cd46fc2cd0560633ec7e36b9dddff4662204f983ceb36c93310223c53ebea25",
-     "3b359d500b56bcd4a5d2d25c5374ac46de6f7bc54b91fc20016daddc50c4e743"),
+     "aa4f3f335a6e35e61e5c98d8948851f09378b593e4b829e3024eea1bc49b495a",
+     "85f918e35c5f85fbd35e57b78d6eddfd61c351f9c052946526ec66423b33f53c"),
     ("pipeline", "gnp", 150, "9/10", 1, 4,
-     "ec8c994e4304d7982a0f41428d0cee2780aef9d0ef77a82e51d5764f5f2b87a4",
-     "a039de941674d4ac629ee2f39e6e6f4c7a674d7ee31688be3345ea7b8541612f"),
+     "72e7256aba02879747db21868060cee19ed245fc93b0252347e14524655fbb02",
+     "645ee5c7c1126c29b07c4a2028f1296d21eccfc353bbb44750e6ccc0518d7c99"),
     ("pipeline", "gnp", 150, "9/10", 3, 4,
      "b5fb40ced2de235c96a8546c8ad72ec0c20d41c640c10c9e81abf55b4c3923fb",
-     "66b6c642e6c4707514dc4c14918b1def2f830e258cfb5baae69cf89dac106730"),
+     "4f8d22ac85610f9c4bf1060d4477cef46ed66116d296a48e264469f3fbbcd1f3"),
     ("pipeline", "cograph", 150, None, 6, 5,
      "ed7275f9dbb028f385c022b6a449328a307588561b0d95074e15cacfc113f59c",
      "9dec064ddab3cfd5ba12d028e0712ba0a4007491b9746db3a0c3df00c819d953"),
     ("pipeline", "path", 90, None, 0, 5,
      "3a97b85840d03f1fc9084745ef061c408a7ed7aa87d057d39230e4e0cd5b5997",
-     "4a2df64560ca25141de1e496a033cf134fbb2d891d2ae6e4b1715fcdb307e699"),
+     "7ae77c59501e4a52eb15bc81844cbfe4437a7af98df822a0f23c55f7dc0977c2"),
     ("eh", "cograph", 120, None, 7, 4,
      "d9a40faa1bef78e4de1bac474f6cf3a3ed33224d12c8bc943f58213df1d16083",
      "2e5939472e958220a54020fbde09939b53c8447282dd34e6fcaf49f6a7e0a14c"),

@@ -16,7 +16,7 @@ from pathcert.pipeline import (choose_constants, eh_homogeneous, extract_linear_
                                stage1_target)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
-                                PatternEmbedding, verify, verify_embedding)
+                                InducedPathWitness, PatternEmbedding, verify, verify_embedding)
 
 from conftest import (brute_max_clique_size, brute_max_stable_size,
                       oracle_cograph_alpha_omega, small_graphs, stack_depth, threshold_graph)
@@ -295,32 +295,59 @@ def test_eh_non_cograph_takes_the_doubling_route():
         assert details == {"route": "doubling"}
 
 
+def pipeline_walk_params(g, k=5):
+    """The T and D with which the pipeline at k walks a path or a cycle: its
+    stage 1 and prune keep all of g, which is connected, so the walk starts
+    at vertex 0 on the whole graph."""
+    trace = extract_linear_bipartite(g, k).trace
+    assert trace["s_prime"] == g.n and trace["stage3"] == "connected"
+    return extractor.ExtractorParams(trace["T"], trace["D"])
+
+
+@pytest.mark.parametrize("g", [path_graph(958), cycle_graph(1233), path_graph(1508)],
+                         ids=["path958", "cycle1233", "path1508"])
+def test_pipeline_walk_stops_at_the_kth_path_vertex(g):
+    # The full walk here runs 799 to 1255 levels; the pipeline's stops at
+    # the top of the level whose path, start included, holds k vertices.
+    report = extract_linear_bipartite(g, 5)
+    levels = report.trace["extractor"]
+    assert len(levels) == 5 and levels[-1]["case"] == "stop"
+    assert [level["case"] for level in levels[:-1]] == ["grow"] * 4
+    assert report.trace["path_length"] == 5
+    assert report.outcome == "pattern-certificate"
+    assert verify(g, report.witness)
+
+
 @pytest.mark.parametrize("g", [path_graph(400), cycle_graph(400)], ids=["path", "cycle"])
 def test_deep_extractor_walk_needs_no_recursion(g):
     # The path/pair walk takes over 300 grow steps here; with the stack
     # capped 150 frames above this one, one frame per step would overflow.
+    params = pipeline_walk_params(g)
+    levels: list = []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
     try:
-        report = extract_linear_bipartite(g, 5)
+        w = extractor.path_or_empty_bipartite(g, 0, params, levels)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(report.trace["extractor"]) > 300
-    assert report.outcome == "pattern-certificate"
-    assert verify(g, report.witness)
+    assert len(levels) > 300
+    assert isinstance(w, InducedPathWitness)
+    assert verify(g, w)
 
 
 @pytest.mark.parametrize("g", [path_graph(5000), cycle_graph(5000)], ids=["path", "cycle"])
 def test_deep_extractor_walk_at_n5000(g, monkeypatch):
     # Over 4000 grow levels; the walk's only full component sweep is its
     # entry-time connectivity check, so the run stays linear in the levels.
+    params = pipeline_walk_params(g)
     sweeps = []
     monkeypatch.setattr(extractor, "component_masks",
                         lambda adj, mask: sweeps.append(mask) or component_masks(adj, mask))
-    report = extract_linear_bipartite(g, 5)
-    assert report.outcome == "pattern-certificate"
-    assert verify(g, report.witness)
-    assert len(report.trace["extractor"]) > 4000
+    levels: list = []
+    w = extractor.path_or_empty_bipartite(g, 0, params, levels)
+    assert isinstance(w, InducedPathWitness)
+    assert verify(g, w)
+    assert len(levels) > 4000
     assert len(sweeps) == 1
 
 
@@ -332,6 +359,7 @@ def test_deep_walk_searches_only_where_a_level_branches(g, levels, monkeypatch):
     # on a cycle every level after the first (whose start has two
     # neighbours).  The walk's own neighbours and seeded-search calls are
     # counted, not the search's inner rounds.
+    params = pipeline_walk_params(g)
     calls = {"neighbours": 0, "search": 0}
     searching = []
     search = extractor._components_from_seeds
@@ -350,10 +378,11 @@ def test_deep_walk_searches_only_where_a_level_branches(g, levels, monkeypatch):
 
     monkeypatch.setattr(extractor, "neighbours", counting_neighbours)
     monkeypatch.setattr(extractor, "_components_from_seeds", counting_search)
-    report = extract_linear_bipartite(g, 5)
-    assert report.outcome == "pattern-certificate"
-    assert verify(g, report.witness)
-    assert len(report.trace["extractor"]) == levels
+    trace: list = []
+    w = extractor.path_or_empty_bipartite(g, 0, params, trace)
+    assert isinstance(w, InducedPathWitness)
+    assert verify(g, w)
+    assert len(trace) == levels
     assert calls["neighbours"] + calls["search"] <= 3, calls
 
 

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +169,22 @@ def test_pair_wrong_kind_rejects():
     assert not v and v.reason == "forbidden-edge"
 
 
+@pytest.mark.parametrize("kind", ["empty", "complete"])
+def test_pair_with_an_empty_side_rejects(kind):
+    # With one side empty there is no cross pair to contradict either kind;
+    # the side check alone keeps a pair's sides at 1 or more.
+    g = complete_bipartite_graph(2, 2)
+    for x, y in ((frozenset(), frozenset({2, 3})), (frozenset({0, 1}), frozenset())):
+        v = verify_bipartite_pair(g, BipartitePairWitness(kind, x, y))
+        assert not v and v.reason == "empty-side"
+
+
+def test_pair_unknown_kind_rejects():
+    v = verify_bipartite_pair(complete_bipartite_graph(2, 2),
+                              BipartitePairWitness("full", frozenset({0}), frozenset({2})))
+    assert not v and (v.reason, v.detail) == ("unknown-kind", "full")
+
+
 def triangle_plus_isolated(total=10):
     return build_graph(total, [(0, 1), (0, 2), (1, 2)])
 
@@ -190,6 +208,32 @@ def test_homogeneous_near_clique_rejects():
     w = HomogeneousSetWitness("clique", frozenset(range(4)), Fraction(1, 10), 5)
     v = verify_homogeneous(g, w)
     assert not v and v.reason == "too-many-missing-edges"
+
+
+def test_homogeneous_epsilon_range_is_zero_to_one_inclusive():
+    # 3 edges inside a 10-set: epsilon = 1 allows all 45 pairs
+    g = triangle_plus_isolated()
+    assert verify_homogeneous(g, HomogeneousSetWitness("stable", frozenset(range(10)),
+                                                       Fraction(1), 3))
+    for eps in (1 + Fraction(1, 10 ** 6), -Fraction(1, 10 ** 6)):
+        v = verify_homogeneous(g, HomogeneousSetWitness("stable", frozenset(range(10)), eps, 3))
+        assert not v and (v.reason, v.detail) == ("epsilon-out-of-range", str(eps))
+
+
+def test_homogeneous_sparse_over_budget_rejects():
+    # 3 edges inside a 10-set exceed (1/20) * 45 = 2.25
+    g = triangle_plus_isolated()
+    v = verify_homogeneous(g, HomogeneousSetWitness("stable", frozenset(range(10)),
+                                                    Fraction(1, 20), 3))
+    assert not v and (v.reason, v.detail) == ("too-many-edges", "3 > 9/4")
+
+
+def test_homogeneous_empty_set_and_unknown_kind_reject():
+    g = triangle_plus_isolated()
+    v = verify_homogeneous(g, HomogeneousSetWitness("stable", frozenset(), Fraction(0), 0))
+    assert not v and v.reason == "empty-set"
+    v = verify_homogeneous(g, HomogeneousSetWitness("dense", frozenset({0}), Fraction(0), 0))
+    assert not v and (v.reason, v.detail) == ("unknown-kind", "dense")
 
 
 def test_homogeneous_recount_catches_stale_bookkeeping():
@@ -313,3 +357,32 @@ def test_count_edges_within_matches_direct():
 def test_verify_dispatch_rejects_non_witness():
     with pytest.raises(TypeError):
         verify(empty_graph(2), object())
+
+
+def test_empty_path_and_short_mapping_reject():
+    v = verify_induced_path(path_graph(3), InducedPathWitness(()))
+    assert not v and v.reason == "empty-sequence"
+    v = verify_embedding(path_graph(5), PatternEmbedding("P4", path_graph(4), (0, 1, 2)))
+    assert not v and v.reason == "size-mismatch"
+
+
+TESTS = Path(__file__).resolve().parent
+WITNESSES = TESTS.parent / "src" / "pathcert" / "witnesses.py"
+
+
+def string_constants(path) -> set[str]:
+    return {node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_rejection_reason_is_tested():
+    """Each reason a verifier in witnesses.py gives in a ``Verdict(False,
+    "<reason>", ...)`` literal is written in some test module, so a check
+    that no test reaches shows up as a reason no test names."""
+    reasons = {node.args[1].value for node in ast.walk(ast.parse(WITNESSES.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict"
+               and len(node.args) >= 2 and isinstance(node.args[0], ast.Constant)
+               and node.args[0].value is False}
+    assert len(reasons) >= 15  # the scan reads every reason written today
+    named = set().union(*map(string_constants, TESTS.glob("test_*.py")))
+    assert not reasons - named, f"no test names {sorted(reasons - named)}"
