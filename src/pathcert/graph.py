@@ -7,8 +7,8 @@ single big-int operations, which is what the search-heavy callers need at
 the scales this package targets (n up to a few thousand).  Per-vertex counts
 can be kept bit-sliced the same way (one int per bit of the count), as the
 greedy peel in :mod:`pathcert.homogeneous` does for degrees.  Every frontier
-step is the union of the frontier's rows (:func:`neighbours`), a row lookup
-for a single vertex.
+step is the union of the frontier's rows (:func:`neighbours`), row lookups
+alone for one or two vertices.
 
 An induced subgraph is a vertex bit mask over the same rows: the producers
 take ``(g, mask)`` and report vertex sets in g's own ids, so nothing is
@@ -78,9 +78,14 @@ def inner_degrees(adj: Sequence[int], mask: int) -> list[int]:
 
 
 def neighbours(adj: Sequence[int], mask: int) -> int:
-    """The union of the rows of the vertices in ``mask``."""
-    if mask & (mask - 1) == 0:
+    """The union of the rows of the vertices in ``mask``.  A mask of at most
+    two members costs its row lookups alone (a cycle's sweep frontier holds
+    two); a larger one is listed by :func:`bits` and ORed row by row."""
+    rest = mask & (mask - 1)  # mask without its lowest member
+    if not rest:
         return adj[mask.bit_length() - 1] if mask else 0
+    if rest & (rest - 1) == 0:
+        return adj[(mask ^ rest).bit_length() - 1] | adj[rest.bit_length() - 1]
     grown = 0
     for v in bits(mask):
         grown |= adj[v]

@@ -136,7 +136,10 @@ def prune_high_degree(g: Graph, mask: int, epsilon: Fraction) -> int:
     epsilon = Fraction(epsilon)
     # degree <= 2 * epsilon * |S|, in integers
     limit = 2 * epsilon.numerator * mask.bit_count() // epsilon.denominator
-    drop = [v for v, d in zip(bits(mask), inner_degrees(g.adj, mask)) if d > limit]
+    degrees = inner_degrees(g.adj, mask)
+    if max(degrees) <= limit:
+        return mask
+    drop = [v for v, d in zip(bits(mask), degrees) if d > limit]
     return mask & ~mask_of(drop)
 
 

@@ -153,7 +153,8 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     trace["stage1"] = {"kind": w1.kind, "size": w1.size}
 
     complemented = w1.kind == "clique"
-    stage1 = mask_of(w1.S)
+    # S lies inside the mask, so a peel that keeps every vertex keeps the mask.
+    stage1 = mask if w1.size == n else mask_of(w1.S)
     work = complement(g, stage1) if complemented else g
     s = w1.size
     sub = prune_high_degree(work, stage1, eps)

@@ -275,6 +275,39 @@ def test_component_masks_match_the_reference_sweep():
         assert graph.component_masks(adj, mask) == reference_component_masks(adj, mask)
 
 
+def test_neighbours_of_up_to_three_vertices_is_the_per_bit_or():
+    # The empty mask, one vertex, two vertices (adjacent bits, bit 0 with the
+    # top bit, two far-apart bits) and one mask of three, on graphs whose
+    # rows differ, so a row read for the wrong member shows.
+    rng = stream(0x2B17)
+    for g in (gnp(70, Fraction(1, 2), rng), gnp(300, Fraction(1, 20), rng), cycle_graph(97),
+              path_graph(2)):
+        top = g.n - 1
+        masks = [0, 1, 1 << top, 1 << g.n // 2, 0b11, 0b11 << top - 1, 1 | 1 << top,
+                 1 << 1 | 1 << top - 1, 1 << g.n // 3 | 1 << top - g.n // 5,
+                 1 | 1 << g.n // 2 | 1 << top]
+        for mask in masks:
+            want = 0
+            for v in reference_bits(mask):
+                want |= g.adj[v]
+            assert graph.neighbours(g.adj, mask) == want, (g.n, mask)
+
+
+def test_cycle_sweep_lists_no_frontier(monkeypatch):
+    # Sweeping a cycle from its lowest vertex, every frontier after the first
+    # holds two vertices; neither size goes through bits.
+    calls = []
+
+    def counted_bits(mask):
+        calls.append(mask)
+        return reference_bits(mask)
+
+    monkeypatch.setattr(graph, "bits", counted_bits)
+    g = cycle_graph(1233)
+    assert graph.component_masks(g.adj, g.full_mask) == [g.full_mask]
+    assert calls == []
+
+
 def test_inner_degrees_on_the_full_mask_equal_the_member_loop():
     # Full masks take the rows' bit counts, other masks the loop over
     # members: both equal the loop, on the rows of g and of its complements
