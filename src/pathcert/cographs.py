@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .graph import (Graph, VertexSet, bits, by_size, co_component_masks, component_masks,
-                    inner_degrees, mask_of, path_graph)
+from .graph import (Graph, VertexSet, bits, co_component_masks, component_masks, inner_degrees,
+                    mask_of, path_graph)
 # Unused here since the obstruction search runs on vertex masks, but
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
@@ -125,13 +125,18 @@ def cotree(g: Graph, mask: int | None = None):
     The parts are walked with an explicit stack, so a deep cotree (a
     threshold graph has depth n - 1) needs no recursion.
 
-    A part's isolated vertices (a union) or universal vertices (a join) are
-    split off without a component sweep: the vertices are grouped once by
-    their degree inside ``mask``, and a part carries the offset that turns
-    those degrees into degrees inside the part.  What remains is swept only
-    when none of its vertices sees all of it (after a union) or none of it
-    (after a join), so a chain-shaped cotree costs O(1) big-int operations
-    per level.
+    The vertices are grouped by their degree inside ``mask`` once per call,
+    and a part carries the offset that turns those degrees into degrees
+    inside the part.  Two lookups there give a part's isolated vertices,
+    which make it a union, or else its universal ones, a join.  They split
+    off as leaves; the rest is one child when one of its vertices sees all
+    of it (after a union) or none of it (after a join), and is otherwise
+    swept for parts of that kind.  Only a part with neither is swept for
+    components, then co-components, and otherwise holds the P4.  So a
+    chain-shaped cotree costs O(1) big-int operations per level.  No sort
+    is needed: a child of the rest has two or more vertices (a vertex alone
+    there would itself be isolated or universal), the sweeps list those
+    larger first, and the leaves, ascending, go last.
     """
     if mask is None:
         mask = g.full_mask
@@ -140,11 +145,10 @@ def cotree(g: Graph, mask: int | None = None):
     adj = g.adj
     # A vertex's degree inside a part is its degree inside ``mask`` less the
     # part's offset: a union keeps the offset, a join adds the size of the
-    # siblings, which every member of the child sees.  The vertices are
-    # grouped by degree only when a part needs it, so an input that is
-    # connected and co-connected as a whole skips the grouping.
-    degrees = inner_degrees(adj, mask)
-    by_degree: dict[int, int] | None = None
+    # siblings, which every member of the child sees.
+    by_degree: dict[int, int] = {}
+    for v, d in zip(bits(mask), inner_degrees(adj, mask)):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
 
     # Pre-order over the parts, children left to right, so the first
     # connected and co-connected part found is the one a depth-first
@@ -157,15 +161,8 @@ def cotree(g: Graph, mask: int | None = None):
             order.append(("leaf", part.bit_length() - 1))
             continue
         size = part.bit_count()
-        if by_degree is None and (part != mask or 0 in degrees or size - 1 in degrees):
-            groups: dict[int, list[int]] = {}
-            for v, d in zip(bits(mask), degrees):
-                groups.setdefault(d, []).append(v)
-            by_degree = {d: mask_of(vs) for d, vs in groups.items()}
-        lonely = hubs = 0
-        if by_degree is not None:
-            lonely = by_degree.get(offset, 0) & part
-            hubs = 0 if lonely else by_degree.get(offset + size - 1, 0) & part
+        lonely = by_degree.get(offset, 0) & part
+        hubs = 0 if lonely else by_degree.get(offset + size - 1, 0) & part
         if lonely or hubs:
             kind, single = ("union", lonely) if lonely else ("join", hubs)
             rest = part ^ single
@@ -176,12 +173,9 @@ def cotree(g: Graph, mask: int | None = None):
                       else offset + single.bit_count())
             if by_degree.get(keeper, 0) & rest:
                 parts = [rest]
-            elif kind == "union":
-                parts = component_masks(adj, rest)
             else:
-                parts = co_component_masks(adj, rest)
+                parts = (component_masks if lonely else co_component_masks)(adj, rest)
             parts += [1 << u for u in bits(single)]
-            parts.sort(key=by_size)
         else:
             kind, parts = "union", component_masks(adj, part)
             if len(parts) == 1:

@@ -141,11 +141,11 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     vertices, or an empty bipartite pair with both sides >= T, in the
     subgraph on ``mask`` (default: all of g; n is its size).
 
-    Given ``k``, the walk stops at the top of the first level whose path,
-    start included, holds k vertices, records a ``"stop"`` level and
-    returns those k.  Each prefix of the walk's induced path is induced, so
-    the answer is a path of >= min(k, ceil(n / (2(T+D)))) vertices or the
-    pair the full walk would give.
+    Given ``k`` (at least 1), the walk stops at the top of the first level
+    whose path, start included, holds k vertices, records a ``"stop"``
+    level and returns those k.  Each prefix of the walk's induced path is
+    induced, so the answer is a path of >= min(k, ceil(n / (2(T+D))))
+    vertices or the pair the full walk would give.
 
     Preconditions: the subgraph is connected, x is in it, and every closed
     degree inside it is <= D.  The witness uses g's vertex ids.  ``trace``,
@@ -154,6 +154,8 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     """
     if mask is None:
         mask = g.full_mask
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
     if not (0 <= x < g.n and mask >> x & 1):
         raise ValueError(f"start vertex {x} is not in the vertex set")
     adj = g.adj

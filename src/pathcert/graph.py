@@ -262,23 +262,23 @@ def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
 
     No complement rows are built: the vertices a frontier misses are those
     outside the AND of its rows, and the AND stops once it has emptied
-    what is left to reach (on a dense graph, after a few rows)."""
+    what is left to reach (on a dense graph, after a few rows).  As in
+    :func:`component_masks`, each frontier is taken out of what no sweep
+    has reached, and a component is what that lost while its sweep ran."""
     comps = []
     rest = mask
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        before = rest
+        frontier = rest & -rest
+        rest ^= frontier
         while frontier:
-            todo = rest & ~comp
-            common = todo
+            common = rest
             for v in bits(frontier):
                 common &= adj[v]
                 if not common:
                     break
-            frontier = todo & ~common
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
+            frontier, rest = rest ^ common, common
+        comps.append(before ^ rest)
     comps.sort(key=by_size)
     return comps
 

@@ -166,35 +166,31 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     comps = component_masks(work.adj, sub)
     trace["component_sizes"] = [cc.bit_count() for cc in comps]
 
-    pair: BipartitePairWitness | None = None
-    path: InducedPathWitness | None = None
+    # The stage-3 pair, else the walk's path or pair.
+    result: Witness | None = None
+    trace["stage3"] = "connected"
     if len(comps) > 1:
         try:
             a, b = split_small_components(comps, big_t)
-            pair = BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))
-            trace["stage3"] = "component-split"
         except ValueError:
             sub = comps[0]
             trace["stage3"] = f"recurse-largest({sub.bit_count()})"
-    else:
-        trace["stage3"] = "connected"
+        else:
+            result = BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))
+            trace["stage3"] = "component-split"
 
-    if pair is None:
+    if result is None:
         levels: list = []
         result = path_or_empty_bipartite(work, (sub & -sub).bit_length() - 1,
                                          ExtractorParams(big_t, big_d), trace=levels, mask=sub, k=k)
         trace["extractor"] = levels
-        if isinstance(result, InducedPathWitness):
-            path = result
-        else:
-            pair = result
 
-    if path is not None:
-        trace["path_length"] = len(path)
-        if len(path) >= k:
+    if isinstance(result, InducedPathWitness):
+        trace["path_length"] = len(result)
+        if len(result) >= k:
             name = ("co-P%d" if complemented else "P%d") % k
             pat = path_graph(k) if not complemented else complement(path_graph(k))
-            emb = PatternEmbedding(name, pat, path.vertices)
+            emb = PatternEmbedding(name, pat, result.vertices)
             trace["guarantee_tier"] = "run-derived"
             return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
         trace["guarantee_tier"] = "trivial"
@@ -202,12 +198,11 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
         return ExtractionReport("trivial-witness", _trivial_pair(g, mask), consts, trace,
                                 complemented)
 
-    assert pair is not None
     if complemented:
-        pair = _flip_kind(pair)
+        result = _flip_kind(result)
     trace["guarantee_tier"] = "run-derived"
-    trace["sides"] = sorted(pair.side_sizes)
-    return ExtractionReport("bipartite-witness", pair, consts, trace, complemented)
+    trace["sides"] = sorted(result.side_sizes)
+    return ExtractionReport("bipartite-witness", result, consts, trace, complemented)
 
 
 def eh_homogeneous(g: Graph, k: int, details: dict | None = None):

@@ -258,6 +258,23 @@ def test_threshold_graph_exact_alpha_omega_at_n5000():
     _assert_threshold_answer(g, stable, clique)
 
 
+def test_chain_cotrees_sweep_nothing(monkeypatch):
+    # Each level of a threshold or caterpillar chain splits one vertex off
+    # and keeps the rest whole by the keeper test, so the only sweep is of
+    # the empty rest at the last two-vertex part.  A sweep per level is what
+    # made the n = 5000 chain take about 13 s.
+    swept = []
+    for name in ("component_masks", "co_component_masks"):
+        sweep = getattr(cographs, name)
+        monkeypatch.setattr(cographs, name,
+                            lambda adj, mask, sweep=sweep: swept.append(mask) or sweep(adj, mask))
+    for g in (threshold_graph(2000), threshold_graph(5000),
+              *(caterpillar_graph(700, seed) for seed in range(4))):
+        swept.clear()
+        assert isinstance(cotree(g), tuple)
+        assert swept == [0]
+
+
 def _prime(g, mask) -> bool:
     """Connected and co-connected on at least two vertices (plain sweeps
     over g's rows and over complement rows)."""

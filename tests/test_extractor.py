@@ -255,6 +255,17 @@ def test_walk_stopped_at_k_is_a_prefix_of_the_full_walk():
     assert min(stopped.values()) > 50, stopped
 
 
+def test_walk_rejects_a_k_below_1():
+    # A k below 1 is not "no k": unchecked, it would walk all 26 vertices.
+    g, params = path_graph(30), ExtractorParams(1, 3)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            path_or_empty_bipartite(g, 0, params, k=k)
+    trace: list = []
+    assert path_or_empty_bipartite(g, 0, params, trace, k=1) == InducedPathWitness((0,))
+    assert trace == [{"n": 30, "case": "stop"}]
+
+
 def test_seeded_components_equal_full_sweep_at_every_start():
     # Seeds as the walk forms them: the neighbours of the start's neighbours
     # beyond its closed neighbourhood, inside a connected mask.  Besides, the

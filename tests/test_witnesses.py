@@ -159,7 +159,7 @@ def test_pair_overlap_rejects():
     g = complete_bipartite_graph(3, 3)
     v = verify_bipartite_pair(g, BipartitePairWitness("complete", frozenset({0, 1}),
                                                       frozenset({1, 4})))
-    assert not v and v.reason == "overlapping-sides"
+    assert not v and (v.reason, v.detail) == ("overlapping-sides", "[1]")
 
 
 def test_pair_wrong_kind_rejects():
@@ -177,6 +177,21 @@ def test_pair_with_an_empty_side_rejects(kind):
     for x, y in ((frozenset(), frozenset({2, 3})), (frozenset({0, 1}), frozenset())):
         v = verify_bipartite_pair(g, BipartitePairWitness(kind, x, y))
         assert not v and v.reason == "empty-side"
+
+
+@pytest.mark.parametrize("kind", ["empty", "complete"])
+def test_pair_with_an_out_of_range_vertex_rejects(kind):
+    # The pair is otherwise valid; an empty pair tests no cross pair against
+    # a vertex outside the graph, so only the range check keeps it out.
+    g = empty_graph(4) if kind == "empty" else complete_bipartite_graph(2, 2)
+    x, y = frozenset({0, 1}), frozenset({2, 3})
+    assert verify_bipartite_pair(g, BipartitePairWitness(kind, x, y))
+    for bad in (4, -1):
+        for w in (BipartitePairWitness(kind, x | {bad}, y),
+                  BipartitePairWitness(kind, x, y | {bad})):
+            v = verify_bipartite_pair(g, w)
+            assert not v and (v.reason, v.detail) == ("vertex-out-of-range",
+                                                      f"vertex {bad} not in 0..3")
 
 
 def test_pair_unknown_kind_rejects():
@@ -234,6 +249,15 @@ def test_homogeneous_empty_set_and_unknown_kind_reject():
     assert not v and v.reason == "empty-set"
     v = verify_homogeneous(g, HomogeneousSetWitness("dense", frozenset({0}), Fraction(0), 0))
     assert not v and (v.reason, v.detail) == ("unknown-kind", "dense")
+
+
+def test_homogeneous_out_of_range_vertex_rejects():
+    g = empty_graph(5)
+    for bad in (5, -1):
+        v = verify_homogeneous(g, HomogeneousSetWitness("stable", frozenset({0, bad}),
+                                                        Fraction(0), 0))
+        assert not v and (v.reason, v.detail) == ("vertex-out-of-range",
+                                                  f"vertex {bad} not in 0..4")
 
 
 def test_homogeneous_recount_catches_stale_bookkeeping():
