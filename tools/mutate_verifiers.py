@@ -14,18 +14,15 @@ the module keeps its text.  The mutants run in a temporary copy of the
 repository: first ``tests/test_witnesses.py``, then, for a mutant that
 survives it, the full suite (which the unmutated copy must pass first).
 A run that fails or times out kills the mutant.  The output is one
-Markdown table row per mutant.
+Markdown table row per mutant and the number that survive the full suite.
 
 It needs the standard library and pytest only::
 
-    python tools/mutate_verifiers.py            # every mutant
-    python tools/mutate_verifiers.py --list     # list the mutants, run nothing
-    python tools/mutate_verifiers.py --only 3 7 # the mutants numbered 3 and 7
+    python tools/mutate_verifiers.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import re
@@ -150,57 +147,48 @@ def run_tests(work: Path, args: list[str], timeout: float) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
-def _run(source: bytes, chosen: dict[int, Mutant]) -> dict[int, str]:
+def _run(source: bytes, found: list[Mutant]) -> list[str]:
     """Each mutant's result: the witness tests on all, the full suite on survivors."""
     witness_tests = ["tests/test_witnesses.py"]
-    results = {}
+    results = []
     with tempfile.TemporaryDirectory(prefix="mutate-verifiers-") as tmp:
         work = Path(tmp) / "repo"
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_work"))
         if run_tests(work, witness_tests, TIMEOUT) != "pass":
             sys.exit("the unmutated copy fails tests/test_witnesses.py")
-        for i, mutant in chosen.items():
+        for i, mutant in enumerate(found):
             (work / TARGET).write_bytes(apply(source, mutant))
-            results[i] = run_tests(work, witness_tests, TIMEOUT)
-            print(f"mutant {i}: {results[i]}", file=sys.stderr, flush=True)
-        survivors = [i for i, result in results.items() if result == "pass"]
+            results.append(run_tests(work, witness_tests, TIMEOUT))
+            print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
+        survivors = [i for i, result in enumerate(results) if result == "pass"]
         (work / TARGET).write_bytes(source)
         if survivors and run_tests(work, [], 10 * TIMEOUT) != "pass":
             sys.exit("the unmutated copy fails the full suite")
         for i in survivors:
-            (work / TARGET).write_bytes(apply(source, chosen[i]))
+            (work / TARGET).write_bytes(apply(source, found[i]))
             results[i] = "full " + run_tests(work, [], 10 * TIMEOUT)
-            print(f"mutant {i}: {results[i]}", file=sys.stderr, flush=True)
+            print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
     words = {"fail": "killed by test_witnesses.py",
              "timeout": "killed by test_witnesses.py (timeout)",
              "full pass": "survives the full suite", "full fail": "killed by the full suite",
              "full timeout": "killed by the full suite (timeout)"}
-    return {i: words[result] for i, result in results.items()}
+    return [words[result] for result in results]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", action="store_true", help="list the mutants and run nothing")
-    parser.add_argument("--only", type=int, nargs="+", metavar="N",
-                        help="run only the mutants with these numbers")
-    opts = parser.parse_args(argv)
+def main() -> int:
     source = (ROOT / TARGET).read_bytes()
     found = mutants(source)
     for mutant in found:  # every mutant must still parse
         ast.parse(apply(source, mutant))
-    chosen = {i: m for i, m in enumerate(found, 1) if not opts.only or i in opts.only}
-    results = dict.fromkeys(chosen, "")
-    if not opts.list:
-        results = _run(source, chosen)
+    results = _run(source, found)
     print("| # | line | operator | change | result |")
     print("|---|------|----------|--------|--------|")
-    for i, m in chosen.items():
+    for i, (m, result) in enumerate(zip(found, results), 1):
         change = m.change.replace("|", "\\|")  # a bare | would end the table cell
-        print(f"| {i} | {m.line} | {m.kind} | {change} | {results[i]} |")
-    if not opts.list:
-        survivors = sum(r == "survives the full suite" for r in results.values())
-        print(f"\n{len(chosen)} mutants, {survivors} survive the full suite")
+        print(f"| {i} | {m.line} | {m.kind} | {change} | {result} |")
+    survivors = results.count("survives the full suite")
+    print(f"\n{len(found)} mutants, {survivors} survive the full suite")
     return 0
 
 
