@@ -31,10 +31,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .graph import (Graph, VertexSet, bits, co_component_masks, component_masks, inner_degrees,
-                    mask_of, path_graph)
+                    mask_of)
 # Unused here since the obstruction search runs on vertex masks, but
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
+from .patterns import path_certificate
 from .witnesses import BipartitePairWitness, PatternEmbedding, verify_bipartite_pair
 
 
@@ -181,7 +182,7 @@ def cotree(g: Graph, mask: int | None = None):
             if len(parts) == 1:
                 kind, parts = "join", co_component_masks(adj, part)
             if len(parts) == 1:
-                return PatternEmbedding("P4", path_graph(4), find_p4(g, part))
+                return path_certificate(4, find_p4(g, part))
         order.append((kind, len(parts)))
         if kind == "union":
             stack.extend((child, offset) for child in reversed(parts))

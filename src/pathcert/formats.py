@@ -59,8 +59,8 @@ from itertools import chain, compress, groupby
 from operator import eq, ne, or_
 from typing import Iterator
 
-from .graph import (_BIT_TABLE_MAX_N, Graph, build_graph, complement, member_selectors,
-                    path_graph, symmetrised)
+from .graph import _BIT_TABLE_MAX_N, Graph, build_graph, member_selectors, symmetrised
+from .patterns import path_certificate
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
@@ -380,12 +380,6 @@ def _parse_pattern_name(name: str) -> tuple[bool, int]:
     return bool(m.group(1)), int(m.group(2))
 
 
-def pattern_by_name(name: str) -> Graph:
-    complemented, k = _parse_pattern_name(name)
-    base = path_graph(k)
-    return complement(base) if complemented else base
-
-
 def witness_to_dict(w: Witness) -> dict:
     if isinstance(w, InducedPathWitness):
         return {"type": "path", "vertices": list(w.vertices)}
@@ -420,11 +414,11 @@ def witness_from_dict(data: dict) -> Witness:
         # The name fixes the pattern's size; compare it with the map before
         # building the pattern, so a huge name costs nothing.
         name, mapping = data["pattern"], tuple(data["map"])
-        size = _parse_pattern_name(name)[1]
+        complemented, size = _parse_pattern_name(name)
         if size != len(mapping):
             raise ValueError(f"malformed witness: pattern {name} has {size} vertices, "
                              f"map has {len(mapping)}")
-        return PatternEmbedding(name, pattern_by_name(name), mapping)
+        return path_certificate(size, mapping, complemented)
     raise ValueError(f"unknown witness type {kind!r}")
 
 
@@ -445,15 +439,16 @@ def witness_from_json(text: str) -> Witness:
 
 
 def constants_to_dict(c: PipelineConstants) -> dict:
-    """The constants of k; n_min as the string "2^E + 1", so the size of
-    the report does not grow with 2^E."""
+    """The constants of k; delta by its formula, held symbolically since
+    log2(6k) is irrational, and n_min as the string "2^E + 1", so the size
+    of the report does not grow with 2^E."""
     return {
         "k": c.k,
         "epsilon": fraction_to_str(c.epsilon),
         "c": fraction_to_str(c.c),
         "path_bound": fraction_to_str(c.path_bound),
-        "delta": c.delta.describe(),
-        "delta_exponent_float": c.delta.exponent_float,
+        "delta": f"2^(-15*{c.k}*log2({6 * c.k})^2) (exponent ~ {c.delta_exponent_float:.4f})",
+        "delta_exponent_float": c.delta_exponent_float,
         "c_k_log2": c.c_k_log2,
         "c_prime": c.c_prime_theory,
         "n_min": f"2^{c.n_min_exponent} + 1",

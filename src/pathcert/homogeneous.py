@@ -1,4 +1,4 @@
-"""Finding sparse/dense vertex sets and the quantitative knobs around them.
+"""Finding sparse/dense vertex sets: the stage-1 peel and the degree prune.
 
 A set S is an eps-stable set if it spans at most eps * C(|S|, 2) edges and an
 eps-clique if it misses at most that many.  One finder serves stage 1 of
@@ -23,8 +23,6 @@ the other side's denominator); floats never decide anything here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -141,45 +139,3 @@ def prune_high_degree(g: Graph, mask: int, epsilon: Fraction) -> int:
         return mask
     drop = [v for v, d in zip(bits(mask), degrees) if d > limit]
     return mask & ~mask_of(drop)
-
-
-@dataclass(frozen=True)
-class DeltaBound:
-    """The guarantee constant delta = 2^(-15 k log2(1/eps)^2), reported
-    symbolically: ``exponent_float`` is the exponent as a float, for
-    reading only; decisions use the integer bounds of ``log2_bounds``."""
-
-    k: int
-    epsilon: Fraction
-    exponent_float: float
-
-    def describe(self) -> str:
-        inv = Fraction(1, 1) / self.epsilon
-        return (f"2^(-15*{self.k}*log2({inv})^2)"
-                f" (exponent ~ {self.exponent_float:.4f})")
-
-
-def fox_sudakov_delta(k: int, epsilon: Fraction) -> DeltaBound:
-    """delta = 2^(-15 k (log2(1/eps))^2), held symbolically."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    inv = 1 / epsilon
-    log2_float = math.log2(inv.numerator) - math.log2(inv.denominator)
-    return DeltaBound(k, epsilon, -15.0 * k * log2_float * log2_float)
-
-
-def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds (lo, hi) with lo < log2(q) < hi, for q >= 1.
-
-    Integer arithmetic only: for x = num^64 and y = den^64,
-    bit_length(x) - 1 <= log2(x) < bit_length(x), and likewise for y.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    x = q.numerator ** 64
-    y = q.denominator ** 64
-    return (Fraction(x.bit_length() - 1 - y.bit_length(), 64),
-            Fraction(x.bit_length() - y.bit_length() + 1, 64))

@@ -21,6 +21,15 @@ class PatternQueryResult:
     nodes_explored: int
 
 
+def path_certificate(k: int, mapping: tuple[int, ...],
+                     complemented: bool = False) -> PatternEmbedding:
+    """The embedding named "P<k>" of the k-vertex path, or "co-P<k>" of its
+    complement, with host vertex ``mapping[i]`` for pattern vertex i."""
+    if complemented:
+        return PatternEmbedding("co-P%d" % k, complement(path_graph(k)), mapping)
+    return PatternEmbedding("P%d" % k, path_graph(k), mapping)
+
+
 def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
     """Search for an induced path on exactly k vertices.
 
@@ -60,8 +69,7 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
             seen.append(seen[-1] | adj[v] | low)
             explored += 1
         if len(path) == k:
-            emb = PatternEmbedding("P%d" % k, path_graph(k), tuple(path))
-            return PatternQueryResult(True, emb, explored)
+            return PatternQueryResult(True, path_certificate(k, tuple(path)), explored)
     return PatternQueryResult(False, None, explored)
 
 
@@ -79,5 +87,5 @@ def is_pk_copk_free(g: Graph, k: int) -> PatternEmbedding | None:
     res = find_induced_path(complement(g), k)
     if res.found:
         assert res.embedding is not None
-        return PatternEmbedding("co-P%d" % k, complement(path_graph(k)), res.embedding.mapping)
+        return path_certificate(k, res.embedding.mapping, complemented=True)
     return None

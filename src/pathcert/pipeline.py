@@ -33,12 +33,12 @@ from fractions import Fraction
 
 from .cographs import OracleError, cograph_alpha_omega, p4free_extract
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
-from .graph import Graph, bits, complement, component_masks, mask_of, path_graph
+from .graph import Graph, bits, complement, component_masks, mask_of
 # Unused here since the producers run on vertex masks, but bench/tracing.py
 # binds pipeline.components and pipeline.induced; drop them with those bindings.
 from .graph import components, induced  # noqa: F401
-from .homogeneous import (DeltaBound, find_epsilon_homogeneous, fox_sudakov_delta,
-                          log2_bounds, prune_high_degree)
+from .homogeneous import find_epsilon_homogeneous, prune_high_degree
+from .patterns import path_certificate
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
                         PatternEmbedding, Witness)
 
@@ -48,20 +48,21 @@ class PipelineConstants:
     """The rational parameters of every extraction run at one k.
 
     epsilon = c = 1/(6k) makes the dichotomy's path guarantee exactly k.
-    6k has a factor 3, so log2(1/epsilon) is irrational and neither delta
-    nor c_k (the linear-pair constant c * delta / 2) is rational: c_k is
-    reported as a base-2 logarithm (a float, for reading only), and delta
-    as two integer exponents from bounds lo < log2(1/epsilon) < hi
-    (``log2_bounds``): E = ceil(15 k hi^2), so 2^E >= 1/delta and
-    n_min = 2^E + 1 bounds the first n where the asymptotic guarantees
-    bite; F = floor(15 k lo^2), so 2^F < 1/delta and ceil(delta n) = 1 for
-    every n <= 2^F.
+    6k has a factor 3, so log2(1/epsilon) = log2(6k) is irrational and
+    neither delta = 2^(-15 k log2(6k)^2) nor c_k (the linear-pair constant
+    c * delta / 2) is rational.  Their base-2 logarithms,
+    ``delta_exponent_float`` and ``c_k_log2``, are floats for reading only.
+    The decisions use two integer exponents from bounds
+    lo < log2(6k) < hi (``pipeline.log2_bounds``): E = ceil(15 k hi^2), so
+    2^E >= 1/delta and n_min = 2^E + 1 bounds the first n where the
+    asymptotic guarantees bite; F = floor(15 k lo^2), so 2^F < 1/delta and
+    ceil(delta n) = 1 for every n <= 2^F.
     """
 
     k: int
     epsilon: Fraction
     c: Fraction
-    delta: DeltaBound
+    delta_exponent_float: float
     c_k_log2: float
     c_prime_theory: float
     n_min_exponent: int
@@ -76,18 +77,41 @@ class PipelineConstants:
         return 2 ** self.n_min_exponent + 1
 
 
+def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified rational bounds (lo, hi) with lo < log2(q) < hi, for q >= 1.
+
+    Integer arithmetic only: for x = num^64 and y = den^64,
+    bit_length(x) - 1 <= log2(x) < bit_length(x), and likewise for y.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    x = q.numerator ** 64
+    y = q.denominator ** 64
+    return (Fraction(x.bit_length() - 1 - y.bit_length(), 64),
+            Fraction(x.bit_length() - y.bit_length() + 1, 64))
+
+
 def choose_constants(k: int) -> PipelineConstants:
-    """epsilon = c = 1/(6k); then 1/(2(2 epsilon + c)) = k exactly."""
+    """epsilon = c = 1/(6k); then 1/(2(2 epsilon + c)) = k exactly.
+
+    Raises ValueError for k < 2, and for a k whose delta exponent
+    -15 k log2(6k)^2 is not a finite float (k above about 1.19 * 10^301).
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
     eps = Fraction(1, 6 * k)
     c = eps
-    delta = fox_sudakov_delta(k, eps)
-    c_k_log2 = math.log2(c.numerator) - math.log2(c.denominator) + delta.exponent_float - 1
-    c_prime_theory = -1.0 / c_k_log2
+    log2_6k = math.log2(6 * k)
+    try:
+        delta_exponent = -15.0 * k * log2_6k * log2_6k
+    except OverflowError:  # k itself does not fit in a float
+        delta_exponent = -math.inf
+    if not math.isfinite(delta_exponent):
+        raise ValueError("k is too large: the delta exponent -15 k log2(6k)^2 overflows a float")
+    c_k_log2 = -log2_6k + delta_exponent - 1
     # 0 < lo < log2(6k) < hi, since 6k >= 12.
     lo, hi = log2_bounds(1 / eps)
-    consts = PipelineConstants(k, eps, c, delta, c_k_log2, c_prime_theory,
+    consts = PipelineConstants(k, eps, c, delta_exponent, c_k_log2, -1.0 / c_k_log2,
                                math.ceil(15 * k * hi * hi), math.floor(15 * k * lo * lo))
     assert consts.path_bound == k
     return consts
@@ -188,9 +212,7 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     if isinstance(result, InducedPathWitness):
         trace["path_length"] = len(result)
         if len(result) >= k:
-            name = ("co-P%d" if complemented else "P%d") % k
-            pat = path_graph(k) if not complemented else complement(path_graph(k))
-            emb = PatternEmbedding(name, pat, result.vertices)
+            emb = path_certificate(k, result.vertices, complemented)
             trace["guarantee_tier"] = "run-derived"
             return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
         trace["guarantee_tier"] = "trivial"
@@ -222,8 +244,7 @@ def eh_homogeneous(g: Graph, k: int, details: dict | None = None):
     "doubling"), and, for a set, the achieved size and the size of the
     P4-free set that was folded (n on the cotree route).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    choose_constants(k)  # rejects the k that every other entry point rejects
     folded = cograph_alpha_omega(g)
     route = "doubling" if isinstance(folded, PatternEmbedding) else "cotree"
     if details is not None:

@@ -19,7 +19,7 @@ from pathcert.formats import decode_graph6, encode_graph6
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (Graph, bits, complete_bipartite_graph, complete_graph,
                             empty_graph, induced, mask_of, path_graph)
-from pathcert.homogeneous import fox_sudakov_delta, prune_high_degree
+from pathcert.homogeneous import prune_high_degree
 from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.pipeline import choose_constants, extract_linear_bipartite
 from pathcert.rng import stream
@@ -204,19 +204,15 @@ def test_pipeline_soundness():
 
 
 def test_constants():
-    """choose_constants(5), the delta formula at (5, 1/2), and the doubling
-    exponent at 1/4 - all exact."""
+    """choose_constants(5) and the doubling exponent at 1/4 - both exact."""
     consts = choose_constants(5)
     assert consts.epsilon == Fraction(1, 30)
     assert consts.c == Fraction(1, 30)
     assert Fraction(1, 1) / (2 * (2 * consts.epsilon + consts.c)) == 5
-    d = fox_sudakov_delta(5, Fraction(1, 2))
-    assert d.exponent_float == -75  # log2(2) = 1 is exact in floats
     # c^(p/q) >= 1/2 iff c^p * 2^q >= 1: the exponent 1/2 holds at c = 1/4
     # with equality, so no larger one does
     assert Fraction(1, 4) ** 1 * 2 ** 2 == 1
-    print("PASS constants: epsilon=c=1/30, path bound 5, delta(5,1/2)=2^-75, "
-          "exponent(1/4)=1/2")
+    print("PASS constants: epsilon=c=1/30, path bound 5, exponent(1/4)=1/2")
 
 
 def test_oracle_cross_validation():

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import re
@@ -269,6 +271,64 @@ def test_pipeline_at_large_k(tmp_path, capsys, k):
     assert data["constants"]["n_min"] == f"2^{choose_constants(k).n_min_exponent} + 1"
     assert main(["constants", "--k", str(k)]) == 0
     assert json.loads(capsys.readouterr().out) == data["constants"]
+
+
+# sha256 of the whole ``constants --k K`` output: the floats, the delta text
+# and n_min must keep every byte when the constants' arithmetic
+# (``pipeline.choose_constants``) or text (``formats.constants_to_dict``) is
+# reworked.
+CONSTANTS_PINS = [
+    (2, "39e820ea9d4c35e6e36a4e00350f81c29cd55b00de838af31afd62fcdebfb58f"),
+    (3, "fd5b40c1fb9d5d9d1af9376652d89eb7b3a46c1b9a97010b0a9735e8d2eac23d"),
+    (4, "53f9f2205b6b9b3861cdc0c7e215d87ed7fe34cec4a5680144b292fb341e8c88"),
+    (5, "87d5421e24d343e935f51028858cb75a02a5dc6a682caece3427636e9382423e"),
+    (6, "337608a92307ed51750103aefc219f33a605184b4293c7875399aeb340a786b7"),
+    (7, "fe0fdd24ffbbd5c3c4fafc8bfc406c015b1f14829b583a60146cfbaab98279f8"),
+    (8, "aefa3bf9b038fe96a47d5d3d325cbca62ede8af82ea4c96956bed32121457ea3"),
+    (9, "31c403a7860ea5c0f31392462cc5822737c280ddf0586295f3ae4911d79995ee"),
+    (20, "399c49f799f91b8b4cb35e08a69d5e88abab5dcef61765fa64ae2a9f93f31bb1"),
+    (64, "e2835f16543b7988591e4ea5e72cec871c1782e25aca4594e42999120e7d1c4f"),
+    (10 ** 4, "1ac844ba6dc5caf9753324297358c2b48c8f1121431c5eb9379ef61abd982c03"),
+    (10 ** 200, "7eefd86a0882144d4c68d94283b317a7a98e88f8222c4d7d85bb94ac78c2ab84"),
+]
+
+
+@pytest.mark.parametrize("k, digest", CONSTANTS_PINS,
+                         ids=[f"k10^{len(str(k)) - 1}" if k > 64 else f"k{k}"
+                              for k, _ in CONSTANTS_PINS])
+def test_constants_output_pinned(capsys, k, digest):
+    assert main(["constants", "--k", str(k)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON proper: Infinity, -Infinity and NaN raise."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_constants_near_the_largest_k_are_finite(capsys):
+    """At k = 10^301 the delta exponent (about -1.5e308) is still a float."""
+    assert main(["constants", "--k", str(10 ** 301)]) == 0
+    data = strict_json(capsys.readouterr().out)
+    assert -math.inf < data["delta_exponent_float"] <= data["c_k_log2"] < 0 < data["c_prime"]
+
+
+TOO_LARGE = "error: k is too large: the delta exponent -15 k log2(6k)^2 overflows a float\n"
+
+
+@pytest.mark.parametrize("k", [10 ** 302, 10 ** 400], ids=["k10^302", "k10^400"])
+def test_a_k_whose_constants_overflow_is_a_usage_error(tmp_path, capsys, k):
+    """At k = 10^302 the delta exponent overflows to -inf, and 10^400 does
+    not fit in a float at all: every command exits 2 and prints no JSON."""
+    triangle = write_g6(tmp_path, complete_graph(3), "triangle.g6")
+    cograph = write_g6(tmp_path, complete_graph(5), "k5.g6")
+    non_cograph = write_g6(tmp_path, path_graph(6), "p6.g6")
+    for argv in (["constants"], ["pipeline", "--input", triangle],
+                 ["eh", "--input", cograph], ["eh", "--input", non_cograph]):
+        assert main([*argv, "--k", str(k)]) == 2
+        assert capsys.readouterr() == ("", TOO_LARGE)
 
 
 def test_eh_command(tmp_path, capsys):

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from pathcert import formats
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
-                              parse_edge_list, parse_fraction, pattern_by_name,
+                              parse_edge_list, parse_fraction,
                               report_to_dict, witness_from_dict, witness_from_json,
                               witness_to_dict, witness_to_json, write_edge_list)
 from pathcert.generators import gnp, random_cograph
 from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
+from pathcert.patterns import path_certificate
 from pathcert.pipeline import choose_constants, extract_linear_bipartite
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
-                                InducedPathWitness, PatternEmbedding)
+                                InducedPathWitness)
 
 from conftest import (half_density_graph, oracle_decode_graph6, oracle_parse_edge_list,
                       oracle_write_edge_list, threshold_graph)
@@ -581,7 +582,7 @@ def witness_examples():
         InducedPathWitness((0, 1, 2)),
         BipartitePairWitness("empty", frozenset({0, 2}), frozenset({5, 6})),
         HomogeneousSetWitness("stable", frozenset({1, 3}), Fraction(1, 10), 0),
-        PatternEmbedding("co-P5", pattern_by_name("co-P5"), (4, 2, 0, 1, 3)),
+        path_certificate(5, (4, 2, 0, 1, 3), complemented=True),
     ]
 
 
@@ -603,8 +604,8 @@ def test_witness_dict_schema():
 def test_witness_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         witness_from_dict({"type": "mystery"})
-    with pytest.raises(ValueError):
-        pattern_by_name("Q7")
+    with pytest.raises(ValueError, match="unknown pattern name"):
+        witness_from_dict({"type": "embedding", "pattern": "Q7", "map": []})
 
 
 def test_fraction_parsing():

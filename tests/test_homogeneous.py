@@ -8,8 +8,8 @@ from pathcert.graph import (bits, build_graph, complement, complete_bipartite_gr
                             complete_graph, cycle_graph, empty_graph, mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
 from pathcert import homogeneous
-from pathcert.homogeneous import (_peel, find_epsilon_homogeneous, fox_sudakov_delta,
-                                  log2_bounds, prune_high_degree)
+from pathcert.homogeneous import _peel, find_epsilon_homogeneous, prune_high_degree
+from pathcert.pipeline import log2_bounds
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
 
@@ -268,24 +268,6 @@ def test_prune_matches_the_rational_threshold():
         assert prune_high_degree(g, mask, eps) == expected
 
 
-def test_fox_sudakov_values():
-    # log2(2) = 1 and log2(1) = 0 are exact in floats
-    assert fox_sudakov_delta(5, Fraction(1, 2)).exponent_float == -75
-    assert fox_sudakov_delta(1, Fraction(1, 2)).exponent_float == -15
-    assert fox_sudakov_delta(7, Fraction(1)).exponent_float == 0
-
-
-def test_fox_sudakov_monotone():
-    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)):
-        values = [fox_sudakov_delta(k, eps).exponent_float for k in range(1, 6)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-    # shrinking epsilon never increases delta
-    k = 4
-    eps_chain = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)]
-    exps = [fox_sudakov_delta(k, e).exponent_float for e in eps_chain]
-    assert all(a >= b for a, b in zip(exps, exps[1:]))
-
-
 @pytest.mark.parametrize("q", [Fraction(1), Fraction(2), Fraction(3), Fraction(12), Fraction(30),
                                Fraction(48), Fraction(7, 3), Fraction(1025, 1024),
                                Fraction(10 ** 30 + 1, 7)])
@@ -304,15 +286,3 @@ def test_log2_bounds_bracket_log2(q):
 def test_log2_bounds_rejects_below_one():
     with pytest.raises(ValueError):
         log2_bounds(Fraction(1, 2))
-
-
-def test_fox_sudakov_rejects_zero_epsilon():
-    with pytest.raises(ValueError):
-        fox_sudakov_delta(3, Fraction(0))
-
-
-def test_fox_sudakov_symbolic_description():
-    d = fox_sudakov_delta(5, Fraction(1, 30))
-    assert d.describe() == f"2^(-15*5*log2(30)^2) (exponent ~ {d.exponent_float:.4f})"
-    assert fox_sudakov_delta(5, Fraction(1, 2)).describe() == \
-        "2^(-15*5*log2(2)^2) (exponent ~ -75.0000)"

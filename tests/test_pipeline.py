@@ -11,9 +11,9 @@ from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
                             path_graph)
 from pathcert.patterns import find_induced_path, is_pk_copk_free
-from pathcert.homogeneous import log2_bounds
+from pathcert.formats import constants_to_dict
 from pathcert.pipeline import (choose_constants, eh_homogeneous, extract_linear_bipartite,
-                               stage1_target)
+                               log2_bounds, stage1_target)
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness, PatternEmbedding, verify, verify_embedding)
@@ -26,7 +26,7 @@ def test_choose_constants_k5():
     c = choose_constants(5)
     assert c.epsilon == Fraction(1, 30) and c.c == Fraction(1, 30)
     assert c.path_bound == 5
-    assert "log2(30)" in c.delta.describe()  # irrational, so held symbolically
+    assert "log2(30)" in constants_to_dict(c)["delta"]  # irrational, so held symbolically
     assert c.n_min > 10 ** 100  # far beyond desk scale
 
 
@@ -37,7 +37,7 @@ def test_constants_are_never_exact_and_bound_the_oracle_constant(k):
     2^F < 1/delta makes n = 2^F the last n whose stage-1 target is
     certified to be 1."""
     c = choose_constants(k)
-    assert c.delta.describe().startswith(f"2^(-15*{k}*log2({6 * k})^2)")
+    assert constants_to_dict(c)["delta"].startswith(f"2^(-15*{k}*log2({6 * k})^2)")
     lo, hi = log2_bounds(1 / c.epsilon)
     e, f = c.n_min_exponent, c.unit_target_exponent
     assert e == math.ceil(15 * k * hi * hi) and f == math.floor(15 * k * lo * lo)

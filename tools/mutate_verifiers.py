@@ -7,12 +7,16 @@ Each mutant changes one operator of the module:
   boolop    ``and`` and ``or`` swapped;
   reject    the test of an ``if`` whose body returns a rejection
             (``Verdict(False, ...)`` or a verdict held in a name) made False;
-  bitop     ``&`` and ``|`` swapped (``&=`` and ``|=`` too).
+  bitop     ``&`` and ``|`` swapped (``&=`` and ``|=`` too);
+  bound     an int literal or attribute operand of an ordering or
+            (in)equality comparison shifted by +1 and by -1 (``0`` -> ``1``,
+            ``g.n`` -> ``(g.n - 1)``); comparisons with a string are skipped.
 
-Only the operator's own characters are rewritten, so every other line of
-the module keeps its text.  The mutants run in a temporary copy of the
-repository: first ``tests/test_witnesses.py``, then, for a mutant that
-survives it, the full suite (which the unmutated copy must pass first).
+Only the operator's or the bound's own characters are rewritten, so every
+other line of the module keeps its text.  The mutants run in a temporary
+copy of the repository: first ``tests/test_witnesses.py``, then, for a
+mutant that survives it, the full suite (which the unmutated copy must
+pass first).
 A run that fails or times out kills the mutant.  The output is one
 Markdown table row per mutant and the number that survive the full suite.
 
@@ -72,6 +76,27 @@ def _gap_edit(source: bytes, starts, before: ast.AST, after: ast.AST,
     return lo + found.start(), lo + found.end(), text
 
 
+def _bounds(source: bytes, starts, node: ast.Compare) -> list[Mutant]:
+    """The two range-bound mutants of each int literal and attribute operand
+    of ``node``, unless it compares strings or uses is / in."""
+    operands = [node.left, *node.comparators]
+    if (any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)) for op in node.ops)
+            or any(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in operands)):
+        return []
+    found = []
+    for x in operands:
+        literal = isinstance(x, ast.Constant) and type(x.value) is int
+        if not literal and not isinstance(x, ast.Attribute):
+            continue
+        start = _offset(starts, x.lineno, x.col_offset)
+        end = _offset(starts, x.end_lineno, x.end_col_offset)
+        old = source[start:end].decode()
+        for shift in (1, -1):
+            new = str(x.value + shift) if literal else f"({old} {'+-'[shift < 0]} 1)"
+            found.append(Mutant("bound", node.lineno, ((start, end, new),), f"`{old}` -> `{new}`"))
+    return found
+
+
 def _rejects(stmt: ast.stmt) -> bool:
     if not isinstance(stmt, ast.Return) or stmt.value is None:
         return False
@@ -104,6 +129,7 @@ def mutants(source: bytes) -> list[Mutant]:
                                  SPELLING[type(op)], new)
                 old = source[edit[0]:edit[1]].decode()
                 found.append(Mutant("compare", node.lineno, (edit,), f"`{old}` -> `{new}`"))
+            found.extend(_bounds(source, starts, node))
         elif isinstance(node, ast.BoolOp):
             old, new = ("and", "or") if isinstance(node.op, ast.And) else ("or", "and")
             edits = tuple(_gap_edit(source, starts, a, b, rf"\b{old}\b", new)
