@@ -19,9 +19,9 @@ from functools import cache
 from pathlib import Path
 
 from . import formats
-from .cographs import cograph_alpha_omega
+from .cographs import OracleError, cograph_alpha_omega
 from .extractor import ExtractorParams, path_guarantee, path_or_empty_bipartite
-from .generators import GeneratorSpec, generate
+from .generators import BudgetExhaustedError, GeneratorSpec, generate
 from .graph import Graph
 from .patterns import find_induced_path, is_pk_copk_free
 from .pipeline import choose_constants, eh_homogeneous, extract_linear_bipartite
@@ -206,9 +206,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RecursionError as err:  # a RuntimeError, but a crash, not a verdict
-        return _internal_error(err)
-    except RuntimeError as err:  # oracle failures, exhausted budgets
+    except (OracleError, BudgetExhaustedError) as err:  # the failures raised on purpose
         print(f"failed: {err}", file=sys.stderr)
         return 1
     except Exception as err:

@@ -59,7 +59,7 @@ from itertools import chain, compress, groupby
 from operator import eq, ne, or_
 from typing import Iterator
 
-from .graph import _BIT_TABLE_MAX_N, Graph, build_graph, member_selectors, symmetrised
+from .graph import Graph, build_graph, member_selectors, symmetrised
 from .patterns import path_certificate
 from .pipeline import ExtractionReport, PipelineConstants
 from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPathWitness,
@@ -234,6 +234,10 @@ def _vertex_ids(tokens: list[str], ids: dict[str, int]) -> list[int]:
     except KeyError:
         return [ids[t] if t in ids else int(t) for t in tokens]
 
+
+# The largest n whose edge-list text may take the run path, which keeps a
+# table of 1 << v: n ints of up to n bits, at most n * n / 8 bytes (2 MiB here).
+_BIT_TABLE_MAX_N = 4096
 
 # Past n * n // _DIRECTED_AFTER edges (n <= _BIT_TABLE_MAX_N), parse_edge_list
 # builds the rows run by run and transposes once.  On write_edge_list's

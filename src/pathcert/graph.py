@@ -16,22 +16,22 @@ relabelled or translated back.  :func:`complement` restricted to a mask
 fills rows for the mask's members only, and :func:`induced` builds a
 relabelled copy for callers that need a standalone graph.
 
-:func:`build_graph` builds rows from an edge list, ORing each edge into
-both endpoints' rows.  It is the sparse builder: a dense edge-list text
-(more than n * n / 16 edges, n <= 4096, at least 4 characters per edge)
-is built by :func:`pathcert.formats.parse_edge_list` itself, which ORs
-each edge into its first endpoint's row only, a whole run of a row's lines
-at a time, and adds the other side by :func:`symmetrised`, a transpose of
-the directed rows as an n x n digit matrix read column by column in
-strided slices.  The seeded G(n, p) of
-:mod:`pathcert.generators` draws the upper rows directly and symmetrises
-them the same way; these two are the transpose's only callers.
+:func:`build_graph` builds rows from an edge list in one loop that checks
+each edge and ORs it into both endpoints' rows.  It is the sparse builder:
+a dense edge-list text (more than n * n / 16 edges, n <= 4096, at least
+4 characters per edge) is built by :func:`pathcert.formats.parse_edge_list`
+itself, which ORs each edge into its first endpoint's row only, a whole run
+of a row's lines at a time, and adds the other side by :func:`symmetrised`,
+a transpose of the directed rows as an n x n digit matrix read column by
+column in strided slices.  The seeded G(n, p) of :mod:`pathcert.generators`
+draws the upper rows directly and symmetrises them the same way; these two
+are the transpose's only callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import lshift, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -124,51 +124,22 @@ class Graph:
                 yield u, u + 1 + v
 
 
-# The largest n for which a table of 1 << v is kept: build_graph's past its
-# first n edges, and the edge-list parser's for its dense path.  It holds
-# n ints of up to n bits, at most n * n / 8 bytes (2 MiB here).
-_BIT_TABLE_MAX_N = 4096
-
-
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Simple undirected graph on n >= 1 vertices.
 
     Self-loops are rejected, duplicate edges collapse, endpoints must be
     valid vertex ids; ``edges`` is consumed once, in order, and the first
-    bad edge raises.
-
-    The first n edges shift 1 << v into both endpoints' rows (every edge
-    does when n is past _BIT_TABLE_MAX_N), so only a graph with more edges
-    than vertices pays for a table of 1 << v; every later edge goes into
-    both rows from that table.  Dense edge lists do not come here: see the
-    module docstring.
+    bad edge raises.  Each edge is checked and ORed into both endpoints'
+    rows.  Dense edge lists do not come here: see the module docstring.
     """
     if n < 1:
         raise ValueError("graphs have at least one vertex")
     rows = [0] * n
-    edges = iter(edges)
-    for u, v in islice(edges, n if n <= _BIT_TABLE_MAX_N else None):
+    for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise _edge_error(u, v, n)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    more = next(edges, None)
-    if more is None:
-        return Graph(n, tuple(rows))
-    bit = [1 << v for v in range(n)]
-    # From here an endpoint >= n fails its table or row lookup, so each edge
-    # is tested for a self-loop or a negative id only.
-    u = v = 0
-    try:
-        for u, v in chain((more,), edges):
-            if u == v or (u | v) < 0:
-                raise _edge_error(u, v, n)
-            rows[u] |= bit[v]
-            rows[v] |= bit[u]
-    except IndexError:
-        if 0 <= u < n and 0 <= v < n:
-            raise
-        raise _edge_error(u, v, n) from None
     return Graph(n, tuple(rows))
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cographs import OracleError, cograph_alpha_omega, p4free_extract
 from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
@@ -91,6 +92,7 @@ def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
             Fraction(x.bit_length() - y.bit_length() + 1, 64))
 
 
+@cache  # eh's doubling asks once per oracle call, always with the same k
 def choose_constants(k: int) -> PipelineConstants:
     """epsilon = c = 1/(6k); then 1/(2(2 epsilon + c)) = k exactly.
 

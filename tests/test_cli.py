@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import pathcert.cli
 from pathcert.cli import build_parser, main
+from pathcert.cographs import OracleError
 from pathcert.formats import encode_graph6, witness_to_json
 from pathcert.graph import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
 from pathcert.patterns import PatternQueryResult
@@ -386,8 +387,19 @@ def test_budget_failure_exit_code(tmp_path, capsys):
     assert "draws" in capsys.readouterr().err
 
 
+def test_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # An oracle that gives out is a failed run (exit 1), not a crash.
+    def producer(*args, **kwargs):
+        raise OracleError("oracle returned NoneType")
+
+    monkeypatch.setattr("pathcert.cli.eh_homogeneous", producer)
+    assert main(["eh", "--input", write_g6(tmp_path, path_graph(6)), "--k", "4"]) == 1
+    assert capsys.readouterr().err == "failed: oracle returned NoneType\n"
+
+
 @pytest.mark.parametrize("crash", [RecursionError("maximum recursion depth exceeded"),
-                                   KeyError(7)])
+                                   KeyError(7), NotImplementedError("not yet"),
+                                   RuntimeError("dictionary changed size during iteration")])
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
     def producer(*args, **kwargs):
         raise crash

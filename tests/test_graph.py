@@ -51,10 +51,10 @@ def test_build_collapses_duplicates():
 
 @pytest.mark.parametrize("n", [5, 40, 4096, 5000])
 def test_build_reports_the_first_bad_edge(n):
-    # build_graph shifts 1 << v for its first n edges and reads a table past
-    # them, except when n is above the table's limit (4096): a bad edge is
-    # found the same way in each stretch.  (The edge-list parser's dense
-    # path is tested in test_formats.py.)
+    # Each edge is checked before it is ORed in, so the first bad edge
+    # raises wherever it stands: first, among the first n edges, past them,
+    # or last, at sizes either side of the parser's dense-path limit (4096).
+    # (The edge-list parser's dense path is tested in test_formats.py.)
     good = [(v, v + 1) for v in range(n - 1)] * 3
     bad = [((0, n), f"edge (0,{n}) has an endpoint outside 0..{n - 1}"),
            ((-1, 2), f"edge (-1,2) has an endpoint outside 0..{n - 1}"),
@@ -69,7 +69,8 @@ def test_build_reports_the_first_bad_edge(n):
 
 
 def test_build_passes_on_an_index_error_of_its_input():
-    # An IndexError raised by the edge iterable itself is not a bad edge.
+    # An IndexError raised by the edge iterable itself is not a bad edge:
+    # it propagates as it was raised, past more edges than vertices.
     def edges():
         yield from [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
         raise IndexError("from the input")
@@ -82,9 +83,10 @@ def test_build_passes_on_an_index_error_of_its_input():
                                   (4096, 4096), (4096, 4097), (4097, 4097), (4097, 4098),
                                   (4097, 5000), (5000, 9000)])
 def test_build_matches_plain_shifts(n, m):
-    # build_graph switches from shifts to a table at m > n (n <= 4096), at
-    # any density.  Each edge comes either way round, some twice (the same
-    # way or reversed), in no order.
+    # build_graph sets the same two bits as a plain shift per edge, with m
+    # either side of n and n either side of the parser's dense-path limit
+    # (4096), at any density.  Each edge comes either way round, some twice
+    # (the same way or reversed), in no order.
     rng = stream(0xB1, n + m)
     edges = []
     while len(edges) < m:

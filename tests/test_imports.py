@@ -1,6 +1,6 @@
 """Every name a pathcert module imports is used there, so deleting a helper
-cannot leave its import behind, and no source line is wider than 100
-columns."""
+cannot leave its import behind; no module imports a sibling's private name;
+and no source line is wider than 100 columns."""
 
 import ast
 from pathlib import Path
@@ -46,6 +46,16 @@ def test_module_level_imports_are_used(path):
         node for node in tree.body if isinstance(node, ast.Import)
         or isinstance(node, ast.ImportFrom) and node.module != "__future__"))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_sibling_imports(path):
+    """A name with a leading underscore stays in its module: a relative
+    import of one means the name has a second owner and belongs there."""
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level >= 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names {private}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

@@ -295,6 +295,19 @@ def test_eh_non_cograph_takes_the_doubling_route():
         assert details == {"route": "doubling"}
 
 
+def test_eh_doubling_computes_the_constants_of_k_once():
+    # eh validates k with choose_constants(k); each oracle call of the
+    # doubling asks for the same constants again and gets the cached ones.
+    g = gnp(200, Fraction(1, 2), stream(0x9A, 0))
+    before = choose_constants.cache_info()
+    details: dict = {}
+    assert verify(g, eh_homogeneous(g, 4, details=details))
+    after = choose_constants.cache_info()
+    assert details["route"] == "doubling"
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 2
+
+
 def pipeline_walk_params(g, k=5):
     """The T and D with which the pipeline at k walks a path or a cycle: its
     stage 1 and prune keep all of g, which is connected, so the walk starts
