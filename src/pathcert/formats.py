@@ -426,10 +426,6 @@ def witness_from_dict(data: dict) -> Witness:
     raise ValueError(f"unknown witness type {kind!r}")
 
 
-def witness_to_json(w: Witness) -> str:
-    return json.dumps(witness_to_dict(w), indent=2) + "\n"
-
-
 def witness_from_json(text: str) -> Witness:
     """Parse a witness file; a missing or mistyped field is a ValueError, like
     malformed JSON, because the text comes from outside the program."""

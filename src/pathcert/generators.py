@@ -47,7 +47,8 @@ def gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
 
     Row u's draws, for v = u + 1..n - 1, are one
     :meth:`~pathcert.rng.SplitMix64.bernoulli_bytes` run, the same draws
-    and the same final ``rng`` state as one :meth:`bernoulli` call per pair.
+    and the same final ``rng`` state as one ``rng.below(den) < num`` test
+    per pair (none when p is 0 or 1).
     The run's 0/1 bytes, reversed and read as a base-2 numeral, are the
     upper half of row u, and :func:`~pathcert.graph.symmetrised` adds the
     lower halves.  Beside the rows, it holds one row's 0/1 bytes, one batch

@@ -108,12 +108,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def closed_degree(self, v: int) -> int:
-        return self.adj[v].bit_count() + 1
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

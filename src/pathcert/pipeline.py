@@ -7,18 +7,14 @@ dichotomy.  Its walk stops at the k-th path vertex: a P_k is all a pattern
 certificate needs, and each prefix of the walk's induced path is induced,
 so the trace holds at most k levels.  The outcome is one of
 
-  bipartite-witness    an empty or complete pair, kinds flipped back if the
-                       complement was used;
+  bipartite-witness    an empty or complete pair with both sides >= the
+                       run's T, kinds flipped back if the complement was used;
   pattern-certificate  an induced k-path (or its complement form), i.e. the
-                       input was not in the forbidden-pattern class at all;
-  trivial-witness      a single adjacent or non-adjacent pair, used when the
-                       quantitative stages bottom out at small n.
+                       input was not in the forbidden-pattern class at all.
 
 Every report carries the constants of k and a trace of the run: per-stage
-sizes, the thresholds T and D, and which guarantee tier applies:
-"run-derived" (sides >= T, or a path of >= k vertices) or "trivial".  The
-asymptotic side bound ceil(c_k n) is never asserted: it needs n >= n_min,
-far beyond any graph that fits in memory.
+sizes and the thresholds T and D.  The asymptotic side bound ceil(c_k n) is
+never asserted: it needs n >= n_min, far beyond any graph that fits in memory.
 
 ``eh_homogeneous`` returns an exact clique or stable set: the cotree fold
 when the input is already P4-free, else the extraction composed with the
@@ -131,25 +127,11 @@ def stage1_target(consts: PipelineConstants, n: int) -> int:
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    outcome: str  # "bipartite-witness" | "pattern-certificate" | "trivial-witness"
+    outcome: str  # "bipartite-witness" | "pattern-certificate"
     witness: Witness
     constants: PipelineConstants
     trace: dict
     complemented: bool
-
-
-def _trivial_pair(g: Graph, mask: int) -> BipartitePairWitness:
-    """Lexicographically first non-adjacent pair inside ``mask`` as an empty
-    1-pair, else its first edge as a complete 1-pair."""
-    for u in bits(mask):
-        non = mask & ~g.adj[u] & -(1 << (u + 1))
-        if non:
-            v = (non & -non).bit_length() - 1
-            return BipartitePairWitness("empty", frozenset([u]), frozenset([v]))
-    first = mask & -mask
-    second = mask ^ first
-    return BipartitePairWitness("complete", frozenset([first.bit_length() - 1]),
-                                frozenset([(second & -second).bit_length() - 1]))
 
 
 def _flip_kind(w: BipartitePairWitness) -> BipartitePairWitness:
@@ -213,18 +195,36 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
 
     if isinstance(result, InducedPathWitness):
         trace["path_length"] = len(result)
-        if len(result) >= k:
-            emb = path_certificate(k, result.vertices, complemented)
-            trace["guarantee_tier"] = "run-derived"
-            return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
-        trace["guarantee_tier"] = "trivial"
-        trace["outcome_reason"] = "path-below-k"
-        return ExtractionReport("trivial-witness", _trivial_pair(g, mask), consts, trace,
-                                complemented)
+        # The walk's path has exactly k vertices.  Suppose it had fewer; let
+        # L = D - 1 = floor(s/(3k)) be the prune's limit, m0 the walk's first
+        # mask size and j its grow levels so far.
+        # 1. s >= 2.  Deleting a maximum-degree vertex v from a non-complete set
+        #    S of >= 3 vertices leaves it non-complete: else a neighbour of v
+        #    has degree |S| - 1 > deg v, or v is isolated and |S| <= 2.  The
+        #    sparse peel stops at any stable set, so it ends on 1 vertex only
+        #    on a complete mask, where the dense peel stops at once with all n.
+        # 2. s2 > (s + 1)/2, so s2 >= 2.  S spans at most eps s(s - 1)/2 edges
+        #    of work, so fewer than (s - 1)/2 vertices exceed L; every survivor
+        #    has inner degree <= L, and s >= 3kL.
+        # 3. "stop" returns k vertices at j = k - 1, and "base" returns j + 2
+        #    when m >= 2; m >= 3 after a grow.  So base ran at j <= k - 3, or
+        #    m0 = 1.  Base needs m <= 3T + D and a grow lowers m by at most
+        #    T + D - 1, so m0 <= kT + (k - 2)L + 1.  m0 = s2 on a connected
+        #    survivor.  A failed split leaves |B| < T: then A is comps[0] and
+        #    m0 > s2 - T, or every part is below T and s2 <= 3T - 3.  Either
+        #    way s2 <= (k + 1)T + (k - 2)L.
+        # 4. T < s2/(6k) + 1 and, by 2, L < 2 s2/(3k) turn that into
+        #    s2 < 6k(k + 1)/(k + 7) < 6k, so T = 1.  Then a split of >= 2 parts
+        #    succeeds (A the largest, B the rest), so m0 = s2 <= k + 1 + (k - 2)L.
+        # 5. With 2 s2 > 3kL + 1 (by 2) that gives L(k + 4) < 2k + 1, so L <= 1.
+        #    A connected set of maximum degree L <= 1 has at most L + 1
+        #    vertices, but s2 >= 2, and 2 s2 > 3k + 1 >= 7 when L = 1.
+        assert len(result) == k, "a walk bounded by the pruned degrees reaches k"
+        emb = path_certificate(k, result.vertices, complemented)
+        return ExtractionReport("pattern-certificate", emb, consts, trace, complemented)
 
     if complemented:
         result = _flip_kind(result)
-    trace["guarantee_tier"] = "run-derived"
     trace["sides"] = sorted(result.side_sizes)
     return ExtractionReport("bipartite-witness", result, consts, trace, complemented)
 

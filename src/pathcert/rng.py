@@ -79,25 +79,11 @@ class SplitMix64:
             if r < limit:
                 return r % bound
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.below(hi - lo + 1)
-
-    def bernoulli(self, numerator: int, denominator: int) -> bool:
-        """Exact Bernoulli(numerator/denominator) draw, one below() call."""
-        if not 0 <= numerator <= denominator or denominator <= 0:
-            raise ValueError("probability must be in [0, 1]")
-        if numerator == 0:
-            return False
-        if numerator == denominator:
-            return True
-        return self.below(denominator) < numerator
-
     def bernoulli_bytes(self, numerator: int, denominator: int, count: int) -> bytes:
-        """``count`` Bernoulli draws as bytes 0/1: the outcomes of ``count``
-        :meth:`bernoulli` calls, in order, leaving the state where they do.
+        """``count`` exact Bernoulli(numerator/denominator) draws as bytes 0/1:
+        draw i is ``below(denominator) < numerator`` for the i-th of ``count``
+        :meth:`below` calls, and the state ends where they leave it.  A
+        probability of 0 or 1 draws nothing.
 
         Each batch draws as many lanes as outcomes are still missing (at
         most _LANES), so every lane it draws is consumed.  A lane at or

@@ -7,6 +7,7 @@ always checked against a second, dumber route.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -17,7 +18,7 @@ from operator import or_
 
 from pathcert.cographs import OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
-from pathcert.formats import Graph6Error, _decode_graph6_size
+from pathcert.formats import Graph6Error, _decode_graph6_size, witness_to_dict
 from pathcert.graph import Graph, build_graph, complement, induced, mask_of
 from pathcert.generators import gnp, random_cograph
 from pathcert.patterns import PatternQueryResult, find_induced_path
@@ -35,13 +36,44 @@ def reference_bits(mask: int):
         mask ^= low
 
 
+def randint(rng: SplitMix64, lo: int, hi: int) -> int:
+    """Uniform integer in [lo, hi] inclusive, from one ``rng.below`` draw."""
+    return lo + rng.below(hi - lo + 1)
+
+
+def bernoulli(rng: SplitMix64, numerator: int, denominator: int) -> bool:
+    """One exact Bernoulli(numerator/denominator) draw, one ``rng.below``
+    call unless the probability is 0 or 1: the oracle for
+    ``SplitMix64.bernoulli_bytes``."""
+    if not 0 <= numerator <= denominator or denominator <= 0:
+        raise ValueError("probability must be in [0, 1]")
+    if numerator in (0, denominator):
+        return numerator != 0
+    return rng.below(denominator) < numerator
+
+
+def degree(g: Graph, v: int) -> int:
+    """The number of v's neighbours."""
+    return g.adj[v].bit_count()
+
+
+def closed_degree(g: Graph, v: int) -> int:
+    """The size of v's closed neighbourhood: its degree plus v itself."""
+    return degree(g, v) + 1
+
+
+def witness_to_json(w) -> str:
+    """A witness file's text, as ``pathcert verify`` reads it."""
+    return json.dumps(witness_to_dict(w), indent=2) + "\n"
+
+
 def oracle_gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
-    """G(n, p) with one scalar ``rng.bernoulli`` call per pair (u, v), u < v,
+    """G(n, p) with one scalar ``bernoulli`` draw per pair (u, v), u < v,
     in lexicographic order: the oracle for the batched ``generators.gnp``."""
     p = Fraction(p)
     num, den = p.numerator, p.denominator
     return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)
-                           if rng.bernoulli(num, den)))
+                           if bernoulli(rng, num, den)))
 
 
 def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
@@ -50,11 +82,11 @@ def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
     odd seeds sparse p (average degree about 1.2 to 4.5), so both shallow
     and deeply recursive extractor behaviors show up downstream."""
     rng = stream(0xC0FFEE, seed)
-    n = rng.randint(1, max_n)
+    n = randint(rng, 1, max_n)
     if seed % 2 == 0:
-        p = Fraction(rng.randint(1, 9), 10)
+        p = Fraction(randint(rng, 1, 9), 10)
     else:
-        p = min(Fraction(1), Fraction(rng.randint(12, 45), 10 * n))
+        p = min(Fraction(1), Fraction(randint(rng, 12, 45), 10 * n))
     g = gnp(n, p, rng)
     vs = list(reference_bits(reference_component_masks(g.adj, g.full_mask)[0]))
     index = {v: i for i, v in enumerate(vs)}
@@ -91,11 +123,11 @@ def masked_corpus(tag: int, count: int, max_n: int):
     levels; even seeds draw p up to 3/5."""
     for seed in range(count):
         rng = stream(tag, seed)
-        n = rng.randint(2, max_n)
+        n = randint(rng, 2, max_n)
         if seed % 2:
-            p = min(Fraction(1), Fraction(rng.randint(15, 40), 10 * n))
+            p = min(Fraction(1), Fraction(randint(rng, 15, 40), 10 * n))
         else:
-            p = Fraction(rng.randint(1, 60), 100)
+            p = Fraction(randint(rng, 1, 60), 100)
         for g in (gnp(n, p, rng), random_cograph(n, rng)):
             yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
 
@@ -300,7 +332,7 @@ def planted_sparse_graph(s: int, epsilon: Fraction, rng: SplitMix64) -> Graph:
     """A graph on s vertices with at most epsilon * C(s, 2) edges, placed at
     seeded random positions."""
     cap = int(epsilon * (s * (s - 1) // 2))
-    m = rng.randint(0, cap) if cap > 0 else 0
+    m = randint(rng, 0, cap) if cap > 0 else 0
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
         u = rng.below(s)
@@ -653,7 +685,7 @@ def contains_induced(g: Graph, h: Graph) -> PatternQueryResult:
         return PatternQueryResult(False, None, explored)
 
     full = g.full_mask
-    hdeg = [h.degree(i) for i in range(h.n)]
+    hdeg = [degree(h, i) for i in range(h.n)]
     assigned: list[int] = []
     found: tuple[int, ...] | None = None
 
@@ -670,7 +702,7 @@ def contains_induced(g: Graph, h: Graph) -> PatternQueryResult:
             else:
                 cand &= ~g.adj[assigned[j]]
         for v in reference_bits(cand):
-            if g.degree(v) < hdeg[i]:
+            if degree(g, v) < hdeg[i]:
                 continue
             assigned.append(v)
             if place(i + 1, used | (1 << v)):

@@ -26,8 +26,9 @@ from pathcert.rng import stream
 from pathcert.witnesses import (InducedPathWitness, PatternEmbedding, verify,
                                 verify_embedding)
 
-from conftest import (brute_max_clique_size, brute_max_stable_size, contains_induced,
-                      exact_bipartite_oracle, planted_sparse_graph, seeded_connected_graph)
+from conftest import (brute_max_clique_size, brute_max_stable_size, closed_degree,
+                      contains_induced, exact_bipartite_oracle, planted_sparse_graph, randint,
+                      seeded_connected_graph)
 
 
 def _brute_p4_free(g: Graph) -> bool:
@@ -51,7 +52,7 @@ def test_dichotomy_extraction():
     for trial in range(500):
         g = seeded_connected_graph(trial, max_n=60)
         rng = stream(0xACC1, trial)
-        dmax = max(g.closed_degree(v) for v in range(g.n))
+        dmax = max(closed_degree(g, v) for v in range(g.n))
         params = ExtractorParams(T=1 + trial % 5, D=dmax + rng.below(3))
         x = rng.below(g.n)
         w = path_or_empty_bipartite(g, x, params)
@@ -78,7 +79,7 @@ def test_pruning_half_guarantee():
     for trial in range(500):
         rng = stream(0xACC2, trial)
         eps = Fraction(1, 10) if trial % 2 == 0 else Fraction(1, 30)
-        s = rng.randint(2, 200)
+        s = randint(rng, 2, 200)
         g = planted_sparse_graph(s, eps, rng)
         out = prune_high_degree(g, g.full_mask, eps)
         assert out.bit_count() >= -(-s // 2), (trial, s, out.bit_count())
@@ -222,8 +223,8 @@ def test_oracle_cross_validation():
     agreements = 0
     for trial in range(2000):
         rng = stream(0xACCF, trial)
-        n = rng.randint(1, 9)
-        p = Fraction(rng.randint(0, 10), 10)
+        n = randint(rng, 1, 9)
+        p = Fraction(randint(rng, 0, 10), 10)
         g = gnp(n, p, rng)
         for k in range(1, 7):
             a = find_induced_path(g, k)
@@ -248,8 +249,8 @@ def test_serialization():
     assert decode_graph6("A_") == path_graph(2)
     for trial in range(1000):
         rng = stream(0xACD0, trial)
-        n = rng.randint(1, 62)
-        g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+        n = randint(rng, 1, 62)
+        g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
         assert decode_graph6(encode_graph6(g)) == g
     elapsed = time.perf_counter() - t0
     print(f"PASS serialization: 1000 round-trips, {elapsed:.1f}s")

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 import pathcert.cli
 from pathcert.cli import build_parser, main
 from pathcert.cographs import OracleError
-from pathcert.formats import encode_graph6, witness_to_json
+from pathcert.formats import encode_graph6
 from pathcert.graph import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
 from pathcert.patterns import PatternQueryResult
 from pathcert.pipeline import choose_constants
 from pathcert.witnesses import InducedPathWitness, PatternEmbedding
 
-from conftest import threshold_graph
+from conftest import threshold_graph, witness_to_json
 
 
 def write_g6(tmp_path, g, name="g.g6"):

@@ -17,7 +17,7 @@ from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
                       caterpillar_graph, check_cotree, contains_induced, exact_bipartite_oracle,
                       find_pair_masks, oracle_cograph_alpha_omega, oracle_cotree,
-                      oracle_p4free_extract, small_graphs, stack_depth, threshold_graph)
+                      oracle_p4free_extract, randint, small_graphs, stack_depth, threshold_graph)
 
 
 def is_p4_free(g) -> bool:
@@ -161,8 +161,8 @@ def test_pair_search_matches_subset_enumeration():
 
     for trial in range(120):
         rng = stream(0x77, trial)
-        n = rng.randint(2, 9)
-        g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+        n = randint(rng, 2, 9)
+        g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
         for side in range(1, n // 2 + 1):
             for kind in ("empty", "complete"):
                 assert (find_pair_masks(g, side, kind) is not None) == brute(g, side, kind)
@@ -300,8 +300,8 @@ def test_find_p4_on_every_small_prime_graph():
 def test_find_p4_on_masked_gnp():
     for seed in range(60):
         rng = stream(0x9A, seed)
-        n = rng.randint(4, 300 if seed % 3 == 0 else 40)
-        g = gnp(n, Fraction(rng.randint(1, 9), 10), rng)
+        n = randint(rng, 4, 300 if seed % 3 == 0 else 40)
+        g = gnp(n, Fraction(randint(rng, 1, 9), 10), rng)
         mask = sum(1 << v for v in range(n) if rng.below(5))
         for part in (mask, g.full_mask):
             if _prime(g, part):
@@ -312,7 +312,7 @@ def _blow_up(h, rng):
     """h with every vertex but 0 replaced by a random cograph on 1..40
     vertices (a module), ids kept in block order, so vertex 0 stays the
     smallest."""
-    sizes = [1] + [rng.randint(1, 40) for _ in range(h.n - 1)]
+    sizes = [1] + [randint(rng, 1, 40) for _ in range(h.n - 1)]
     starts = [sum(sizes[:u]) for u in range(h.n)]
     edges = []
     for u in range(h.n):
@@ -367,9 +367,9 @@ def _masked_corpus():
     caterpillar graphs, each with the full mask and a random one."""
     for seed in range(120):
         rng = stream(0x9B, seed)
-        n = rng.randint(1, 90)
+        n = randint(rng, 1, 90)
         for g in (random_cograph(n, rng), random_cograph(n, rng, balanced=True),
-                  gnp(n, Fraction(rng.randint(0, 10), 10), rng),
+                  gnp(n, Fraction(randint(rng, 0, 10), 10), rng),
                   threshold_graph(n), caterpillar_graph(n, seed)):
             yield g, g.full_mask
             yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
@@ -422,10 +422,10 @@ def test_p4free_extract_matches_the_recursion():
     errors = 0
     for seed in range(60):
         rng = stream(0x9C, seed)
-        n = rng.randint(2, 22)
+        n = randint(rng, 2, 22)
         g = (random_cograph(n, rng) if seed % 2
-             else gnp(n, Fraction(rng.randint(0, 10), 10), rng))
-        oracle = exact_bipartite_oracle(Fraction(1, rng.randint(2, 5)))
+             else gnp(n, Fraction(randint(rng, 0, 10), 10), rng))
+        oracle = exact_bipartite_oracle(Fraction(1, randint(rng, 2, 5)))
         try:
             want = oracle_p4free_extract(g, oracle)
         except OracleError as err:

@@ -9,7 +9,7 @@ from pathcert.graph import (bits, build_graph, component_masks, cycle_graph, emp
 from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, verify)
 
-from conftest import (caterpillar_graph, masked_corpus, reference_component_masks,
+from conftest import (caterpillar_graph, closed_degree, masked_corpus, reference_component_masks,
                       seeded_connected_graph, sweep_walk)
 
 
@@ -109,7 +109,7 @@ def test_dichotomy_fuzz_totality():
     rng = stream(0xD1C0)
     for trial in range(150):
         g = seeded_connected_graph(trial, max_n=48)
-        dmax = max(g.closed_degree(v) for v in range(g.n))
+        dmax = max(closed_degree(g, v) for v in range(g.n))
         params = ExtractorParams(T=1 + trial % 5, D=dmax + rng.below(3))
         x = rng.below(g.n)
         w = path_or_empty_bipartite(g, x, params)
@@ -118,7 +118,7 @@ def test_dichotomy_fuzz_totality():
 
 def test_determinism():
     g = seeded_connected_graph(99, max_n=40)
-    params = ExtractorParams(2, max(g.closed_degree(v) for v in range(g.n)))
+    params = ExtractorParams(2, max(closed_degree(g, v) for v in range(g.n)))
     assert (path_or_empty_bipartite(g, 0, params)
             == path_or_empty_bipartite(g, 0, params))
 
@@ -127,7 +127,7 @@ def test_pair_sides_avoid_start_neighborhood():
     # when no recursion happened, both sides live outside N[x]
     for trial in range(60):
         g = seeded_connected_graph(1000 + trial, max_n=30)
-        dmax = max(g.closed_degree(v) for v in range(g.n))
+        dmax = max(closed_degree(g, v) for v in range(g.n))
         trace: list = []
         w = path_or_empty_bipartite(g, 0, ExtractorParams(3, dmax), trace=trace)
         if isinstance(w, BipartitePairWitness) and len(trace) == 1:
@@ -140,7 +140,7 @@ def test_rational_threshold_instantiation():
     g = seeded_connected_graph(7, max_n=40)
     n = g.n
     c = Fraction(1, 10)
-    dmax = max(g.closed_degree(v) for v in range(g.n))
+    dmax = max(closed_degree(g, v) for v in range(g.n))
     eps = max(Fraction(dmax, n), Fraction(1, 10))
     params = ExtractorParams(T=-(-c.numerator * n // c.denominator),
                              D=-(-eps.numerator * n // eps.denominator))

@@ -11,7 +11,7 @@ from pathcert import formats
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               parse_edge_list, parse_fraction,
                               report_to_dict, witness_from_dict, witness_from_json,
-                              witness_to_dict, witness_to_json, write_edge_list)
+                              witness_to_dict, write_edge_list)
 from pathcert.generators import gnp, random_cograph
 from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
 from pathcert.patterns import path_certificate
@@ -21,7 +21,7 @@ from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness)
 
 from conftest import (half_density_graph, oracle_decode_graph6, oracle_parse_edge_list,
-                      oracle_write_edge_list, threshold_graph)
+                      oracle_write_edge_list, randint, threshold_graph, witness_to_json)
 
 
 def test_known_strings():
@@ -90,7 +90,7 @@ def test_long_size_form_matches_reference(n, m):
 def test_long_size_form_roundtrip():
     for seed in range(40):
         n = 63 + stream(0xE7, seed).below(140)
-        g = gnp(n, Fraction(stream(0xE8, seed).randint(0, 10), 10), stream(0xE9, seed))
+        g = gnp(n, Fraction(randint(stream(0xE8, seed), 0, 10), 10), stream(0xE9, seed))
         assert decode_graph6(encode_graph6(g)) == g
     assert decode_graph6(">>graph6<<" + encode_graph6(path_graph(64))) == path_graph(64)
 
@@ -244,7 +244,7 @@ def _random_input(seed: int):
     either way round, in a shuffled order."""
     rng = stream(0xE10, seed)
     n = 1 + rng.below(30)
-    g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+    g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
     pairs = [(v, u) if rng.below(2) else (u, v) for u, v in g.edges()]
     pairs += [pairs[rng.below(len(pairs))] for _ in range(rng.below(3))] if pairs else []
     for i in range(len(pairs) - 1, 0, -1):
@@ -623,7 +623,7 @@ def test_report_serialization():
     data = report_to_dict(r)
     assert data["outcome"] == r.outcome
     assert data["constants"]["epsilon"] == "1/24"
-    assert "guarantee_tier" in data["trace"]
+    assert data["trace"]["sides"] == sorted(r.witness.side_sizes)
     json.dumps(data)  # JSON-safe end to end
 
 

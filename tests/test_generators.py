@@ -12,7 +12,7 @@ from pathcert.patterns import is_pk_copk_free
 from pathcert import rng as rng_module
 from pathcert.rng import SplitMix64, stream
 
-from conftest import brute_has_induced_p4, contains_induced, oracle_gnp
+from conftest import bernoulli, brute_has_induced_p4, contains_induced, degree, oracle_gnp
 
 # Probabilities for the batched draw: the trivial ones, denominators that
 # divide 256 (decided by one byte of each draw) and ones that do not, and
@@ -47,7 +47,7 @@ def test_gnp_memory_is_bounded():
             tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
     # The same graph as when the edges were collected in a list first, and
-    # as when each pair was drawn by its own rng.bernoulli call.
+    # as when each pair was drawn by its own scalar bernoulli call.
     assert g.edge_count() == 562371
     assert (hashlib.sha256(encode_graph6(g).encode()).hexdigest()
             == "bc83de966d33ff2fc769c6a9b3fb134155e4257a7254da19a020dee17e1f3cb7")
@@ -60,7 +60,7 @@ def test_bernoulli_bytes_equals_the_scalar_loop(p):
         for count in (0, 1, 2, lanes - 1, lanes, lanes + 1):
             batched, scalar = stream(seed), stream(seed)
             out = batched.bernoulli_bytes(p.numerator, p.denominator, count)
-            assert out == bytes(scalar.bernoulli(p.numerator, p.denominator)
+            assert out == bytes(bernoulli(scalar, p.numerator, p.denominator)
                                 for _ in range(count))
             assert batched._state == scalar._state
             assert batched.next_u64() == scalar.next_u64()
@@ -72,7 +72,7 @@ def test_bernoulli_bytes_rejects_like_below():
     den = 2 ** 63 + 1
     batched, scalar = stream(3), stream(3)
     out = batched.bernoulli_bytes(2 ** 62, den, 3 * rng_module._LANES)
-    assert out == bytes(scalar.bernoulli(2 ** 62, den) for _ in range(len(out)))
+    assert out == bytes(bernoulli(scalar, 2 ** 62, den) for _ in range(len(out)))
     assert batched._state == scalar._state
     assert 0 < sum(out) < len(out)
 
@@ -131,7 +131,7 @@ def test_named_families():
     g = generate(GeneratorSpec("complete-bipartite", 7))
     assert g.n == 7 and g.edge_count() == 3 * 4
     g = generate(GeneratorSpec("friendship", 7))
-    assert g.degree(0) == 6
+    assert degree(g, 0) == 6
     with pytest.raises(ValueError):
         generate(GeneratorSpec("friendship", 6))
 
@@ -189,5 +189,6 @@ def test_below_exact_and_in_range():
 
 def test_bernoulli_exactness():
     rng = stream(12)
-    assert not any(rng.bernoulli(0, 7) for _ in range(100))
-    assert all(rng.bernoulli(7, 7) for _ in range(100))
+    assert rng.bernoulli_bytes(0, 7, 100) == bytes(100)
+    assert rng.bernoulli_bytes(7, 7, 100) == b"\1" * 100
+    assert rng.next_u64() == stream(12).next_u64()  # neither drew

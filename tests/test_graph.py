@@ -12,7 +12,7 @@ from pathcert import cographs, graph
 from pathcert.generators import gnp
 from pathcert.rng import stream
 
-from conftest import masked_corpus, reference_bits, reference_component_masks
+from conftest import degree, masked_corpus, randint, reference_bits, reference_component_masks
 
 
 def edge_set(g):
@@ -21,7 +21,7 @@ def edge_set(g):
 
 def test_build_p3_degree_sequence():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert [degree(g, v) for v in range(3)] == [1, 2, 1]
 
 
 def test_build_single_vertex():
@@ -160,7 +160,7 @@ def test_degree_split_between_graph_and_complement():
         g = gnp(17, Fraction(2, 5), stream(8, seed))
         co = complement(g)
         for v in range(g.n):
-            assert g.degree(v) + co.degree(v) == g.n - 1
+            assert degree(g, v) + degree(co, v) == g.n - 1
 
 
 def test_induced_consecutive_c5_is_p3():
@@ -316,7 +316,7 @@ def test_inner_degrees_on_the_full_mask_equal_the_member_loop():
     # (whose rows outside the complemented mask are 0).
     rng = stream(0x1DE6)
     graphs = [path_graph(1), empty_graph(1), path_graph(2), complete_graph(5), cycle_graph(40)]
-    graphs += [gnp(n, Fraction(rng.randint(0, 8), 8), rng) for n in (3, 30, 200)]
+    graphs += [gnp(n, Fraction(randint(rng, 0, 8), 8), rng) for n in (3, 30, 200)]
     cases = [((), 0)]
     for g in graphs:
         part = graph.mask_of(v for v in range(g.n) if rng.below(3)) or 1
@@ -370,7 +370,7 @@ def test_early_stopping_bits_consumers_match_the_low_bit_loop(n, seed, shape):
     in co_component_masks, cographs._splitter) and the cotree built on them
     give the same answers as with the low-bit loop as lister."""
     rng = stream(0xB176, seed)
-    g = gnp(n, Fraction(rng.randint(0, 8), 8), rng)
+    g = gnp(n, Fraction(randint(rng, 0, 8), 8), rng)
     if shape == "full":
         mask = g.full_mask
     else:
@@ -393,8 +393,8 @@ def test_early_stopping_bits_consumers_match_the_low_bit_loop(n, seed, shape):
 def test_friendship_graph_shape():
     g = friendship_graph(3)
     assert g.n == 7
-    assert g.degree(0) == 6
-    assert all(g.degree(v) == 2 for v in range(1, 7))
+    assert degree(g, 0) == 6
+    assert all(degree(g, v) == 2 for v in range(1, 7))
 
 
 def test_empty_and_complete_edge_counts():

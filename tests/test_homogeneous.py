@@ -13,7 +13,7 @@ from pathcert.pipeline import log2_bounds
 from pathcert.rng import stream
 from pathcert.witnesses import verify_homogeneous
 
-from conftest import (best_homogeneous_sizes, brute_peel, planted_sparse_graph,
+from conftest import (best_homogeneous_sizes, brute_peel, planted_sparse_graph, randint,
                       reference_degree_planes)
 
 
@@ -99,8 +99,8 @@ def test_peel_matches_brute_on_every_graph_up_to_5_vertices():
 def test_peel_matches_brute_on_seeded_gnp_and_cographs():
     for seed in range(40):
         rng = stream(0x9EE1, seed)
-        n = rng.randint(6, 60)
-        assert_peel_matches_brute(gnp(n, Fraction(rng.randint(0, 10), 10), rng))
+        n = randint(rng, 6, 60)
+        assert_peel_matches_brute(gnp(n, Fraction(randint(rng, 0, 10), 10), rng))
         assert_peel_matches_brute(random_cograph(n, rng))
 
 
@@ -194,8 +194,8 @@ def test_degree_planes_are_built_once_at_the_first_deletion(monkeypatch):
     deleting = 0
     for seed in range(40):
         rng = stream(0x9EE3, seed)
-        n = rng.randint(2, 70)
-        for g in (gnp(n, Fraction(rng.randint(0, 10), 10), rng), random_cograph(n, rng)):
+        n = randint(rng, 2, 70)
+        for g in (gnp(n, Fraction(randint(rng, 0, 10), 10), rng), random_cograph(n, rng)):
             for mask in (g.full_mask, sum(1 << v for v in range(n) if rng.below(4)) or 1):
                 for eps in (Fraction(0), Fraction(1, 30), Fraction(1, 3)):
                     for dense in (False, True):
@@ -246,7 +246,7 @@ def test_prune_half_guarantee_on_planted_sparse_sets():
     rng = stream(0x6060)
     for trial in range(120):
         eps = Fraction(1, 10) if trial % 2 == 0 else Fraction(1, 30)
-        s = rng.randint(2, 120)
+        s = randint(rng, 2, 120)
         g = planted_sparse_graph(s, eps, rng)
         out = prune_high_degree(g, g.full_mask, eps)
         assert out.bit_count() >= -(-s // 2)
@@ -258,10 +258,10 @@ def test_prune_half_guarantee_on_planted_sparse_sets():
 def test_prune_matches_the_rational_threshold():
     for seed in range(60):
         rng = stream(0x6161, seed)
-        n = rng.randint(1, 50)
-        g = gnp(n, Fraction(rng.randint(0, 10), 10), rng)
+        n = randint(rng, 1, 50)
+        g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
         s = [v for v in range(n) if rng.below(3)] or [0]
-        eps = Fraction(rng.randint(0, 12), rng.randint(1, 40))
+        eps = Fraction(randint(rng, 0, 12), randint(rng, 1, 40))
         mask = mask_of(s)
         expected = mask_of(v for v in s
                            if (g.adj[v] & mask).bit_count() <= 2 * eps * len(s))

@@ -86,3 +86,45 @@ def test_noqa_imports_are_bench_bindings(path):
         if isinstance(node, ast.ImportFrom) and node.level >= 1 and is_noqa(node, lines):
             bound |= {(path.stem, alias.asname or alias.name) for alias in node.names}
     assert not bound - bench_bindings(), f"{path.name} keeps imports no bench binding reads"
+
+
+def public_definitions(path):
+    """(name, first line, last line) of each public top-level function and
+    class of a module, and of each public method of its public classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.name, item.lineno, item.end_lineno) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def names_read(path) -> list[tuple[str, int]]:
+    """(name, line) of each name a file reads, as a variable, an attribute,
+    an imported name or a string equal to it (the tracer binds by string)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    """Each public function, class and method of the package is named
+    outside its own definition: elsewhere in the package (the re-exports of
+    ``__init__`` included) or in bench/*.py.  A name only the tests read
+    belongs in tests/conftest.py."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    reads = {path: names_read(path) for path in sources}
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name, first, last in public_definitions(path)
+              if not any(read == name and (where != path or not first <= line <= last)
+                         for where, names in reads.items() for read, line in names)]
+    assert not unread, f"only the tests name {unread}"

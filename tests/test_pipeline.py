@@ -8,8 +8,8 @@ import pytest
 from pathcert import cographs, extractor, graph, homogeneous, pipeline
 from pathcert.cographs import OracleError
 from pathcert.generators import gnp, random_cograph, rejection_sample_ck
-from pathcert.graph import (complete_graph, component_masks, cycle_graph, empty_graph,
-                            path_graph)
+from pathcert.graph import (build_graph, complete_graph, component_masks, cycle_graph,
+                            empty_graph, path_graph)
 from pathcert.patterns import find_induced_path, is_pk_copk_free
 from pathcert.formats import constants_to_dict
 from pathcert.pipeline import (choose_constants, eh_homogeneous, extract_linear_bipartite,
@@ -19,7 +19,8 @@ from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness, PatternEmbedding, verify, verify_embedding)
 
 from conftest import (brute_max_clique_size, brute_max_stable_size,
-                      oracle_cograph_alpha_omega, small_graphs, stack_depth, threshold_graph)
+                      oracle_cograph_alpha_omega, randint, small_graphs, stack_depth,
+                      threshold_graph)
 
 
 def test_choose_constants_k5():
@@ -103,7 +104,7 @@ def test_pipeline_smallest_inputs():
 def test_pipeline_trace_records_stages():
     g = random_cograph(40, stream(0x90))
     r = extract_linear_bipartite(g, 4)
-    for key in ("stage1", "s", "s_prime", "T", "D", "guarantee_tier"):
+    for key in ("stage1", "s", "s_prime", "T", "D", "stage3"):
         assert key in r.trace
     assert verify(g, r.witness)
 
@@ -147,7 +148,6 @@ def test_disconnected_survivor_recurses_into_largest_component():
     # P60 plus an isolated vertex: the pruned sparse set is all 61 vertices,
     # its components are [60, 1], the 1-side cannot reach T, so the run
     # recurses into the path component and walks it
-    from pathcert.graph import build_graph
     edges = [(i, i + 1) for i in range(59)]
     g = build_graph(61, edges)
     r = extract_linear_bipartite(g, 5)
@@ -166,21 +166,49 @@ def test_complementation_coherence_forced_inputs():
         assert (wa.X, wa.Y) == (wb.X, wb.Y)
 
 
-def test_linear_tier_not_claimed_at_desk_scale():
-    for seed in range(20):
-        g = gnp(30, Fraction(1, 2), stream(0x95, seed))
-        r = extract_linear_bipartite(g, 5)
-        assert r.trace["guarantee_tier"] in ("run-derived", "trivial")
+LEMMA_KS = (2, 3, 4, 5, 8)
 
 
-def test_run_derived_tier_sides_meet_T():
-    for seed in range(30):
-        g = random_cograph(30, stream(0x96, seed))
-        if g.n < 2:
-            continue
-        r = extract_linear_bipartite(g, 4)
-        if r.outcome == "bipartite-witness" and r.trace["guarantee_tier"] == "run-derived":
-            assert min(r.witness.side_sizes) >= r.trace["T"]
+def every_small_mask():
+    """Every labelled graph on 2-5 vertices on its full mask, then K_n for
+    n = 2..8 as the mask of a larger graph (a path hangs off it): a complete
+    mask is the one input on which stage 1's sparse peel keeps one vertex."""
+    for g in small_graphs(5):
+        if g.n >= 2:
+            yield g, g.full_mask
+    for n in range(2, 9):
+        edges = [(u, v) for v in range(n) for u in range(v)] + [(n - 1, n), (n, n + 1)]
+        yield build_graph(n + 2, edges), (1 << n) - 1
+
+
+def test_stage1_keeps_two_vertices_on_every_small_mask():
+    # Step 1 of the proof beside extract_linear_bipartite's assert.
+    for g, mask in every_small_mask():
+        for k in LEMMA_KS:
+            w = homogeneous.find_epsilon_homogeneous(g, Fraction(1, 6 * k), mask=mask)
+            assert w.size >= 2, (g.adj, mask, k)
+
+
+def test_every_outcome_is_a_pair_of_sides_T_or_a_k_path():
+    # The proof's conclusion, on every small mask, the seeded 30-vertex
+    # graphs and cographs, and paths long enough to certify: a pair's sides
+    # reach the run's T, and a pattern certificate has exactly k vertices.
+    runs = [(g, mask, k) for g, mask in every_small_mask() for k in LEMMA_KS]
+    runs += [(path_graph(12 * k), None, k) for k in LEMMA_KS]
+    runs += [(gnp(30, Fraction(1, 2), stream(0x95, seed)), None, 5) for seed in range(20)]
+    runs += [(g, None, 4) for g in (random_cograph(30, stream(0x96, seed)) for seed in range(30))
+             if g.n >= 2]
+    outcomes = set()
+    for g, mask, k in runs:
+        r = extract_linear_bipartite(g, k, mask)
+        outcomes.add(r.outcome)
+        assert r.trace["s_prime"] >= 2  # step 2
+        if r.outcome == "bipartite-witness":
+            assert min(r.witness.side_sizes) >= r.trace["T"], (g.adj, mask, k)
+        else:
+            assert r.outcome == "pattern-certificate", (g.adj, mask, k)
+            assert len(r.witness.mapping) == r.trace["path_length"] == k
+    assert outcomes == {"bipartite-witness", "pattern-certificate"}
 
 
 def test_eh_edgeless_all_vertices():
@@ -267,8 +295,8 @@ def test_eh_is_exact_on_every_small_cograph():
 def test_eh_is_exact_on_seeded_cographs():
     for seed in range(40):
         rng = stream(0x97, seed)
-        _assert_exact_on_cograph(random_cograph(rng.randint(2, 30), rng, balanced=seed % 4 == 0),
-                                 rng.randint(2, 6))
+        _assert_exact_on_cograph(random_cograph(randint(rng, 2, 30), rng, balanced=seed % 4 == 0),
+                                 randint(rng, 2, 6))
     for n in (2, 9, 30):
         _assert_exact_on_cograph(threshold_graph(n))
     # The whole cograph is folded: the sets of the sweeping fold oracle, the

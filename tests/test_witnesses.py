@@ -15,7 +15,8 @@ from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 verify_induced_path)
 from pathcert.graph import complement, path_graph
 
-from conftest import edges_within, pairwise_verify_embedding, pairwise_verify_induced_path
+from conftest import (edges_within, pairwise_verify_embedding, pairwise_verify_induced_path,
+                      randint)
 
 
 def test_path_c5_four_consecutive_accepts():
@@ -49,7 +50,7 @@ def test_induced_path_verdicts_match_the_pairwise_check():
     order."""
     for seed in range(90):
         rng = stream(0x1DA7, seed)
-        n = rng.randint(3, 120)
+        n = randint(rng, 3, 120)
         host = n + rng.below(20)
         order: list[int] = []
         while len(order) < n:
@@ -64,9 +65,9 @@ def test_induced_path_verdicts_match_the_pairwise_check():
             i = rng.below(n - 1)
             edges.discard((order[i], order[i + 1]))
         else:  # one chord, or several
-            for _ in range(1 if seed % 3 == 0 else rng.randint(2, 6)):
+            for _ in range(1 if seed % 3 == 0 else randint(rng, 2, 6)):
                 i = rng.below(n - 2)
-                edges.add((order[i], order[rng.randint(i + 2, n - 1)]))
+                edges.add((order[i], order[randint(rng, i + 2, n - 1)]))
         w = InducedPathWitness(tuple(order))
         assert verify_induced_path(intact, w)
         got = verify_induced_path(build_graph(host, edges), w)
@@ -96,7 +97,7 @@ def embedding_cases(rng, pattern):
         mutated = set(edges)
         for _ in range(flips):
             i = rng.below(k - 1)
-            mutated ^= {frozenset((m[i], m[rng.randint(i + 1, k - 1)]))}
+            mutated ^= {frozenset((m[i], m[randint(rng, i + 1, k - 1)]))}
         yield build_graph(size, map(tuple, mutated)), m
     host = build_graph(size, map(tuple, edges))
     i, j = rng.below(k), rng.below(k)
@@ -104,7 +105,7 @@ def embedding_cases(rng, pattern):
     swapped[i], swapped[j] = m[j], m[i]
     yield host, swapped
     if size > k:
-        yield host, m[:i] + [order[rng.randint(k, size - 1)]] + m[i + 1:]
+        yield host, m[:i] + [order[randint(rng, k, size - 1)]] + m[i + 1:]
     yield host, m[:-1] + [m[0]]
     yield host, m[:-1] + [size]
 
@@ -116,9 +117,9 @@ def test_embedding_verdicts_match_the_pairwise_check():
     rejected = 0
     for seed in range(60):
         rng = stream(0xE3B, seed)
-        k = rng.randint(1, 24)
+        k = randint(rng, 1, 24)
         for pattern in (path_graph(k), complement(path_graph(k)),
-                        gnp(k, Fraction(rng.randint(0, 10), 10), rng)):
+                        gnp(k, Fraction(randint(rng, 0, 10), 10), rng)):
             for host, m in embedding_cases(rng, pattern):
                 w = PatternEmbedding("pattern", pattern, tuple(m))
                 got = verify_embedding(host, w)
@@ -309,8 +310,8 @@ def test_soundness_fuzz_mutated_witnesses_match_direct_recheck():
     rng = stream(0xFADE)
     checked = 0
     for trial in range(300):
-        n = rng.randint(4, 12)
-        g = gnp(n, Fraction(rng.randint(1, 9), 10), stream(0xFADE, trial))
+        n = randint(rng, 4, 12)
+        g = gnp(n, Fraction(randint(rng, 1, 9), 10), stream(0xFADE, trial))
         # a valid path via the library search, a pair, and a homogeneous set
         from pathcert.patterns import find_induced_path
         res = find_induced_path(g, min(4, n))
@@ -357,7 +358,7 @@ def test_soundness_fuzz_mutated_embeddings():
     rng = stream(0xFEED)
     checked = 0
     for trial in range(200):
-        n = rng.randint(5, 12)
+        n = randint(rng, 5, 12)
         g = gnp(n, Fraction(1, 2), stream(0xFEED, trial))
         res = find_induced_path(g, 4)
         if not res.found:
