@@ -189,26 +189,47 @@ def test_stage1_keeps_two_vertices_on_every_small_mask():
             assert w.size >= 2, (g.adj, mask, k)
 
 
+def _assert_pair_of_sides_T_or_k_path(g, k, mask=None):
+    r = extract_linear_bipartite(g, k, mask)
+    assert r.trace["s_prime"] >= 2  # step 2
+    if r.outcome == "bipartite-witness":
+        assert min(r.witness.side_sizes) >= r.trace["T"], (g.adj, mask, k)
+    else:
+        assert r.outcome == "pattern-certificate", (g.adj, mask, k)
+        assert len(r.witness.mapping) == r.trace["path_length"] == k
+    return r
+
+
 def test_every_outcome_is_a_pair_of_sides_T_or_a_k_path():
-    # The proof's conclusion, on every small mask, the seeded 30-vertex
-    # graphs and cographs, and paths long enough to certify: a pair's sides
-    # reach the run's T, and a pattern certificate has exactly k vertices.
+    # The proof's conclusion, on every small mask and on paths long enough to
+    # certify: a pair's sides reach the run's T, and a pattern certificate
+    # has exactly k vertices.
     runs = [(g, mask, k) for g, mask in every_small_mask() for k in LEMMA_KS]
     runs += [(path_graph(12 * k), None, k) for k in LEMMA_KS]
-    runs += [(gnp(30, Fraction(1, 2), stream(0x95, seed)), None, 5) for seed in range(20)]
-    runs += [(g, None, 4) for g in (random_cograph(30, stream(0x96, seed)) for seed in range(30))
-             if g.n >= 2]
-    outcomes = set()
-    for g, mask, k in runs:
-        r = extract_linear_bipartite(g, k, mask)
-        outcomes.add(r.outcome)
-        assert r.trace["s_prime"] >= 2  # step 2
-        if r.outcome == "bipartite-witness":
-            assert min(r.witness.side_sizes) >= r.trace["T"], (g.adj, mask, k)
-        else:
-            assert r.outcome == "pattern-certificate", (g.adj, mask, k)
-            assert len(r.witness.mapping) == r.trace["path_length"] == k
+    outcomes = {_assert_pair_of_sides_T_or_k_path(g, k, mask).outcome for g, mask, k in runs}
     assert outcomes == {"bipartite-witness", "pattern-certificate"}
+
+
+def test_linear_tier_not_claimed_at_desk_scale():
+    # The linear pair c_k n is below one vertex at n = 30, far under n_min:
+    # a report claims only the run's own T, never a linear tier.
+    for seed in range(20):
+        g = gnp(30, Fraction(1, 2), stream(0x95, seed))
+        r = _assert_pair_of_sides_T_or_k_path(g, 5)
+        assert r.constants.c_k_log2 + math.log2(g.n) < 0
+        assert g.n < r.constants.n_min
+        assert "guarantee_tier" not in r.trace
+
+
+def test_run_derived_tier_sides_meet_T():
+    pairs = 0
+    for seed in range(30):
+        g = random_cograph(30, stream(0x96, seed))
+        if g.n < 2:
+            continue
+        r = _assert_pair_of_sides_T_or_k_path(g, 4)
+        pairs += r.outcome == "bipartite-witness"
+    assert pairs > 0
 
 
 def test_eh_edgeless_all_vertices():
