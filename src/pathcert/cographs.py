@@ -163,7 +163,7 @@ def cotree(g: Graph, mask: int | None = None):
             continue
         size = part.bit_count()
         lonely = by_degree.get(offset, 0) & part
-        hubs = 0 if lonely else by_degree.get(offset + size - 1, 0) & part
+        hubs = by_degree.get(offset + size - 1, 0) & part  # 0 if lonely: a hub sees all
         if lonely or hubs:
             kind, single = ("union", lonely) if lonely else ("join", hubs)
             rest = part ^ single

@@ -16,11 +16,12 @@ Each level finds the components beyond the start without sweeping all of
 them, after the search of Even and Shiloach ("An on-line edge-deletion
 problem", J. ACM 1981).  Every component holds a seed, a neighbour of one of
 the start's neighbours.  One breadth-first search per seed advances a layer
-per round, searches that meet fuse, and the level stops as soon as at most
-one search is still open: that one is whatever the closed ones leave.  A
-level thus takes as many rounds as the parts other than the largest need to
-close, and the largest part is not swept to its end.  A full sweep per level
-would make a walk of L levels cost L sweeps of the graph.
+per round, a search that meets one before it in the round is dropped, and
+the level stops as soon as at most one search is still open: that one is
+whatever the closed ones leave.  A level thus takes as many rounds as the
+parts other than the largest need to close, and the largest part is not
+swept to its end.  A full sweep per level would make a walk of L levels
+cost L sweeps of the graph.
 
 A level whose start has one neighbour y, and y one neighbour beyond, needs
 no search: all of the mask but the start and y is one part, so the level is
@@ -95,39 +96,32 @@ def _components_from_seeds(adj, u: int, seeds: int) -> list[int]:
     """``component_masks(adj, u)`` (same masks, same order) when every
     component of the subgraph on ``u`` contains a vertex of ``seeds``.
 
-    One breadth-first search per seed advances a layer per round; searches
-    whose discovered sets meet are in one component and fuse.  A search
-    whose frontier runs dry is a whole component.  Once at most one search
-    is open, the rest of ``u`` is a single component and is never swept.
+    One breadth-first search per seed advances a layer per round.  A search
+    whose frontier runs dry holds a whole component, and once at most one
+    search is open, the rest of ``u`` is a single component and is never
+    swept.  A search whose reach meets what an earlier search of the same
+    round reached is dropped:
+
+    - a reach stays inside its search's component, so the two share one;
+    - the first search of each component in a round is never dropped, so
+      every component that is not closed keeps an open search;
+    - hence, once at most one search is open, ``left`` is one component.
     """
-    if seeds & (seeds - 1) == 0:
-        return [u] if u else []
-    searches = [(bit, bit) for bit in (1 << v for v in bits(seeds))]  # (seen, frontier)
+    searches = [(1 << v, 1 << v) for v in bits(seeds)]  # (seen, frontier)
     parts = []
     left = u  # what the closed parts leave
     while len(searches) > 1:
-        fused: list[tuple[int, int]] = []  # (seen, expanded) per fused search
-        touched = 0
+        kept, touched = [], 0
         for seen, frontier in searches:
-            reach, done = seen | neighbours(adj, frontier) & u, seen
-            if reach & touched:
-                rest = []
-                for other_reach, other_done in fused:
-                    if other_reach & reach:
-                        reach |= other_reach
-                        done |= other_done
-                    else:
-                        rest.append((other_reach, other_done))
-                fused = rest
-            fused.append((reach, done))
+            reach = seen | neighbours(adj, frontier) & u
+            if not reach & touched:  # else a search met earlier holds its component
+                if reach == seen:
+                    parts.append(seen)
+                    left ^= seen
+                else:
+                    kept.append((reach, reach ^ seen))
             touched |= reach
-        searches = []
-        for reach, done in fused:
-            if reach == done:
-                parts.append(reach)
-                left &= ~reach
-            else:
-                searches.append((reach, reach & ~done))
+        searches = kept
     if left:
         parts.append(left)
     parts.sort(key=by_size)
@@ -206,8 +200,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
             # Some neighbour of the start reaches c1, since the mask is connected.
-            y = nb.bit_length() - 1 if nb & (nb - 1) == 0 else next(
-                v for v in bits(nb) if adj[v] & c1)
+            y = next(v for v in bits(nb) if adj[v] & c1)
             levels.append({"n": m, "case": "grow", "c1": c1_size, "via": y})
             path.append(start)
             start, start_bit, m = y, 1 << y, c1_size + 1

@@ -66,22 +66,18 @@ def gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
     return Graph(n, symmetrised(upper))
 
 
-def random_cograph(n: int, rng: SplitMix64, balanced: bool = False) -> Graph:
+def random_cograph(n: int, rng: SplitMix64) -> Graph:
     """Random cotree on vertices 0..n-1 (contiguous ranges per subtree); each
     internal node is a disjoint union or a join with probability 1/2.
 
-    The output never induces a P4.  ``balanced`` forces every split at the
-    midpoint (sizes then halve all the way down).
+    The output never induces a P4.
     """
     rows = [0] * n
 
     def build(lo: int, hi: int) -> None:
         if hi - lo == 1:
             return
-        if balanced:
-            cut = lo + (hi - lo) // 2
-        else:
-            cut = lo + 1 + rng.below(hi - lo - 1)
+        cut = lo + 1 + rng.below(hi - lo - 1)
         join = rng.below(2) == 1
         build(lo, cut)
         build(cut, hi)

@@ -132,6 +132,31 @@ def masked_corpus(tag: int, count: int, max_n: int):
             yield g, sum(1 << v for v in range(n) if rng.below(4)) or 1
 
 
+def balanced_cograph(n: int, rng: SplitMix64) -> Graph:
+    """A random cotree on 0..n-1 split at the midpoint at every node, so
+    the sizes halve all the way down.  Each node is a union or a join by
+    one ``rng.below(2)`` draw, made before its children's, left child first,
+    as ``random_cograph`` draws its nodes."""
+    rows = [0] * n
+
+    def build(lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            return
+        cut = lo + (hi - lo) // 2
+        join = rng.below(2) == 1
+        build(lo, cut)
+        build(cut, hi)
+        if join:
+            left, right = mask_of(range(lo, cut)), mask_of(range(cut, hi))
+            for v in range(lo, cut):
+                rows[v] |= right
+            for v in range(cut, hi):
+                rows[v] |= left
+
+    build(0, n)
+    return Graph(n, tuple(rows))
+
+
 def brute_max_stable_size(g: Graph) -> int:
     """Branch-and-bound maximum independent set size (independent oracle)."""
     adj = g.adj

@@ -26,9 +26,9 @@ from pathcert.rng import stream
 from pathcert.witnesses import (InducedPathWitness, PatternEmbedding, verify,
                                 verify_embedding)
 
-from conftest import (brute_max_clique_size, brute_max_stable_size, closed_degree,
-                      contains_induced, exact_bipartite_oracle, planted_sparse_graph, randint,
-                      seeded_connected_graph)
+from conftest import (balanced_cograph, brute_max_clique_size, brute_max_stable_size,
+                      closed_degree, contains_induced, exact_bipartite_oracle,
+                      planted_sparse_graph, randint, seeded_connected_graph)
 
 
 def _brute_p4_free(g: Graph) -> bool:
@@ -100,7 +100,7 @@ def _doubling_corpus_half():
             yield complete_bipartite_graph(n - n // 2, n // 2)
     for seed in range(20):
         n = 2 ** (1 + seed % 5)
-        yield random_cograph(n, stream(0xACC3, seed), balanced=True)
+        yield balanced_cograph(n, stream(0xACC3, seed))
 
 
 def _doubling_corpus_quarter():

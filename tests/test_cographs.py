@@ -14,10 +14,11 @@ from pathcert.patterns import find_induced_path
 from pathcert.rng import stream
 from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 
-from conftest import (brute_has_induced_p4, brute_max_clique_size, brute_max_stable_size,
-                      caterpillar_graph, check_cotree, contains_induced, exact_bipartite_oracle,
-                      find_pair_masks, oracle_cograph_alpha_omega, oracle_cotree,
-                      oracle_p4free_extract, randint, small_graphs, stack_depth, threshold_graph)
+from conftest import (balanced_cograph, brute_has_induced_p4, brute_max_clique_size,
+                      brute_max_stable_size, caterpillar_graph, check_cotree, contains_induced,
+                      exact_bipartite_oracle, find_pair_masks, oracle_cograph_alpha_omega,
+                      oracle_cotree, oracle_p4free_extract, randint, small_graphs, stack_depth,
+                      threshold_graph)
 
 
 def is_p4_free(g) -> bool:
@@ -368,7 +369,7 @@ def _masked_corpus():
     for seed in range(120):
         rng = stream(0x9B, seed)
         n = randint(rng, 1, 90)
-        for g in (random_cograph(n, rng), random_cograph(n, rng, balanced=True),
+        for g in (random_cograph(n, rng), balanced_cograph(n, rng),
                   gnp(n, Fraction(randint(rng, 0, 10), 10), rng),
                   threshold_graph(n), caterpillar_graph(n, seed)):
             yield g, g.full_mask

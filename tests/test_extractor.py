@@ -287,6 +287,21 @@ def test_seeded_components_equal_full_sweep_at_every_start():
                         == reference_component_masks(g.adj, u))
                 checked += 1
     assert checked > 3000
+    # Any seed set that meets every component: one to three seeds in each,
+    # plus about one vertex in eight.  A component with two or more seeds
+    # holds searches that meet, and all but one of them are dropped.
+    rng = stream(0xE5E3)
+    crowded = 0
+    for g, mask in masked_corpus(0xE5E2, 1500, 40):
+        parts = reference_component_masks(g.adj, mask)
+        seeds = sum(1 << v for v in bits(mask) if not rng.below(8))
+        for part in parts:
+            members = list(bits(part))
+            for _ in range(1 + rng.below(3)):
+                seeds |= 1 << members[rng.below(len(members))]
+        assert _components_from_seeds(g.adj, mask, seeds) == parts, (g, mask, seeds)
+        crowded += any((seeds & part).bit_count() > 1 for part in parts)
+    assert crowded > 2000
 
 
 def test_closed_degree_error_names_the_smallest_vertex_above_d():

@@ -12,7 +12,8 @@ from pathcert.patterns import is_pk_copk_free
 from pathcert import rng as rng_module
 from pathcert.rng import SplitMix64, stream
 
-from conftest import bernoulli, brute_has_induced_p4, contains_induced, degree, oracle_gnp
+from conftest import (balanced_cograph, bernoulli, brute_has_induced_p4, contains_induced, degree,
+                      oracle_gnp)
 
 # Probabilities for the batched draw: the trivial ones, denominators that
 # divide 256 (decided by one byte of each draw) and ones that do not, and
@@ -120,7 +121,7 @@ def test_cograph_is_p4_free():
 
 
 def test_balanced_cograph_shape():
-    g = random_cograph(16, stream(5), balanced=True)
+    g = balanced_cograph(16, stream(5))
     assert g.n == 16
     assert not brute_has_induced_p4(g)
 

@@ -18,7 +18,7 @@ from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness, PatternEmbedding, verify, verify_embedding)
 
-from conftest import (brute_max_clique_size, brute_max_stable_size,
+from conftest import (balanced_cograph, brute_max_clique_size, brute_max_stable_size,
                       oracle_cograph_alpha_omega, randint, small_graphs, stack_depth,
                       threshold_graph)
 
@@ -316,8 +316,8 @@ def test_eh_is_exact_on_every_small_cograph():
 def test_eh_is_exact_on_seeded_cographs():
     for seed in range(40):
         rng = stream(0x97, seed)
-        _assert_exact_on_cograph(random_cograph(randint(rng, 2, 30), rng, balanced=seed % 4 == 0),
-                                 randint(rng, 2, 6))
+        cograph = balanced_cograph if seed % 4 == 0 else random_cograph
+        _assert_exact_on_cograph(cograph(randint(rng, 2, 30), rng), randint(rng, 2, 6))
     for n in (2, 9, 30):
         _assert_exact_on_cograph(threshold_graph(n))
     # The whole cograph is folded: the sets of the sweeping fold oracle, the

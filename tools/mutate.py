@@ -1,6 +1,6 @@
-"""Mutation scan of the verifiers in ``src/pathcert/witnesses.py``.
+"""Mutation scan of the verifiers and the producers in ``src/pathcert``.
 
-Each mutant changes one operator of the module:
+Each mutant changes one operator of one module:
 
   compare   a comparison operator swapped for its neighbour
             (< and <=, > and >=, == and !=, is and is not, in and not in);
@@ -10,19 +10,29 @@ Each mutant changes one operator of the module:
   bitop     ``&`` and ``|`` swapped (``&=`` and ``|=`` too);
   bound     an int literal or attribute operand of an ordering or
             (in)equality comparison shifted by +1 and by -1 (``0`` -> ``1``,
-            ``g.n`` -> ``(g.n - 1)``); comparisons with a string are skipped.
+            ``g.n`` -> ``(g.n - 1)``); comparisons with a string are skipped;
+  early     the test of an ``if`` whose body ends in ``return``,
+            ``continue`` or ``break`` made False, and a conditional
+            expression ``a if c else b`` replaced by ``(b)``.
 
-Only the operator's or the bound's own characters are rewritten, so every
-other line of the module keeps its text.  The mutants run in a temporary
-copy of the repository: first ``tests/test_witnesses.py``, then, for a
-mutant that survives it, the full suite (which the unmutated copy must
-pass first).
-A run that fails or times out kills the mutant.  The output is one
-Markdown table row per mutant and the number that survive the full suite.
+The verifiers (``witnesses.py``) get the first five operators, the
+producers (``graph.py``, ``extractor.py``, ``cographs.py``,
+``homogeneous.py``, ``pipeline.py`` and ``formats.py``) get ``early``: a
+surviving producer mutant is either a missing test or a shortcut whose
+gain has to be shown.  Only the operator's, the bound's or the test's own
+characters are rewritten (a conditional expression keeps its else branch's
+text), so every other line of the module keeps its text.
+
+The mutants run in a temporary copy of the repository, which must first
+pass the full suite unmutated.  Each mutant runs the module's own test file
+(``tests/test_<module>.py``) and, if it survives that, the full suite.  A
+run that fails or times out kills the mutant.  The output is one Markdown
+table row per mutant and, per module, the number that survive the full
+suite.  A scan takes about half an hour on a 2-core x86 host.
 
 It needs the standard library and pytest only::
 
-    python tools/mutate_verifiers.py
+    python tools/mutate.py
 """
 
 from __future__ import annotations
@@ -38,11 +48,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src") / "pathcert" / "witnesses.py"
-# Seconds before a run of tests/test_witnesses.py (about 2 s on a 2-core x86
-# host) counts as a kill, since a mutant can loop forever; the full suite
-# (about 60 s there) gets ten times as long.
-TIMEOUT = 60.0
+VERIFIER = ("compare", "boolop", "reject", "bitop", "bound")
+PRODUCER = ("early",)
+# Module -> the operators it is scanned with.
+TARGETS = {"witnesses": VERIFIER, "graph": PRODUCER, "extractor": PRODUCER,
+           "cographs": PRODUCER, "homogeneous": PRODUCER, "pipeline": PRODUCER,
+           "formats": PRODUCER}
+# Seconds before a run of a module's test file (2-26 s on a 2-core x86 host)
+# counts as a kill, since a mutant can loop forever; the full suite (about
+# 60 s there) gets ten times as long.
+TIMEOUT = 90.0
 
 NEIGHBOUR = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=",
              ast.NotEq: "==", ast.Is: "is not", ast.IsNot: "is", ast.In: "not in",
@@ -60,8 +75,17 @@ class Mutant:
     change: str
 
 
+def source_path(module: str) -> Path:
+    return Path("src") / "pathcert" / f"{module}.py"
+
+
 def _offset(starts: list[int], line: int, col: int) -> int:
     return starts[line - 1] + col
+
+
+def _span(starts, node: ast.AST) -> tuple[int, int]:
+    return (_offset(starts, node.lineno, node.col_offset),
+            _offset(starts, node.end_lineno, node.end_col_offset))
 
 
 def _gap_edit(source: bytes, starts, before: ast.AST, after: ast.AST,
@@ -88,8 +112,7 @@ def _bounds(source: bytes, starts, node: ast.Compare) -> list[Mutant]:
         literal = isinstance(x, ast.Constant) and type(x.value) is int
         if not literal and not isinstance(x, ast.Attribute):
             continue
-        start = _offset(starts, x.lineno, x.col_offset)
-        end = _offset(starts, x.end_lineno, x.end_col_offset)
+        start, end = _span(starts, x)
         old = source[start:end].decode()
         for shift in (1, -1):
             new = str(x.value + shift) if literal else f"({old} {'+-'[shift < 0]} 1)"
@@ -108,8 +131,19 @@ def _rejects(stmt: ast.stmt) -> bool:
             and isinstance(value.args[0], ast.Constant) and value.args[0].value is False)
 
 
-def mutants(source: bytes) -> list[Mutant]:
-    """Every mutant of ``source``, in the order of the operators' positions."""
+def _is_false(test: ast.expr) -> bool:
+    return isinstance(test, ast.Constant) and test.value is False
+
+
+def _if_false(source: bytes, starts, node: ast.If, kind: str) -> Mutant:
+    start, end = _span(starts, node.test)
+    old = " ".join(source[start:end].decode().split())
+    return Mutant(kind, node.lineno, ((start, end, "False"),), f"`if {old}` -> `if False`")
+
+
+def mutants(source: bytes, operators: tuple[str, ...]) -> list[Mutant]:
+    """Every mutant of ``source`` by ``operators``, in the order of their
+    positions."""
     tree = ast.parse(source)
     starts = [0]
     for line in source.splitlines(keepends=True):
@@ -135,12 +169,19 @@ def mutants(source: bytes) -> list[Mutant]:
             edits = tuple(_gap_edit(source, starts, a, b, rf"\b{old}\b", new)
                           for a, b in zip(node.values, node.values[1:]))
             found.append(Mutant("boolop", node.lineno, edits, f"`{old}` -> `{new}`"))
-        elif isinstance(node, ast.If) and any(map(_rejects, node.body)):
-            test = node.test
-            edit = (_offset(starts, test.lineno, test.col_offset),
-                    _offset(starts, test.end_lineno, test.end_col_offset), "False")
-            old = source[edit[0]:edit[1]].decode()
-            found.append(Mutant("reject", node.lineno, (edit,), f"`if {old}` -> `if False`"))
+        # An if already False (a mutated copy's, where tests/test_mutate.py
+        # runs too) has no mutant that differs from it.
+        elif isinstance(node, ast.If) and not _is_false(node.test):
+            if any(map(_rejects, node.body)):
+                found.append(_if_false(source, starts, node, "reject"))
+            if isinstance(node.body[-1], (ast.Return, ast.Continue, ast.Break)):
+                found.append(_if_false(source, starts, node, "early"))
+        elif isinstance(node, ast.IfExp):  # the else branch, bracketed, is kept
+            lo, hi = _span(starts, node)
+            start, end = _span(starts, node.orelse)
+            test = " ".join(source[slice(*_span(starts, node.test))].decode().split())
+            found.append(Mutant("early", node.lineno, ((lo, start, "("), (end, hi, ")")),
+                                f"`... if {test} else b` -> `(b)`"))
         elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr)):
             old, new = ("&", "|") if isinstance(node.op, ast.BitAnd) else ("|", "&")
             edit = _gap_edit(source, starts, node.left, node.right, re.escape(old), new)
@@ -150,6 +191,7 @@ def mutants(source: bytes) -> list[Mutant]:
             old, new = ("&=", "|=") if isinstance(node.op, ast.BitAnd) else ("|=", "&=")
             edit = _gap_edit(source, starts, node.target, node.value, re.escape(old), new)
             found.append(Mutant("bitop", node.lineno, (edit,), f"`{old}` -> `{new}`"))
+    found = [m for m in found if m.kind in operators]
     found.sort(key=lambda m: m.edits[0][0])
     return found
 
@@ -173,48 +215,53 @@ def run_tests(work: Path, args: list[str], timeout: float) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
-def _run(source: bytes, found: list[Mutant]) -> list[str]:
-    """Each mutant's result: the witness tests on all, the full suite on survivors."""
-    witness_tests = ["tests/test_witnesses.py"]
+def _run(found: list[tuple[str, bytes, Mutant]]) -> list[str]:
+    """Each (module, source, mutant)'s result: the module's test file on
+    all, the full suite on survivors."""
     results = []
-    with tempfile.TemporaryDirectory(prefix="mutate-verifiers-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp) / "repo"
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_work"))
-        if run_tests(work, witness_tests, TIMEOUT) != "pass":
-            sys.exit("the unmutated copy fails tests/test_witnesses.py")
-        for i, mutant in enumerate(found):
-            (work / TARGET).write_bytes(apply(source, mutant))
-            results.append(run_tests(work, witness_tests, TIMEOUT))
-            print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
-        survivors = [i for i, result in enumerate(results) if result == "pass"]
-        (work / TARGET).write_bytes(source)
-        if survivors and run_tests(work, [], 10 * TIMEOUT) != "pass":
+        if run_tests(work, [], 10 * TIMEOUT) != "pass":
             sys.exit("the unmutated copy fails the full suite")
-        for i in survivors:
-            (work / TARGET).write_bytes(apply(source, found[i]))
-            results[i] = "full " + run_tests(work, [], 10 * TIMEOUT)
+        for i, (module, source, mutant) in enumerate(found):
+            (work / source_path(module)).write_bytes(apply(source, mutant))
+            results.append(run_tests(work, [f"tests/test_{module}.py"], TIMEOUT))
+            (work / source_path(module)).write_bytes(source)
             print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
-    words = {"fail": "killed by test_witnesses.py",
-             "timeout": "killed by test_witnesses.py (timeout)",
+        for i, result in enumerate(results):
+            if result != "pass":
+                continue
+            module, source, mutant = found[i]
+            (work / source_path(module)).write_bytes(apply(source, mutant))
+            results[i] = "full " + run_tests(work, [], 10 * TIMEOUT)
+            (work / source_path(module)).write_bytes(source)
+            print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
+    words = {"fail": "killed by test_{}.py", "timeout": "killed by test_{}.py (timeout)",
              "full pass": "survives the full suite", "full fail": "killed by the full suite",
              "full timeout": "killed by the full suite (timeout)"}
-    return [words[result] for result in results]
+    return [words[result].format(module) for (module, _, _), result in zip(found, results)]
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_bytes()
-    found = mutants(source)
-    for mutant in found:  # every mutant must still parse
-        ast.parse(apply(source, mutant))
-    results = _run(source, found)
-    print("| # | line | operator | change | result |")
-    print("|---|------|----------|--------|--------|")
-    for i, (m, result) in enumerate(zip(found, results), 1):
+    found = []
+    for module, operators in TARGETS.items():
+        source = (ROOT / source_path(module)).read_bytes()
+        for mutant in mutants(source, operators):
+            ast.parse(apply(source, mutant))  # every mutant must still parse
+            found.append((module, source, mutant))
+    results = _run(found)
+    print("| # | module | line | operator | change | result |")
+    print("|---|--------|------|----------|--------|--------|")
+    for i, ((module, _, m), result) in enumerate(zip(found, results), 1):
         change = m.change.replace("|", "\\|")  # a bare | would end the table cell
-        print(f"| {i} | {m.line} | {m.kind} | {change} | {result} |")
-    survivors = results.count("survives the full suite")
-    print(f"\n{len(found)} mutants, {survivors} survive the full suite")
+        print(f"| {i} | {module} | {m.line} | {m.kind} | {change} | {result} |")
+    print()
+    for module in TARGETS:
+        mine = [result for (name, _, _), result in zip(found, results) if name == module]
+        print(f"{module}.py: {len(mine)} mutants, "
+              f"{mine.count('survives the full suite')} survive the full suite")
     return 0
 
 
