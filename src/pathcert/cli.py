@@ -77,7 +77,8 @@ def _cmd_check(args) -> int:
 def _cmd_extract(args) -> int:
     g = _read_graph(args.input, args.format)
     if args.what == "path-or-bipartite":
-        params = ExtractorParams(args.T, args.D)
+        D = args.D if args.D is not None else max(map(int.bit_count, g.adj)) + 1
+        params = ExtractorParams(args.T, D)
         w = path_or_empty_bipartite(g, args.start, params)
         payload = formats.witness_to_dict(w)
         payload["guaranteed_path_vertices"] = path_guarantee(g.n, params)
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--T", type=int, default=1)
-    p.add_argument("--D", type=int, default=1)
+    p.add_argument("--D", type=int, help="closed-degree bound (default: the input's largest)")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("pipeline", help="full certifying extraction")

@@ -23,18 +23,6 @@ parts other than the largest need to close, and the largest part is not
 swept to its end.  A full sweep per level would make a walk of L levels
 cost L sweeps of the graph.
 
-A level whose start has one neighbour y, and y one neighbour beyond, needs
-no search: all of the mask but the start and y is one part, so the level is
-a grow with c1 = m - 2 >= m - D - T (m the mask's size; T + D >= 2).  The
-next level's start, mask, size and neighbours are then y, the mask without
-the start, m - 1 and y's neighbour beyond, and the walk carries them from
-level to level.  Such a level costs a constant number of big-int
-operations: the mask without the start, y's row inside it, and one-vertex
-tests of the start's neighbours and of y's.  That is every level on a path
-and every level after the first on a cycle, whose first level runs two
-searches that meet halfway.  A trace's ``via`` is the next start itself,
-in g's ids, so it costs nothing to record.
-
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
 specializes to 1 / (2 (eps + c)).
@@ -164,38 +152,23 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
 
     # Each grow level moves the start one step along the path and shrinks the
     # mask to the start plus the largest component beyond it; any other case
-    # ends the walk.  m, nb and start_bit are the mask's size, the start's
-    # neighbours in it and 1 << start.
+    # ends the walk.
     path: list[int] = []
-    start, start_bit = x, 1 << x
-    m = mask.bit_count()
-    nb = adj[start] & mask
+    start = x
     while True:
+        m = mask.bit_count()
         if k is not None and len(path) + 1 == k:
             levels.append({"n": m, "case": "stop"})
             return InducedPathWitness(tuple(path + [start]))
+        nb = adj[start] & mask
         if 3 * T + D >= m:
             levels.append({"n": m, "case": "base"})
             if m == 1:
                 return InducedPathWitness(tuple(path + [start]))
             assert nb, "connected subgraph of size >= 2 must give the start a neighbor"
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
-        rest = mask ^ start_bit
-        if nb & (nb - 1) == 0:
-            # One neighbour y, which joins the start to all of rest.  If y has
-            # one neighbour beyond, rest minus y is connected: a grow level
-            # with c1 = m - 2 >= m - D - T, whose next mask is rest.
-            y = nb.bit_length() - 1
-            seeds = adj[y] & rest
-            if seeds & (seeds - 1) == 0:
-                levels.append({"n": m, "case": "grow", "c1": m - 2, "via": y})
-                path.append(start)
-                mask, start, start_bit, m, nb = rest, y, nb, m - 1, seeds
-                continue
-        else:
-            seeds = neighbours(adj, nb)
-        u = rest ^ nb
-        comps = _components_from_seeds(adj, u, seeds & u)
+        u = mask ^ nb ^ 1 << start
+        comps = _components_from_seeds(adj, u, neighbours(adj, nb) & u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
@@ -203,9 +176,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             y = next(v for v in bits(nb) if adj[v] & c1)
             levels.append({"n": m, "case": "grow", "c1": c1_size, "via": y})
             path.append(start)
-            start, start_bit, m = y, 1 << y, c1_size + 1
-            mask = c1 | start_bit
-            nb = adj[y] & mask
+            start, mask = y, c1 | 1 << y
             continue
         # The parts partition u.  |c1| >= T stops the packing after c1, and
         # then |u - c1| > T, since |u| >= m - D and |c1| < m - D - T.

@@ -23,23 +23,21 @@ header "n m" in ``_runs_pay``: the dense path when 1 <= n <= 4096, m is
 past n * n / 16 and the text holds at least 4 characters per promised
 edge, the sparse path otherwise.
 
-The sparse path looks up each token's vertex id in a dict (a spelling such
-as "+1" or "007" goes through ``int()``) and ``graph.build_graph`` checks
-each edge and ORs it into both rows.  The dense path is the only builder
-of dense rows: it ORs each edge into its first endpoint's row only, and
-``graph.symmetrised`` adds the other side of every edge at the end.  For
-each run of lines with the same first token it ORs the run's second
-endpoints, looked up in a table of 1 << v, into that one row by a C-level
-reduce, with no Python statement per edge; a chunk whose first lines show
-runs of fewer than about 16 lines (a shuffled edge list) takes one OR per
-edge instead, which is cheaper there.  A chunk with a token the table does
-not hold, or with a self-loop, is read as ints as on the sparse path and
-retried, and a bad edge raises through ``build_graph``'s checks, so
-spellings such as "007" cost one ``int()`` per token and faults read the
-same on both paths.  Nothing but the rows outlives its chunk; the dense
-path also holds its table (n ints) and one block of the transpose (the
-n * n byte matrix up to n = 2048, 2.25 MB at n = 1500).  Beyond the text
-and the graph, parsing memory is bounded by the chunk plus those.
+The sparse path looks up each token's vertex id in a dict (a chunk with a
+spelling such as "+1" or "007" goes through ``int()`` whole) and
+``graph.build_graph`` checks each edge and ORs it into both rows.  The
+dense path is the only builder of dense rows: it ORs each edge into its
+first endpoint's row only, and ``graph.symmetrised`` adds the other side of
+every edge at the end.  For each run of lines with the same first token it
+ORs the run's second endpoints, looked up in a table of 1 << v, into that
+one row by a C-level reduce, with no Python statement per edge.  A chunk
+with a token the table does not hold, or with a self-loop, is read as on
+the sparse path, so a bad edge raises through ``build_graph``'s checks and
+faults read the same on both paths.  Nothing but the rows outlives its
+chunk; the dense path also holds its table (n ints) and one block of the
+transpose (the n * n byte matrix up to n = 2048, 2.25 MB at n = 1500).
+Beyond the text and the graph, parsing memory is bounded by the chunk plus
+those.
 
 An edge-list input with one fault is rejected with the same message
 whatever its layout.  With several faults the first one met is reported,
@@ -56,7 +54,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, groupby
-from operator import eq, ne, or_
+from operator import or_
 from typing import Iterator
 
 from .graph import Graph, build_graph, member_selectors, symmetrised
@@ -227,12 +225,12 @@ def _line_tokens(text: str) -> Iterator[list[str]]:
 
 
 def _vertex_ids(tokens: list[str], ids: dict[str, int]) -> list[int]:
-    """``tokens`` as ints: the usual spelling of a vertex id by one dict
-    lookup, anything else ("+1", "007", "1_0", out of range) through int()."""
+    """``tokens`` as ints: by one dict lookup each, or, in a chunk with any
+    other spelling ("+1", "007", "1_0", out of range), all through int()."""
     try:
         return list(map(ids.__getitem__, tokens))
     except KeyError:
-        return [ids[t] if t in ids else int(t) for t in tokens]
+        return list(map(int, tokens))
 
 
 # The largest n whose edge-list text may take the run path, which keeps a
@@ -255,29 +253,13 @@ def _runs_pay(n: int, m: int, length: int) -> bool:
     return 1 <= n <= _BIT_TABLE_MAX_N and _DIRECTED_AFTER * m > n * n and 4 * m <= length
 
 
-# A chunk whose first _SAMPLE lines change their first endpoint more than
-# once per _SHORT_RUN lines goes edge by edge: below runs of about 16 edges
-# the reduce's per-run cost outweighs a plain loop's per-edge cost (random
-# runs at n = 300, 1000 and 1500 on a 2-core x86 host).
-_SAMPLE = 128
-_SHORT_RUN = 16
-
-
-def _or_directed(rows: list[int], tokens: list, ids: dict, bit: dict) -> bool:
-    """OR each edge of the chunk ``tokens`` (strs, or ints on a retry) into
-    its first endpoint's row ``ids[u]``: each run of equal first endpoints
-    by one C-level reduce of its second endpoints' ``bit[v]``, or, if the
-    chunk's first lines show short runs, one OR per edge.  False, with the
-    rows partly ORed, at a token the tables do not hold or at a self-loop."""
+def _or_directed(rows: list[int], tokens: list[str], ids: dict, bit: dict) -> bool:
+    """OR each edge of the chunk ``tokens`` into its first endpoint's row
+    ``ids[u]``, each run of equal first endpoints by one C-level reduce of
+    its second endpoints' ``bit[v]``.  False, with the rows partly ORed, at
+    a token the tables do not hold or at a self-loop."""
     us, vs = tokens[0::2], tokens[1::2]
-    sample = us[:_SAMPLE]
     try:
-        if _SHORT_RUN * sum(map(ne, sample, sample[1:])) > len(sample):
-            if any(map(eq, us, vs)):
-                return False
-            for u, b in zip(map(ids.__getitem__, us), map(bit.__getitem__, vs)):
-                rows[u] |= b
-            return True
         i = 0
         for u, run in groupby(us):
             j = i + len(list(run))
@@ -294,21 +276,14 @@ def _or_directed(rows: list[int], tokens: list, ids: dict, bit: dict) -> bool:
 def _graph_by_runs(n: int, bodies: Iterator[list[str]], ids: dict[str, int]) -> Graph:
     """The graph of the chunks' edge tokens ``bodies`` on n vertices: each
     edge ORed into its first endpoint's row, symmetrised at the end.  A
-    chunk _or_directed cannot take is read as ints, which raises as on the
-    sparse path, and retried as ints (so "007" costs one int() per token);
-    one that still fails has a bad edge, and build_graph raises the first.
-    ORing a chunk's edges twice is harmless."""
+    chunk _or_directed cannot take is read as on the sparse path, so
+    build_graph raises at its first bad edge, or else ORs its edges in
+    (ORing a chunk's edges twice is harmless)."""
     rows = [0] * n
     bit = {str(v): 1 << v for v in range(n)}
-    by_int = None
     for tokens in bodies:
-        if _or_directed(rows, tokens, ids, bit):
-            continue
-        if by_int is None:
-            by_int = {v: v for v in range(n)}, dict(enumerate(bit.values()))
-        ends = _vertex_ids(tokens, ids)
-        if not _or_directed(rows, ends, *by_int):
-            flat = iter(ends)
+        if not _or_directed(rows, tokens, ids, bit):
+            flat = iter(_vertex_ids(tokens, ids))
             rows = list(map(or_, rows, build_graph(n, zip(flat, flat)).adj))
     return Graph(n, symmetrised(rows))
 

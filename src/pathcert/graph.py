@@ -226,10 +226,9 @@ def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
     as bit masks, in the order of :func:`component_masks`.
 
     No complement rows are built: the vertices a frontier misses are those
-    outside the AND of its rows, and the AND stops once it has emptied
-    what is left to reach (on a dense graph, after a few rows).  As in
-    :func:`component_masks`, each frontier is taken out of what no sweep
-    has reached, and a component is what that lost while its sweep ran."""
+    outside the AND of its rows.  As in :func:`component_masks`, each
+    frontier is taken out of what no sweep has reached, and a component is
+    what that lost while its sweep ran."""
     comps = []
     rest = mask
     while rest:
@@ -240,8 +239,6 @@ def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
             common = rest
             for v in bits(frontier):
                 common &= adj[v]
-                if not common:
-                    break
             frontier, rest = rest ^ common, common
         comps.append(before ^ rest)
     comps.sort(key=by_size)

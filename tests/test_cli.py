@@ -119,6 +119,17 @@ def test_extract_path_or_bipartite(tmp_path, capsys):
     assert data["guaranteed_path_vertices"] == 1
 
 
+def test_extract_path_or_bipartite_defaults_D_to_the_largest_closed_degree(tmp_path, capsys):
+    # A 30-cycle has closed degree 3 everywhere, so the default D is 3 and
+    # the guarantee is ceil(30 / (2 (1 + 3))) = 4 path vertices.
+    path = write_g6(tmp_path, cycle_graph(30))
+    assert main(["extract", "path-or-bipartite", "--input", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verified"] is True and data["type"] == "path"
+    assert data["guaranteed_path_vertices"] == 4
+    assert len(data["vertices"]) >= 4
+
+
 def test_extract_p4free_and_cograph(tmp_path, capsys):
     # ``extract p4free`` printed a set with no certificate; it is no longer
     # a mode.  cograph-ramsey prints K_{4,4}'s exact sets, verified.

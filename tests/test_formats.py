@@ -362,8 +362,9 @@ def _dense_text(n: int, seed: int):
 
 @pytest.mark.parametrize("n", [2, 40, 300])
 def test_dense_edge_list_matches_oracle(n):
-    # Shuffled, in the writer's order, and with every id zero-padded (each
-    # chunk retried through int()).
+    # Shuffled, in the writer's order, and with every id zero-padded (no
+    # token is in the table, so each chunk is read through int() and ORed
+    # in through build_graph).
     g, lines = _dense_text(n, n)
     ordered = write_edge_list(g)
     padded = ordered.split("\n", 1)[0] + "".join(
@@ -429,9 +430,9 @@ def test_edge_list_header_lies_match_oracle(monkeypatch):
 @pytest.mark.parametrize("n", [5, 40, 300])
 def test_dense_edge_list_reports_the_first_bad_edge(n, monkeypatch):
     # A bad edge line, then a self-loop line, at several places in a text the
-    # dense path takes, shuffled or in the writer's layout (short runs go
-    # edge by edge, long ones run by run): the message is the oracle's, for
-    # the first bad edge.
+    # dense path takes, shuffled (runs of about one line) or in the writer's
+    # layout (long runs): the chunk that holds it is read again as on the
+    # sparse path, and the message is the oracle's, for the first bad edge.
     monkeypatch.setattr(formats, "_CHUNK", 200)
     g, shuffled = _dense_text(n, n + 1)
     for lines in (shuffled, write_edge_list(g).splitlines()):
@@ -459,9 +460,9 @@ def _first_bad_edge_in(n, lines):
                                         ("3 x", "not an integer"), ("3 4 5", "three tokens")])
 def test_fault_deep_in_a_dense_chunk_matches_oracle(line, kind, monkeypatch):
     # The line goes in the middle of a chunk of lines "u v", past the first
-    # n * n / 16 edges of a text the gate sends down the dense path, whose
-    # chunks go edge by edge in a shuffled order and run by run in the
-    # writer's order.
+    # n * n / 16 edges of a text the gate sends down the dense path, in a
+    # shuffled order (runs of about one line) and in the writer's order
+    # (long runs).
     g, shuffled = _dense_text(300, 7)
     runs_pay = formats._runs_pay
     for lines in (shuffled, write_edge_list(g).splitlines()):

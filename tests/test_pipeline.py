@@ -20,7 +20,7 @@ from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
 
 from conftest import (balanced_cograph, brute_max_clique_size, brute_max_stable_size,
                       oracle_cograph_alpha_omega, randint, small_graphs, stack_depth,
-                      threshold_graph)
+                      sweep_walk, threshold_graph)
 
 
 def test_choose_constants_k5():
@@ -415,37 +415,15 @@ def test_deep_extractor_walk_at_n5000(g, monkeypatch):
 
 @pytest.mark.parametrize("g, levels", [(path_graph(958), 799), (cycle_graph(1233), 1024)],
                          ids=["path", "cycle"])
-def test_deep_walk_searches_only_where_a_level_branches(g, levels, monkeypatch):
-    # A level whose start has one neighbour y, and y one neighbour beyond,
-    # is a grow by c1 = n - 2 taken in closed form: on a path every level,
-    # on a cycle every level after the first (whose start has two
-    # neighbours).  The walk's own neighbours and seeded-search calls are
-    # counted, not the search's inner rounds.
+def test_deep_walk_matches_full_sweep_oracle(g, levels):
+    # Every level on a path, and every level after the first on a cycle, is
+    # a grow by c1 = n - 2 through one seeded search of one seed.
     params = pipeline_walk_params(g)
-    calls = {"neighbours": 0, "search": 0}
-    searching = []
-    search = extractor._components_from_seeds
-
-    def counting_neighbours(adj, mask):
-        calls["neighbours"] += not searching
-        return graph.neighbours(adj, mask)
-
-    def counting_search(adj, u, seeds):
-        calls["search"] += 1
-        searching.append(u)
-        try:
-            return search(adj, u, seeds)
-        finally:
-            searching.pop()
-
-    monkeypatch.setattr(extractor, "neighbours", counting_neighbours)
-    monkeypatch.setattr(extractor, "_components_from_seeds", counting_search)
     trace: list = []
     w = extractor.path_or_empty_bipartite(g, 0, params, trace)
-    assert isinstance(w, InducedPathWitness)
-    assert verify(g, w)
+    assert (w, trace) == sweep_walk(g, 0, params, g.full_mask)
     assert len(trace) == levels
-    assert calls["neighbours"] + calls["search"] <= 3, calls
+    assert verify(g, w)
 
 
 def test_deep_path_request_makes_three_degree_passes(monkeypatch):

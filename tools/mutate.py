@@ -19,7 +19,7 @@ The verifiers (``witnesses.py``) get the first five operators, the
 producers (``graph.py``, ``extractor.py``, ``cographs.py``,
 ``homogeneous.py``, ``pipeline.py`` and ``formats.py``) get ``early``: a
 surviving producer mutant is either a missing test or a shortcut whose
-gain has to be shown.  Only the operator's, the bound's or the test's own
+gain on some benchmark workload's traffic has to be shown.  Only the operator's, the bound's or the test's own
 characters are rewritten (a conditional expression keeps its else branch's
 text), so every other line of the module keeps its text.
 
