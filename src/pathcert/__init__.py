@@ -15,7 +15,8 @@ from .witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                         verify_homogeneous, verify_induced_path)
 from .patterns import PatternQueryResult, find_induced_path, is_pk_copk_free
 from .homogeneous import find_epsilon_homogeneous, prune_high_degree
-from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
+from .extractor import (DisconnectedError, ExtractorParams, path_or_empty_bipartite,
+                        split_small_components)
 from .cographs import OracleError, cograph_alpha_omega, cotree, p4free_extract
 from .pipeline import (ExtractionReport, PipelineConstants, choose_constants,
                        eh_homogeneous, extract_linear_bipartite)

@@ -49,6 +49,15 @@ class ExtractorParams:
             raise ValueError("D must be at least 1")
 
 
+class DisconnectedError(ValueError):
+    """The walk's vertex set is not connected; ``parts`` is its
+    ``component_masks``, the sweep that found it out."""
+
+    def __init__(self, parts: list[int]):
+        super().__init__("input graph is disconnected")
+        self.parts = parts
+
+
 def path_guarantee(n: int, params: ExtractorParams) -> int:
     """Minimum number of path vertices promised for an n-vertex input."""
     denom = 2 * (params.T + params.D)
@@ -130,9 +139,11 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     vertices or the pair the full walk would give.
 
     Preconditions: the subgraph is connected, x is in it, and every closed
-    degree inside it is <= D.  The witness uses g's vertex ids.  ``trace``,
-    if given, collects one dict per level; a grow level's ``via`` is the
-    next start, in g's ids.
+    degree inside it is <= D; a breach raises ValueError, and a disconnected
+    subgraph raises its subclass DisconnectedError, whose ``parts`` are the
+    subgraph's ``component_masks``.  The witness uses g's vertex ids.
+    ``trace``, if given, collects one dict per level; a grow level's ``via``
+    is the next start, in g's ids.
     """
     if mask is None:
         mask = g.full_mask
@@ -144,8 +155,9 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     if max(inner_degrees(adj, mask)) >= params.D:  # name the first vertex above D
         v, d = next((v, d) for v, d in zip(bits(mask), inner_degrees(adj, mask)) if d >= params.D)
         raise ValueError(f"closed degree of vertex {v} is {d + 1}, above the bound D={params.D}")
-    if len(component_masks(adj, mask)) != 1:
-        raise ValueError("input graph is disconnected")
+    parts = component_masks(adj, mask)
+    if len(parts) != 1:
+        raise DisconnectedError(parts)
 
     T, D = params.T, params.D
     levels = [] if trace is None else trace

@@ -3,7 +3,9 @@
 ``extract_linear_bipartite`` runs the full chain on any graph: find a sparse
 or dense vertex set (complementing the graph when the dense kind shows up),
 prune its high-degree vertices, and hand the survivor to the path/pair
-dichotomy.  Its walk stops at the k-th path vertex: a P_k is all a pattern
+dichotomy.  A disconnected survivor comes back from the dichotomy's entry
+check with its components, which give the stage-3 pair or the largest part
+to walk.  The walk stops at the k-th path vertex: a P_k is all a pattern
 certificate needs, and each prefix of the walk's induced path is induced,
 so the trace holds at most k levels.  The outcome is one of
 
@@ -29,8 +31,9 @@ from fractions import Fraction
 from functools import cache
 
 from .cographs import OracleError, cograph_alpha_omega, p4free_extract
-from .extractor import ExtractorParams, path_or_empty_bipartite, split_small_components
-from .graph import Graph, bits, complement, component_masks, mask_of
+from .extractor import (DisconnectedError, ExtractorParams, path_or_empty_bipartite,
+                        split_small_components)
+from .graph import Graph, bits, complement, mask_of
 # Unused here since the producers run on vertex masks, but bench/tracing.py
 # binds pipeline.components and pipeline.induced; drop them with those bindings.
 from .graph import components, induced  # noqa: F401
@@ -171,27 +174,32 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     big_t = math.ceil(c * s2)
     trace.update(s=s, s_prime=s2, T=big_t, D=big_d)
 
-    comps = component_masks(work.adj, sub)
-    trace["component_sizes"] = [cc.bit_count() for cc in comps]
+    # The walk's path or pair on a connected survivor.  The walk's entry check
+    # sweeps the survivor's components and hands them back when there are
+    # several: then the stage-3 pair, else the walk on the largest.
+    params = ExtractorParams(big_t, big_d)
+    levels: list = []
 
-    # The stage-3 pair, else the walk's path or pair.
-    result: Witness | None = None
-    trace["stage3"] = "connected"
-    if len(comps) > 1:
+    def walk(part: int) -> Witness:
+        return path_or_empty_bipartite(work, (part & -part).bit_length() - 1, params,
+                                       trace=levels, mask=part, k=k)
+
+    try:
+        result = walk(sub)
+    except DisconnectedError as err:
+        comps = err.parts
+        trace["component_sizes"] = [cc.bit_count() for cc in comps]
         try:
             a, b = split_small_components(comps, big_t)
         except ValueError:
-            sub = comps[0]
-            trace["stage3"] = f"recurse-largest({sub.bit_count()})"
+            trace["stage3"] = f"recurse-largest({comps[0].bit_count()})"
+            result = walk(comps[0])
+            trace["extractor"] = levels
         else:
-            result = BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))
             trace["stage3"] = "component-split"
-
-    if result is None:
-        levels: list = []
-        result = path_or_empty_bipartite(work, (sub & -sub).bit_length() - 1,
-                                         ExtractorParams(big_t, big_d), trace=levels, mask=sub, k=k)
-        trace["extractor"] = levels
+            result = BipartitePairWitness("empty", frozenset(bits(a)), frozenset(bits(b)))
+    else:
+        trace.update(component_sizes=[s2], stage3="connected", extractor=levels)
 
     if isinstance(result, InducedPathWitness):
         trace["path_length"] = len(result)

@@ -130,6 +130,14 @@ def test_extract_path_or_bipartite_defaults_D_to_the_largest_closed_degree(tmp_p
     assert len(data["vertices"]) >= 4
 
 
+def test_extract_path_or_bipartite_on_a_disconnected_graph_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "g.edges"
+    p.write_text("5 3\n0 1\n2 3\n3 4\n")
+    assert main(["extract", "path-or-bipartite", "--input", str(p), "--format", "edges"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input graph is disconnected\n" and captured.out == ""
+
+
 def test_extract_p4free_and_cograph(tmp_path, capsys):
     # ``extract p4free`` printed a set with no certificate; it is no longer
     # a mode.  cograph-ramsey prints K_{4,4}'s exact sets, verified.

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathcert.extractor import (ExtractorParams, _components_from_seeds, path_guarantee,
-                                path_or_empty_bipartite, split_small_components)
+from pathcert.extractor import (DisconnectedError, ExtractorParams, _components_from_seeds,
+                                path_guarantee, path_or_empty_bipartite, split_small_components)
 from pathcert.graph import (bits, build_graph, component_masks, cycle_graph, empty_graph,
                             friendship_graph, mask_of, path_graph)
 from pathcert.rng import stream
@@ -44,9 +44,15 @@ def test_degree_precondition_names_offender():
 
 
 def test_disconnected_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="disconnected"):
-        path_or_empty_bipartite(g, 0, ExtractorParams(1, 2))
+    # The error is still a ValueError with the same message, and carries the
+    # components that the entry check swept, for the pipeline's stage 3.
+    g = build_graph(5, [(0, 1), (2, 3), (3, 4)])
+    mask = 0b11011
+    with pytest.raises(DisconnectedError) as err:
+        path_or_empty_bipartite(g, 0, ExtractorParams(1, 3), mask=mask)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == "input graph is disconnected"
+    assert err.value.parts == component_masks(g.adj, mask) == [0b00011, 0b11000]
 
 
 def test_middle_case_spider_pair():

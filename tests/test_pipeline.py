@@ -11,7 +11,7 @@ from pathcert.generators import gnp, random_cograph, rejection_sample_ck
 from pathcert.graph import (build_graph, complete_graph, component_masks, cycle_graph,
                             empty_graph, path_graph)
 from pathcert.patterns import find_induced_path, is_pk_copk_free
-from pathcert.formats import constants_to_dict
+from pathcert.formats import constants_to_dict, report_to_dict
 from pathcert.pipeline import (choose_constants, eh_homogeneous, extract_linear_bipartite,
                                log2_bounds, stage1_target)
 from pathcert.rng import stream
@@ -427,20 +427,51 @@ def test_deep_walk_matches_full_sweep_oracle(g, levels):
 
 
 def test_deep_path_request_makes_three_degree_passes(monkeypatch):
-    # The sparse peel keeps all of path_graph(958), so the dense peel does
+    # The sparse peel keeps all of a path or a cycle, so the dense peel does
     # not start: one inner_degrees pass each for the sparse peel, the prune
-    # and the walk's degree check.
-    passes = []
+    # and the walk's degree check.  The walk's connectivity check is the
+    # request's one component sweep: stage 3 reads its components from it.
+    passes, sweeps = [], []
 
     def counting(adj, mask):
         passes.append(mask.bit_count())
         return graph.inner_degrees(adj, mask)
 
+    def sweeping(adj, mask):
+        sweeps.append(mask)
+        return graph.component_masks(adj, mask)
+
     for module in (homogeneous, extractor, cographs):
         monkeypatch.setattr(module, "inner_degrees", counting)
-    g = path_graph(958)
-    report = extract_linear_bipartite(g, 5)
-    assert passes == [958, 958, 958]
-    assert report.trace["stage1"] == {"kind": "stable", "size": 958}
-    assert report.outcome == "pattern-certificate"
-    assert verify(g, report.witness)
+    for module in (extractor, cographs, pipeline):  # a sweep bound in the pipeline counts too
+        monkeypatch.setattr(module, "component_masks", sweeping, raising=False)
+    for g in (path_graph(958), cycle_graph(683)):
+        passes.clear()
+        sweeps.clear()
+        report = extract_linear_bipartite(g, 5)
+        assert passes == [g.n] * 3
+        assert sweeps == [g.full_mask]
+        assert report.trace["stage1"] == {"kind": "stable", "size": g.n}
+        assert report.trace["stage3"] == "connected"
+        assert report.outcome == "pattern-certificate"
+        assert verify(g, report.witness)
+
+
+STAGE3_ROUTES = [
+    (path_graph(958), 5, "connected", [958], ["extractor", "path_length"]),
+    (empty_graph(6), 4, "component-split", [1] * 6, ["sides"]),
+    (build_graph(61, [(i, i + 1) for i in range(59)]), 5, "recurse-largest(60)", [60, 1],
+     ["extractor", "path_length"]),
+]
+
+
+@pytest.mark.parametrize("g, k, stage3, sizes, tail", STAGE3_ROUTES,
+                         ids=["connected", "component-split", "recurse-largest"])
+def test_report_trace_keys_keep_their_order_on_every_stage3_route(g, k, stage3, sizes, tail):
+    # The report JSON writes the trace as it is, so its key order is output.
+    r = extract_linear_bipartite(g, k)
+    assert (r.trace["stage3"], r.trace["component_sizes"]) == (stage3, sizes)
+    assert list(r.trace) == ["n", "stage1_target", "stage1", "s", "s_prime", "T", "D",
+                             "component_sizes", "stage3", *tail]
+    assert list(report_to_dict(r)["trace"]) == list(r.trace)
+    assert verify(g, r.witness)
