@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Every command that prints a witness re-checks it with ``witnesses.verify``
-and prints the verdict as ``"verified"``; the key is there exactly when a
-witness is.
+Every command that finds a witness writes it, in ``formats.witness_to_dict``'s
+JSON, under ``"witness"`` (``extract cograph-ramsey``'s two sets under
+``"witnesses"``), then ``"verified"``: whether ``witnesses.verify`` accepts
+each.  ``verify`` reads such an answer file, or a bare witness.
 
 Exit status: 0 ok, 1 verification failed (or an oracle / sampling budget
-gave out), 2 usage error (argparse default), 3 internal error: the program
-crashed (``RecursionError`` included) and says nothing about the input.
+gave out), 2 usage error (argparse's, or an input it cannot use: a witness
+file with no witness too), 3 internal error: the program crashed
+(``RecursionError`` included) and says nothing about the input.
 """
 
 from __future__ import annotations
@@ -48,11 +50,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _verified(payload: dict, g: Graph, *witnesses) -> int:
-    """Set ``payload["verified"]`` to whether g accepts every witness; the
-    exit status, 1 on a rejection."""
-    payload["verified"] = ok = all(verify(g, w) for w in witnesses)
-    return 0 if ok else 1
+def _answer(payload: dict, g: Graph, out: str | None, *found) -> int:
+    """Write ``payload`` as JSON with the witnesses ``found`` and whether g
+    accepts them all as ``"verified"`` (a key ``payload`` already holds
+    keeps its place); the exit status, 1 on a rejection."""
+    if len(found) == 1:
+        payload["witness"] = formats.witness_to_dict(found[0])
+    elif found:
+        payload["witnesses"] = list(map(formats.witness_to_dict, found))
+    if found:
+        payload["verified"] = all(verify(g, w) for w in found)
+    _emit(json.dumps(payload, indent=2) + "\n", out)
+    return 0 if payload.get("verified", True) else 1
 
 
 def _cmd_check(args) -> int:
@@ -61,17 +70,11 @@ def _cmd_check(args) -> int:
         res = find_induced_path(g, args.induced_path)
         payload = {"query": f"induced-path-{args.induced_path}", "found": res.found,
                    "nodes_explored": res.nodes_explored}
-        key, emb = "witness", res.embedding
+        emb = res.embedding
     else:
         emb = is_pk_copk_free(g, args.pk_free)
         payload = {"query": f"pk-copk-free-{args.pk_free}", "free": emb is None}
-        key = "certificate"
-    code = 0
-    if emb is not None:
-        payload[key] = formats.witness_to_dict(emb)
-        code = _verified(payload, g, emb)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return code
+    return _answer(payload, g, args.out, *(() if emb is None else (emb,)))
 
 
 def _cmd_extract(args) -> int:
@@ -80,55 +83,39 @@ def _cmd_extract(args) -> int:
         D = args.D if args.D is not None else max(map(int.bit_count, g.adj)) + 1
         params = ExtractorParams(args.T, D)
         w = path_or_empty_bipartite(g, args.start, params)
-        payload = formats.witness_to_dict(w)
-        payload["guaranteed_path_vertices"] = path_guarantee(g.n, params)
-        code = _verified(payload, g, w)
-    else:  # cograph-ramsey
-        res = cograph_alpha_omega(g)
-        if isinstance(res, PatternEmbedding):
-            payload = {"cograph": False, "obstruction": formats.witness_to_dict(res)}
-            code = _verified(payload, g, res)
-        else:
-            stable, clique = res
-            payload = {"cograph": True, "stable": sorted(stable), "clique": sorted(clique),
-                       "alpha": len(stable), "omega": len(clique)}
-            pairs = len(clique) * (len(clique) - 1) // 2
-            code = _verified(payload, g, HomogeneousSetWitness("stable", stable, Fraction(0), 0),
-                             HomogeneousSetWitness("clique", clique, Fraction(0), pairs))
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return code
+        return _answer({"guaranteed_path_vertices": path_guarantee(g.n, params)},
+                       g, args.out, w)
+    res = cograph_alpha_omega(g)  # cograph-ramsey
+    if isinstance(res, PatternEmbedding):
+        return _answer({"cograph": False}, g, args.out, res)
+    stable, clique = res
+    pairs = len(clique) * (len(clique) - 1) // 2
+    return _answer({"cograph": True, "alpha": len(stable), "omega": len(clique)}, g, args.out,
+                   HomogeneousSetWitness("stable", stable, Fraction(0), 0),
+                   HomogeneousSetWitness("clique", clique, Fraction(0), pairs))
 
 
 def _cmd_pipeline(args) -> int:
     g = _read_graph(args.input, args.format)
     report = extract_linear_bipartite(g, args.k)
-    data = formats.report_to_dict(report)
-    code = _verified(data, g, report.witness)
-    _emit(json.dumps(data, indent=2) + "\n", args.out)
-    return code
+    return _answer(formats.report_to_dict(report), g, args.out, report.witness)
 
 
 def _cmd_eh(args) -> int:
     g = _read_graph(args.input, args.format)
     details: dict = {}
     w = eh_homogeneous(g, args.k, details=details)
-    payload = {"witness": formats.witness_to_dict(w)}
-    code = _verified(payload, g, w)
-    payload.update(details)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return code
+    # The witness and its verdict come first, the route and sizes after.
+    return _answer({"witness": None, "verified": None, **details}, g, args.out, w)
 
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph, args.format)
-    w = formats.witness_from_json(Path(args.witness).read_text())
-    verdict = verify(g, w)
-    if verdict:
-        print("OK")
-        return 0
-    detail = f" ({verdict.detail})" if verdict.detail else ""
-    print(f"REJECTED: {verdict.reason}{detail}")
-    return 1
+    verdicts = [verify(g, w) for w in formats.witnesses_from_json(Path(args.witness).read_text())]
+    for verdict in verdicts:
+        detail = f" ({verdict.detail})" if verdict.detail else ""
+        print("OK" if verdict else f"REJECTED: {verdict.reason}{detail}")
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_constants(args) -> int:

@@ -378,6 +378,9 @@ def witness_from_dict(data: dict) -> Witness:
         if key in data and (not isinstance(data[key], list)
                             or any(type(v) is not int for v in data[key])):
             raise TypeError(f"{key!r} must be a list of integer vertex ids")
+    for key in ("X", "Y", "S"):  # sets: a repeat would vanish into the frozenset unchecked
+        if key in data and len(set(data[key])) != len(data[key]):
+            raise ValueError(f"malformed witness: {key!r} repeats a vertex id")
     kind = data.get("type")
     if kind == "path":
         return InducedPathWitness(tuple(data["vertices"]))
@@ -401,15 +404,23 @@ def witness_from_dict(data: dict) -> Witness:
     raise ValueError(f"unknown witness type {kind!r}")
 
 
-def witness_from_json(text: str) -> Witness:
-    """Parse a witness file; a missing or mistyped field is a ValueError, like
-    malformed JSON, because the text comes from outside the program."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("malformed witness: not a JSON object")
+def witnesses_from_json(text: str) -> list[Witness]:
+    """The witnesses of a file: a bare witness (it has ``"type"``), or an
+    answer that holds one under ``"witness"`` or several under
+    ``"witnesses"``.  The text comes from outside the program, so every
+    fault is a ValueError: malformed JSON, JSON nested too deeply to parse,
+    a missing or mistyped field, or an answer that holds no witness."""
     try:
-        return witness_from_dict(data)
-    except (KeyError, TypeError) as err:
+        data = json.loads(text)
+        found = ([data] if not isinstance(data, dict) or "type" in data
+                 else [data["witness"]] if "witness" in data else data.get("witnesses"))
+        if found is None:
+            raise ValueError('the file holds no witness (an answer such as "found": false '
+                             'or "free": true certifies nothing)')
+        if not (isinstance(found, list) and found and all(isinstance(w, dict) for w in found)):
+            raise ValueError("malformed witness: not a JSON object")
+        return [witness_from_dict(w) for w in found]
+    except (KeyError, TypeError, RecursionError) as err:
         raise ValueError(f"malformed witness: {type(err).__name__}: {err}") from err
 
 

@@ -101,21 +101,11 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, lexicographic."""
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1)):
-                yield u, u + 1 + v
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

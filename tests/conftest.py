@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
+from pathlib import Path
 
+from pathcert import cli
 from pathcert.cographs import OracleError
 from pathcert.extractor import ExtractorParams, split_small_components
 from pathcert.formats import Graph6Error, _decode_graph6_size, witness_to_dict
@@ -62,9 +64,42 @@ def closed_degree(g: Graph, v: int) -> int:
     return degree(g, v) + 1
 
 
+def graph_edges(g: Graph):
+    """The edges (u, v) of g, u < v, in lexicographic order."""
+    for u in range(g.n):
+        for v in reference_bits(g.adj[u] >> (u + 1)):
+            yield u, u + 1 + v
+
+
 def witness_to_json(w) -> str:
     """A witness file's text, as ``pathcert verify`` reads it."""
     return json.dumps(witness_to_dict(w), indent=2) + "\n"
+
+
+def tampered(witness: dict, n: int) -> dict:
+    """Witness JSON with its first vertex id replaced by n, which no graph
+    on n vertices has."""
+    key = next(key for key in ("vertices", "X", "S", "map") if key in witness)
+    return {**witness, key: [n, *witness[key][1:]]}
+
+
+def check_answer_file(graph: str, fmt: str, n: int, answer: Path) -> int:
+    """The number of witnesses in the CLI's answer file ``answer``, after
+    checking what ``pathcert verify`` makes of it against the n-vertex
+    graph file ``graph``: exit 0 on the file, 1 on a copy with any one of
+    its witnesses ``tampered``, and 2 if it holds no witness."""
+    argv = ["verify", "--graph", graph, "--format", fmt, "--witness", str(answer)]
+    data = json.loads(answer.read_text())
+    key = "witness" if "witness" in data else "witnesses"
+    found = [data["witness"]] if key == "witness" else data.get(key, [])
+    assert cli.main(argv) == (0 if found else 2)
+    copy = answer.with_name("tampered.json")
+    argv[-1] = str(copy)
+    for i in range(len(found)):
+        bad = [tampered(w, n) if j == i else w for j, w in enumerate(found)]
+        copy.write_text(json.dumps({**data, key: bad[0] if key == "witness" else bad}))
+        assert cli.main(argv) == 1
+    return len(found)
 
 
 def oracle_gnp(n: int, p: Fraction, rng: SplitMix64) -> Graph:
@@ -90,7 +125,7 @@ def seeded_connected_graph(seed: int, max_n: int = 60) -> Graph:
     g = gnp(n, p, rng)
     vs = list(reference_bits(reference_component_masks(g.adj, g.full_mask)[0]))
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    edges = [(index[u], index[v]) for u, v in graph_edges(g) if u in index and v in index]
     return build_graph(len(vs), edges)
 
 
@@ -470,7 +505,7 @@ def oracle_parse_edge_list(text: str) -> Graph:
 
 def oracle_write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in graph_edges(g))
     return "\n".join(lines) + "\n"
 
 

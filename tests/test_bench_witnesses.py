@@ -1,14 +1,18 @@
 """The benchmark's witnesses stay byte-identical: each workload's seed-1
 corpus, run through the CLI as ``bench/run.py`` runs it, hashes to the
-digest that ``bench/run.py`` prints for it."""
+digest that ``bench/run.py`` prints for it.  And each answer file of those
+runs passes ``pathcert verify``."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-from pathcert import cli
+from pathcert import cli, formats
+
+from conftest import check_answer_file
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,15 +40,41 @@ def run():
         sys.path.remove(str(BENCH))
 
 
+@pytest.fixture(scope="module")
+def answers(run, tmp_path_factory):
+    """name -> each instance of that workload's seed-1 corpus with its
+    --out file, None where the request failed: one run of each corpus
+    through the CLI, shared by the tests below."""
+    @functools.cache
+    def answers_of(name):
+        workload = run.WORKLOADS[name]
+        folder = tmp_path_factory.mktemp(name)
+        found = []
+        for i, inst in enumerate(run.write_corpus(workload, 1, folder)):
+            out = folder / f"{i:03d}.json"
+            argv = [workload.command, "--input", str(inst.path), "--format", "edges",
+                    "--k", str(workload.k), "--out", str(out)]
+            found.append((inst, out if cli.main(argv) == 0 else None))
+        return found
+    return answers_of
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_bench_witness_digest(run, name, tmp_path):
-    workload = run.WORKLOADS[name]
-    instances = run.write_corpus(workload, 1, tmp_path)
-    out = tmp_path / "out.json"
-    for inst in instances:
-        out.unlink(missing_ok=True)
-        argv = [workload.command, "--input", str(inst.path), "--format", "edges",
-                "--k", str(workload.k), "--out", str(out)]
-        if cli.main(argv) == 0:
-            inst.witness_json = run.check_output(workload, inst, out)[0]
-    assert run.witness_digest(instances) == DIGESTS[name]
+def test_bench_witness_digest(run, answers, name):
+    for inst, out in answers(name):
+        if out is not None:
+            inst.witness_json = run.check_output(run.WORKLOADS[name], inst, out)[0]
+    assert run.witness_digest([inst for inst, _ in answers(name)]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_bench_answer_files_pass_verify(answers, name):
+    """Every request succeeds, and its --out file passes ``pathcert verify``
+    against the request's graph, and fails it once its witness is tampered.
+    verify reads the graph as graph6: the cographs' edge lists take about
+    seven times as long to parse."""
+    for inst, out in answers(name):
+        assert out is not None
+        graph = inst.path.with_suffix(".g6")
+        graph.write_text(formats.encode_graph6(inst.graph))
+        assert check_answer_file(str(graph), "graph6", inst.graph.n, out) == 1

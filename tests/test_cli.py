@@ -27,7 +27,8 @@ from pathcert.patterns import PatternQueryResult
 from pathcert.pipeline import choose_constants
 from pathcert.witnesses import InducedPathWitness, PatternEmbedding
 
-from conftest import threshold_graph, witness_to_json
+from conftest import (check_answer_file, reference_component_masks, small_graphs,
+                      threshold_graph, witness_to_json)
 
 
 def write_g6(tmp_path, g, name="g.g6"):
@@ -88,8 +89,8 @@ def test_check_pk_free_longer_than_the_recursion_limit(tmp_path, capsys):
     assert main(["check", "--input", path, "--pk-free", "1100"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["free"] is False
-    assert data["certificate"]["pattern"] == "P1100"
-    assert data["certificate"]["map"] == list(range(1100))
+    assert data["witness"]["pattern"] == "P1100"
+    assert data["witness"]["map"] == list(range(1100))
 
 
 def test_edges_format_roundtrip(tmp_path, capsys):
@@ -107,7 +108,7 @@ def test_extract_cograph_obstruction(tmp_path, capsys):
     assert main(["extract", "cograph-ramsey", "--input", path]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["cograph"] is False
-    assert data["obstruction"]["pattern"] == "P4"
+    assert data["witness"]["pattern"] == "P4"
 
 
 def test_extract_path_or_bipartite(tmp_path, capsys):
@@ -115,7 +116,7 @@ def test_extract_path_or_bipartite(tmp_path, capsys):
     assert main(["extract", "path-or-bipartite", "--input", path,
                  "--start", "0", "--T", "1", "--D", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["type"] == "path" and data["vertices"] == [0, 1, 2]
+    assert data["witness"] == {"type": "path", "vertices": [0, 1, 2]}
     assert data["guaranteed_path_vertices"] == 1
 
 
@@ -125,9 +126,9 @@ def test_extract_path_or_bipartite_defaults_D_to_the_largest_closed_degree(tmp_p
     path = write_g6(tmp_path, cycle_graph(30))
     assert main(["extract", "path-or-bipartite", "--input", path]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["verified"] is True and data["type"] == "path"
+    assert data["verified"] is True and data["witness"]["type"] == "path"
     assert data["guaranteed_path_vertices"] == 4
-    assert len(data["vertices"]) >= 4
+    assert len(data["witness"]["vertices"]) >= 4
 
 
 def test_extract_path_or_bipartite_on_a_disconnected_graph_is_a_usage_error(tmp_path, capsys):
@@ -160,8 +161,10 @@ def test_extract_cograph_ramsey_on_deep_cotree(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["cograph"] is True
     assert (data["alpha"], data["omega"]) == (1000, 1001)
-    assert data["stable"] == list(range(0, 2000, 2))
-    assert data["clique"] == [0, *range(1, 2000, 2)]
+    stable, clique = data["witnesses"]
+    assert (stable["kind"], clique["kind"]) == ("stable", "clique")
+    assert stable["S"] == list(range(0, 2000, 2))
+    assert clique["S"] == [0, *range(1, 2000, 2)]
 
 
 def test_extract_cograph_ramsey_on_deep_cotree_at_n5000(tmp_path, capsys):
@@ -173,8 +176,10 @@ def test_extract_cograph_ramsey_on_deep_cotree_at_n5000(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["cograph"] is True
     assert (data["alpha"], data["omega"]) == (2500, 2501)
-    assert data["stable"] == list(range(0, 5000, 2))
-    assert data["clique"] == [0, *range(1, 5000, 2)]
+    stable, clique = data["witnesses"]
+    assert (stable["kind"], clique["kind"]) == ("stable", "clique")
+    assert stable["S"] == list(range(0, 5000, 2))
+    assert clique["S"] == [0, *range(1, 5000, 2)]
 
 
 def test_eh_command_reports_its_route(tmp_path, capsys):
@@ -207,7 +212,65 @@ def test_verify_accepts_then_rejects_tampered(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
     wfile.write_text(witness_to_json(InducedPathWitness((0, 1, 2, 3, 4))))
     assert main(["verify", "--graph", gpath, "--witness", str(wfile)]) == 1
-    assert "forbidden-edge" in capsys.readouterr().out
+    assert capsys.readouterr().out == "REJECTED: forbidden-edge (chord (0,4))\n"
+
+
+# Every command that can write a witness, with the options of the round trip.
+ANSWER_COMMANDS = [["check", "--induced-path", "3"], ["check", "--pk-free", "4"],
+                   ["extract", "path-or-bipartite"], ["extract", "cograph-ramsey"],
+                   ["pipeline", "--k", "4"], ["eh", "--k", "4"]]
+
+
+def test_verify_reads_every_answer_file_on_every_small_graph(tmp_path, capsys):
+    """On every graph with at most 5 vertices, each command's --out file
+    passes ``pathcert verify`` (exit 0), fails it once one vertex id of any
+    one witness is out of range (exit 1), and is a usage error (exit 2) if
+    it holds no witness.  The usage errors: ``extract path-or-bipartite``
+    on a disconnected graph, ``pipeline`` on one vertex."""
+    gpath, answer = tmp_path / "g.g6", tmp_path / "answer.json"
+    witnesses = {" ".join(argv): 0 for argv in ANSWER_COMMANDS}
+    for g in small_graphs(5):
+        gpath.write_text(encode_graph6(g) + "\n")
+        connected = len(reference_component_masks(g.adj, g.full_mask)) == 1
+        for argv in ANSWER_COMMANDS:
+            code = main([*argv, "--input", str(gpath), "--out", str(answer)])
+            if (argv[1], connected) == ("path-or-bipartite", False) or (argv[0], g.n) == (
+                    "pipeline", 1):
+                assert code == 2
+                continue
+            assert code == 0
+            witnesses[" ".join(argv)] += check_answer_file(str(gpath), "graph6", g.n, answer)
+        capsys.readouterr()
+    # Graphs with an induced P3 (all but the 75 unions of cliques), with a
+    # P4 (all but the 535 cographs), connected, two sets per cograph, ...
+    assert witnesses == {"check --induced-path 3": 1024, "check --pk-free 4": 564,
+                         "extract path-or-bipartite": 772, "extract cograph-ramsey": 1634,
+                         "pipeline --k 4": 1098, "eh --k 4": 1099}
+
+
+@pytest.mark.parametrize("g, argv", [(cycle_graph(6), ["check", "--induced-path", "6"]),
+                                     (cycle_graph(5), ["check", "--pk-free", "5"])],
+                         ids=["found-false", "free-true"])
+def test_verify_on_an_answer_with_no_witness_is_a_usage_error(tmp_path, capsys, g, argv):
+    gpath, answer = write_g6(tmp_path, g), tmp_path / "answer.json"
+    assert main([*argv, "--input", gpath, "--out", str(answer)]) == 0
+    assert main(["verify", "--graph", gpath, "--witness", str(answer)]) == 2
+    assert capsys.readouterr().err == ('error: the file holds no witness (an answer such as '
+                                       '"found": false or "free": true certifies nothing)\n')
+
+
+def test_verify_checks_every_witness_of_an_answer(tmp_path, capsys):
+    """Each witness of an answer gets its own line, in file order; one
+    rejection makes the exit status 1."""
+    gpath, answer = write_g6(tmp_path, complete_bipartite_graph(2, 3)), tmp_path / "a.json"
+    assert main(["extract", "cograph-ramsey", "--input", gpath, "--out", str(answer)]) == 0
+    argv = ["verify", "--graph", gpath, "--witness", str(answer)]
+    assert main(argv) == 0 and capsys.readouterr().out == "OK\nOK\n"
+    data = json.loads(answer.read_text())
+    data["witnesses"][1]["S"] = [0, 1]  # two vertices of one side: no edge
+    answer.write_text(json.dumps(data))
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "OK\nREJECTED: edge-count-mismatch (stored 1, recounted 0)\n"
 
 
 def swapped(vertices, n: int):
@@ -457,6 +520,47 @@ def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: malformed witness")
 
 
+@pytest.mark.parametrize("text", [
+    '{"witnesses": 5}', '{"witnesses": []}', '{"witnesses": [[0, 1]]}', '{"witness": null}',
+    '{"witnesses": [{"type": "path", "vertices": [0]}, {"type": "path"}]}'])
+def test_malformed_answer_file_is_a_usage_error(tmp_path, capsys, text):
+    """An answer's witnesses are one JSON object under "witness" or a
+    non-empty list of them under "witnesses", each a whole witness."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed witness")
+
+
+@pytest.mark.parametrize("field, text", [
+    ("X", '{"type": "bipartite", "kind": "empty", "X": [0, 0, 0, 0, 0], "Y": [2]}'),
+    ("Y", '{"type": "bipartite", "kind": "empty", "X": [0], "Y": [2, 3, 2]}'),
+    ("S", '{"type": "homogeneous", "kind": "stable", "S": [0, 0, 0, 0, 0], "epsilon": "0", '
+          '"edge_count": 0}')], ids=["X", "Y", "S"])
+def test_a_repeated_vertex_id_is_a_usage_error(tmp_path, capsys, field, text):
+    """A vertex set that lists an id twice is malformed: read into a set,
+    the file's five vertices would be checked as one."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed witness: {field!r} repeats a vertex id\n"
+
+
+@pytest.mark.parametrize("text", ["[" * 200000,
+                                  '{"type": "path", "vertices": ' + "[" * 200000 + "]" * 200000
+                                  + "}"], ids=["array", "vertices"])
+def test_deeply_nested_witness_json_is_a_usage_error(tmp_path, capsys, text):
+    """JSON nested deeper than the parser can go is a malformed file (exit
+    2), not an internal error."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed witness: RecursionError")
+
+
 def run_in_512_mb(*argv):
     """The CLI in a fresh interpreter under a 512 MB address space limit:
     (the finished process, its wall time in seconds)."""
@@ -554,19 +658,22 @@ WITNESS_FIELDS = {
 SIZED_EMBEDDINGS = st.integers(1, 8).flatmap(lambda k: st.fixed_dictionaries({
     "type": st.just("embedding"), "pattern": st.sampled_from([f"P{k}", f"co-P{k}"]),
     "map": mostly(st.lists(st.integers(-1, 7), min_size=k, max_size=k))}))
-WITNESS_DOCUMENTS = (JSON | SIZED_EMBEDDINGS | st.sampled_from(sorted(WITNESS_FIELDS)).flatmap(
+BARE_WITNESSES = (JSON | SIZED_EMBEDDINGS | st.sampled_from(sorted(WITNESS_FIELDS)).flatmap(
     lambda kind: st.fixed_dictionaries(
         {"type": st.just(kind)},
         optional={key: mostly(values) for key, values in WITNESS_FIELDS[kind].items()}
         | {"extra": JSON})))
+# A bare witness, or answer files that hold such documents.
+WITNESS_DOCUMENTS = (BARE_WITNESSES | st.fixed_dictionaries({"witness": BARE_WITNESSES})
+                     | st.fixed_dictionaries({"witnesses": st.lists(BARE_WITNESSES, max_size=3)}))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(WITNESS_DOCUMENTS)
 def test_verify_on_any_json_document_exits_0_1_or_2(tmp_path_factory, document):
-    """Whatever JSON a witness file holds (any types, huge pattern names,
-    nested values), verify gives a verdict (0 or 1) or a usage error (2):
-    never an internal error (3) and never an exception."""
+    """Whatever JSON a witness or answer file holds (any types, huge
+    pattern names, nested values), verify gives a verdict (0 or 1) or a
+    usage error (2): never an internal error (3) and never an exception."""
     folder = tmp_path_factory.getbasetemp()
     gpath = folder / "any-json.g6"
     if not gpath.exists():

@@ -16,9 +16,9 @@ from pathcert.witnesses import BipartitePairWitness, PatternEmbedding, verify
 
 from conftest import (balanced_cograph, brute_has_induced_p4, brute_max_clique_size,
                       brute_max_stable_size, caterpillar_graph, check_cotree, contains_induced,
-                      exact_bipartite_oracle, find_pair_masks, oracle_cograph_alpha_omega,
-                      oracle_cotree, oracle_p4free_extract, randint, small_graphs, stack_depth,
-                      threshold_graph)
+                      exact_bipartite_oracle, find_pair_masks, graph_edges,
+                      oracle_cograph_alpha_omega, oracle_cotree, oracle_p4free_extract, randint,
+                      small_graphs, stack_depth, threshold_graph)
 
 
 def is_p4_free(g) -> bool:
@@ -318,7 +318,7 @@ def _blow_up(h, rng):
     edges = []
     for u in range(h.n):
         block = random_cograph(sizes[u], rng)
-        edges += [(starts[u] + a, starts[u] + b) for a, b in block.edges()]
+        edges += [(starts[u] + a, starts[u] + b) for a, b in graph_edges(block)]
         for w in bits(h.adj[u] >> (u + 1) << (u + 1)):
             edges += [(starts[u] + a, starts[w] + b)
                       for a in range(sizes[u]) for b in range(sizes[w])]

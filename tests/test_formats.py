@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pathcert import formats
 from pathcert.formats import (Graph6Error, decode_graph6, encode_graph6,
                               parse_edge_list, parse_fraction,
-                              report_to_dict, witness_from_dict, witness_from_json,
+                              report_to_dict, witness_from_dict, witnesses_from_json,
                               witness_to_dict, write_edge_list)
 from pathcert.generators import gnp, random_cograph
 from pathcert.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
@@ -20,7 +20,7 @@ from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, HomogeneousSetWitness,
                                 InducedPathWitness)
 
-from conftest import (half_density_graph, oracle_decode_graph6, oracle_parse_edge_list,
+from conftest import (graph_edges, half_density_graph, oracle_decode_graph6, oracle_parse_edge_list,
                       oracle_write_edge_list, randint, threshold_graph, witness_to_json)
 
 
@@ -46,7 +46,7 @@ def test_header_prefix_accepted():
 def _reference_graph6(g):
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
+    ref.add_edges_from(graph_edges(g))
     return nx.to_graph6_bytes(ref, header=False).decode().strip()
 
 
@@ -245,7 +245,7 @@ def _random_input(seed: int):
     rng = stream(0xE10, seed)
     n = 1 + rng.below(30)
     g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
-    pairs = [(v, u) if rng.below(2) else (u, v) for u, v in g.edges()]
+    pairs = [(v, u) if rng.below(2) else (u, v) for u, v in graph_edges(g)]
     pairs += [pairs[rng.below(len(pairs))] for _ in range(rng.below(3))] if pairs else []
     for i in range(len(pairs) - 1, 0, -1):
         j = rng.below(i + 1)
@@ -350,7 +350,7 @@ def _dense_text(n: int, seed: int):
     g = half_density_graph(n, seed)
     rng = stream(0xE16, seed)
     pairs = []
-    for u, v in g.edges():
+    for u, v in graph_edges(g):
         pairs.append((v, u) if rng.below(2) else (u, v))
         if rng.below(8) == 0:
             pairs.append((u, v) if rng.below(2) else (v, u))
@@ -589,8 +589,17 @@ def witness_examples():
 
 def test_witness_json_roundtrip():
     for w in witness_examples():
-        again = witness_from_json(witness_to_json(w))
-        assert again == w
+        assert witnesses_from_json(witness_to_json(w)) == [w]
+
+
+def test_witnesses_from_json_reads_bare_witnesses_and_answers():
+    one, two = witness_examples()[:2]
+    bare, pair = witness_to_dict(one), [witness_to_dict(one), witness_to_dict(two)]
+    assert witnesses_from_json(json.dumps(bare)) == [one]
+    assert witnesses_from_json(json.dumps({"k": 4, "witness": bare, "verified": True})) == [one]
+    assert witnesses_from_json(json.dumps({"witnesses": pair, "verified": False})) == [one, two]
+    with pytest.raises(ValueError, match="the file holds no witness"):
+        witnesses_from_json('{"found": false, "nodes_explored": 3}')
 
 
 def test_witness_dict_schema():

@@ -19,9 +19,11 @@ The verifiers (``witnesses.py``) get the first five operators, the
 producers (``graph.py``, ``extractor.py``, ``cographs.py``,
 ``homogeneous.py``, ``pipeline.py`` and ``formats.py``) get ``early``: a
 surviving producer mutant is either a missing test or a shortcut whose
-gain on some benchmark workload's traffic has to be shown.  Only the operator's, the bound's or the test's own
-characters are rewritten (a conditional expression keeps its else branch's
-text), so every other line of the module keeps its text.
+gain on some benchmark workload's traffic has to be shown.  ``cli.py``
+gets ``early`` too, for its exit-status decisions.  Only the operator's,
+the bound's or the test's own characters are rewritten (a conditional
+expression keeps its else branch's text), so every other line of the
+module keeps its text.
 
 The mutants run in a temporary copy of the repository, which must first
 pass the full suite unmutated.  Each mutant runs the module's own test file
@@ -54,7 +56,7 @@ PRODUCER = ("early",)
 # Module -> the operators it is scanned with.
 TARGETS = {"witnesses": VERIFIER, "graph": PRODUCER, "extractor": PRODUCER,
            "cographs": PRODUCER, "homogeneous": PRODUCER, "pipeline": PRODUCER,
-           "formats": PRODUCER}
+           "formats": PRODUCER, "cli": PRODUCER}
 # Seconds before a run of a module's test file (2-26 s on a 2-core x86 host)
 # counts as a kill, since a mutant can loop forever; the full suite (about
 # 60 s there) gets ten times as long.
