@@ -7,7 +7,8 @@ each.  ``verify`` reads such an answer file, or a bare witness.
 
 Exit status: 0 ok, 1 verification failed (or an oracle / sampling budget
 gave out), 2 usage error (argparse's, or an input it cannot use: a witness
-file with no witness too), 3 internal error: the program crashed
+file with no witness too, and ``pipeline`` on a graph of one vertex, where
+no pair or path witness fits), 3 internal error: the program crashed
 (``RecursionError`` included) and says nothing about the input.
 """
 

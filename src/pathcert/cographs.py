@@ -9,21 +9,24 @@ rejects an empty side, so every pair splits its part and sides of 1 are
 all the doubling itself needs.
 
 P4-free graphs (cographs) decompose recursively into disjoint unions and
-joins.  ``cotree`` returns that decomposition flat, as its pre-order of
-``(kind, value)`` entries, and one backward pass over it folds exact
-maximum stable sets and cliques; since cographs are perfect,
-alpha * omega >= n, so the larger of the two has at least ceil(sqrt(n))
-vertices.
+joins whose kinds alternate down the tree: a union's children are
+connected and a join's co-connected (Corneil, Lerchs and Stewart
+Burlingham, Discrete Applied Math. 1981).  ``cotree`` returns that
+decomposition flat, as its pre-order of ``(kind, value)`` entries, and one
+backward pass over it folds exact maximum stable sets and cliques; since
+cographs are perfect, alpha * omega >= n, so the larger of the two has at
+least ceil(sqrt(n)) vertices.
 
-``cotree`` splits a part's isolated or universal vertices off with two
-lookups in a table of degrees, so a chain-shaped cotree (a threshold
-graph's has depth n - 1) costs O(1) big-int operations per level rather
-than a component sweep.  When a part is connected and co-connected,
-``find_p4`` returns an induced P4 in it from O(|part|) big-int operations
-(Seinsche 1974 guarantees one exists; Corneil, Perl and Stewart, SIAM J.
-Comput. 1985, give a linear-time certifying recognizer).  That makes the
-cotree a cheap first attempt for ``pipeline.eh_homogeneous``: on a cograph
-the fold is the exact answer and no doubling runs.
+``cotree`` tries a part below the root only as the kind its parent is
+not, and splits its isolated or universal vertices off by a lookup in a
+table of degrees, so a chain-shaped cotree (a threshold graph's has depth
+n - 1) costs O(1) big-int operations per level rather than a component
+sweep.  When a part is connected and co-connected, ``find_p4`` returns an
+induced P4 in it from O(|part|) big-int operations (Seinsche 1974
+guarantees one exists; Corneil, Perl and Stewart, SIAM J. Comput. 1985,
+give a linear-time certifying recognizer).  That makes the cotree a cheap
+first attempt for ``pipeline.eh_homogeneous``: on a cograph the fold is
+the exact answer and no doubling runs.
 """
 
 from __future__ import annotations
@@ -120,24 +123,26 @@ def cotree(g: Graph, mask: int | None = None):
     smallest vertex.  Raises ValueError on an empty mask.
 
     A graph is a cograph iff every induced subgraph on >= 2 vertices is
-    disconnected or has a disconnected complement, so whenever a part has
-    neither split an induced P4 must exist; the first such part in pre-order
-    (it may be nested) gives the obstruction, found by :func:`find_p4`.
-    The parts are walked with an explicit stack, so a deep cotree (a
-    threshold graph has depth n - 1) needs no recursion.
+    disconnected or has a disconnected complement, so whenever a part is
+    neither a union nor a join an induced P4 must exist; the first such
+    part in pre-order (it may be nested) gives the obstruction, found by
+    :func:`find_p4`.  The parts are walked with an explicit stack, so a
+    deep cotree (a threshold graph has depth n - 1) needs no recursion.
 
-    The vertices are grouped by their degree inside ``mask`` once per call,
-    and a part carries the offset that turns those degrees into degrees
-    inside the part.  Two lookups there give a part's isolated vertices,
-    which make it a union, or else its universal ones, a join.  They split
-    off as leaves; the rest is one child when one of its vertices sees all
-    of it (after a union) or none of it (after a join), and is otherwise
-    swept for parts of that kind.  Only a part with neither is swept for
-    components, then co-components, and otherwise holds the P4.  So a
-    chain-shaped cotree costs O(1) big-int operations per level.  No sort
-    is needed: a child of the rest has two or more vertices (a vertex alone
-    there would itself be isolated or universal), the sweeps list those
-    larger first, and the leaves, ascending, go last.
+    The kinds alternate, so a part below the root is tried only as the kind
+    its parent is not; the root is tried as a union, then as a join.  The
+    vertices are grouped by their degree inside ``mask`` once per call, and
+    a part carries the offset that turns those degrees into degrees inside
+    the part.  One lookup there gives a union's isolated vertices or a
+    join's universal ones, which split off as leaves.  The rest is one
+    child when one of its vertices sees all of it (union: it is connected)
+    or none of it (join: co-connected), is otherwise swept once for
+    components or co-components, and is not swept when empty.  A part that
+    no try splits holds the P4.  So a part below the root is swept at most
+    once and a chain-shaped cotree costs O(1) big-int operations per level.
+    No sort is needed: a child of the rest has two or more vertices (else
+    it would be isolated or universal), the sweeps list those larger first,
+    and the leaves, ascending, go last.
     """
     if mask is None:
         mask = g.full_mask
@@ -151,43 +156,37 @@ def cotree(g: Graph, mask: int | None = None):
     for v, d in zip(bits(mask), inner_degrees(adj, mask)):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
 
-    # Pre-order over the parts, children left to right, so the first
-    # connected and co-connected part found is the one a depth-first
-    # recursion would meet first.
+    # Pre-order over the parts, children left to right, so the first connected
+    # and co-connected part found is the one a depth-first recursion meets first.
     order: list[tuple[str, int]] = []  # (kind, vertex for a leaf / child count)
-    stack = [(mask, 0)]
+    stack = [(mask, 0, ("union", "join"))]
     while stack:
-        part, offset = stack.pop()
+        part, offset, kinds = stack.pop()
         if part & (part - 1) == 0:
             order.append(("leaf", part.bit_length() - 1))
             continue
         size = part.bit_count()
-        lonely = by_degree.get(offset, 0) & part
-        hubs = by_degree.get(offset + size - 1, 0) & part  # 0 if lonely: a hub sees all
-        if lonely or hubs:
-            kind, single = ("union", lonely) if lonely else ("join", hubs)
+        for kind in kinds:
+            union = kind == "union"
+            single = by_degree.get(offset if union else offset + size - 1, 0) & part
             rest = part ^ single
-            # After a union, a vertex seeing all of the rest keeps it
-            # connected; after a join, one seeing none of it keeps it
-            # co-connected.
-            keeper = (offset + rest.bit_count() - 1 if lonely
-                      else offset + single.bit_count())
-            if by_degree.get(keeper, 0) & rest:
+            keeper = offset + (rest.bit_count() - 1 if union else single.bit_count())
+            if not rest:
+                parts = []
+            elif by_degree.get(keeper, 0) & rest:
                 parts = [rest]
             else:
-                parts = (component_masks if lonely else co_component_masks)(adj, rest)
-            parts += [1 << u for u in bits(single)]
+                parts = (component_masks if union else co_component_masks)(adj, rest)
+            if single or len(parts) > 1:
+                parts += [1 << u for u in bits(single)]
+                break
         else:
-            kind, parts = "union", component_masks(adj, part)
-            if len(parts) == 1:
-                kind, parts = "join", co_component_masks(adj, part)
-            if len(parts) == 1:
-                return path_certificate(4, find_p4(g, part))
+            return path_certificate(4, find_p4(g, part))
         order.append((kind, len(parts)))
-        if kind == "union":
-            stack.extend((child, offset) for child in reversed(parts))
+        if union:
+            stack.extend((child, offset, ("join",)) for child in reversed(parts))
         else:
-            stack.extend((child, offset + size - child.bit_count())
+            stack.extend((child, offset + size - child.bit_count(), ("union",))
                          for child in reversed(parts))
     return tuple(order)
 

@@ -420,7 +420,7 @@ def witnesses_from_json(text: str) -> list[Witness]:
         if not (isinstance(found, list) and found and all(isinstance(w, dict) for w in found)):
             raise ValueError("malformed witness: not a JSON object")
         return [witness_from_dict(w) for w in found]
-    except (KeyError, TypeError, RecursionError) as err:
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as err:
         raise ValueError(f"malformed witness: {type(err).__name__}: {err}") from err
 
 

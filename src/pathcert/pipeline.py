@@ -72,10 +72,6 @@ class PipelineConstants:
     def path_bound(self) -> Fraction:
         return Fraction(1, 1) / (2 * (2 * self.epsilon + self.c))
 
-    @property
-    def n_min(self) -> int:
-        return 2 ** self.n_min_exponent + 1
-
 
 def log2_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds (lo, hi) with lo < log2(q) < hi, for q >= 1.

@@ -41,10 +41,6 @@ class InducedPathWitness:
 
     vertices: tuple[int, ...]
 
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
     def __len__(self) -> int:
         return len(self.vertices)
 

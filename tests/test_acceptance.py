@@ -59,7 +59,7 @@ def test_dichotomy_extraction():
         assert verify(g, w), (trial, w)
         if isinstance(w, InducedPathWitness):
             paths += 1
-            assert w.start == x
+            assert w.vertices[0] == x
             assert len(w) >= path_guarantee(g.n, params)
         else:
             pairs += 1

@@ -533,6 +533,17 @@ def test_malformed_answer_file_is_a_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: malformed witness")
 
 
+def test_a_witness_file_that_is_not_json_is_malformed(tmp_path, capsys):
+    """Text the JSON parser rejects reads as a malformed witness, like every
+    other fault of the file, and not as the parser's bare message."""
+    wpath = tmp_path / "w.json"
+    wpath.write_text("not json")
+    code = main(["verify", "--graph", write_g6(tmp_path, cycle_graph(5)), "--witness", str(wpath)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: malformed witness: JSONDecodeError: "
+                                       "Expecting value: line 1 column 1 (char 0)\n")
+
+
 @pytest.mark.parametrize("field, text", [
     ("X", '{"type": "bipartite", "kind": "empty", "X": [0, 0, 0, 0, 0], "Y": [2]}'),
     ("Y", '{"type": "bipartite", "kind": "empty", "X": [0], "Y": [2, 3, 2]}'),

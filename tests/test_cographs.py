@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -142,8 +143,17 @@ def test_p4free_rejects_bad_oracle_witness():
     def lying(g, mask):
         return BipartitePairWitness("empty", frozenset({0}), frozenset({1}))
 
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="oracle witness rejected"):
         p4free_extract(complete_graph(4), lying)
+
+    def straying(g, mask):  # a pair of g, but outside the part {0, 1} on the second call
+        if mask == g.full_mask:
+            return BipartitePairWitness("empty", frozenset({0, 1}), frozenset({2, 3}))
+        return BipartitePairWitness("empty", frozenset({2}), frozenset({3}))
+
+    with pytest.raises(OracleError, match="leaves the current subgraph") as err:
+        p4free_extract(empty_graph(4), straying)
+    assert err.value.witness.X == frozenset({2})
 
 
 def test_pair_search_matches_subset_enumeration():
@@ -261,9 +271,9 @@ def test_threshold_graph_exact_alpha_omega_at_n5000():
 
 def test_chain_cotrees_sweep_nothing(monkeypatch):
     # Each level of a threshold or caterpillar chain splits one vertex off
-    # and keeps the rest whole by the keeper test, so the only sweep is of
-    # the empty rest at the last two-vertex part.  A sweep per level is what
-    # made the n = 5000 chain take about 13 s.
+    # and keeps the rest whole by the keeper test, and the empty rest at the
+    # last two-vertex part is not swept.  A sweep per level is what made the
+    # n = 5000 chain take about 13 s.
     swept = []
     for name in ("component_masks", "co_component_masks"):
         sweep = getattr(cographs, name)
@@ -273,7 +283,69 @@ def test_chain_cotrees_sweep_nothing(monkeypatch):
               *(caterpillar_graph(700, seed) for seed in range(4))):
         swept.clear()
         assert isinstance(cotree(g), tuple)
-        assert swept == [0]
+        assert swept == []
+
+
+def _sweeps_allowed(g, mask) -> Counter:
+    """The sweeps ``cotree`` may make on the subgraph on ``mask``, as a
+    multiset of (sweep name, swept mask).  A part below the root is a union
+    or a join by its parent's kind, so it gets one: the part less its
+    isolated vertices by ``component_masks`` if it is a child of a join,
+    less its universal ones by ``co_component_masks`` if of a union.  The
+    root gets both.  Empty masks are never allowed.  The parts are walked in
+    pre-order up to the first connected, co-connected one."""
+    rows = {"union": g.adj, "join": complement(g, mask).adj}
+    sweep = {"union": "component_masks", "join": "co_component_masks"}
+    allowed = Counter()
+    stack = [(mask, ("union", "join"))]
+    while stack:
+        part, kinds = stack.pop()
+        if part & (part - 1) == 0:
+            continue
+        for kind in kinds:
+            rest = part & ~mask_of(v for v in bits(part) if not rows[kind][v] & part)
+            if rest:
+                allowed[sweep[kind], rest] += 1
+        for kind, other in (("union", "join"), ("join", "union")):
+            parts = component_masks(rows[kind], part)
+            if len(parts) > 1:
+                stack.extend((child, (other,)) for child in reversed(parts))
+                break
+        else:
+            break
+    return allowed
+
+
+def _graphs_for_sweep_counts():
+    yield from small_graphs(5)
+    for seed in range(40):
+        rng = stream(0x5E, seed)
+        n = randint(rng, 2, 80)
+        yield random_cograph(n, rng)
+        yield balanced_cograph(n, rng)
+    yield from (caterpillar_graph(n, seed) for seed in range(4) for n in (2, 3, 60))
+
+
+def test_each_part_below_the_root_is_swept_at_most_once(monkeypatch):
+    # Counted against ``_sweeps_allowed``: each part below the root is swept
+    # at most once, for its parent's other kind, and the root at most twice.
+    # Sweeping a join below the root for components first (the 4-cycle in a
+    # 4-cycle plus an isolated vertex) or sweeping an empty rest fails here.
+    # Only the calls made by ``cotree`` itself count, not ``find_p4``'s.
+    swept = Counter()
+    for name in ("component_masks", "co_component_masks"):
+        def counted(adj, mask, name=name, sweep=getattr(cographs, name)):
+            if sys._getframe(1).f_code is cotree.__code__:
+                swept[name, mask] += 1
+            return sweep(adj, mask)
+        monkeypatch.setattr(cographs, name, counted)
+    graphs = 0
+    for g in _graphs_for_sweep_counts():
+        swept.clear()
+        cotree(g)
+        assert not swept - _sweeps_allowed(g, g.full_mask), g.adj
+        graphs += 1
+    assert graphs > 1100
 
 
 def _prime(g, mask) -> bool:

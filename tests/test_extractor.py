@@ -104,7 +104,7 @@ def test_split_respects_given_order_and_bounds():
 def _witness_is_sound(g, x, params, w):
     assert verify(g, w)
     if isinstance(w, InducedPathWitness):
-        assert w.start == x
+        assert w.vertices[0] == x
         assert len(w) >= path_guarantee(g.n, params)
     else:
         assert w.kind == "empty"
