@@ -12,16 +12,19 @@ components themselves form the empty pair.  The walk is a loop over
 bounded by the interpreter's recursion limit.  Given k, it stops once its
 path holds k vertices: every prefix of an induced path is induced.
 
-Each level finds the components beyond the start without sweeping all of
-them, after the search of Even and Shiloach ("An on-line edge-deletion
-problem", J. ACM 1981).  Every component holds a seed, a neighbour of one of
-the start's neighbours.  One breadth-first search per seed advances a layer
-per round, a search that meets one before it in the round is dropped, and
-the level stops as soon as at most one search is still open: that one is
-whatever the closed ones leave.  A level thus takes as many rounds as the
-parts other than the largest need to close, and the largest part is not
-swept to its end.  A full sweep per level would make a walk of L levels
-cost L sweeps of the graph.
+Level 1 is the entry sweep: the walk's one ``component_masks`` call sweeps
+what lies beyond the start's closed neighbourhood, and that is both the
+connectivity check and the first level's parts.  A part of the start's
+component holds a seed, a neighbour of one of the start's neighbours, so a
+part without one is a whole component of the input.  The seeded search
+serves levels 2 and on, after the search of Even and Shiloach ("An on-line
+edge-deletion problem", J. ACM 1981): one breadth-first search per seed
+advances a layer per round, a search that meets one before it in the round
+is dropped, and the level stops as soon as at most one search is still
+open: that one is whatever the closed ones leave.  Such a level takes as
+many rounds as the parts other than the largest need to close, and the
+largest part is not swept to its end.  A full sweep per level would make a
+walk of L levels cost L sweeps of the graph.
 
 Thresholds are absolute counts, so they pass through every level
 unchanged; with T = ceil(c n) and D = ceil(eps n) the path guarantee
@@ -51,7 +54,8 @@ class ExtractorParams:
 
 class DisconnectedError(ValueError):
     """The walk's vertex set is not connected; ``parts`` is its
-    ``component_masks``, the sweep that found it out."""
+    ``component_masks``, read off the entry sweep (level 1's parts) that
+    found it out: the start's component and the parts without a seed."""
 
     def __init__(self, parts: list[int]):
         super().__init__("input graph is disconnected")
@@ -155,9 +159,16 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     if max(inner_degrees(adj, mask)) >= params.D:  # name the first vertex above D
         v, d = next((v, d) for v, d in zip(bits(mask), inner_degrees(adj, mask)) if d >= params.D)
         raise ValueError(f"closed degree of vertex {v} is {d + 1}, above the bound D={params.D}")
-    parts = component_masks(adj, mask)
-    if len(parts) != 1:
-        raise DisconnectedError(parts)
+    # Level 1's parts are the entry check's one sweep, of the mask beyond the
+    # start's closed neighbourhood.  Every part that touches the start's
+    # component holds a seed, so a seedless part is a whole component.
+    nb = adj[x] & mask
+    u = mask ^ nb ^ 1 << x
+    comps = component_masks(adj, u)
+    seeds = neighbours(adj, nb) & u
+    cut_off = [part for part in comps if not part & seeds]
+    if cut_off:
+        raise DisconnectedError(sorted([mask ^ sum(cut_off), *cut_off], key=by_size))
 
     T, D = params.T, params.D
     levels = [] if trace is None else trace
@@ -179,8 +190,9 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
                 return InducedPathWitness(tuple(path + [start]))
             assert nb, "connected subgraph of size >= 2 must give the start a neighbor"
             return InducedPathWitness(tuple(path + [start, (nb & -nb).bit_length() - 1]))
-        u = mask ^ nb ^ 1 << start
-        comps = _components_from_seeds(adj, u, neighbours(adj, nb) & u)
+        if comps is None:  # a level after the first: the seeded search
+            u = mask ^ nb ^ 1 << start
+            comps = _components_from_seeds(adj, u, neighbours(adj, nb) & u)
         c1 = comps[0]
         c1_size = c1.bit_count()
         if c1_size >= m - D - T:
@@ -188,7 +200,7 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
             y = next(v for v in bits(nb) if adj[v] & c1)
             levels.append({"n": m, "case": "grow", "c1": c1_size, "via": y})
             path.append(start)
-            start, mask = y, c1 | 1 << y
+            start, mask, comps = y, c1 | 1 << y, None
             continue
         # The parts partition u.  |c1| >= T stops the packing after c1, and
         # then |u - c1| > T, since |u| >= m - D and |c1| < m - D - T.

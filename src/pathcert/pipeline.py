@@ -171,8 +171,9 @@ def extract_linear_bipartite(g: Graph, k: int, mask: int | None = None) -> Extra
     trace.update(s=s, s_prime=s2, T=big_t, D=big_d)
 
     # The walk's path or pair on a connected survivor.  The walk's entry check
-    # sweeps the survivor's components and hands them back when there are
-    # several: then the stage-3 pair, else the walk on the largest.
+    # is its level 1, one sweep beyond the start's closed neighbourhood, and
+    # hands the survivor's components back when there are several: then the
+    # stage-3 pair, else the walk on the largest.
     params = ExtractorParams(big_t, big_d)
     levels: list = []
 

@@ -10,7 +10,7 @@ from pathcert.rng import stream
 from pathcert.witnesses import (BipartitePairWitness, InducedPathWitness, verify)
 
 from conftest import (caterpillar_graph, closed_degree, masked_corpus, reference_component_masks,
-                      seeded_connected_graph, sweep_walk)
+                      seeded_connected_graph, small_graphs, sweep_walk)
 
 
 def spider():
@@ -53,6 +53,25 @@ def test_disconnected_rejected():
     assert isinstance(err.value, ValueError)
     assert str(err.value) == "input graph is disconnected"
     assert err.value.parts == component_masks(g.adj, mask) == [0b00011, 0b11000]
+
+
+def test_entry_sweep_finds_every_disconnected_mask_and_its_components():
+    # The entry check sweeps only what lies beyond the start's closed
+    # neighbourhood; on every mask of every graph on at most 5 vertices,
+    # from every start in it, it still raises exactly on the disconnected
+    # masks, with all of the mask's components in the sweep's order.  With
+    # D = n + 1 the degree check never fires.
+    for g in small_graphs(5):
+        params = ExtractorParams(1, g.n + 1)
+        for mask in range(1, 1 << g.n):
+            comps = reference_component_masks(g.adj, mask)
+            for x in bits(mask):
+                try:
+                    path_or_empty_bipartite(g, x, params, mask=mask)
+                except DisconnectedError as err:
+                    assert err.parts == comps, (g.adj, mask, x)
+                else:
+                    assert len(comps) == 1, (g.adj, mask, x)
 
 
 def test_middle_case_spider_pair():
@@ -259,6 +278,18 @@ def test_walk_stopped_at_k_is_a_prefix_of_the_full_walk():
             else:
                 assert (got, trace) == (w, full), (g.n, mask, x, params, j)
     assert min(stopped.values()) > 50, stopped
+
+
+def test_bounds_below_1_and_a_start_outside_the_mask_are_rejected():
+    for t, d in ((0, 3), (1, 0)):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            ExtractorParams(t, d)
+    with pytest.raises(ValueError, match="target must be at least 1"):
+        split_small_components([0b1, 0b10], 0)
+    g, params = path_graph(6), ExtractorParams(1, 3)
+    for x, mask in ((6, None), (-1, None), (0, 0b111110)):
+        with pytest.raises(ValueError, match=f"start vertex {x} is not in the vertex set"):
+            path_or_empty_bipartite(g, x, params, mask=mask)
 
 
 def test_walk_rejects_a_k_below_1():

@@ -429,9 +429,11 @@ def test_deep_walk_matches_full_sweep_oracle(g, levels):
 def test_deep_path_request_makes_three_degree_passes(monkeypatch):
     # The sparse peel keeps all of a path or a cycle, so the dense peel does
     # not start: one inner_degrees pass each for the sparse peel, the prune
-    # and the walk's degree check.  The walk's connectivity check is the
-    # request's one component sweep: stage 3 reads its components from it.
-    passes, sweeps = [], []
+    # and the walk's degree check.  The request's one component sweep is the
+    # walk's entry check, of everything beyond the start's closed
+    # neighbourhood, which is also the walk's first level; the seeded search
+    # serves the levels after it, up to the stop at k.
+    passes, sweeps, searches = [], [], []
 
     def counting(adj, mask):
         passes.append(mask.bit_count())
@@ -441,16 +443,25 @@ def test_deep_path_request_makes_three_degree_passes(monkeypatch):
         sweeps.append(mask)
         return graph.component_masks(adj, mask)
 
+    def searching(adj, u, seeds):
+        searches.append(u)
+        return seeded(adj, u, seeds)
+
+    seeded = extractor._components_from_seeds
     for module in (homogeneous, extractor, cographs):
         monkeypatch.setattr(module, "inner_degrees", counting)
     for module in (extractor, cographs, pipeline):  # a sweep bound in the pipeline counts too
         monkeypatch.setattr(module, "component_masks", sweeping, raising=False)
-    for g in (path_graph(958), cycle_graph(683)):
+    monkeypatch.setattr(extractor, "_components_from_seeds", searching)
+    for g, beyond in ((path_graph(958), 956), (cycle_graph(683), 680)):
         passes.clear()
         sweeps.clear()
+        searches.clear()
         report = extract_linear_bipartite(g, 5)
         assert passes == [g.n] * 3
-        assert sweeps == [g.full_mask]
+        assert sweeps == [g.full_mask & ~(g.adj[0] | 1)]
+        assert sweeps[0].bit_count() == beyond
+        assert len(searches) == 3
         assert report.trace["stage1"] == {"kind": "stable", "size": g.n}
         assert report.trace["stage3"] == "connected"
         assert report.outcome == "pattern-certificate"
@@ -463,6 +474,30 @@ STAGE3_ROUTES = [
     (build_graph(61, [(i, i + 1) for i in range(59)]), 5, "recurse-largest(60)", [60, 1],
      ["extractor", "path_length"]),
 ]
+
+
+@pytest.mark.parametrize("g, k, stage3", [route[:3] for route in STAGE3_ROUTES],
+                         ids=["connected", "component-split", "recurse-largest"])
+def test_each_walk_makes_one_component_sweep_on_every_stage3_route(g, k, stage3, monkeypatch):
+    # The sweep is the walk's entry check beyond its start's closed
+    # neighbourhood, so it is 2 or 1 vertices short of the walk's mask here.
+    walks, sweeps = [], []
+
+    def walking(g, x, params, trace=None, mask=None, *, k=None):
+        walks.append(mask)
+        return walk(g, x, params, trace, mask, k=k)
+
+    def sweeping(adj, mask):
+        sweeps.append(mask.bit_count())
+        return graph.component_masks(adj, mask)
+
+    walk = pipeline.path_or_empty_bipartite
+    monkeypatch.setattr(pipeline, "path_or_empty_bipartite", walking)
+    monkeypatch.setattr(extractor, "component_masks", sweeping)
+    extract_linear_bipartite(g, k)
+    assert len(sweeps) == len(walks) == (2 if stage3.startswith("recurse") else 1)
+    assert sweeps == {"connected": [956], "component-split": [5],
+                      "recurse-largest(60)": [59, 58]}[stage3]
 
 
 @pytest.mark.parametrize("g, k, stage3, sizes, tail", STAGE3_ROUTES,

@@ -12,8 +12,8 @@ Each mutant changes one operator of one module:
             (in)equality comparison shifted by +1 and by -1 (``0`` -> ``1``,
             ``g.n`` -> ``(g.n - 1)``); comparisons with a string are skipped;
   early     the test of an ``if`` whose body ends in ``return``,
-            ``continue`` or ``break`` made False, and a conditional
-            expression ``a if c else b`` replaced by ``(b)``.
+            ``continue``, ``break`` or ``raise`` made False, and a
+            conditional expression ``a if c else b`` replaced by ``(b)``.
 
 The verifiers (``witnesses.py``) get the first five operators, the
 producers (``graph.py``, ``extractor.py``, ``homogeneous.py``,
@@ -28,13 +28,17 @@ expression keeps its else branch's text), so every other line of the
 module keeps its text.
 
 The mutants run in a temporary copy of the repository, which must first
-pass the full suite unmutated.  Each mutant runs the module's own test file
+pass the full suite and each scanned module's test file unmutated; those
+runs are timed.  Each mutant runs the module's own test file
 (``tests/test_<module>.py``) and, if it survives that, the full suite
 but ``tests/test_mutate.py``, the scan's own guard.  A run that fails or
-times out kills the mutant.  The output is one Markdown table row per
-mutant and, per module, the number that survive the full suite.  On a
-2-core x86 host the scan of ``cographs.py`` alone (67 mutants) takes about
-19 minutes, and that of the other modules about half an hour.
+times out kills the mutant: a mutant can loop forever, so a test file's
+run gets three times its unmutated run (at least ``FLOOR`` seconds) and a
+full-suite run ten times the unmutated suite's.  The output is one
+Markdown table row per mutant and, per module, the number that survive the
+full suite.  On a 2-core x86 host the scan of ``extractor.py`` alone (15
+mutants, none reaching the full suite) takes about 80 s, most of it the
+unmutated full suite.
 
 It needs the standard library and pytest only::
 
@@ -50,6 +54,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,10 +66,9 @@ TARGETS = {"witnesses": VERIFIER, "graph": PRODUCER, "extractor": PRODUCER,
            "cographs": ("compare", "boolop", "bitop", "bound", "early"),
            "homogeneous": PRODUCER, "pipeline": PRODUCER,
            "formats": PRODUCER, "cli": PRODUCER}
-# Seconds before a run of a module's test file (2-26 s on a 2-core x86 host)
-# counts as a kill, since a mutant can loop forever; the full suite (about
-# 60 s there) gets ten times as long.
-TIMEOUT = 90.0
+# The least timeout, in seconds, of a run of a module's test file: a file
+# that runs in a second or two would otherwise give a slow start-up a kill.
+FLOOR = 10.0
 # The full-suite runs on mutants leave out the scan's own guard: it builds
 # the mutants of each source, and a mutated source's ``if False`` has none
 # that differs from it.
@@ -179,7 +183,7 @@ def mutants(source: bytes, operators: tuple[str, ...]) -> list[Mutant]:
         elif isinstance(node, ast.If):
             if any(map(_rejects, node.body)):
                 found.append(_if_false(source, starts, node, "reject"))
-            if isinstance(node.body[-1], (ast.Return, ast.Continue, ast.Break)):
+            if isinstance(node.body[-1], (ast.Return, ast.Continue, ast.Break, ast.Raise)):
                 found.append(_if_false(source, starts, node, "early"))
         elif isinstance(node, ast.IfExp):  # the else branch, bracketed, is kept
             lo, hi = _span(starts, node)
@@ -207,7 +211,7 @@ def apply(source: bytes, mutant: Mutant) -> bytes:
     return source
 
 
-def run_tests(work: Path, args: list[str], timeout: float) -> str:
+def run_tests(work: Path, args: list[str], timeout: float | None) -> str:
     """``"pass"``, ``"fail"`` or ``"timeout"`` for one pytest run in ``work``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode between mutants
     env.pop("PYTHONPATH", None)  # the copy's pyproject puts its own src on the path
@@ -220,6 +224,15 @@ def run_tests(work: Path, args: list[str], timeout: float) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
+def _timed(work: Path, args: list[str]) -> float:
+    """Seconds of one pytest run in ``work`` on the unmutated sources; a
+    failing run ends the scan."""
+    start = time.monotonic()
+    if run_tests(work, args, None) != "pass":
+        sys.exit(f"the unmutated copy fails {' '.join(args) or 'the full suite'}")
+    return time.monotonic() - start
+
+
 def _run(found: list[tuple[str, bytes, Mutant]]) -> list[str]:
     """Each (module, source, mutant)'s result: the module's test file on
     all, the full suite on survivors."""
@@ -228,11 +241,12 @@ def _run(found: list[tuple[str, bytes, Mutant]]) -> list[str]:
         work = Path(tmp) / "repo"
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".bench_work"))
-        if run_tests(work, [], 10 * TIMEOUT) != "pass":
-            sys.exit("the unmutated copy fails the full suite")
+        full_timeout = 10 * _timed(work, [])
+        timeout = {module: max(FLOOR, 3 * _timed(work, [f"tests/test_{module}.py"]))
+                   for module in dict.fromkeys(module for module, _, _ in found)}
         for i, (module, source, mutant) in enumerate(found):
             (work / source_path(module)).write_bytes(apply(source, mutant))
-            results.append(run_tests(work, [f"tests/test_{module}.py"], TIMEOUT))
+            results.append(run_tests(work, [f"tests/test_{module}.py"], timeout[module]))
             (work / source_path(module)).write_bytes(source)
             print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
         for i, result in enumerate(results):
@@ -240,7 +254,7 @@ def _run(found: list[tuple[str, bytes, Mutant]]) -> list[str]:
                 continue
             module, source, mutant = found[i]
             (work / source_path(module)).write_bytes(apply(source, mutant))
-            results[i] = "full " + run_tests(work, FULL_SUITE, 10 * TIMEOUT)
+            results[i] = "full " + run_tests(work, FULL_SUITE, full_timeout)
             (work / source_path(module)).write_bytes(source)
             print(f"mutant {i + 1}: {results[i]}", file=sys.stderr, flush=True)
     words = {"fail": "killed by test_{}.py", "timeout": "killed by test_{}.py (timeout)",
