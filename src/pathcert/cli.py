@@ -79,11 +79,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.what == "cograph-ramsey" and (args.start, args.T, args.D) != (None, None, None):
+        raise ValueError("extract cograph-ramsey takes no --start, --T or --D")
     g = _read_graph(args.input, args.format)
     if args.what == "path-or-bipartite":
         D = args.D if args.D is not None else max(map(int.bit_count, g.adj)) + 1
-        params = ExtractorParams(args.T, D)
-        w = path_or_empty_bipartite(g, args.start, params)
+        params = ExtractorParams(1 if args.T is None else args.T, D)
+        w = path_or_empty_bipartite(g, 0 if args.start is None else args.start, params)
         return _answer({"guaranteed_path_vertices": path_guarantee(g.n, params)},
                        g, args.out, w)
     res = cograph_alpha_omega(g)  # cograph-ramsey
@@ -156,11 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pk-free", type=int, metavar="K")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("extract", help="run one extraction primitive")
+    p = sub.add_parser("extract", help="run one extraction primitive; --start, --T and --D "
+                       "are path-or-bipartite's alone")
     p.add_argument("what", choices=("path-or-bipartite", "cograph-ramsey"))
     add_io(p)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--T", type=int, default=1)
+    p.add_argument("--start", type=int, help="the walk's first vertex (default: 0)")
+    p.add_argument("--T", type=int, help="the pair's side bound (default: 1)")
     p.add_argument("--D", type=int, help="closed-degree bound (default: the input's largest)")
     p.set_defaults(func=_cmd_extract)
 

@@ -23,21 +23,21 @@ header "n m" in ``_runs_pay``: the dense path when 1 <= n <= 4096, m is
 past n * n / 16 and the text holds at least 4 characters per promised
 edge, the sparse path otherwise.
 
-The sparse path looks up each token's vertex id in a dict (a chunk with a
-spelling such as "+1" or "007" goes through ``int()`` whole) and
+Each builder has one id reader.  The sparse path reads a chunk's tokens
+through ``int()``, the whole chunk before any of its edges is checked, and
 ``graph.build_graph`` checks each edge and ORs it into both rows.  The
 dense path is the only builder of dense rows: it ORs each edge into its
 first endpoint's row only, and ``graph.symmetrised`` adds the other side of
-every edge at the end.  For each run of lines with the same first token it
-ORs the run's second endpoints, looked up in a table of 1 << v, into that
-one row by a C-level reduce, with no Python statement per edge.  A chunk
-with a token the table does not hold, or with a self-loop, is read as on
-the sparse path, so a bad edge raises through ``build_graph``'s checks and
-faults read the same on both paths.  Nothing but the rows outlives its
-chunk; the dense path also holds its table (n ints) and one block of the
-transpose (the n * n byte matrix up to n = 2048, 2.25 MB at n = 1500).
-Beyond the text and the graph, parsing memory is bounded by the chunk plus
-those.
+every edge at the end.  It reads every token in a table of 1 << v: for each
+run of lines with the same first token it ORs the run's second endpoints'
+bits into the row of the first's bit by a C-level reduce, with no Python
+statement per edge.  A chunk with a token the table does not hold, or with
+a self-loop, is read as on the sparse path, so a bad edge raises through
+``build_graph``'s checks and faults read the same on both paths.  Nothing
+but the rows outlives its chunk; the dense path also holds its table (n
+ints) and one block of the transpose (the n * n byte matrix up to
+n = 2048, 2.25 MB at n = 1500).  Beyond the text and the graph, parsing
+memory is bounded by the chunk plus those.
 
 An edge-list input with one fault is rejected with the same message
 whatever its layout.  With several faults the first one met is reported,
@@ -224,15 +224,6 @@ def _line_tokens(text: str) -> Iterator[list[str]]:
         yield tokens
 
 
-def _vertex_ids(tokens: list[str], ids: dict[str, int]) -> list[int]:
-    """``tokens`` as ints: by one dict lookup each, or, in a chunk with any
-    other spelling ("+1", "007", "1_0", out of range), all through int()."""
-    try:
-        return list(map(ids.__getitem__, tokens))
-    except KeyError:
-        return list(map(int, tokens))
-
-
 # The largest n whose edge-list text may take the run path, which keeps a
 # table of 1 << v: n ints of up to n bits, at most n * n / 8 bytes (2 MiB here).
 _BIT_TABLE_MAX_N = 4096
@@ -253,27 +244,28 @@ def _runs_pay(n: int, m: int, length: int) -> bool:
     return 1 <= n <= _BIT_TABLE_MAX_N and _DIRECTED_AFTER * m > n * n and 4 * m <= length
 
 
-def _or_directed(rows: list[int], tokens: list[str], ids: dict, bit: dict) -> bool:
-    """OR each edge of the chunk ``tokens`` into its first endpoint's row
-    ``ids[u]``, each run of equal first endpoints by one C-level reduce of
-    its second endpoints' ``bit[v]``.  False, with the rows partly ORed, at
-    a token the tables do not hold or at a self-loop."""
+def _or_directed(rows: list[int], tokens: list[str], bit: dict[str, int]) -> bool:
+    """OR each edge of the chunk ``tokens`` into its first endpoint's row,
+    each run of equal first endpoints by one C-level reduce of its second
+    endpoints' ``bit[v]``; the run's head ``bit[u]`` is the row's one bit,
+    so its bit length less one is the row's index.  False, with the rows
+    partly ORed, at a token the table does not hold or at a self-loop."""
     us, vs = tokens[0::2], tokens[1::2]
     try:
         i = 0
         for u, run in groupby(us):
             j = i + len(list(run))
             row = reduce(or_, map(bit.__getitem__, vs[i:j]))
-            i, u = j, ids[u]
-            if row >> u & 1:
+            i, head = j, bit[u]
+            if row & head:
                 return False
-            rows[u] |= row
+            rows[head.bit_length() - 1] |= row
     except KeyError:
         return False
     return True
 
 
-def _graph_by_runs(n: int, bodies: Iterator[list[str]], ids: dict[str, int]) -> Graph:
+def _graph_by_runs(n: int, bodies: Iterator[list[str]]) -> Graph:
     """The graph of the chunks' edge tokens ``bodies`` on n vertices: each
     edge ORed into its first endpoint's row, symmetrised at the end.  A
     chunk _or_directed cannot take is read as on the sparse path, so
@@ -282,8 +274,8 @@ def _graph_by_runs(n: int, bodies: Iterator[list[str]], ids: dict[str, int]) -> 
     rows = [0] * n
     bit = {str(v): 1 << v for v in range(n)}
     for tokens in bodies:
-        if not _or_directed(rows, tokens, ids, bit):
-            flat = iter(_vertex_ids(tokens, ids))
+        if not _or_directed(rows, tokens, bit):
+            flat = iter(list(map(int, tokens)))
             rows = list(map(or_, rows, build_graph(n, zip(flat, flat)).adj))
     return Graph(n, symmetrised(rows))
 
@@ -295,9 +287,6 @@ def parse_edge_list(text: str) -> Graph:
     if head is None:
         raise ValueError("empty edge-list input")
     n, m = int(head[0]), int(head[1])
-    # One entry per vertex, but no more than the text has characters, so an
-    # absurd n in a short header costs nothing here.
-    ids = {str(v): v for v in range(min(n, len(text)))}
     found = 0
 
     def bodies() -> Iterator[list[str]]:
@@ -307,9 +296,11 @@ def parse_edge_list(text: str) -> Graph:
             yield tokens
 
     if _runs_pay(n, m, len(text)):
-        g = _graph_by_runs(n, bodies(), ids)
+        g = _graph_by_runs(n, bodies())
     else:
-        flat = chain.from_iterable(_vertex_ids(tokens, ids) for tokens in bodies())
+        # Each chunk's tokens become ints whole before build_graph checks
+        # any of its edges: a token int() refuses is reported first.
+        flat = chain.from_iterable(list(map(int, tokens)) for tokens in bodies())
         g = build_graph(n, zip(flat, flat))
     if found != m:
         raise ValueError(f"header promises {m} edges, found {found}")
@@ -382,6 +373,8 @@ def witness_from_dict(data: dict) -> Witness:
         if key in data and len(set(data[key])) != len(data[key]):
             raise ValueError(f"malformed witness: {key!r} repeats a vertex id")
     kind = data.get("type")
+    if kind in ("bipartite", "homogeneous") and not isinstance(data["kind"], str):
+        raise TypeError("'kind' must be a string")
     if kind == "path":
         return InducedPathWitness(tuple(data["vertices"]))
     if kind == "bipartite":

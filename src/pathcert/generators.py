@@ -95,7 +95,7 @@ def random_cograph(n: int, rng: SplitMix64) -> Graph:
 
 def generate(spec: GeneratorSpec, index: int = 0) -> Graph:
     """Build the graph described by ``spec``; ``index`` selects the substream
-    (batch drivers give each graph its own index)."""
+    (batch drivers give each graph its own index; see rejection_sample_ck)."""
     rng = stream(spec.seed, index)
     family = spec.family
     if family == "gnp":
@@ -121,7 +121,7 @@ def generate(spec: GeneratorSpec, index: int = 0) -> Graph:
     if family == "ck":
         if spec.p is None or spec.k is None or spec.budget is None:
             raise ValueError("ck needs p, k and budget")
-        return rejection_sample_ck(spec.n, spec.k, spec.p, spec.seed, spec.budget).graph
+        return rejection_sample_ck(spec.n, spec.k, spec.p, spec.seed, spec.budget, index).graph
     raise AssertionError(family)
 
 
@@ -145,15 +145,16 @@ CK_MAX_N = 40
 
 
 def rejection_sample_ck(n: int, k: int, p: Fraction, seed: int,
-                        budget: int) -> CertifiedSample:
-    """Draw G(n, p) graphs (substream per draw) until one passes the
-    brute-force freeness check; fail after ``budget`` draws."""
+                        budget: int, index: int = 0) -> CertifiedSample:
+    """Draw G(n, p) graphs until one passes the brute-force freeness check;
+    fail after ``budget`` draws.  Draw d reads substream
+    ``index * budget + d``, so the indices of one batch never share a draw."""
     if n > CK_MAX_N:
         raise ValueError(f"brute-force certification limited to n <= {CK_MAX_N}")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     for draw in range(budget):
-        g = gnp(n, p, stream(seed, draw))
+        g = gnp(n, p, stream(seed, index * budget + draw))
         if is_pk_copk_free(g, k) is None:
             return CertifiedSample(g, k, draw + 1)
     raise BudgetExhaustedError(budget)

@@ -48,14 +48,21 @@ def test_gen_writes_deterministic_graph6(tmp_path, capsys):
 
 
 def test_gen_ck_family_is_certified(tmp_path, capsys):
-    out = tmp_path / "ck.edges"
-    assert main(["gen", "--family", "ck", "--n", "8", "--p", "1/2", "--k", "5",
-                 "--seed", "3", "--budget", "5000", "--format", "edges",
-                 "--out", str(out)]) == 0
+    # Index i draws from substreams i * budget on: index 0 keeps the
+    # sampler's own draws, and the indices of one batch share none.
     from pathcert.formats import parse_edge_list
+    from pathcert.generators import rejection_sample_ck
     from pathcert.patterns import is_pk_copk_free
-    g = parse_edge_list(out.read_text())
-    assert g.n == 8 and is_pk_copk_free(g, 5) is None
+    graphs = []
+    for index in range(4):
+        out = tmp_path / f"ck{index}.edges"
+        assert main(["gen", "--family", "ck", "--n", "8", "--p", "1/2", "--k", "5",
+                     "--seed", "3", "--budget", "5000", "--index", str(index),
+                     "--format", "edges", "--out", str(out)]) == 0
+        graphs.append(parse_edge_list(out.read_text()))
+    assert all(g.n == 8 and is_pk_copk_free(g, 5) is None for g in graphs)
+    assert graphs[0] == rejection_sample_ck(8, 5, Fraction(1, 2), seed=3, budget=5000).graph
+    assert len(set(graphs)) > 1
 
 
 def test_check_pk_free(tmp_path, capsys):
@@ -137,6 +144,17 @@ def test_extract_path_or_bipartite_on_a_disconnected_graph_is_a_usage_error(tmp_
     assert main(["extract", "path-or-bipartite", "--input", str(p), "--format", "edges"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: input graph is disconnected\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("option", [["--start", "99"], ["--T", "0"], ["--D", "0"],
+                                    ["--T", "0", "--D", "0", "--start", "99"]],
+                         ids=["start", "T", "D", "all"])
+def test_extract_cograph_ramsey_rejects_the_walks_options(tmp_path, capsys, option):
+    path = write_g6(tmp_path, complete_bipartite_graph(4, 4))
+    assert main(["extract", "cograph-ramsey", "--input", path, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: extract cograph-ramsey takes no --start, --T or --D\n"
+    assert captured.out == ""
 
 
 def test_extract_p4free_and_cograph(tmp_path, capsys):
@@ -511,7 +529,14 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, crash):
                                   '{"type": "homogeneous", "kind": "stable", "S": [0], '
                                   '"epsilon": 0.0, "edge_count": 0}',
                                   # a pattern name and a map that disagree on the size
-                                  '{"type": "embedding", "pattern": "P4", "map": [0, 1, 2]}'])
+                                  '{"type": "embedding", "pattern": "P4", "map": [0, 1, 2]}',
+                                  # a kind that is not a string
+                                  '{"type": "bipartite", "kind": 5, "X": [0], "Y": [2]}',
+                                  '{"type": "bipartite", "kind": null, "X": [0], "Y": [2]}',
+                                  '{"type": "homogeneous", "kind": 5, "S": [0], '
+                                  '"epsilon": "0", "edge_count": 0}',
+                                  '{"type": "homogeneous", "kind": null, "S": [0], '
+                                  '"epsilon": "0", "edge_count": 0}'])
 def test_malformed_witness_is_a_usage_error(tmp_path, capsys, text):
     wpath = tmp_path / "w.json"
     wpath.write_text(text)

@@ -68,10 +68,19 @@ def test_decode_errors_carry_offsets():
     assert err.value.offset == 1
     with pytest.raises(Graph6Error):
         decode_graph6("A_X")  # extra data byte
+    # Size bytes just outside 63..125 (one byte) and 63..126 (the long
+    # form), and the size byte of n = 0, which is in range.
+    for text, offset in ((">", 0), ("~>??", 1), ("~?\x7f?", 2)):
+        with pytest.raises(Graph6Error, match="invalid size byte") as err:
+            decode_graph6(text)
+        assert err.value.offset == offset
+    with pytest.raises(Graph6Error, match="at least one vertex"):
+        decode_graph6("?")
 
 
 def test_encode_guard_above_long_form():
     assert encode_graph6(empty_graph(63)).startswith("~??~")
+    assert formats._graph6_size(formats.GRAPH6_MAX_N) == "~}~~"
     with pytest.raises(ValueError, match="n <= 258047"):
         encode_graph6(empty_graph(258048))
 
@@ -413,7 +422,8 @@ def test_edge_list_header_lies_match_oracle(monkeypatch):
     comment = "# " + "c" * 30000 + "\n"
     cases = [("4096 99999999\n0 1\n", False), ("300 30000\n" + sparse, False),
              ("300 6000\n" + comment + sparse, True), ("300 10\n" + body, False),
-             (f"300 {len(lines) - 2}\n" + body, True), (f"300 {len(lines)}\n" + body, True)]
+             (f"300 {len(lines) - 2}\n" + body, True), (f"300 {len(lines)}\n" + body, True),
+             ("9 6\n0 1\n0 2\n0 3\n0 4\n0 5\n", True)]  # 4 characters an edge, exactly
     for text, runs in cases:
         head = text.split(None, 2)
         assert formats._runs_pay(int(head[0]), int(head[1]), len(text)) is runs
@@ -494,7 +504,7 @@ SHAPE_INPUTS = ["3 1\n 5\n", "3 1\n5 \n", "3 3\n0 1\n 5\n1 2\n", "3 1\n1  2\n",
                 "3 1\n1 2 \n", "3 2\n0 1 \n1 2\n", "3 1\n\u0661 \u0662\n",
                 "3 1\n\uff11 \uff12\n", "3 1\n1 2", "3 2\n0 1\n1 2", "3 2\n0 1\n12\n",
                 "3 1\n12\n\n", "3 1\n 1 2\n", "3 1\n1\t2\n", "3 1\n1 2\r\n",
-                "3 0\n\n\n", "3 1\n1 2\n\n"]
+                "3 0\n\n\n", "3 1\n1 2\n\n", "3 2\n0 1 2\n1\n"]
 
 
 @pytest.mark.parametrize("text", SHAPE_INPUTS)

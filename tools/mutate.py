@@ -16,16 +16,17 @@ Each mutant changes one operator of one module:
             conditional expression ``a if c else b`` replaced by ``(b)``.
 
 The verifiers (``witnesses.py``) get the first five operators, the
-producers (``graph.py``, ``extractor.py``, ``homogeneous.py``,
-``pipeline.py`` and ``formats.py``) get ``early``: a surviving producer
-mutant is either a missing test or a shortcut whose gain on some benchmark
-workload's traffic has to be shown.  ``cographs.py`` gets every operator
-but ``reject`` (it returns no verdicts), since its cotree loop decides each
-part by comparisons and bit operations on degree-table masks.  ``cli.py``
-gets ``early`` too, for its exit-status decisions.  Only the operator's,
-the bound's or the test's own characters are rewritten (a conditional
-expression keeps its else branch's text), so every other line of the
-module keeps its text.
+producers (``graph.py``, ``extractor.py``, ``homogeneous.py`` and
+``pipeline.py``) get ``early``: a surviving producer mutant is either a
+missing test or a shortcut whose gain on some benchmark workload's traffic
+has to be shown.  ``cographs.py`` gets every operator but ``reject`` (it
+returns no verdicts), since its cotree loop decides each part by
+comparisons and bit operations on degree-table masks.  ``formats.py`` gets
+``compare``, ``bound`` and ``early``: the parser's range, size and switch
+point checks are comparisons.  ``cli.py`` gets ``early`` too, for its
+exit-status decisions.  Only the operator's, the bound's or the test's own
+characters are rewritten (a conditional expression keeps its else branch's
+text), so every other line of the module keeps its text.
 
 The mutants run in a temporary copy of the repository, which must first
 pass the full suite and each scanned module's test file unmutated; those
@@ -65,7 +66,7 @@ PRODUCER = ("early",)
 TARGETS = {"witnesses": VERIFIER, "graph": PRODUCER, "extractor": PRODUCER,
            "cographs": ("compare", "boolop", "bitop", "bound", "early"),
            "homogeneous": PRODUCER, "pipeline": PRODUCER,
-           "formats": PRODUCER, "cli": PRODUCER}
+           "formats": ("compare", "bound", "early"), "cli": PRODUCER}
 # The least timeout, in seconds, of a run of a module's test file: a file
 # that runs in a second or two would otherwise give a slow start-up a kill.
 FLOOR = 10.0
