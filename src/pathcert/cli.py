@@ -83,7 +83,7 @@ def _cmd_extract(args) -> int:
         raise ValueError("extract cograph-ramsey takes no --start, --T or --D")
     g = _read_graph(args.input, args.format)
     if args.what == "path-or-bipartite":
-        D = args.D if args.D is not None else max(map(int.bit_count, g.adj)) + 1
+        D = args.D if args.D is not None else max(g.degrees) + 1
         params = ExtractorParams(1 if args.T is None else args.T, D)
         w = path_or_empty_bipartite(g, 0 if args.start is None else args.start, params)
         return _answer({"guaranteed_path_vertices": path_guarantee(g.n, params)},

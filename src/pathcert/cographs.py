@@ -153,7 +153,7 @@ def cotree(g: Graph, mask: int | None = None):
     # part's offset: a union keeps the offset, a join adds the size of the
     # siblings, which every member of the child sees.
     by_degree: dict[int, int] = {}
-    for v, d in zip(bits(mask), inner_degrees(adj, mask)):
+    for v, d in zip(bits(mask), inner_degrees(g, mask)):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
 
     # Pre-order over the parts, children left to right, so the first connected

@@ -156,8 +156,9 @@ def path_or_empty_bipartite(g: Graph, x: int, params: ExtractorParams,
     if not (0 <= x < g.n and mask >> x & 1):
         raise ValueError(f"start vertex {x} is not in the vertex set")
     adj = g.adj
-    if max(inner_degrees(adj, mask)) >= params.D:  # name the first vertex above D
-        v, d = next((v, d) for v, d in zip(bits(mask), inner_degrees(adj, mask)) if d >= params.D)
+    degrees = inner_degrees(g, mask)
+    if max(degrees) >= params.D:  # name the first vertex above D
+        v, d = next((v, d) for v, d in zip(bits(mask), degrees) if d >= params.D)
         raise ValueError(f"closed degree of vertex {v} is {d + 1}, above the bound D={params.D}")
     # Level 1's parts are the entry check's one sweep, of the mask beyond the
     # start's closed neighbourhood.  Every part that touches the start's

@@ -16,6 +16,15 @@ relabelled or translated back.  :func:`complement` restricted to a mask
 fills rows for the mask's members only, and :func:`induced` builds a
 relabelled copy for callers that need a standalone graph.
 
+Each graph counts its rows once: :attr:`Graph.degrees`, built on first read
+and kept, is every row's bit count.  It is the producers' one degree table:
+:func:`inner_degrees` returns it on the full mask, so the stage-1 peels, the
+prune, the walk's degree check and the cotree share one count of g's rows,
+and ``edge_count`` and the CLI's default ``--D`` read it too.  It is a tuple,
+so no caller can change it, and it is no field: ``==`` and ``hash`` read
+``n`` and ``adj`` alone.  A complement or induced graph is a new graph with
+its own table.
+
 :func:`build_graph` builds rows from an edge list in one loop that checks
 each edge and ORs it into both endpoints' rows.  It is the sparse builder:
 a dense edge-list text (more than n * n / 16 edges, n <= 4096, at least
@@ -31,6 +40,7 @@ are the transpose's only callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count, repeat
 from operator import lshift, or_
 from typing import Iterable, Iterator, Sequence
@@ -69,11 +79,13 @@ def member_selectors(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_SELECTORS)
 
 
-def inner_degrees(adj: Sequence[int], mask: int) -> list[int]:
+def inner_degrees(g: Graph, mask: int) -> Sequence[int]:
     """Degrees inside ``mask`` of its members, in ascending vertex order.
-    On the full mask of ``adj`` a row's degree is its bit count."""
-    if mask == (1 << len(adj)) - 1:
-        return list(map(int.bit_count, adj))
+    On g's full mask this is g's own table, :attr:`Graph.degrees`, counted
+    once per graph; any other mask is counted member by member."""
+    if mask == g.full_mask:
+        return g.degrees
+    adj = g.adj
     return [(adj[v] & mask).bit_count() for v in bits(mask)]
 
 
@@ -104,8 +116,13 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each row's bit count, vertex by vertex; built on first read."""
+        return tuple(map(int.bit_count, self.adj))
+
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(self.degrees) // 2
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

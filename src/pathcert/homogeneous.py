@@ -15,7 +15,9 @@ peel runs first, and the dense peel stops once it is down to the sparse
 survivor count: a tie goes to the sparse set, so past that point the dense
 peel could not win.  On a long path or cycle the sparse peel keeps every
 vertex, so it deletes nothing and builds no plane, and the dense peel does
-not run.
+not run.  Both peels and the prune count degrees by
+:func:`pathcert.graph.inner_degrees`, so on g's full mask they read g's one
+degree table rather than count the rows again.
 
 All thresholds are exact rationals, compared as integers (numerator times
 the other side's denominator); floats never decide anything here.
@@ -44,10 +46,10 @@ def _degree_planes(mask: int, degrees: Sequence[int]) -> list[int]:
     return planes
 
 
-def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
+def _peel(g: Graph, mask: int, epsilon: Fraction, dense: bool,
           _floor: int = 1) -> tuple[int, int]:
-    """Greedy peel of the subgraph on ``mask`` of rows ``adj``: returns
-    (mask, edges) for the survivors.
+    """Greedy peel of the subgraph of g on ``mask``: returns (mask, edges)
+    for the survivors.
 
     Sparse mode deletes a vertex of maximum degree, dense mode one of maximum
     co-degree (that is, minimum degree), ties to the smallest id, until the
@@ -61,8 +63,9 @@ def _peel(adj, mask: int, epsilon: Fraction, dense: bool,
     ripple borrow.  Each step is O(log n) big-int operations, and the dense
     mode needs no complement graph.
     """
+    adj = g.adj
     size = mask.bit_count()
-    degrees = inner_degrees(adj, mask)
+    degrees = inner_degrees(g, mask)
     edges = sum(degrees) // 2
     planes: list[int] = []  # built on the first deletion
     num, den = epsilon.numerator, epsilon.denominator
@@ -108,12 +111,12 @@ def find_epsilon_homogeneous(g: Graph, epsilon: Fraction, *,
     if not mask:
         raise ValueError("mask must be nonempty")
     kind = "stable"
-    found, edges = _peel(g.adj, mask, epsilon, dense=False)
+    found, edges = _peel(g, mask, epsilon, dense=False)
     # A tie goes to the sparse set, so the dense peel can only win while it
     # keeps more vertices: it stops at the sparse peel's size, and it does
     # not start when the sparse peel kept every vertex.
     if found != mask:
-        dense, dense_edges = _peel(g.adj, mask, epsilon, dense=True,
+        dense, dense_edges = _peel(g, mask, epsilon, dense=True,
                                    _floor=found.bit_count())
         if dense.bit_count() > found.bit_count():
             kind, found, edges = "clique", dense, dense_edges
@@ -134,7 +137,7 @@ def prune_high_degree(g: Graph, mask: int, epsilon: Fraction) -> int:
     epsilon = Fraction(epsilon)
     # degree <= 2 * epsilon * |S|, in integers
     limit = 2 * epsilon.numerator * mask.bit_count() // epsilon.denominator
-    degrees = inner_degrees(g.adj, mask)
+    degrees = inner_degrees(g, mask)
     if max(degrees) <= limit:
         return mask
     drop = [v for v, d in zip(bits(mask), degrees) if d > limit]

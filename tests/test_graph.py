@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from pathcert.generators import gnp
 from pathcert.rng import stream
 
 from conftest import (degree, graph_edges, masked_corpus, randint, reference_bits,
-                      reference_component_masks)
+                      reference_component_masks, small_graphs)
 
 
 def edge_set(g):
@@ -181,6 +182,17 @@ def test_induced_rejects_empty():
         induced(path_graph(3), [])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: cycle_graph(2), "at least 3 vertices"),
+    (lambda: friendship_graph(0), "at least one triangle"),
+    (lambda: induced(path_graph(3), [-1, 0]), "out of range"),
+    (lambda: induced(path_graph(3), [0, 3]), "out of range")],
+    ids=["cycle", "friendship", "induced-negative", "induced-beyond-n"])
+def test_families_and_induced_reject_bad_arguments(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_nested_induced_equals_direct():
     g = gnp(12, Fraction(1, 2), stream(10, 0))
     inner = induced(g, [1, 3, 5, 7, 9, 11])
@@ -259,7 +271,7 @@ def test_neighbours_and_member_passes_equal_per_bit_loops(n, seed, shape, data):
     width = max(1, mask.bit_length())
     assert list(graph.member_selectors(mask)) == [int(v in members) for v in range(width)]
     degrees = [(g.adj[v] & mask).bit_count() for v in members]
-    assert list(graph.inner_degrees(g.adj, mask)) == degrees
+    assert list(graph.inner_degrees(g, mask)) == degrees
     assert graph.mask_of(members + members[::-1]) == mask
 
 
@@ -318,14 +330,73 @@ def test_inner_degrees_on_the_full_mask_equal_the_member_loop():
     rng = stream(0x1DE6)
     graphs = [path_graph(1), empty_graph(1), path_graph(2), complete_graph(5), cycle_graph(40)]
     graphs += [gnp(n, Fraction(randint(rng, 0, 8), 8), rng) for n in (3, 30, 200)]
-    cases = [((), 0)]
+    cases = [(graph.Graph(0, ()), 0)]
     for g in graphs:
         part = graph.mask_of(v for v in range(g.n) if rng.below(3)) or 1
-        for adj in (g.adj, complement(g).adj, complement(g, part).adj):
-            cases += [(adj, g.full_mask), (adj, part), (adj, g.full_mask ^ 1), (adj, 0)]
-    for adj, mask in cases:
-        want = [(adj[v] & mask).bit_count() for v in reference_bits(mask)]
-        assert graph.inner_degrees(adj, mask) == want, (len(adj), mask)
+        for h in (g, complement(g), complement(g, part)):
+            cases += [(h, g.full_mask), (h, part), (h, g.full_mask ^ 1), (h, 0)]
+    for h, mask in cases:
+        want = [(h.adj[v] & mask).bit_count() for v in reference_bits(mask)]
+        assert list(graph.inner_degrees(h, mask)) == want, (h.n, mask)
+
+
+def reference_inner_degrees(g, mask):
+    """Each member's neighbours inside ``mask``, one edge test at a time."""
+    members = list(reference_bits(mask))
+    return [sum(g.has_edge(v, u) for u in members) for v in members]
+
+
+def assert_degree_table_matches_rows(g, masks):
+    assert "degrees" not in vars(g)  # built on first read
+    table = g.degrees
+    assert type(table) is tuple and g.degrees is table
+    assert list(table) == reference_inner_degrees(g, g.full_mask)
+    assert graph.inner_degrees(g, g.full_mask) is table
+    for mask in masks:
+        assert list(graph.inner_degrees(g, mask)) == reference_inner_degrees(g, mask), (g, mask)
+    assert g.edge_count() == sum(table) // 2 == len(list(graph_edges(g)))
+
+
+def test_degree_table_and_inner_degrees_on_every_small_graph_and_mask():
+    for g in small_graphs(5):
+        assert_degree_table_matches_rows(g, range(1 << g.n))
+
+
+def test_degree_table_and_inner_degrees_on_seeded_gnp():
+    # Every mask up to n = 9, else the full mask less each of a few
+    # vertices, seeded masks and the empty one.
+    rng = stream(0xDE67)
+    for n in (6, 7, 9, 40, 200):
+        g = gnp(n, Fraction(randint(rng, 0, 10), 10), rng)
+        if n <= 9:
+            masks = range(1 << n)
+        else:
+            masks = [0, 1 << n - 1, *(g.full_mask ^ 1 << v for v in (0, n // 2, n - 1))]
+            masks += [graph.mask_of(v for v in range(n) if rng.below(3)) for _ in range(5)]
+        assert_degree_table_matches_rows(g, masks)
+
+
+def test_complement_and_induced_build_their_own_degree_tables():
+    rng = stream(0xDE68)
+    for g in (gnp(60, Fraction(1, 3), rng), cycle_graph(30), complete_graph(7)):
+        before = g.degrees
+        part = graph.mask_of(v for v in range(g.n) if rng.below(2)) or 1
+        for h in (complement(g), complement(g, part), induced(g, graph.bits(part))):
+            assert_degree_table_matches_rows(h, [0, part & h.full_mask, h.full_mask ^ 1])
+        assert g.degrees is before
+        assert list(before) == reference_inner_degrees(g, g.full_mask)
+
+
+def test_graph_equality_and_hash_ignore_the_degree_table():
+    rng = stream(0xDE69)
+    for n in (1, 5, 80):
+        g = gnp(n, Fraction(1, 2), rng)
+        read, unread = graph.Graph(g.n, g.adj), graph.Graph(g.n, g.adj)
+        read.degrees
+        assert "degrees" in vars(read) and "degrees" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert len({read, unread}) == 1
+        assert [f.name for f in dataclasses.fields(read)] == ["n", "adj"]
 
 
 def test_members_lists_sparse_and_dense_masks():

@@ -67,8 +67,8 @@ PEEL_EPSILONS = (Fraction(0), Fraction(1, 24), Fraction(1, 30), Fraction(1, 3), 
 def uncapped_greedy(g, eps):
     """(kind, mask, edges) of the greedy finder with both peels run to the end,
     as before the dense peel stopped at the sparse survivor count."""
-    sparse = _peel(g.adj, g.full_mask, eps, dense=False)
-    dense = _peel(g.adj, g.full_mask, eps, dense=True)
+    sparse = _peel(g, g.full_mask, eps, dense=False)
+    dense = _peel(g, g.full_mask, eps, dense=True)
     if sparse[0].bit_count() >= dense[0].bit_count():
         return ("stable",) + sparse
     return ("clique",) + dense
@@ -82,10 +82,10 @@ def assert_greedy_is_uncapped(g, eps):
 def assert_peel_matches_brute(g):
     co = complement(g)
     for eps in PEEL_EPSILONS:
-        assert _peel(g.adj, g.full_mask, eps, dense=False) == brute_peel(g.adj, g.n, eps)
+        assert _peel(g, g.full_mask, eps, dense=False) == brute_peel(g.adj, g.n, eps)
         mask, missing = brute_peel(co.adj, g.n, eps)
         size = mask.bit_count()
-        assert _peel(g.adj, g.full_mask, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
+        assert _peel(g, g.full_mask, eps, dense=True) == (mask, size * (size - 1) // 2 - missing)
         assert_greedy_is_uncapped(g, eps)
 
 
@@ -150,9 +150,9 @@ def test_dense_peel_deletes_nothing_on_paths(n):
     # floor; uncapped, it would delete all but a few vertices.
     g = path_graph(n)
     eps = Fraction(1, 24)
-    assert _peel(g.adj, g.full_mask, eps, dense=False) == (g.full_mask, n - 1)
-    assert _peel(g.adj, g.full_mask, eps, dense=True, _floor=n) == (g.full_mask, n - 1)
-    assert _peel(g.adj, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
+    assert _peel(g, g.full_mask, eps, dense=False) == (g.full_mask, n - 1)
+    assert _peel(g, g.full_mask, eps, dense=True, _floor=n) == (g.full_mask, n - 1)
+    assert _peel(g, g.full_mask, eps, dense=True)[0].bit_count() < n // 2
     w = find_epsilon_homogeneous(g, eps)
     assert (w.kind, w.S, w.edge_count) == ("stable", frozenset(range(n)), n - 1)
 
@@ -167,11 +167,11 @@ def test_peel_matches_brute_when_one_mode_deletes_and_the_other_does_not():
     for g in graphs:
         for eps in PEEL_EPSILONS + (Fraction(1, 5), Fraction(2, 3)):
             co = complement(g)
-            sparse = _peel(g.adj, g.full_mask, eps, dense=False)
+            sparse = _peel(g, g.full_mask, eps, dense=False)
             assert sparse == brute_peel(g.adj, g.n, eps)
             mask, missing = brute_peel(co.adj, g.n, eps)
             size = mask.bit_count()
-            dense = _peel(g.adj, g.full_mask, eps, dense=True)
+            dense = _peel(g, g.full_mask, eps, dense=True)
             assert dense == (mask, size * (size - 1) // 2 - missing)
             assert_greedy_is_uncapped(g, eps)
             shapes.add((sparse[0] == g.full_mask, dense[0] == g.full_mask))
@@ -200,7 +200,7 @@ def test_degree_planes_are_built_once_at_the_first_deletion(monkeypatch):
                 for eps in (Fraction(0), Fraction(1, 30), Fraction(1, 3)):
                     for dense in (False, True):
                         built.clear()
-                        out, _ = _peel(g.adj, mask, eps, dense)
+                        out, _ = _peel(g, mask, eps, dense)
                         if out == mask:
                             assert built == []
                         else:
@@ -217,6 +217,11 @@ def test_find_epsilon_validates_inputs():
     # The mask is keyword-only, so a stray positional argument cannot pass for one.
     with pytest.raises(TypeError):
         find_epsilon_homogeneous(cycle_graph(5), Fraction(0), 1)
+
+
+def test_prune_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="S must be nonempty"):
+        prune_high_degree(cycle_graph(5), 0, Fraction(1, 30))
 
 
 def triangle_plus_isolated():

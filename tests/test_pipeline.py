@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -426,18 +427,40 @@ def test_deep_walk_matches_full_sweep_oracle(g, levels):
     assert verify(g, w)
 
 
-def test_deep_path_request_makes_three_degree_passes(monkeypatch):
+@pytest.fixture
+def row_passes(monkeypatch):
+    """The passes over rows that count degrees: ("table", n) for each build
+    of a graph's degree table, ("mask", size) for each other mask that
+    inner_degrees counts member by member."""
+    passes = []
+    build = graph.Graph.__dict__["degrees"].func
+
+    def counting_build(g):
+        passes.append(("table", g.n))
+        return build(g)
+
+    def counting(g, mask):
+        if mask != g.full_mask:
+            passes.append(("mask", mask.bit_count()))
+        return graph.inner_degrees(g, mask)
+
+    table = functools.cached_property(counting_build)
+    table.__set_name__(graph.Graph, "degrees")
+    monkeypatch.setattr(graph.Graph, "degrees", table)
+    for module in (homogeneous, extractor, cographs):
+        monkeypatch.setattr(module, "inner_degrees", counting)
+    return passes
+
+
+def test_deep_path_request_makes_one_degree_pass(row_passes, monkeypatch):
     # The sparse peel keeps all of a path or a cycle, so the dense peel does
-    # not start: one inner_degrees pass each for the sparse peel, the prune
-    # and the walk's degree check.  The request's one component sweep is the
+    # not start, the prune keeps every vertex and the walk runs on the full
+    # mask: the sparse peel, the prune and the walk's degree check read one
+    # degree table, built once.  The request's one component sweep is the
     # walk's entry check, of everything beyond the start's closed
     # neighbourhood, which is also the walk's first level; the seeded search
     # serves the levels after it, up to the stop at k.
-    passes, sweeps, searches = [], [], []
-
-    def counting(adj, mask):
-        passes.append(mask.bit_count())
-        return graph.inner_degrees(adj, mask)
+    sweeps, searches = [], []
 
     def sweeping(adj, mask):
         sweeps.append(mask)
@@ -448,17 +471,15 @@ def test_deep_path_request_makes_three_degree_passes(monkeypatch):
         return seeded(adj, u, seeds)
 
     seeded = extractor._components_from_seeds
-    for module in (homogeneous, extractor, cographs):
-        monkeypatch.setattr(module, "inner_degrees", counting)
     for module in (extractor, cographs, pipeline):  # a sweep bound in the pipeline counts too
         monkeypatch.setattr(module, "component_masks", sweeping, raising=False)
     monkeypatch.setattr(extractor, "_components_from_seeds", searching)
     for g, beyond in ((path_graph(958), 956), (cycle_graph(683), 680)):
-        passes.clear()
+        row_passes.clear()
         sweeps.clear()
         searches.clear()
         report = extract_linear_bipartite(g, 5)
-        assert passes == [g.n] * 3
+        assert row_passes == [("table", g.n)]
         assert sweeps == [g.full_mask & ~(g.adj[0] | 1)]
         assert sweeps[0].bit_count() == beyond
         assert len(searches) == 3
@@ -466,6 +487,20 @@ def test_deep_path_request_makes_three_degree_passes(monkeypatch):
         assert report.trace["stage3"] == "connected"
         assert report.outcome == "pattern-certificate"
         assert verify(g, report.witness)
+
+
+def test_dense_stage1_peels_share_one_degree_pass(row_passes, monkeypatch):
+    # On G(500, 1/2) the sparse peel deletes vertices, so the dense peel runs
+    # too, on the same full mask: both read the one degree table.
+    peels = []
+    peel = homogeneous._peel
+    monkeypatch.setattr(homogeneous, "_peel",
+                        lambda g, mask, *args, **kw: peels.append(mask) or peel(g, mask, *args, **kw))
+    g = gnp(500, Fraction(1, 2), stream(0xDE6))
+    w = homogeneous.find_epsilon_homogeneous(g, choose_constants(5).epsilon)
+    assert peels == [g.full_mask] * 2
+    assert row_passes == [("table", 500)]
+    assert verify(g, w)
 
 
 STAGE3_ROUTES = [

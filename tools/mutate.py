@@ -41,13 +41,17 @@ full suite.  On a 2-core x86 host the scan of ``extractor.py`` alone (15
 mutants, none reaching the full suite) takes about 80 s, most of it the
 unmutated full suite.
 
-It needs the standard library and pytest only::
+It needs the standard library and pytest only.  Name modules to scan
+just those (each must be a key of ``TARGETS``); with none, every module is
+scanned::
 
-    python tools/mutate.py
+    python tools/mutate.py [module ...]
+    python tools/mutate.py graph homogeneous
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -264,11 +268,19 @@ def _run(found: list[tuple[str, bytes, Mutant]]) -> list[str]:
     return [words[result].format(module) for (module, _, _), result in zip(found, results)]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Mutation scan of src/pathcert.")
+    parser.add_argument("modules", nargs="*", metavar="module",
+                        help=f"a module to scan, one of {', '.join(TARGETS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [module for module in args.modules if module not in TARGETS]
+    if unknown:  # argparse's choices reject an empty list for nargs="*"
+        parser.error(f"unknown module {unknown[0]!r} (choose from {', '.join(TARGETS)})")
+    modules = list(dict.fromkeys(args.modules)) or list(TARGETS)
     found = []
-    for module, operators in TARGETS.items():
+    for module in modules:
         source = (ROOT / source_path(module)).read_bytes()
-        for mutant in mutants(source, operators):
+        for mutant in mutants(source, TARGETS[module]):
             ast.parse(apply(source, mutant))  # every mutant must still parse
             found.append((module, source, mutant))
     results = _run(found)
@@ -278,7 +290,7 @@ def main() -> int:
         change = m.change.replace("|", "\\|")  # a bare | would end the table cell
         print(f"| {i} | {module} | {m.line} | {m.kind} | {change} | {result} |")
     print()
-    for module in TARGETS:
+    for module in modules:
         mine = [result for (name, _, _), result in zip(found, results) if name == module]
         print(f"{module}.py: {len(mine)} mutants, "
               f"{mine.count('survives the full suite')} survive the full suite")
