@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .graph import (Graph, VertexSet, bits, co_component_masks, component_masks, inner_degrees,
-                    mask_of)
+from .graph import Graph, VertexSet, bits, component_masks, inner_degrees, mask_of
 # Unused here since the obstruction search runs on vertex masks, but
 # bench/tracing.py binds cographs.induced; drop it with that binding.
 from .graph import induced  # noqa: F401
@@ -78,12 +77,12 @@ def find_p4(g: Graph, part: int) -> tuple[int, int, int, int]:
                 if z:
                     return v, x, y, (z & -z).bit_length() - 1
         firsts.append((comp & -comp).bit_length() - 1)
-    for co in co_component_masks(adj, near):
-        y = _splitter(adj, co, far)
+    for comp in component_masks(adj, near, co=True):
+        y = _splitter(adj, comp, far)
         if y is not None:
             row = adj[y]
-            for a in bits(co & ~row):
-                b = co & row & ~adj[a]
+            for a in bits(comp & ~row):
+                b = comp & row & ~adj[a]
                 if b:
                     return a, v, (b & -b).bit_length() - 1, y
     seen = sorted(((adj[c] & near, c) for c in firsts), key=lambda rc: rc[0].bit_count())
@@ -176,7 +175,7 @@ def cotree(g: Graph, mask: int | None = None):
             elif by_degree.get(keeper, 0) & rest:
                 parts = [rest]
             else:
-                parts = (component_masks if union else co_component_masks)(adj, rest)
+                parts = component_masks(adj, rest, co=not union)
             if single or len(parts) > 1:
                 parts += [1 << u for u in bits(single)]
                 break

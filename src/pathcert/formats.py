@@ -5,7 +5,8 @@ for n <= 62, else "~" and three bytes holding n in 18 bits, six to a byte,
 most significant first, each offset by 63; then come the upper-triangle bits
 column-major ((0,1), (0,2), (1,2), (0,3), ...), packed big-endian six to a
 byte, each byte offset by 63.  The 8-byte size form (n > 258047) is
-rejected.  Decoding lays the columns out n characters apart and reads each
+rejected, and so is a text of more than one line: a file holds one graph.
+Decoding lays the columns out n characters apart and reads each
 adjacency row as one column plus one strided slice: O(n) string operations
 of O(n) characters each, and no Python work per edge.
 
@@ -118,6 +119,10 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty input", 0)
+    brk = re.search(r"[\r\n]", s)
+    if brk:
+        raise Graph6Error(f"the input holds {len(s.splitlines())} lines, and pathcert reads one"
+                          " graph per file", brk.start())
     n, head = _decode_graph6_size(s)
     if n < 1:
         raise Graph6Error("graphs have at least one vertex", 0)
@@ -148,19 +153,24 @@ def decode_graph6(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    """Header "n m", then one line "u v" per edge, u < v, lexicographic."""
+    """Header "n m", then one line "u v" per edge, u < v, lexicographic.
+    m is counted from the upper rows the loop walks, so writing g builds
+    no degree table."""
     names = [str(v) for v in range(g.n)]
-    out = [f"{g.n} {g.edge_count()}"]
+    out = [""]  # the header, once m is known
+    m = 0
     for u, row in enumerate(g.adj):
         upper = row >> (u + 1)  # bit i: the edge (u, u + 1 + i)
         if not upper:
             continue
+        m += upper.bit_count()
         head = f"\n{u} "
         if upper & (upper - 1) == 0:
             out.append(head + names[u + upper.bit_length()])
         else:
             chosen = member_selectors(upper)
             out.append(head + head.join(compress(names[u + 1:u + 1 + len(chosen)], chosen)))
+    out[0] = f"{g.n} {m}"
     out.append("\n")
     return "".join(out)
 

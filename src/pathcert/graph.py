@@ -6,9 +6,14 @@ symmetric.  Set intersections, neighborhoods and component sweeps are all
 single big-int operations, which is what the search-heavy callers need at
 the scales this package targets (n up to a few thousand).  Per-vertex counts
 can be kept bit-sliced the same way (one int per bit of the count), as the
-greedy peel in :mod:`pathcert.homogeneous` does for degrees.  Every frontier
-step is the union of the frontier's rows (:func:`neighbours`), row lookups
-alone for one or two vertices.
+greedy peel in :mod:`pathcert.homogeneous` does for degrees.
+
+:func:`component_masks` is the one unseeded component sweep, of g[mask]
+or, with ``co``, of its complement, which the cotree's unions and joins
+need in turn.  A plain frontier step is the union of the frontier's rows
+(:func:`neighbours`), row lookups alone for one or two vertices; a
+complement step is what no sweep has reached outside the AND of the
+frontier's rows, so no complement rows are built.
 
 An induced subgraph is a vertex bit mask over the same rows: the producers
 take ``(g, mask)`` and report vertex sets in g's own ids, so nothing is
@@ -206,10 +211,13 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(vs), tuple(mask_of(index[u] for u in bits(g.adj[v] & keep)) for v in vs))
 
 
-def component_masks(adj: Sequence[int], mask: int) -> list[int]:
-    """Connected components of the subgraph on ``mask``, as bit masks.
+def component_masks(adj: Sequence[int], mask: int, *, co: bool = False) -> list[int]:
+    """Connected components of the subgraph on ``mask``, or with ``co`` of
+    its complement, as bit masks.
 
-    Ordered by size descending, then by smallest member id ascending."""
+    Ordered by size descending, then by smallest member id ascending.  No
+    complement rows are built: with ``co`` a frontier reaches the vertices
+    outside the AND of its rows, else the union of its rows."""
     # rest is what no sweep has reached: a round takes its frontier out of
     # rest, so a component is what rest lost while its sweep ran.
     comps = []
@@ -219,34 +227,15 @@ def component_masks(adj: Sequence[int], mask: int) -> list[int]:
         frontier = rest & -rest
         rest ^= frontier
         while frontier:
-            row = (adj[frontier.bit_length() - 1] if frontier & (frontier - 1) == 0
-                   else neighbours(adj, frontier))
-            frontier = row & rest
+            if co:
+                common = rest
+                for v in bits(frontier):
+                    common &= adj[v]
+                frontier = rest ^ common
+            else:
+                frontier = rest & (adj[frontier.bit_length() - 1] if frontier & (frontier - 1) == 0
+                                   else neighbours(adj, frontier))
             rest ^= frontier
-        comps.append(before ^ rest)
-    comps.sort(key=by_size)
-    return comps
-
-
-def co_component_masks(adj: Sequence[int], mask: int) -> list[int]:
-    """Connected components of the complement of the subgraph on ``mask``,
-    as bit masks, in the order of :func:`component_masks`.
-
-    No complement rows are built: the vertices a frontier misses are those
-    outside the AND of its rows.  As in :func:`component_masks`, each
-    frontier is taken out of what no sweep has reached, and a component is
-    what that lost while its sweep ran."""
-    comps = []
-    rest = mask
-    while rest:
-        before = rest
-        frontier = rest & -rest
-        rest ^= frontier
-        while frontier:
-            common = rest
-            for v in bits(frontier):
-                common &= adj[v]
-            frontier, rest = rest ^ common, common
         comps.append(before ^ rest)
     comps.sort(key=by_size)
     return comps

@@ -469,6 +469,16 @@ def test_unknown_command_exit_code():
     assert err.value.code == 2
 
 
+def test_a_graph6_file_of_two_graphs_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_text("Cr\nCr\n")
+    assert main(["check", "--input", str(path), "--pk-free", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the input holds 2 lines, and pathcert reads one graph per"
+                            " file (byte offset 2)\n")
+
+
 def test_bad_input_is_a_clean_usage_error(tmp_path, capsys):
     path = write_g6(tmp_path, path_graph(7))
     # D below the max closed degree: precondition rejection, not a traceback

@@ -7,9 +7,9 @@ import pytest
 
 from pathcert import cographs
 from pathcert.cographs import OracleError, cograph_alpha_omega, cotree, find_p4, p4free_extract
-from pathcert.graph import (bits, build_graph, co_component_masks, complement,
-                            complete_bipartite_graph, complete_graph, component_masks,
-                            cycle_graph, empty_graph, induced, mask_of, path_graph)
+from pathcert.graph import (bits, build_graph, complement, complete_bipartite_graph,
+                            complete_graph, component_masks, cycle_graph, empty_graph, induced,
+                            mask_of, path_graph)
 from pathcert.generators import gnp, random_cograph
 from pathcert.patterns import find_induced_path
 from pathcert.rng import stream
@@ -275,10 +275,9 @@ def test_chain_cotrees_sweep_nothing(monkeypatch):
     # last two-vertex part is not swept.  A sweep per level is what made the
     # n = 5000 chain take about 13 s.
     swept = []
-    for name in ("component_masks", "co_component_masks"):
-        sweep = getattr(cographs, name)
-        monkeypatch.setattr(cographs, name,
-                            lambda adj, mask, sweep=sweep: swept.append(mask) or sweep(adj, mask))
+    monkeypatch.setattr(cographs, "component_masks",
+                        lambda adj, mask, *, co=False: swept.append((co, mask))
+                        or component_masks(adj, mask, co=co))
     for g in (threshold_graph(2000), threshold_graph(5000),
               *(caterpillar_graph(700, seed) for seed in range(4))):
         swept.clear()
@@ -288,14 +287,14 @@ def test_chain_cotrees_sweep_nothing(monkeypatch):
 
 def _sweeps_allowed(g, mask) -> Counter:
     """The sweeps ``cotree`` may make on the subgraph on ``mask``, as a
-    multiset of (sweep name, swept mask).  A part below the root is a union
-    or a join by its parent's kind, so it gets one: the part less its
-    isolated vertices by ``component_masks`` if it is a child of a join,
-    less its universal ones by ``co_component_masks`` if of a union.  The
-    root gets both.  Empty masks are never allowed.  The parts are walked in
-    pre-order up to the first connected, co-connected one."""
+    multiset of (``co``, swept mask).  A part below the root is a union or
+    a join by its parent's kind, so it gets one: the part less its isolated
+    vertices by the plain sweep if it is a child of a join, less its
+    universal ones by the complement sweep (``co=True``) if of a union.
+    The root gets both.  Empty masks are never allowed.  The parts are
+    walked in pre-order up to the first connected, co-connected one."""
     rows = {"union": g.adj, "join": complement(g, mask).adj}
-    sweep = {"union": "component_masks", "join": "co_component_masks"}
+    sweep = {"union": False, "join": True}
     allowed = Counter()
     stack = [(mask, ("union", "join"))]
     while stack:
@@ -333,12 +332,13 @@ def test_each_part_below_the_root_is_swept_at_most_once(monkeypatch):
     # 4-cycle plus an isolated vertex) or sweeping an empty rest fails here.
     # Only the calls made by ``cotree`` itself count, not ``find_p4``'s.
     swept = Counter()
-    for name in ("component_masks", "co_component_masks"):
-        def counted(adj, mask, name=name, sweep=getattr(cographs, name)):
-            if sys._getframe(1).f_code is cotree.__code__:
-                swept[name, mask] += 1
-            return sweep(adj, mask)
-        monkeypatch.setattr(cographs, name, counted)
+
+    def counted(adj, mask, *, co=False):
+        if sys._getframe(1).f_code is cotree.__code__:
+            swept[co, mask] += 1
+        return component_masks(adj, mask, co=co)
+
+    monkeypatch.setattr(cographs, "component_masks", counted)
     graphs = 0
     for g in _graphs_for_sweep_counts():
         swept.clear()
@@ -481,12 +481,6 @@ def test_caterpillar_cotree_has_depth_n_minus_1(seed):
     assert check_cotree(g, g.full_mask, tree) == 699
     assert tree == oracle_cotree(g)
     assert cograph_alpha_omega(g) == oracle_cograph_alpha_omega(g)
-
-
-def test_co_component_masks_match_complement_sweep():
-    for g, mask in _masked_corpus():
-        assert (co_component_masks(g.adj, mask)
-                == component_masks(complement(g, mask).adj, mask))
 
 
 def test_p4free_extract_matches_the_recursion():

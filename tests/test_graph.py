@@ -13,8 +13,8 @@ from pathcert import cographs, graph
 from pathcert.generators import gnp
 from pathcert.rng import stream
 
-from conftest import (degree, graph_edges, masked_corpus, randint, reference_bits,
-                      reference_component_masks, small_graphs)
+from conftest import (caterpillar_graph, degree, graph_edges, masked_corpus, randint,
+                      reference_bits, reference_component_masks, small_graphs, threshold_graph)
 
 
 def edge_set(g):
@@ -62,7 +62,9 @@ def test_build_reports_the_first_bad_edge(n):
            ((-1, 2), f"edge (-1,2) has an endpoint outside 0..{n - 1}"),
            ((2, -n - 1), f"edge (2,{-n - 1}) has an endpoint outside 0..{n - 1}"),
            ((n, n), f"edge ({n},{n}) has an endpoint outside 0..{n - 1}"),
-           ((2, 2), "self-loop (2,2) is not allowed")]
+           ((n, 0), f"edge ({n},0) has an endpoint outside 0..{n - 1}"),
+           ((2, 2), "self-loop (2,2) is not allowed"),
+           ((0, 0), "self-loop (0,0) is not allowed")]
     for edge, message in bad:
         for at in (0, n - 1, n, n * n // 16, len(good)):
             with pytest.raises(ValueError) as err:
@@ -290,6 +292,24 @@ def test_component_masks_match_the_reference_sweep():
         assert graph.component_masks(adj, mask) == reference_component_masks(adj, mask)
 
 
+def test_component_masks_match_the_reference_on_g_and_its_complement():
+    # Both modes of the one sweep: co=False against the reference sweep of
+    # g's rows, co=True against the reference sweep of the complement's rows
+    # restricted to the mask.  Every nonempty mask of every graph on at most
+    # five vertices, then seeded gnp graphs and cographs, threshold graphs
+    # and caterpillars (chains of isolated and universal vertices).
+    cases = [(g, mask) for g in small_graphs(5) for mask in range(1, 1 << g.n)]
+    cases += masked_corpus(0xC0A7, 60, 90)
+    for n in (2, 33, 90):
+        for g in (threshold_graph(n), caterpillar_graph(n, n)):
+            cases += [(g, g.full_mask), (g, graph.mask_of(range(0, n, 2)))]
+    assert len(cases) > 30000
+    for g, mask in cases:
+        for co, rows in ((False, g.adj), (True, graph.complement(g, mask).adj)):
+            assert (graph.component_masks(g.adj, mask, co=co)
+                    == reference_component_masks(rows, mask)), (g.adj, mask, co)
+
+
 def test_neighbours_of_up_to_three_vertices_is_the_per_bit_or():
     # The empty mask, one vertex, two vertices (adjacent bits, bit 0 with the
     # top bit, two far-apart bits) and one mask of three, on graphs whose
@@ -438,9 +458,10 @@ def test_bits_equals_the_low_bit_loop(width, shape, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 160), st.integers(0, 2 ** 32), st.sampled_from(["full", "half", "sparse"]))
 def test_early_stopping_bits_consumers_match_the_low_bit_loop(n, seed, shape):
-    """The loops that stop partway through a bits listing (the AND of rows
-    in co_component_masks, cographs._splitter) and the cotree built on them
-    give the same answers as with the low-bit loop as lister."""
+    """The loops over a bits listing that read rows (the AND of rows in
+    the complement sweep, cographs._splitter, which stops partway) and the
+    cotree built on them give the same answers as with the low-bit loop as
+    lister."""
     rng = stream(0xB176, seed)
     g = gnp(n, Fraction(randint(rng, 0, 8), 8), rng)
     if shape == "full":
@@ -450,7 +471,7 @@ def test_early_stopping_bits_consumers_match_the_low_bit_loop(n, seed, shape):
         mask = graph.mask_of(v for v in range(n) if rng.below(keep) == 0) or 1
 
     def answers():
-        comps = graph.co_component_masks(g.adj, mask)
+        comps = graph.component_masks(g.adj, mask, co=True)
         splits = [cographs._splitter(g.adj, part, mask & ~part)
                   for part in comps + graph.component_masks(g.adj, mask)]
         return comps, splits, cographs.cotree(g, mask)
@@ -467,6 +488,7 @@ def test_friendship_graph_shape():
     assert g.n == 7
     assert degree(g, 0) == 6
     assert all(degree(g, v) == 2 for v in range(1, 7))
+    assert friendship_graph(1) == complete_graph(3)
 
 
 def test_empty_and_complete_edge_counts():

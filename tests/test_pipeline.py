@@ -405,13 +405,14 @@ def test_deep_extractor_walk_at_n5000(g, monkeypatch):
     params = pipeline_walk_params(g)
     sweeps = []
     monkeypatch.setattr(extractor, "component_masks",
-                        lambda adj, mask: sweeps.append(mask) or component_masks(adj, mask))
+                        lambda adj, mask, *, co=False: sweeps.append((co, mask))
+                        or component_masks(adj, mask, co=co))
     levels: list = []
     w = extractor.path_or_empty_bipartite(g, 0, params, levels)
     assert isinstance(w, InducedPathWitness)
     assert verify(g, w)
     assert len(levels) > 4000
-    assert len(sweeps) == 1
+    assert [co for co, _ in sweeps] == [False]
 
 
 @pytest.mark.parametrize("g, levels", [(path_graph(958), 799), (cycle_graph(1233), 1024)],
@@ -462,9 +463,9 @@ def test_deep_path_request_makes_one_degree_pass(row_passes, monkeypatch):
     # serves the levels after it, up to the stop at k.
     sweeps, searches = [], []
 
-    def sweeping(adj, mask):
-        sweeps.append(mask)
-        return graph.component_masks(adj, mask)
+    def sweeping(adj, mask, *, co=False):
+        sweeps.append((co, mask))
+        return graph.component_masks(adj, mask, co=co)
 
     def searching(adj, u, seeds):
         searches.append(u)
@@ -480,8 +481,8 @@ def test_deep_path_request_makes_one_degree_pass(row_passes, monkeypatch):
         searches.clear()
         report = extract_linear_bipartite(g, 5)
         assert row_passes == [("table", g.n)]
-        assert sweeps == [g.full_mask & ~(g.adj[0] | 1)]
-        assert sweeps[0].bit_count() == beyond
+        assert sweeps == [(False, g.full_mask & ~(g.adj[0] | 1))]
+        assert sweeps[0][1].bit_count() == beyond
         assert len(searches) == 3
         assert report.trace["stage1"] == {"kind": "stable", "size": g.n}
         assert report.trace["stage3"] == "connected"
@@ -522,17 +523,17 @@ def test_each_walk_makes_one_component_sweep_on_every_stage3_route(g, k, stage3,
         walks.append(mask)
         return walk(g, x, params, trace, mask, k=k)
 
-    def sweeping(adj, mask):
-        sweeps.append(mask.bit_count())
-        return graph.component_masks(adj, mask)
+    def sweeping(adj, mask, *, co=False):
+        sweeps.append((co, mask.bit_count()))
+        return graph.component_masks(adj, mask, co=co)
 
     walk = pipeline.path_or_empty_bipartite
     monkeypatch.setattr(pipeline, "path_or_empty_bipartite", walking)
     monkeypatch.setattr(extractor, "component_masks", sweeping)
     extract_linear_bipartite(g, k)
     assert len(sweeps) == len(walks) == (2 if stage3.startswith("recurse") else 1)
-    assert sweeps == {"connected": [956], "component-split": [5],
-                      "recurse-largest(60)": [59, 58]}[stage3]
+    assert sweeps == {"connected": [(False, 956)], "component-split": [(False, 5)],
+                      "recurse-largest(60)": [(False, 59), (False, 58)]}[stage3]
 
 
 @pytest.mark.parametrize("g, k, stage3, sizes, tail", STAGE3_ROUTES,

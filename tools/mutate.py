@@ -19,11 +19,13 @@ The verifiers (``witnesses.py``) get the first five operators, the
 producers (``graph.py``, ``extractor.py``, ``homogeneous.py`` and
 ``pipeline.py``) get ``early``: a surviving producer mutant is either a
 missing test or a shortcut whose gain on some benchmark workload's traffic
-has to be shown.  ``cographs.py`` gets every operator but ``reject`` (it
-returns no verdicts), since its cotree loop decides each part by
-comparisons and bit operations on degree-table masks.  ``formats.py`` gets
-``compare``, ``bound`` and ``early``: the parser's range, size and switch
-point checks are comparisons.  ``cli.py`` gets ``early`` too, for its
+has to be shown.  ``graph.py`` also gets ``compare`` and ``bitop``: its
+component sweep, in both modes, and its row and mask helpers are
+comparisons and bit operations on masks.  ``cographs.py`` gets every
+operator but ``reject`` (it returns no verdicts), since its cotree loop
+decides each part by comparisons and bit operations on degree-table masks.
+``formats.py`` gets ``compare``, ``bound`` and ``early``: the parser's
+range, size and switch point checks are comparisons.  ``cli.py`` gets ``early`` too, for its
 exit-status decisions.  Only the operator's, the bound's or the test's own
 characters are rewritten (a conditional expression keeps its else branch's
 text), so every other line of the module keeps its text.
@@ -39,7 +41,8 @@ full-suite run ten times the unmutated suite's.  The output is one
 Markdown table row per mutant and, per module, the number that survive the
 full suite.  On a 2-core x86 host the scan of ``extractor.py`` alone (15
 mutants, none reaching the full suite) takes about 80 s, most of it the
-unmutated full suite.
+unmutated full suite, and that of ``graph.py`` (57 mutants, six reaching
+the full suite) about 14 minutes.
 
 It needs the standard library and pytest only.  Name modules to scan
 just those (each must be a key of ``TARGETS``); with none, every module is
@@ -67,7 +70,7 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFIER = ("compare", "boolop", "reject", "bitop", "bound")
 PRODUCER = ("early",)
 # Module -> the operators it is scanned with.
-TARGETS = {"witnesses": VERIFIER, "graph": PRODUCER, "extractor": PRODUCER,
+TARGETS = {"witnesses": VERIFIER, "graph": ("compare", "bitop", "early"), "extractor": PRODUCER,
            "cographs": ("compare", "boolop", "bitop", "bound", "early"),
            "homogeneous": PRODUCER, "pipeline": PRODUCER,
            "formats": ("compare", "bound", "early"), "cli": PRODUCER}
