@@ -4,8 +4,9 @@ graph6 follows the published format for n <= 258047: the size is byte 63+n
 for n <= 62, else "~" and three bytes holding n in 18 bits, six to a byte,
 most significant first, each offset by 63; then come the upper-triangle bits
 column-major ((0,1), (0,2), (1,2), (0,3), ...), packed big-endian six to a
-byte, each byte offset by 63.  The 8-byte size form (n > 258047) is
-rejected, and so is a text of more than one line: a file holds one graph.
+byte, each offset by 63: base64 with the digits 63..126, so both directions
+go through the standard library's codec.  The 8-byte size form (n > 258047)
+is rejected, and so is a text of more than one line: a file holds one graph.
 Decoding lays the columns out n characters apart and reads each
 adjacency row as one column plus one strided slice: O(n) string operations
 of O(n) characters each, and no Python work per edge.
@@ -50,6 +51,7 @@ against the header comes last.
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 from fractions import Fraction
@@ -66,9 +68,9 @@ from .witnesses import (BipartitePairWitness, HomogeneousSetWitness, InducedPath
 
 GRAPH6_MAX_N = 258047  # the largest n of the 4-byte size form
 
-# graph6 data byte (63 + v) -> the high and the low octal digit of v.
-_HIGH_OCTAL = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (v >> 3) for v in range(64)))
-_LOW_OCTAL = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (v & 7) for v in range(64)))
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64_DIGITS)  # graph6 byte 63+v -> digit v
+_FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, bytes(range(63, 127)))
 
 
 class Graph6Error(ValueError):
@@ -90,8 +92,10 @@ def encode_graph6(g: Graph) -> str:
     # column j lists rows 0..j-1, row 0 first: the low j bits of adj[j], reversed
     bitstr = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
                      for j in range(1, g.n))
-    bitstr += "0" * (-len(bitstr) % 6)
-    return size + "".join(chr(63 + int(bitstr[i:i + 6], 2)) for i in range(0, len(bitstr), 6))
+    pad = -len(bitstr) % 24  # zeros to whole base64 groups, so no "=" is written
+    raw = (int(bitstr or "0", 2) << pad).to_bytes((len(bitstr) + pad) // 8, "big")
+    digits = base64.b64encode(raw)[:(len(bitstr) + 5) // 6]  # the digits the bits fill
+    return size + digits.translate(_FROM_BASE64).decode("ascii")
 
 
 def _decode_graph6_size(s: str) -> tuple[int, int]:
@@ -134,13 +138,9 @@ def decode_graph6(text: str) -> Graph:
     bad = re.search(r"[^?-~]", s[head:])
     if bad:
         raise Graph6Error(f"invalid data byte {bad.group()!r}", head + bad.start())
-    # A data byte 63 + v carries v's six bits, which are two octal digits, so
-    # the data bytes read as one base-8 numeral of the bit string.
-    data = s[head:].encode("ascii")
-    octal = bytearray(2 * len(data))
-    octal[0::2] = data.translate(_HIGH_OCTAL)
-    octal[1::2] = data.translate(_LOW_OCTAL)
-    bitstr = format(int(octal, 8) if data else 0, f"0{6 * len(data)}b")
+    digits = s[head:].encode("ascii").translate(_TO_BASE64)
+    raw = base64.b64decode(digits + b"A" * (-len(digits) % 4))  # "A": zero bits to whole groups
+    bitstr = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     if "1" in bitstr[total:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
     # Column j (pairs (0, j) .. (j - 1, j)) padded with zeros to n characters,

@@ -25,10 +25,9 @@ Each graph counts its rows once: :attr:`Graph.degrees`, built on first read
 and kept, is every row's bit count.  It is the producers' one degree table:
 :func:`inner_degrees` returns it on the full mask, so the stage-1 peels, the
 prune, the walk's degree check and the cotree share one count of g's rows,
-and ``edge_count`` and the CLI's default ``--D`` read it too.  It is a tuple,
-so no caller can change it, and it is no field: ``==`` and ``hash`` read
-``n`` and ``adj`` alone.  A complement or induced graph is a new graph with
-its own table.
+and the CLI's default ``--D`` reads it too.  It is a tuple, so no caller can
+change it, and it is no field: ``==`` and ``hash`` read ``n`` and ``adj``
+alone.  A complement or induced graph is a new graph with its own table.
 
 :func:`build_graph` builds rows from an edge list in one loop that checks
 each edge and ORs it into both endpoints' rows.  It is the sparse builder:
@@ -125,9 +124,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         """Each row's bit count, vertex by vertex; built on first read."""
         return tuple(map(int.bit_count, self.adj))
-
-    def edge_count(self) -> int:
-        return sum(self.degrees) // 2
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

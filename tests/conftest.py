@@ -504,8 +504,9 @@ def oracle_parse_edge_list(text: str) -> Graph:
 
 
 def oracle_write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in graph_edges(g))
+    edges = list(graph_edges(g))
+    lines = [f"{g.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

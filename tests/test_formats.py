@@ -51,10 +51,15 @@ def _reference_graph6(g):
 
 
 def test_matches_reference_encoder():
-    for seed in range(100):
-        n = 1 + stream(0xE2, seed).below(40)
-        g = gnp(n, Fraction(1, 3), stream(0xE3, seed))
-        assert encode_graph6(g) == _reference_graph6(g)
+    graphs = [gnp(1 + stream(0xE2, seed).below(40), Fraction(1, 3), stream(0xE3, seed))
+              for seed in range(100)]
+    # n = 1..130 crosses the one-byte size form (n <= 62), and the bit count
+    # n(n-1)/2 meets every residue mod 24 it can take (16 of the 24): the
+    # encoder pads to whole base64 groups of 24 bits, the decoder to 4 digits.
+    graphs += [gnp(n, Fraction(1, 2), stream(0xE4, n)) for n in range(1, 131)]
+    for g in graphs:
+        ref = _reference_graph6(g)
+        assert encode_graph6(g) == ref and decode_graph6(ref) == g
 
 
 def test_decode_errors_carry_offsets():

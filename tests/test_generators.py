@@ -49,7 +49,7 @@ def test_gnp_memory_is_bounded():
     assert peak <= 4 * 2 ** 20
     # The same graph as when the edges were collected in a list first, and
     # as when each pair was drawn by its own scalar bernoulli call.
-    assert g.edge_count() == 562371
+    assert sum(g.degrees) // 2 == 562371
     assert (hashlib.sha256(encode_graph6(g).encode()).hexdigest()
             == "bc83de966d33ff2fc769c6a9b3fb134155e4257a7254da19a020dee17e1f3cb7")
 
@@ -130,7 +130,7 @@ def test_named_families():
     assert generate(GeneratorSpec("path", 5)) == path_graph(5)
     assert generate(GeneratorSpec("complete", 4)) == complete_graph(4)
     g = generate(GeneratorSpec("complete-bipartite", 7))
-    assert g.n == 7 and g.edge_count() == 3 * 4
+    assert g.n == 7 and sum(g.degrees) // 2 == 3 * 4
     g = generate(GeneratorSpec("friendship", 7))
     assert degree(g, 0) == 6
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ def test_build_p3_degree_sequence():
 
 def test_build_single_vertex():
     g = build_graph(1, [])
-    assert g.n == 1 and g.edge_count() == 0
+    assert g.n == 1 and sum(g.degrees) // 2 == 0
 
 
 def test_build_rejects_self_loop():
@@ -48,7 +48,7 @@ def test_build_rejects_empty():
 
 def test_build_collapses_duplicates():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.edge_count() == 1
+    assert sum(g.degrees) // 2 == 1
 
 
 @pytest.mark.parametrize("n", [5, 40, 4096, 5000])
@@ -374,7 +374,7 @@ def assert_degree_table_matches_rows(g, masks):
     assert graph.inner_degrees(g, g.full_mask) is table
     for mask in masks:
         assert list(graph.inner_degrees(g, mask)) == reference_inner_degrees(g, mask), (g, mask)
-    assert g.edge_count() == sum(table) // 2 == len(list(graph_edges(g)))
+    assert sum(table) // 2 == len(list(graph_edges(g)))
 
 
 def test_degree_table_and_inner_degrees_on_every_small_graph_and_mask():
@@ -492,8 +492,8 @@ def test_friendship_graph_shape():
 
 
 def test_empty_and_complete_edge_counts():
-    assert empty_graph(6).edge_count() == 0
-    assert complete_graph(6).edge_count() == 15
+    assert sum(empty_graph(6).degrees) // 2 == 0
+    assert sum(complete_graph(6).degrees) // 2 == 15
 
 
 def test_complete_families_match_their_edge_lists():
@@ -525,5 +525,5 @@ def test_complete_families_hold_their_rows_only():
         if not was_tracing:
             tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
-    assert k.edge_count() == 3000 * 2999 // 2 and kab.edge_count() == 3000 * 3000
+    assert sum(k.degrees) // 2 == 3000 * 2999 // 2 and sum(kab.degrees) // 2 == 3000 * 3000
     assert k.adj[7] == k.full_mask ^ 1 << 7 and kab.adj[2999] == kab.full_mask ^ (1 << 3000) - 1

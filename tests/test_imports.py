@@ -128,3 +128,17 @@ def test_public_names_have_a_caller_outside_the_tests():
               if not any(read == name and (where != path or not first <= line <= last)
                          for where, names in reads.items() for read, line in names)]
     assert not unread, f"only the tests name {unread}"
+
+
+def test_int_byte_conversions_pass_their_byte_order():
+    """``int.to_bytes`` and ``int.from_bytes`` take the byte order as their
+    second argument, which has no default before Python 3.11; pyproject
+    declares 3.10, so every call in the package passes it."""
+    calls = [(path.name, node) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("to_bytes", "from_bytes")]
+    assert {name for name, _ in calls} >= {"formats.py", "rng.py"}
+    bare = [f"{name}:{node.lineno}" for name, node in calls
+            if len(node.args) < 2 and "byteorder" not in {kw.arg for kw in node.keywords}]
+    assert not bare, f"int byte conversions without a byte order: {bare}"

@@ -415,6 +415,42 @@ def test_deep_extractor_walk_at_n5000(g, monkeypatch):
     assert [co for co, _ in sweeps] == [False]
 
 
+def ladder_graph(n):
+    """Rails 0, 2, 4, ... and 1, 3, 5, ..., rung (2i, 2i + 1)."""
+    return build_graph(n, [(v, v + 2) for v in range(n - 2)] + [(v, v + 1) for v in range(0, n, 2)])
+
+
+def grid_graph(side):
+    return build_graph(side * side, [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+                       + [(v, v + side) for v in range(side * (side - 1))])
+
+
+@pytest.mark.parametrize("g", [ladder_graph(2000), grid_graph(45)], ids=["ladder", "grid"])
+def test_branching_walk_stops_each_seeded_search_early(g, monkeypatch):
+    # Walked to the end at T = 1 and D = the largest closed degree, a level
+    # of the ladder has up to two seeds and one of the grid up to three.  The
+    # seeded search stops once one search is open, so the walk's neighbour
+    # reads stay a few per level; a search swept to its end would take about
+    # n / 2 rounds per level, quadratic in the walk.
+    params = extractor.ExtractorParams(1, max(g.degrees) + 1)
+    sweeps, seeds, reads = [], [], []
+    monkeypatch.setattr(extractor, "component_masks",
+                        lambda adj, mask, *, co=False: sweeps.append(co)
+                        or component_masks(adj, mask, co=co))
+    search = extractor._components_from_seeds
+    monkeypatch.setattr(extractor, "_components_from_seeds",
+                        lambda adj, u, s: seeds.append(s.bit_count()) or search(adj, u, s))
+    monkeypatch.setattr(extractor, "neighbours",
+                        lambda adj, mask: reads.append(mask) or graph.neighbours(adj, mask))
+    levels: list = []
+    w = extractor.path_or_empty_bipartite(g, 0, params, levels)
+    assert isinstance(w, InducedPathWitness) and verify(g, w)
+    assert [level["case"] for level in levels[:-1]] == ["grow"] * (len(levels) - 1)
+    assert sweeps == [False]  # the entry check
+    assert max(seeds) >= 2 and len(seeds) == len(levels) - 2  # not the entry, nor the base
+    assert len(reads) < 4 * len(levels)
+
+
 @pytest.mark.parametrize("g, levels", [(path_graph(958), 799), (cycle_graph(1233), 1024)],
                          ids=["path", "cycle"])
 def test_deep_walk_matches_full_sweep_oracle(g, levels):
