@@ -20,7 +20,6 @@ from .extractor import (DisconnectedError, ExtractorParams, path_or_empty_bipart
 from .cographs import OracleError, cograph_alpha_omega, cotree, p4free_extract
 from .pipeline import (ExtractionReport, PipelineConstants, choose_constants,
                        eh_homogeneous, extract_linear_bipartite)
-from .generators import (CertifiedSample, GeneratorSpec, generate, gnp,
-                         random_cograph, rejection_sample_ck)
+from .generators import GeneratorSpec, generate, gnp, random_cograph, rejection_sample_ck
 
 __version__ = "0.1.0"

@@ -78,17 +78,16 @@ def _cmd_check(args) -> int:
     return _answer(payload, g, args.out, *(() if emb is None else (emb,)))
 
 
-def _cmd_extract(args) -> int:
-    if args.what == "cograph-ramsey" and (args.start, args.T, args.D) != (None, None, None):
-        raise ValueError("extract cograph-ramsey takes no --start, --T or --D")
+def _cmd_path_or_bipartite(args) -> int:
     g = _read_graph(args.input, args.format)
-    if args.what == "path-or-bipartite":
-        D = args.D if args.D is not None else max(g.degrees) + 1
-        params = ExtractorParams(1 if args.T is None else args.T, D)
-        w = path_or_empty_bipartite(g, 0 if args.start is None else args.start, params)
-        return _answer({"guaranteed_path_vertices": path_guarantee(g.n, params)},
-                       g, args.out, w)
-    res = cograph_alpha_omega(g)  # cograph-ramsey
+    params = ExtractorParams(args.T, max(g.degrees) + 1 if args.D is None else args.D)
+    w = path_or_empty_bipartite(g, args.start, params)
+    return _answer({"guaranteed_path_vertices": path_guarantee(g.n, params)}, g, args.out, w)
+
+
+def _cmd_cograph_ramsey(args) -> int:
+    g = _read_graph(args.input, args.format)
+    res = cograph_alpha_omega(g)
     if isinstance(res, PatternEmbedding):
         return _answer({"cograph": False}, g, args.out, res)
     stable, clique = res
@@ -158,14 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pk-free", type=int, metavar="K")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("extract", help="run one extraction primitive; --start, --T and --D "
-                       "are path-or-bipartite's alone")
-    p.add_argument("what", choices=("path-or-bipartite", "cograph-ramsey"))
+    p = sub.add_parser("extract", help="run one extraction primitive")
+    modes = p.add_subparsers(dest="what", required=True)
+    p = modes.add_parser("path-or-bipartite", help="induced path from a start, or an empty pair")
     add_io(p)
-    p.add_argument("--start", type=int, help="the walk's first vertex (default: 0)")
-    p.add_argument("--T", type=int, help="the pair's side bound (default: 1)")
+    p.add_argument("--start", type=int, default=0, help="the walk's first vertex (default: 0)")
+    p.add_argument("--T", type=int, default=1, help="the pair's side bound (default: 1)")
     p.add_argument("--D", type=int, help="closed-degree bound (default: the input's largest)")
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_path_or_bipartite)
+    p = modes.add_parser("cograph-ramsey", help="exact stable set and clique, or a P4")
+    add_io(p)
+    p.set_defaults(func=_cmd_cograph_ramsey)
 
     p = sub.add_parser("pipeline", help="full certifying extraction")
     add_io(p)

@@ -4,6 +4,11 @@ Every generator is a pure function of its spec: the same (family, params,
 seed, index) always yields the same adjacency matrix.  Randomness comes from
 the SplitMix64 substreams in :mod:`pathcert.rng`; probabilities are exact
 rationals and Bernoulli draws never touch floats.
+
+``FAMILIES`` is the one table of families: each maps to the optional spec
+fields it reads (of ``p``, ``k`` and ``budget``), which a spec must give and
+no other, and to its builder ``(spec, index) -> Graph``.  A new family is one
+table entry.  The deterministic families ignore ``seed`` and ``index``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ from .graph import (Graph, complete_bipartite_graph, complete_graph, cycle_graph
                     friendship_graph, path_graph, symmetrised)
 from .patterns import is_pk_copk_free
 from .rng import SplitMix64, stream
-
-FAMILIES = ("gnp", "cograph", "path", "cycle", "complete",
-            "complete-bipartite", "friendship", "ck")
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; pick one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; pick one of {tuple(FAMILIES)}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        reads = FAMILIES[self.family][0]
+        for name in ("p", "k", "budget"):
+            if (getattr(self, name) is None) == (name in reads):
+                raise ValueError(f"{self.family} {'needs' if name in reads else 'takes no'} {name}")
         if self.p is not None and not 0 <= self.p <= 1:
             raise ValueError("p must be in [0, 1]")
 
@@ -93,61 +99,19 @@ def random_cograph(n: int, rng: SplitMix64) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def generate(spec: GeneratorSpec, index: int = 0) -> Graph:
-    """Build the graph described by ``spec``; ``index`` selects the substream
-    (batch drivers give each graph its own index; see rejection_sample_ck)."""
-    rng = stream(spec.seed, index)
-    family = spec.family
-    if family == "gnp":
-        if spec.p is None:
-            raise ValueError("gnp needs p")
-        return gnp(spec.n, spec.p, rng)
-    if family == "cograph":
-        return random_cograph(spec.n, rng)
-    if family == "path":
-        return path_graph(spec.n)
-    if family == "cycle":
-        return cycle_graph(spec.n)
-    if family == "complete":
-        return complete_graph(spec.n)
-    if family == "complete-bipartite":
-        if spec.n < 2:
-            raise ValueError("complete-bipartite needs n >= 2")
-        return complete_bipartite_graph(spec.n - spec.n // 2, spec.n // 2)
-    if family == "friendship":
-        if spec.n % 2 == 0 or spec.n < 3:
-            raise ValueError("friendship graphs have n = 2t + 1 >= 3")
-        return friendship_graph(spec.n // 2)
-    if family == "ck":
-        if spec.p is None or spec.k is None or spec.budget is None:
-            raise ValueError("ck needs p, k and budget")
-        return rejection_sample_ck(spec.n, spec.k, spec.p, spec.seed, spec.budget, index).graph
-    raise AssertionError(family)
-
-
 class BudgetExhaustedError(RuntimeError):
     def __init__(self, draws: int):
         super().__init__(f"no certified graph within {draws} draws")
         self.draws = draws
 
 
-@dataclass(frozen=True)
-class CertifiedSample:
-    """A graph certified free of the k-path and its complement by the
-    brute-force oracle, plus how many draws that took."""
-
-    graph: Graph
-    k: int
-    draws: int
-
-
 CK_MAX_N = 40
 
 
 def rejection_sample_ck(n: int, k: int, p: Fraction, seed: int,
-                        budget: int, index: int = 0) -> CertifiedSample:
-    """Draw G(n, p) graphs until one passes the brute-force freeness check;
-    fail after ``budget`` draws.  Draw d reads substream
+                        budget: int, index: int = 0) -> Graph:
+    """Draw G(n, p) graphs until one passes the brute-force freeness check
+    and return it; fail after ``budget`` draws.  Draw d reads substream
     ``index * budget + d``, so the indices of one batch never share a draw."""
     if n > CK_MAX_N:
         raise ValueError(f"brute-force certification limited to n <= {CK_MAX_N}")
@@ -156,5 +120,37 @@ def rejection_sample_ck(n: int, k: int, p: Fraction, seed: int,
     for draw in range(budget):
         g = gnp(n, p, stream(seed, index * budget + draw))
         if is_pk_copk_free(g, k) is None:
-            return CertifiedSample(g, k, draw + 1)
+            return g
     raise BudgetExhaustedError(budget)
+
+
+def _complete_bipartite(spec: GeneratorSpec, index: int) -> Graph:
+    if spec.n < 2:
+        raise ValueError("complete-bipartite needs n >= 2")
+    return complete_bipartite_graph(spec.n - spec.n // 2, spec.n // 2)
+
+
+def _friendship(spec: GeneratorSpec, index: int) -> Graph:
+    if spec.n % 2 == 0 or spec.n < 3:
+        raise ValueError("friendship graphs have n = 2t + 1 >= 3")
+    return friendship_graph(spec.n // 2)
+
+
+# Family -> (the optional spec fields it reads, its builder (spec, index) -> Graph).
+FAMILIES = {
+    "gnp": (("p",), lambda spec, index: gnp(spec.n, spec.p, stream(spec.seed, index))),
+    "cograph": ((), lambda spec, index: random_cograph(spec.n, stream(spec.seed, index))),
+    "path": ((), lambda spec, index: path_graph(spec.n)),
+    "cycle": ((), lambda spec, index: cycle_graph(spec.n)),
+    "complete": ((), lambda spec, index: complete_graph(spec.n)),
+    "complete-bipartite": ((), _complete_bipartite),
+    "friendship": ((), _friendship),
+    "ck": (("p", "k", "budget"), lambda spec, index: rejection_sample_ck(
+        spec.n, spec.k, spec.p, spec.seed, spec.budget, index)),
+}
+
+
+def generate(spec: GeneratorSpec, index: int = 0) -> Graph:
+    """Build the graph described by ``spec``; ``index`` selects the substream
+    (batch drivers give each graph its own index; see rejection_sample_ck)."""
+    return FAMILIES[spec.family][1](spec, index)

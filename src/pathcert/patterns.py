@@ -46,13 +46,13 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
     if k > g.n:
         return PatternQueryResult(False, None, explored)
 
-    adj, full = g.adj, g.full_mask
+    adj = g.adj
     for start in range(g.n):
         # path[i] is followed by an untried extension from untried[i]; seen[i]
         # is the union of the closed neighborhoods of path[:i + 1].
         path = [start]
         seen = [adj[start] | 1 << start]
-        untried = [adj[start] & full & ~(1 << start)]
+        untried = [adj[start]]
         explored += 1
         while untried and len(path) < k:
             rest = untried[-1]
@@ -65,7 +65,7 @@ def find_induced_path(g: Graph, k: int) -> PatternQueryResult:
             untried[-1] = rest ^ low
             v = low.bit_length() - 1
             path.append(v)
-            untried.append(adj[v] & full & ~seen[-1])
+            untried.append(adj[v] & ~seen[-1])
             seen.append(seen[-1] | adj[v] | low)
             explored += 1
         if len(path) == k:

@@ -97,7 +97,7 @@ class SplitMix64:
             raise ValueError("probability must be in [0, 1]")
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if numerator == 0 or numerator == denominator or count == 0:
+        if numerator == 0 or numerator == denominator:
             return bytes([numerator != 0]) * count
         limit = (1 << 64) - ((1 << 64) % denominator)
         low_byte = None

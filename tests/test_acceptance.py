@@ -167,9 +167,9 @@ def test_pipeline_soundness():
     for i in range(200):
         n = 6 + i % 5  # 6..10: brute-force certification stays cheap
         sample = rejection_sample_ck(n, 5, Fraction(1, 2), seed=0xACCA + i, budget=50000)
-        r = extract_linear_bipartite(sample.graph, 5)
+        r = extract_linear_bipartite(sample, 5)
         assert r.outcome != "pattern-certificate", (i, r.outcome)
-        assert verify(sample.graph, r.witness), i
+        assert verify(sample, r.witness), i
     for i in range(200):
         n = 4 + stream(0xACCB, i).below(37)
         g = random_cograph(n, stream(0xACCC, i))

@@ -22,6 +22,7 @@ import pathcert.cli
 from pathcert.cli import build_parser, main
 from pathcert.cographs import OracleError
 from pathcert.formats import encode_graph6
+from pathcert.generators import FAMILIES
 from pathcert.graph import complete_bipartite_graph, complete_graph, cycle_graph, path_graph
 from pathcert.patterns import PatternQueryResult
 from pathcert.pipeline import choose_constants
@@ -61,8 +62,26 @@ def test_gen_ck_family_is_certified(tmp_path, capsys):
                      "--format", "edges", "--out", str(out)]) == 0
         graphs.append(parse_edge_list(out.read_text()))
     assert all(g.n == 8 and is_pk_copk_free(g, 5) is None for g in graphs)
-    assert graphs[0] == rejection_sample_ck(8, 5, Fraction(1, 2), seed=3, budget=5000).graph
+    assert graphs[0] == rejection_sample_ck(8, 5, Fraction(1, 2), seed=3, budget=5000)
     assert len(set(graphs)) > 1
+
+
+GEN_OPTIONS = {"p": ["--p", "1/2"], "k": ["--k", "4"], "budget": ["--budget", "50"]}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gen_rejects_each_option_its_family_does_not_read(tmp_path, capsys, family):
+    """``gen`` exits 2 with the option's name when an option the family reads
+    is left out, or one it does not read is given."""
+    reads = FAMILIES[family][0]
+    argv = ["gen", "--family", family, "--n", "5", "--out", str(tmp_path / "g.g6")]
+    assert main(argv + [arg for name in reads for arg in GEN_OPTIONS[name]]) == 0
+    for name in GEN_OPTIONS:
+        given = [arg for other in GEN_OPTIONS if (other in reads) != (other == name)
+                 for arg in GEN_OPTIONS[other]]
+        assert main(argv + given) == 2, name
+        verb = "needs" if name in reads else "takes no"
+        assert capsys.readouterr().err == f"error: {family} {verb} {name}\n"
 
 
 def test_check_pk_free(tmp_path, capsys):
@@ -150,10 +169,13 @@ def test_extract_path_or_bipartite_on_a_disconnected_graph_is_a_usage_error(tmp_
                                     ["--T", "0", "--D", "0", "--start", "99"]],
                          ids=["start", "T", "D", "all"])
 def test_extract_cograph_ramsey_rejects_the_walks_options(tmp_path, capsys, option):
+    # The walk's options belong to the path-or-bipartite parser alone.
     path = write_g6(tmp_path, complete_bipartite_graph(4, 4))
-    assert main(["extract", "cograph-ramsey", "--input", path, *option]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["extract", "cograph-ramsey", "--input", path, *option])
+    assert err.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: extract cograph-ramsey takes no --start, --T or --D\n"
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
     assert captured.out == ""
 
 

@@ -642,6 +642,20 @@ def test_witness_dict_schema():
     assert d == {"type": "embedding", "pattern": "co-P5", "map": [4, 2, 0, 1, 3]}
 
 
+def test_witness_to_dict_rejects_a_non_witness():
+    for thing in (None, (0, 1), {"type": "path", "vertices": [0, 1]}):
+        with pytest.raises(TypeError, match="not a witness"):
+            witness_to_dict(thing)
+
+
+def test_unknown_graph_format_is_rejected_both_ways():
+    for fmt in ("g6", "Edges", ""):
+        with pytest.raises(ValueError, match=f"unknown graph format {fmt!r}"):
+            formats.read_graph("1 0\n", fmt)
+        with pytest.raises(ValueError, match=f"unknown graph format {fmt!r}"):
+            formats.write_graph(path_graph(2), fmt)
+
+
 def test_witness_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         witness_from_dict({"type": "mystery"})

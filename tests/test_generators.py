@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from pathcert.formats import encode_graph6
-from pathcert.generators import (BudgetExhaustedError, GeneratorSpec, generate,
+from pathcert.generators import (FAMILIES, BudgetExhaustedError, GeneratorSpec, generate,
                                  gnp, random_cograph, rejection_sample_ck)
 from pathcert.graph import complete_graph, empty_graph, path_graph
 from pathcert.patterns import is_pk_copk_free
 from pathcert import rng as rng_module
-from pathcert.rng import SplitMix64, stream
+from pathcert.rng import stream
 
 from conftest import (balanced_cograph, bernoulli, brute_has_induced_p4, contains_induced, degree,
                       oracle_gnp)
@@ -67,23 +67,6 @@ def test_bernoulli_bytes_equals_the_scalar_loop(p):
             assert batched.next_u64() == scalar.next_u64()
 
 
-def test_bernoulli_bytes_rejects_like_below():
-    # With denominator 2^63 + 1 the limit is 2^64 - (2^63 - 1): about half
-    # the draws are rejected, so most batches are followed by a shorter one.
-    den = 2 ** 63 + 1
-    batched, scalar = stream(3), stream(3)
-    out = batched.bernoulli_bytes(2 ** 62, den, 3 * rng_module._LANES)
-    assert out == bytes(bernoulli(scalar, 2 ** 62, den) for _ in range(len(out)))
-    assert batched._state == scalar._state
-    assert 0 < sum(out) < len(out)
-
-
-def test_bernoulli_bytes_validates():
-    for num, den, count in ((2, 1, 3), (-1, 2, 3), (1, 0, 3), (0, -1, 3), (1, 2, -1)):
-        with pytest.raises(ValueError):
-            stream(1).bernoulli_bytes(num, den, count)
-
-
 @pytest.mark.parametrize("n", [1, 2, 40, 300])
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
                                Fraction(9, 10), Fraction(5, 2 ** 63 + 1)], ids=str)
@@ -137,6 +120,23 @@ def test_named_families():
         generate(GeneratorSpec("friendship", 6))
 
 
+def test_named_families_at_their_smallest_n():
+    assert generate(GeneratorSpec("complete-bipartite", 2)) == complete_graph(2)
+    assert generate(GeneratorSpec("friendship", 3)) == complete_graph(3)
+    with pytest.raises(ValueError, match="complete-bipartite needs n >= 2"):
+        generate(GeneratorSpec("complete-bipartite", 1))
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="friendship graphs have n = 2t"):
+            generate(GeneratorSpec("friendship", n))
+
+
+def test_cograph_family_pinned():
+    # The seeded cotree's cuts and its union/join choices, as gen writes them.
+    g = generate(GeneratorSpec("cograph", 12, seed=1))
+    assert encode_graph6(g) == "K_Ko?CB???_B"
+    assert generate(GeneratorSpec("cograph", 12, seed=1), 1) != g
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec("nonsense", 5)
@@ -146,20 +146,63 @@ def test_spec_validation():
         GeneratorSpec("gnp", 5, p=Fraction(3, 2))
     with pytest.raises(ValueError):
         generate(GeneratorSpec("gnp", 5))  # missing p
+    for p in (Fraction(0), Fraction(1)):  # the ends of [0, 1] are probabilities
+        assert GeneratorSpec("gnp", 1, p=p).p == p
+    for p in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            GeneratorSpec("gnp", 5, p=p)
+
+
+# The optional spec fields each family reads.
+READS = {"gnp": ("p",), "cograph": (), "path": (), "cycle": (), "complete": (),
+         "complete-bipartite": (), "friendship": (), "ck": ("p", "k", "budget")}
+VALUES = {"p": Fraction(1, 2), "k": 4, "budget": 50}
+
+
+@pytest.mark.parametrize("family", READS)
+def test_a_spec_gives_exactly_the_fields_its_family_reads(family):
+    assert set(FAMILIES) == set(READS)
+    reads = READS[family]
+    needed = {name: VALUES[name] for name in reads}
+    assert generate(GeneratorSpec(family, 5, **needed)).n == 5
+    assert GeneratorSpec(family, 1, **needed).n == 1
+    for name in reads:
+        with pytest.raises(ValueError) as err:
+            GeneratorSpec(family, 5, **{**needed, name: None})
+        assert str(err.value) == f"{family} needs {name}"
+    for name in VALUES.keys() - set(reads):
+        with pytest.raises(ValueError) as err:
+            GeneratorSpec(family, 5, **needed, **{name: VALUES[name]})
+        assert str(err.value) == f"{family} takes no {name}"
+    with pytest.raises(ValueError) as err:
+        GeneratorSpec(family, 0, **needed)
+    assert str(err.value) == "n must be positive"
 
 
 def test_rejection_sampling_certifies():
     for i in range(10):
-        sample = rejection_sample_ck(8, 4, Fraction(1, 2), seed=i, budget=50000)
-        assert is_pk_copk_free(sample.graph, 4) is None
-        assert not brute_has_induced_p4(sample.graph)
-        assert sample.draws >= 1
+        g = rejection_sample_ck(8, 4, Fraction(1, 2), seed=i, budget=50000)
+        assert is_pk_copk_free(g, 4) is None
+        assert not brute_has_induced_p4(g)
 
 
 def test_rejection_sampling_reproducible():
     a = rejection_sample_ck(10, 5, Fraction(1, 2), seed=3, budget=50000)
     b = rejection_sample_ck(10, 5, Fraction(1, 2), seed=3, budget=50000)
-    assert a.graph == b.graph and a.draws == b.draws
+    assert a == b
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_rejection_sampling_returns_the_first_free_draw_of_its_substreams(index):
+    # Draw d of index i reads substream i * budget + d; the sample is the
+    # first of them that is free.
+    budget = 40
+    draws = [gnp(6, Fraction(1, 2), stream(5, index * budget + d)) for d in range(budget)]
+    first = next(d for d, g in enumerate(draws) if is_pk_copk_free(g, 4) is None)
+    assert first >= 1  # at least one draw is rejected
+    assert rejection_sample_ck(6, 4, Fraction(1, 2), 5, budget, index) == draws[first]
+    assert generate(GeneratorSpec("ck", 6, p=Fraction(1, 2), k=4, seed=5, budget=budget),
+                    index) == draws[first]
 
 
 def test_rejection_budget_zero_fails():
@@ -171,25 +214,10 @@ def test_rejection_budget_zero_fails():
 def test_rejection_guard_large_n():
     with pytest.raises(ValueError):
         rejection_sample_ck(41, 5, Fraction(1, 2), seed=0, budget=10)
+    with pytest.raises(BudgetExhaustedError):  # n = 40 is sampled
+        rejection_sample_ck(40, 5, Fraction(1, 2), seed=0, budget=1)
 
 
-def test_splitmix_reference_vector():
-    # SplitMix64 with seed 0: first outputs of the reference implementation
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    assert rng.next_u64() == 0x06C45D188009454F
-
-
-def test_below_exact_and_in_range():
-    rng = stream(11)
-    draws = [rng.below(10) for _ in range(1000)]
-    assert all(0 <= d < 10 for d in draws)
-    assert set(draws) == set(range(10))
-
-
-def test_bernoulli_exactness():
-    rng = stream(12)
-    assert rng.bernoulli_bytes(0, 7, 100) == bytes(100)
-    assert rng.bernoulli_bytes(7, 7, 100) == b"\1" * 100
-    assert rng.next_u64() == stream(12).next_u64()  # neither drew
+def test_rejection_budget_must_be_nonnegative():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        rejection_sample_ck(8, 5, Fraction(1, 2), seed=0, budget=-1)

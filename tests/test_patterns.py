@@ -152,3 +152,9 @@ def test_pk_copk_certificates():
 def test_pk_copk_requires_k_at_least_2():
     with pytest.raises(ValueError):
         is_pk_copk_free(empty_graph(2), 1)
+
+
+def test_find_induced_path_requires_k_at_least_1():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            find_induced_path(path_graph(3), k)

@@ -67,8 +67,11 @@ def test_choose_constants_rejects_small_k():
 
 def test_stage1_target_desk_scale_is_one():
     c = choose_constants(5)
-    for n in (2, 10, 512, 10 ** 6):
+    for n in (1, 2, 10, 512, 10 ** 6):
         assert stage1_target(c, n) == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            stage1_target(c, n)
 
 
 def test_pipeline_k10_complete_pair():
@@ -113,9 +116,9 @@ def test_pipeline_trace_records_stages():
 def test_pipeline_never_certifies_on_certified_free_inputs():
     for i in range(40):
         sample = rejection_sample_ck(8, 5, Fraction(1, 2), seed=200 + i, budget=2000)
-        r = extract_linear_bipartite(sample.graph, 5)
+        r = extract_linear_bipartite(sample, 5)
         assert r.outcome != "pattern-certificate"
-        assert verify(sample.graph, r.witness)
+        assert verify(sample, r.witness)
 
 
 def test_pipeline_cographs_never_certify_k4():

@@ -25,10 +25,13 @@ comparisons and bit operations on masks.  ``cographs.py`` gets every
 operator but ``reject`` (it returns no verdicts), since its cotree loop
 decides each part by comparisons and bit operations on degree-table masks.
 ``formats.py`` gets ``compare``, ``bound`` and ``early``: the parser's
-range, size and switch point checks are comparisons.  ``cli.py`` gets ``early`` too, for its
-exit-status decisions.  Only the operator's, the bound's or the test's own
-characters are rewritten (a conditional expression keeps its else branch's
-text), so every other line of the module keeps its text.
+range, size and switch point checks are comparisons.  ``generators.py`` and
+``rng.py`` get ``compare`` and ``early``: their seeded graphs are a contract,
+and their spec checks and exact draws are comparisons.  ``cli.py`` gets
+``early`` too, for its exit-status decisions.  Only the operator's, the
+bound's or the test's own characters are rewritten (a conditional
+expression keeps its else branch's text), so every other line of the
+module keeps its text.
 
 The mutants run in a temporary copy of the repository, which must first
 pass the full suite and each scanned module's test file unmutated; those
@@ -73,7 +76,8 @@ PRODUCER = ("early",)
 TARGETS = {"witnesses": VERIFIER, "graph": ("compare", "bitop", "early"), "extractor": PRODUCER,
            "cographs": ("compare", "boolop", "bitop", "bound", "early"),
            "homogeneous": PRODUCER, "pipeline": PRODUCER,
-           "formats": ("compare", "bound", "early"), "cli": PRODUCER}
+           "formats": ("compare", "bound", "early"), "cli": PRODUCER,
+           "generators": ("compare", "early"), "rng": ("compare", "early")}
 # The least timeout, in seconds, of a run of a module's test file: a file
 # that runs in a second or two would otherwise give a slow start-up a kill.
 FLOOR = 10.0
